@@ -14,6 +14,7 @@ from pathlib import Path
 from cfspectra.experiment import ExperimentConfig, build_tower
 from cfspectra.koopman import (
     cylinder_family,
+    residual_csv,
     residual_grid,
     tail_shift_residual,
     weak_limit_residual_even,
@@ -52,13 +53,7 @@ def main():
     if len(sys.argv) > 2:
         rows = residual_grid(tower, chars, family)
         out = Path(sys.argv[2])
-        lines = ["n,tag,chi_id,A_id,B_id,residual_num,residual_den,error_num,error_den"]
-        for r in rows:
-            chi_id = "+".join(map(str, r.chi)) if r.chi else "0"
-            lines.append(f"{r.n},{r.tag},{chi_id},{r.a_id},{r.b_id},"
-                         f"{r.residual.numerator},{r.residual.denominator},"
-                         f"{r.error.numerator},{r.error.denominator}")
-        out.write_text("\n".join(lines) + "\n")
+        out.write_text(residual_csv(rows))
         print(f"wrote {len(rows)} rows to {out}")
 
 

@@ -178,20 +178,12 @@ def cmd_weaklimits(args) -> int:
     if tower is None:
         return EXIT_CONFIG
     from .groups import all_characters
-    from .koopman import cylinder_family, residual_grid
+    from .koopman import cylinder_family, residual_csv, residual_grid
 
     chars = list(all_characters(tower.group))
     fam = cylinder_family(tower, max_level=args.max_level)
     rows = residual_grid(tower, chars, fam)
-    lines = ["n,tag,chi_id,A_id,B_id,residual_num,residual_den,error_num,error_den"]
-    for r in rows:
-        chi_id = "+".join(map(str, r.chi)) if r.chi else "0"
-        lines.append(
-            f"{r.n},{r.tag},{chi_id},{r.a_id},{r.b_id},"
-            f"{r.residual.numerator},{r.residual.denominator},"
-            f"{r.error.numerator},{r.error.denominator}"
-        )
-    text = "\n".join(lines) + "\n"
+    text = residual_csv(rows)
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text)

@@ -54,10 +54,15 @@ def weak_limit_residual_even(tower: Tower, chi: Character, a, A: Cylinder, B: Cy
     carry the even recipe with that element.
     """
     _require_tag(tower, n, EvenTag, a=a)
+    return _residual_even(tower, chi, a, A, B, n, N)[0]
+
+
+def _residual_even(tower, chi, a, A, B, n, N) -> tuple[Fraction, LevelPairing]:
+    """The even-step residual and the 2h_n-shift pairing it was taken from."""
     p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
     inner = pairing(tower, chi, 0, A, B, N)
     target = character_orbit_average(chi, a, tower.v) * inner.value
-    return abs_upper(p.value - target, _BITS) + p.error_bound
+    return abs_upper(p.value - target, _BITS) + p.error_bound, p
 
 
 def weak_limit_residual_stagger(tower: Tower, chi: Character, b, k: int, A: Cylinder,
@@ -68,12 +73,17 @@ def weak_limit_residual_stagger(tower: Tower, chi: Character, b, k: int, A: Cyli
     with the one-step-back pairing weighted by k/(k+1).
     """
     _require_tag(tower, n, StaggerTag, b=b, k=k)
+    return _residual_stagger(tower, chi, b, k, A, B, n, N)[0]
+
+
+def _residual_stagger(tower, chi, b, k, A, B, n, N) -> tuple[Fraction, LevelPairing]:
+    """The stagger-step residual and the 2h_n-shift pairing it was taken from."""
     p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
     back = pairing(tower, chi, -1, A, B, N)
     l = character_orbit_average(chi, b, tower.v)
     target = l * inner_value(tower, chi, A, B, N) / (k + 1) + back.value * Fraction(k, k + 1)
     dev = abs_upper(p.value - target, _BITS)
-    return dev + p.error_bound + Fraction(k, k + 1) * back.error_bound
+    return dev + p.error_bound + Fraction(k, k + 1) * back.error_bound, p
 
 
 def inner_value(tower: Tower, chi: Character, A: Cylinder, B: Cylinder, N: int | None = None) -> Cyclo:
@@ -261,18 +271,29 @@ def residual_grid(tower: Tower, chars: list[Character], family=None) -> list[Res
     for lvl in tower.levels:
         if lvl.tag is None:
             continue
-        n = lvl.step
+        n, tg = lvl.step, lvl.tag
+        if isinstance(tg, EvenTag):
+            tag = f"even:{'+'.join(map(str, tg.a.coords))}"
+        else:
+            tag = f"stagger:{'+'.join(map(str, tg.b.coords))}:k={tg.k}"
         for chi in chars:
             for a_id, A in family:
                 for b_id, B in family:
-                    if isinstance(lvl.tag, EvenTag):
-                        p = pairing(tower, chi, 2 * tower.h(n), A, B)
-                        res = weak_limit_residual_even(tower, chi, lvl.tag.a, A, B, n)
-                        tag = f"even:{'+'.join(map(str, lvl.tag.a.coords))}"
+                    if isinstance(tg, EvenTag):
+                        res, p = _residual_even(tower, chi, tg.a, A, B, n, None)
                     else:
-                        p = pairing(tower, chi, 2 * tower.h(n), A, B)
-                        res = weak_limit_residual_stagger(tower, chi, lvl.tag.b, lvl.tag.k, A, B, n)
-                        tag = f"stagger:{'+'.join(map(str, lvl.tag.b.coords))}:k={lvl.tag.k}"
+                        res, p = _residual_stagger(tower, chi, tg.b, tg.k, A, B, n, None)
                     rows.append(ResidualRow(n, tag, chi.coords, a_id, b_id, res, p.error_bound))
     rows.sort(key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))
     return rows
+
+
+def residual_csv(rows: list[ResidualRow]) -> str:
+    """The residual grid as CSV text, one line per row after the header."""
+    lines = ["n,tag,chi_id,A_id,B_id,residual_num,residual_den,error_num,error_den"]
+    for r in rows:
+        chi_id = "+".join(map(str, r.chi)) if r.chi else "0"
+        lines.append(f"{r.n},{r.tag},{chi_id},{r.a_id},{r.b_id},"
+                     f"{r.residual.numerator},{r.residual.denominator},"
+                     f"{r.error.numerator},{r.error.denominator}")
+    return "\n".join(lines) + "\n"

@@ -5,21 +5,31 @@ The central object is the weighted pairing
     P(chi, m, A, B, N) = sum over rungs f at depth N with f in E_B and
     f + m in E_A of chi(rung_label(f+m) - rung_label(f)) * mu(rung),
 
-where E_A, E_B are the depth-N rung sets of two cylinders.  The rung sets
-are astronomically large at moderate depth, so the sum is never formed
-directly.  Instead the levelwise product structure of the rung sets gives
-an exact recursion: writing Q_j(d) for the unnormalized pairing of the
-depth-j rung sets at shift d,
+where E_A, E_B are the depth-N rung sets of two cylinders.  Every character
+is a ring homomorphism Z[K] -> Z[zeta_L] on the group ring of the label
+group K, so the sum is formed once in Z[K]: the pairing vector
+
+    W(m, A, B, N) = sum over the same rungs of [rung_label(f+m) - rung_label(f)]
+
+counts the label increments, and P(chi, ...) = chi(W) * mu(rung) is its
+character transform, the same fiber character transform that
+block-diagonalizes the skew product.
+
+The rung sets are astronomically large at moderate depth, so W is never
+formed rung by rung.  Instead the levelwise product structure of the rung
+sets gives an exact recursion: writing Q_j(d) in Z[K] for the pairing
+vector of the depth-j rung sets at shift d,
 
     Q_j(d) = sum over cut pairs (c, c') of level j with |d - (c'-c)| < h_{j-1}
-             of chi(label(c') - label(c)) * Q_{j-1}(d - (c'-c)).
+             of [label(c') - label(c)] * Q_{j-1}(d - (c'-c)).
 
 Cut differences of one level cluster far apart, so each shift meets only a
 handful of (c'-c) values and the recursion stays tiny.  The coefficients of
-the needed base shifts are propagated top-down once per (chi, m, N); the
-base sets then enter only through a cheap explicit sum.  All phases are
-tracked as integer histograms over root-of-unity exponents, so the final
-value is an exact cyclotomic number.
+the needed base shifts are propagated top-down over Z[K] once per
+(m, N, base level) and shared by every character; the base sets then enter
+only through a cheap explicit sum.  Group elements are indices 0..|K|-1 and
+all counts are integers, so each character's value is an exact cyclotomic
+number.
 
 The certified error bound is the exact measure of the rungs of E_B that the
 shift pushes out of [0, h_N): their true contribution is determined only by
@@ -32,12 +42,15 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cocycle import _addition_table, rung_label
 from .cyclotomic import Cyclo
-from .groups import Character, Element
-from .tower import Cylinder, Tower, embed
-from .cocycle import rung_label
+from .groups import Character
+from .tower import Cylinder, Level, Tower, embed
 
 _STATE_GUARD = 4000
+
+# a Z[K] vector: element index -> integer count (absent indices count zero)
+_Ring = dict[int, int]
 
 
 @dataclass
@@ -50,8 +63,97 @@ class LevelPairing:
     shift: int
 
 
+class _RingStore:
+    """Everything a pairing computes that no character enters, for one tower.
+
+    Lives in ``tower._cache``, which ``Tower.extend`` clears, and is shared by
+    the engines of all characters of the tower.
+    """
+
+    def __init__(self, tower: Tower):
+        G = tower.group
+        els = [G.element_from_index(i) for i in range(G.order)]
+        self.add = _addition_table(tower)
+        self.neg = [G.element_index(-g) for g in els]
+        self.v_pow = [[G.element_index(table[g]) for g in els] for table in tower._v_pow]
+        v = self.v_pow[1] if len(self.v_pow) > 1 else self.v_pow[0]
+        self.orbits = []          # forward v-orbit of each element, one full period
+        for i in range(G.order):
+            orb = [i]
+            while v[orb[-1]] != i:
+                orb.append(v[orb[-1]])
+            self.orbits.append(orb)
+        self._group = G
+        self._labels: dict[int, dict[int, int]] = {}
+        self.states: dict[tuple[int, int, int], dict[int, _Ring]] = {}
+        self.vectors: dict[tuple[int, Cylinder, Cylinder, int], _Ring] = {}
+        self.errors: dict[tuple[int, int, Cylinder], Fraction] = {}
+        self._cut_tables: dict[int, tuple[list[int], list[int]]] = {}
+
+    def labels(self, lvl: Level) -> dict[int, int]:
+        """Label indices of a level: on the block for block levels, else on every cut."""
+        out = self._labels.get(lvl.n)
+        if out is None:
+            G = self._group
+            if _is_block_level(lvl):
+                out = {d: G.element_index(g) for d, g in lvl.block_labels.items()}
+            else:
+                out = {c: G.element_index(lvl.label(c)) for c in lvl.cuts}
+            self._labels[lvl.n] = out
+        return out
+
+    def add_orbit_range(self, slot: _Ring, g: int, count: int, start: int) -> None:
+        """Add v^j(g) for j = start .. start+count-1 to slot."""
+        orb = self.orbits[g]
+        p = len(orb)
+        full, rem = divmod(count, p)
+        if full:
+            for x in orb:
+                slot[x] = slot.get(x, 0) + full
+        for j in range(start, start + rem):
+            x = orb[j % p]
+            slot[x] = slot.get(x, 0) + 1
+
+    def cut_tables(self, tower: Tower, base_level: int) -> tuple[list[int], list[int]]:
+        """Running sums of top cuts and products of cut counts over the levels above base_level."""
+        tables = self._cut_tables.get(base_level)
+        if tables is None:
+            tops, prods = [0], [1]
+            for j in range(base_level + 1, tower.depth + 1):
+                lvl = tower.level(j)
+                tops.append(tops[-1] + lvl.cuts[-1])
+                prods.append(prods[-1] * lvl.r)
+            tables = self._cut_tables[base_level] = (tops, prods)
+        return tables
+
+
+def _store(tower: Tower) -> _RingStore:
+    store = tower._cache.get("pairing_store")
+    if store is None:
+        store = tower._cache["pairing_store"] = _RingStore(tower)
+    return store
+
+
+def _mul_into(acc: _Ring, x: _Ring, y: _Ring, add: list[list[int]]) -> None:
+    """acc += x * y in Z[K], with add the element addition table."""
+    for a, c1 in x.items():
+        row = add[a]
+        for b, c2 in y.items():
+            g = row[b]
+            acc[g] = acc.get(g, 0) + c1 * c2
+
+
+def _is_block_level(lvl: Level) -> bool:
+    """Cuts are block + z*{0..reps-1} with labels v^q(block label) on the q-th copy."""
+    return lvl.explicit_labels is None and lvl.reps > 1 and lvl.z != 0
+
+
 class PairingEngine:
-    """Evaluates weighted pairings over one tower for one character."""
+    """Evaluates weighted pairings over one tower for one character.
+
+    A cheap view: the character only enters in the final transform of the
+    tower's shared Z[K] pairing vectors.
+    """
 
     def __init__(self, tower: Tower, chi: Character):
         if chi.group != tower.group:
@@ -59,119 +161,75 @@ class PairingEngine:
         self.tower = tower
         self.chi = chi
         self.L = chi.root_order
-        self._orbit_sums: dict[Element, list[int]] = {}
-        self._prop_cache: dict[tuple[int, int, int], dict[int, dict[int, int]]] = {}
+        G = tower.group
+        self._exponent = [chi.exponent(G.element_from_index(i)) for i in range(G.order)]
 
     # -- kernels -----------------------------------------------------------
 
-    def _chi_exponents_on_orbit(self, g: Element) -> list[int]:
-        """Exponents of chi on the forward v-orbit of g, one full period."""
-        out = self._orbit_sums.get(g)
-        if out is None:
-            out = []
-            x = g
-            while True:
-                out.append(self.chi.exponent(x))
-                x = self.tower.v(x)
-                if x == g:
-                    break
-            self._orbit_sums[g] = out
-        return out
-
-    def _range_exponent_counts(self, g: Element, count: int, start: int) -> dict[int, int]:
-        """Histogram of chi(v^j(g)) for j = start .. start+count-1."""
-        orb = self._chi_exponents_on_orbit(g)
-        p = len(orb)
-        hist: dict[int, int] = {}
-        full, rem = divmod(count, p)
-        if full:
-            for e in orb:
-                hist[e] = hist.get(e, 0) + full
-        for j in range(start, start + rem):
-            e = orb[j % p]
-            hist[e] = hist.get(e, 0) + 1
-        return hist
-
-    def level_kernel(self, n: int, lo: int, hi: int) -> list[tuple[int, dict[int, int]]]:
+    def level_kernel(self, n: int, lo: int, hi: int) -> dict[int, _Ring]:
         """All cut-difference transitions of level n with difference in [lo, hi].
 
-        Returns a sorted list of (delta, histogram) where the histogram counts
-        chi(label(c + delta) - label(c)) over all cut pairs at difference delta.
+        Returns {delta: Z[K] histogram} in increasing delta order, the
+        histogram counting label(c + delta) - label(c) over all cut pairs at
+        difference delta.
         """
         lvl = self.tower.level(n)
-        v_pow = self.tower._v_pow
-        ordv = len(v_pow)
-        out: dict[int, dict[int, int]] = {}
-        block = lvl.block
-        bl = lvl.block_labels
-        reps = lvl.reps
-        z = lvl.z if lvl.reps > 1 else 0
-        if lvl.explicit_labels is not None or reps == 1 or z == 0:
+        store = _store(self.tower)
+        add, neg = store.add, store.neg
+        lab = store.labels(lvl)
+        out: dict[int, _Ring] = {}
+        if not _is_block_level(lvl):
             # direct scan over cut pairs (seed levels and deserialized towers)
             cuts = lvl.cuts
-            cut_set = lvl.cut_set
             for c in cuts:
                 first = bisect.bisect_left(cuts, c + lo)
                 last = bisect.bisect_right(cuts, c + hi)
+                minus = neg[lab[c]]
                 for c2 in cuts[first:last]:
-                    if c2 not in cut_set:
-                        continue
-                    delta = c2 - c
-                    e = self.chi.exponent(lvl.label(c2) - lvl.label(c))
-                    out.setdefault(delta, {})[e] = out.setdefault(delta, {}).get(e, 0) + 1
-            return sorted(out.items())
-        # block structure: cuts = block + z*{0..reps-1};
-        # pairs (d1 + z*j, d2 + z*(j+t)) contribute chi(v^j(v^t(label d2) - label d1))
-        for d1 in block:
-            l1 = bl[d1]
-            for d2 in block:
-                base = d2 - d1
-                t_lo = -((base - lo) // z) if z else 0
-                # smallest t with base + z*t >= lo
-                t_min = -((base - lo) // z)
-                t_max = (hi - base) // z
-                for t in range(t_min, t_max + 1):
-                    delta = base + z * t
-                    if delta < lo or delta > hi:
-                        continue
-                    j_start = max(0, -t)
-                    j_count = reps - abs(t)
-                    if j_count <= 0:
-                        continue
-                    g = v_pow[t % ordv][bl[d2]] - l1
-                    hist = self._range_exponent_counts(g, j_count, j_start)
-                    slot = out.setdefault(delta, {})
-                    for e, cnt in hist.items():
-                        slot[e] = slot.get(e, 0) + cnt
-        return sorted(out.items())
+                    slot = out.setdefault(c2 - c, {})
+                    g = add[lab[c2]][minus]
+                    slot[g] = slot.get(g, 0) + 1
+            return dict(sorted(out.items()))
+        # block structure: cuts = block + z*{0..reps-1}; the pairs
+        # (d1 + z*j, d2 + z*(j+t)) have increment v^j(v^t(label d2) - label d1)
+        block, z, reps = lvl.block, lvl.z, lvl.reps
+        span = block[-1] - block[0]
+        v_pow = store.v_pow
+        for t in range(max((lo - span) // z, 1 - reps), min((hi + span) // z, reps - 1) + 1):
+            vt = v_pow[t % len(v_pow)]
+            start, count = max(0, -t), reps - abs(t)
+            shift = z * t
+            for d1 in block:
+                minus = neg[lab[d1]]
+                first = bisect.bisect_left(block, lo - shift + d1)
+                last = bisect.bisect_right(block, hi - shift + d1)
+                for d2 in block[first:last]:
+                    slot = out.setdefault(d2 - d1 + shift, {})
+                    store.add_orbit_range(slot, add[vt[lab[d2]]][minus], count, start)
+        return dict(sorted(out.items()))
 
     # -- propagation ---------------------------------------------------------
 
-    def propagate(self, N: int, m: int, base_level: int) -> dict[int, dict[int, int]]:
+    def propagate(self, N: int, m: int, base_level: int) -> dict[int, _Ring]:
         """Coefficients of the base-level shifts reached from shift m at depth N.
 
-        Returns {base_shift: exponent histogram}; the pairing is then
-        sum over shifts of (histogram as cyclotomic) * Q_base(shift).
+        Returns {base_shift: Z[K] coefficient}; the pairing vector is then
+        the sum over shifts of coefficient * Q_base(shift).
         """
-        states: dict[int, dict[int, int]] = {m: {0: 1}}
+        add = _store(self.tower).add
+        states: dict[int, _Ring] = {m: {0: 1}}   # index 0 is the identity
         for j in range(N, base_level, -1):
             h_prev = self.tower.h(j - 1)
             lo = min(states) - h_prev + 1
             hi = max(states) + h_prev - 1
             kernel = self.level_kernel(j, lo, hi)
-            deltas = [k[0] for k in kernel]
-            new_states: dict[int, dict[int, int]] = {}
+            deltas = list(kernel)
+            new_states: dict[int, _Ring] = {}
             for d, hist in states.items():
                 first = bisect.bisect_right(deltas, d - h_prev)
                 last = bisect.bisect_left(deltas, d + h_prev)
-                for idx in range(first, last):
-                    delta, khist = kernel[idx]
-                    child = d - delta
-                    slot = new_states.setdefault(child, {})
-                    for e1, c1 in hist.items():
-                        for e2, c2 in khist.items():
-                            e = (e1 + e2) % self.L
-                            slot[e] = slot.get(e, 0) + c1 * c2
+                for delta in deltas[first:last]:
+                    _mul_into(new_states.setdefault(d - delta, {}), hist, kernel[delta], add)
             states = new_states
             if not states:
                 return {}
@@ -185,27 +243,29 @@ class PairingEngine:
     # -- base application and the public pairing -------------------------------
 
     def base_values(self, A: tuple[int, ...], B: tuple[int, ...], level: int,
-                    shifts) -> dict[int, Cyclo]:
-        """Q_level(d) computed explicitly: sum over u in B with u + d in A."""
+                    shifts) -> dict[int, _Ring]:
+        """Q_level(d) in Z[K] computed explicitly: sum over u in B with u + d in A."""
         t = self.tower
+        G = t.group
+        store = _store(t)
+        add, neg = store.add, store.neg
         a_set = set(A)
-        out: dict[int, Cyclo] = {}
-        label_cache: dict[int, Element] = {}
+        out: dict[int, _Ring] = {}
+        label_cache: dict[int, int] = {}
 
-        def lab(f: int) -> Element:
-            el = label_cache.get(f)
-            if el is None:
-                el = rung_label(t, f, level)
-                label_cache[f] = el
-            return el
+        def lab(f: int) -> int:
+            g = label_cache.get(f)
+            if g is None:
+                g = label_cache[f] = G.element_index(rung_label(t, f, level))
+            return g
 
         for d in shifts:
-            counts: dict[int, int] = {}
+            counts: _Ring = {}
             for u in B:
                 if u + d in a_set:
-                    e = self.chi.exponent(lab(u + d) - lab(u))
-                    counts[e] = counts.get(e, 0) + 1
-            out[d] = Cyclo.from_exponent_counts(self.L, counts) if counts else Cyclo.zero(self.L)
+                    g = add[lab(u + d)][neg[lab(u)]]
+                    counts[g] = counts.get(g, 0) + 1
+            out[d] = counts
         return out
 
     def pairing(self, m: int, A: Cylinder, B: Cylinder, N: int) -> LevelPairing:
@@ -215,23 +275,33 @@ class PairingEngine:
             raise ValueError("depth exceeds the built tower")
         if abs(m) >= t.h(N):
             raise ValueError("shift magnitude must stay below the depth height")
-        base = max(A.level, B.level)
-        A_base = embed(t, A, base).rungs
-        B_base = embed(t, B, base).rungs
-        key = (N, m, base)
-        if key not in self._prop_cache:
-            self._prop_cache[key] = self.propagate(N, m, base)
-        coeffs = self._prop_cache[key]
-        qvals = self.base_values(A_base, B_base, base, coeffs.keys())
-        total = Cyclo.zero(self.L)
-        for d, hist in coeffs.items():
-            q = qvals[d]
-            if q.is_zero():
-                continue
-            total = total + Cyclo.from_exponent_counts(self.L, hist) * q
-        value = total / t.cut_product(N)
-        err = Fraction(out_of_range_count(t, B_base, base, N, m), t.cut_product(N))
-        return LevelPairing(value, err, N, m)
+        store = _store(t)
+        key = (m, A, B, N)
+        vector = store.vectors.get(key)
+        if vector is None:
+            base = max(A.level, B.level)
+            A_base = embed(t, A, base).rungs
+            B_base = embed(t, B, base).rungs
+            pkey = (N, m, base)
+            states = store.states.get(pkey)
+            if states is None:
+                states = store.states[pkey] = self.propagate(N, m, base)
+            qvals = self.base_values(A_base, B_base, base, states.keys())
+            vector = {}
+            for d, hist in states.items():
+                _mul_into(vector, hist, qvals[d], store.add)
+            ekey = (N, m, B)
+            if ekey not in store.errors:
+                store.errors[ekey] = Fraction(out_of_range_count(t, B_base, base, N, m),
+                                              t.cut_product(N))
+            store.vectors[key] = vector
+        counts: dict[int, int] = {}
+        exponent = self._exponent
+        for g, c in vector.items():
+            e = exponent[g]
+            counts[e] = counts.get(e, 0) + c
+        value = Cyclo.from_exponent_counts(self.L, counts) / t.cut_product(N)
+        return LevelPairing(value, store.errors[(N, m, B)], N, m)
 
 
 # -- structured rung-set counting -------------------------------------------
@@ -239,31 +309,23 @@ class PairingEngine:
 
 def count_ge(tower: Tower, base_rungs: tuple[int, ...], base_level: int, N: int,
              threshold: int) -> int:
-    """#{f in E at depth N : f >= threshold} for E = base_rungs + cut sums."""
-
-    maxes = {}
-    cur = max(base_rungs)
-    maxes[base_level] = cur
-    for j in range(base_level + 1, N + 1):
-        cur += max(tower.level(j).cuts)
-        maxes[j] = cur
-
-    sizes = {base_level: len(base_rungs)}
-    for j in range(base_level + 1, N + 1):
-        sizes[j] = sizes[j - 1] * tower.level(j).r
+    """#{f in E at depth N : f >= threshold} for E = sorted base_rungs + cut sums."""
+    tops, prods = _store(tower).cut_tables(tower, base_level)
+    nb, top = len(base_rungs), base_rungs[-1]
 
     def rec(j: int, t: int) -> int:
+        i = j - base_level
         if t <= 0:
-            return sizes[j]
-        if t > maxes[j]:
+            return nb * prods[i]
+        if t > top + tops[i]:
             return 0
-        if j == base_level:
-            return len(base_rungs) - bisect.bisect_left(base_rungs, t)
+        if i == 0:
+            return nb - bisect.bisect_left(base_rungs, t)
         cuts = tower.level(j).cuts
-        # cuts >= t contribute fully; cuts <= t - 1 - maxes[j-1] contribute nothing
+        # cuts >= t contribute fully; cuts <= t - 1 - (largest rung below) contribute nothing
         full_from = bisect.bisect_left(cuts, t)
-        total = (len(cuts) - full_from) * sizes[j - 1]
-        lo = bisect.bisect_right(cuts, t - 1 - maxes[j - 1])
+        total = (len(cuts) - full_from) * nb * prods[i - 1]
+        lo = bisect.bisect_right(cuts, t - 1 - top - tops[i - 1])
         for c in cuts[lo:full_from]:
             total += rec(j - 1, t - c)
         return total

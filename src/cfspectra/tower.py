@@ -21,6 +21,7 @@ step 2 (level 3).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -597,6 +598,8 @@ def _parse_tower_inner(text: str) -> Tower:
             props[key.strip()] = val.strip()
             idx += 1
         cuts = _expand_aps(props["cuts"])
+        if any(b <= a for a, b in itertools.pairwise(cuts)):
+            raise TowerParseError(f"level {n}: cuts are not strictly increasing")
         labels = {}
         for entry in props["labels"].split(";"):
             cpart, _, coordpart = entry.partition("=")

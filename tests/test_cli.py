@@ -147,3 +147,43 @@ def test_build_bad_config_exit_code(tmp_path):
     cfg.write_text("E = \n")
     assert main(["build", "--config", str(cfg)]) == 2
     assert main(["build", "--target", "4", "--bound", "3"]) == 2
+
+
+def _swap_first_cut_blocks(text: str, level: str) -> str:
+    """Swap the first two arithmetic blocks of one level's cut line; the cut set is unchanged."""
+    lines = text.splitlines()
+    current = None
+    for i, line in enumerate(lines):
+        if line.startswith("level "):
+            current = line
+        if current == level and line.startswith("cuts = "):
+            blocks = line[len("cuts = "):].split(",")
+            blocks[0], blocks[1] = blocks[1], blocks[0]
+            lines[i] = "cuts = " + ",".join(blocks)
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no cut line for {level}")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"]])
+def test_unsorted_cuts_are_a_parse_error(tmp_path, capsys, command):
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    bad = tmp_path / "unsorted.txt"
+    bad.write_text(_swap_first_cut_blocks((out / "tower.txt").read_text(), "level 4"))
+    capsys.readouterr()
+    assert main([command[0], "--tower", str(bad), *command[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error:"), err
+    assert "not strictly increasing" in err[0]
+
+
+def test_weaklimits_csv_matches_in_memory_tower(built, tmp_path):
+    from cfspectra.experiment import ExperimentConfig, build_tower
+    from cfspectra.groups import all_characters
+    from cfspectra.koopman import cylinder_family, residual_csv, residual_grid
+
+    csv = tmp_path / "w.csv"
+    assert main(["weaklimits", "--tower", str(built / "tower.txt"), "--out", str(csv)]) == 0
+    tower, _, _ = build_tower(ExperimentConfig(E=frozenset({2}), depth=6))
+    rows = residual_grid(tower, list(all_characters(tower.group)), cylinder_family(tower, 1))
+    assert residual_csv(rows) == csv.read_text()

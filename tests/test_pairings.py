@@ -2,12 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cfspectra import koopman
 from cfspectra.cocycle import rung_label
 from cfspectra.cyclotomic import Cyclo, abs_upper
-from cfspectra.groups import Automorphism, Character, FinAbGroup
+from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
-from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower, embed, measure
+from cfspectra.tower import (Cylinder, EvenTag, StaggerTag, Tower, embed, measure, parse_tower,
+                             serialize_tower)
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +178,78 @@ def test_shift_beyond_height_rejected(z3_tower):
     eng = PairingEngine(t, characters(t)[0])
     with pytest.raises(ValueError):
         eng.pairing(t.h(3), CYLS[1], CYLS[1], 3)
+
+
+# -- differential tests over random small towers ------------------------------
+
+# each label group with the automorphisms the towers may use
+SMALL_SYSTEMS = [
+    ((2,), [[[1]]]),
+    ((3,), [[[1]], [[2]]]),
+    ((2, 2), [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [1, 1]]]),
+    ((5,), [[[1]], [[2]], [[4]]]),
+]
+
+
+@st.composite
+def small_towers(draw):
+    """A depth 3-4 tower over Z2, Z3, Z2xZ2 or Z5 with random even and stagger steps."""
+    factors, matrices = draw(st.sampled_from(SMALL_SYSTEMS))
+    G = FinAbGroup(factors)
+    t = Tower.seeded(G, Automorphism(G, draw(st.sampled_from(matrices))))
+    elements = list(G.elements())
+    for _ in range(draw(st.integers(1, 2))):
+        el = draw(st.sampled_from(elements))
+        t.extend(EvenTag(el) if draw(st.booleans()) else StaggerTag(el, 1))
+    return t
+
+
+@st.composite
+def cylinders(draw, tower):
+    level = draw(st.integers(0, 2))
+    rungs = draw(st.lists(st.integers(0, tower.h(level) - 1), min_size=1, max_size=3))
+    return Cylinder(level, tuple(rungs))
+
+
+@st.composite
+def pairing_cases(draw):
+    t = draw(small_towers())
+    N = t.depth
+    steps = [s for n in range(1, N) for s in (2 * t.h(n), -2 * t.h(n))]
+    shifts = draw(st.lists(st.one_of(st.integers(-40, 40), st.sampled_from(steps)),
+                           min_size=1, max_size=3, unique=True))
+    return t, draw(cylinders(t)), draw(cylinders(t)), shifts
+
+
+@settings(max_examples=30)   # depth-4 brute enumeration costs up to seconds per example
+@given(pairing_cases())
+def test_engine_matches_brute_force_on_random_towers(case):
+    t, A, B, shifts = case
+    parsed = parse_tower(serialize_tower(t))
+    for chi in all_characters(t.group):
+        eng, parsed_eng = PairingEngine(t, chi), PairingEngine(parsed, chi)
+        for m in shifts:
+            got = eng.pairing(m, A, B, t.depth)
+            want_value, want_err = brute_pairing(t, chi, m, A, B, t.depth)
+            assert got.value == want_value, (chi, m, A, B)
+            assert got.error_bound == want_err
+            # the parsed tower takes the direct-scan kernel on every level
+            again = parsed_eng.pairing(m, A, B, t.depth)
+            assert again.value == got.value and again.error_bound == got.error_bound
+
+
+def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch):
+    t = parse_tower(serialize_tower(z3_tower))   # a fresh tower: nothing memoized yet
+    keys = []
+    propagate = PairingEngine.propagate
+
+    def counting(self, N, m, base_level):
+        keys.append((N, m, base_level))
+        return propagate(self, N, m, base_level)
+
+    monkeypatch.setattr(PairingEngine, "propagate", counting)
+    chars = list(all_characters(t.group))
+    rows = koopman.residual_grid(t, chars, koopman.cylinder_family(t, 1))
+    steps = sum(1 for lvl in t.levels if lvl.tag is not None)
+    assert len(rows) == steps * len(chars) * 4 * 4
+    assert keys and len(keys) == len(set(keys))
