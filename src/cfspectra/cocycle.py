@@ -1,4 +1,4 @@
-"""Cocycles over the tower's tail relation, skew products, and the tail-shift map.
+"""Cocycles over the tower's tail relation, skew-product fibers, and the tail-shift map.
 
 The cocycle attaches to each pair of tail-equivalent points the sum of
 cut-label differences along their decompositions.  On rungs of a fixed
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import Element, FinAbGroup, Subgroup
-from .tower import Point, Tower, apply_T, canonical_point
+from .groups import Element, FinAbGroup, Subgroup, addition_table
+from .tower import Point, Tower, apply_T
 
 
 def rung_label(tower: Tower, f: int, N: int) -> Element:
@@ -37,7 +37,7 @@ def rung_label_indices(tower: Tower, N: int) -> list[int]:
     if cached is not None:
         return cached
     G = tower.group
-    add = _addition_table(tower)
+    add = addition_table(G)
     newmass = G.element_index(G.identity())
     arr = [newmass]  # level 0: the single rung carries the identity
     for n in range(1, N + 1):
@@ -54,17 +54,6 @@ def rung_label_indices(tower: Tower, N: int) -> list[int]:
     return arr
 
 
-def _addition_table(tower: Tower) -> list[list[int]]:
-    key = "addition_table"
-    cached = tower._cache.get(key)
-    if cached is None:
-        G = tower.group
-        els = [G.element_from_index(i) for i in range(G.order)]
-        cached = [[G.element_index(a + b) for b in els] for a in els]
-        tower._cache[key] = cached
-    return cached
-
-
 class NotEquivalent(Exception):
     """The two points are not tail-equivalent within their truncation."""
 
@@ -74,13 +63,6 @@ class Cocycle:
 
     def __init__(self, tower: Tower):
         self.tower = tower
-
-    def projection(self, p: Point) -> Point:
-        """Base-level representative: zero rung, canonical cut coordinates."""
-        t = self.tower
-        N = p.truncation
-        coords = t.gamma_coords(p.rung(t), N)
-        return Point(0, 0, tuple(coords))
 
     def eval(self, x: Point, y: Point) -> Element:
         """Cocycle value between tail-equivalent points.
@@ -112,7 +94,7 @@ class Cocycle:
         return rung_label(t, r + m, N) - rung_label(t, r, N)
 
 
-# -- coset fibers and the skew product ---------------------------------------
+# -- coset fibers of the skew product ----------------------------------------
 
 
 class CosetSpace:
@@ -141,21 +123,6 @@ class CosetSpace:
     @property
     def weight(self) -> Fraction:
         return Fraction(1, self.size)
-
-
-@dataclass(frozen=True)
-class SkewPoint:
-    base: Point
-    fiber: Element  # canonical coset representative
-
-
-def skew_apply(cocycle: Cocycle, cosets: CosetSpace, sp: SkewPoint, m: int) -> SkewPoint | None:
-    """Advance the base by m rungs and translate the fiber by the cocycle value."""
-    inc = cocycle.along_orbit(sp.base, m)
-    if inc is None:
-        return None
-    new_base = apply_T(cocycle.tower, sp.base, m)
-    return SkewPoint(new_base, cosets.canonical(inc + sp.fiber))
 
 
 # -- the tail-shift commuting map ---------------------------------------------
@@ -208,12 +175,6 @@ class TailShift:
                 tail = tuple(coords[m] + self.z[m] for m in range(n + 1, N + 1))
                 return Point(n, new_rung, tail)
         return None
-
-    def undefined_rung_count(self, N: int) -> int:
-        """Rungs of [0, h_N) outside the depth-N certified domain."""
-        t = self.tower
-        return sum(1 for f in range(t.h(N)) if self.apply(canonical_point(t, f, N)) is None)
-
 
 def commutes_with_shift(ts: TailShift, cocycle: Cocycle, p: Point) -> bool | None:
     """Exact check of T(S(p)) == S(T(p)) where both sides are defined."""

@@ -23,12 +23,6 @@ PI_LOWER = Fraction(314159265358979323846264338327950288419716939937510582097494
 PI_UPPER = PI_LOWER + Fraction(1, 10**59)
 
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     """Quotient of integer polynomials known to divide exactly (den monic up to sign)."""
     num = list(num)

@@ -48,7 +48,6 @@ class ExperimentConfig:
     bound: int = 40
     depth: int = 8
     schedule: str = "auto"
-    seed: int = 0
     out: str = "out"
 
     def __post_init__(self):
@@ -75,7 +74,6 @@ class ExperimentConfig:
             f"bound = {self.bound}",
             f"depth = {self.depth}",
             f"schedule = {self.schedule}",
-            f"seed = {self.seed}",
             f"out = {self.out}",
         ]
         return "\n".join(lines) + "\n"
@@ -99,7 +97,7 @@ class ExperimentConfig:
             for key in ("group", "schedule", "out"):
                 if key in fields_:
                     kwargs[key] = fields_[key]
-            for key in ("bound", "depth", "seed"):
+            for key in ("bound", "depth"):
                 if key in fields_:
                     kwargs[key] = int(fields_[key])
             return ExperimentConfig(**kwargs)

@@ -269,6 +269,30 @@ class Character:
         return "chi" + repr(self.coords)
 
 
+# -- element-index tables ----------------------------------------------------
+# Hot loops carry elements as their indices 0..order-1 (``element_index``).
+
+
+@lru_cache(maxsize=None)
+def addition_table(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
+    """Element-index addition: add[i][j] indexes element i + element j."""
+    els = [group.element_from_index(i) for i in range(group.order)]
+    return tuple(tuple(group.element_index(a + b) for b in els) for a in els)
+
+
+@lru_cache(maxsize=None)
+def negation_table(group: FinAbGroup) -> tuple[int, ...]:
+    """Element-index negation: neg[i] indexes -(element i)."""
+    return tuple(group.element_index(-group.element_from_index(i)) for i in range(group.order))
+
+
+@lru_cache(maxsize=None)
+def exponent_table(chi: Character) -> tuple[int, ...]:
+    """Character exponents by element index: chi(element i) = zeta_L^table[i]."""
+    G = chi.group
+    return tuple(chi.exponent(G.element_from_index(i)) for i in range(G.order))
+
+
 def all_characters(group: FinAbGroup):
     for coords in itertools.product(*(range(d) for d in group.invariant_factors)):
         yield Character(group, coords)
@@ -287,13 +311,6 @@ def dual_automorphism(v: Automorphism) -> Automorphism:
                 raise AssertionError("dual matrix entry is not integral")
             m[j][i] = (num // (L // d[j])) % d[j]
     return Automorphism(v.group, m, check=False)
-
-
-def apply_dual(v: Automorphism, chi: Character) -> Character:
-    """chi o v, computed through the dual automorphism matrix."""
-    vhat = dual_automorphism(v)
-    el = Element(chi.group, chi.coords)
-    return Character(chi.group, vhat(el).coords)
 
 
 # -- orbit statistics ----------------------------------------------------
@@ -316,23 +333,6 @@ def orbit(v: Automorphism, g: Element) -> list[Element]:
 def least_period(v: Automorphism, g: Element) -> int:
     """Least p > 0 with v^p(g) = g; equals the orbit length in a finite group."""
     return len(orbit(v, g))
-
-
-class PeriodicPoints:
-    """The set of v-periodic points with their least periods (all points, here)."""
-
-    def __init__(self, group: FinAbGroup, v: Automorphism):
-        self.group = group
-        self.v = v
-        self._periods: dict[Element, int] = {}
-
-    def period(self, a: Element) -> int:
-        if a not in self._periods:
-            self._periods[a] = least_period(self.v, a)
-        return self._periods[a]
-
-    def elements(self):
-        return list(self.group.elements())
 
 
 def orbit_count_in_subgroup(v: Automorphism, h: Element, H: Subgroup) -> int:
@@ -390,19 +390,6 @@ def character_orbit_average(chi: Character, b: Element, v: Automorphism) -> Cycl
     return Cyclo.from_exponent_counts(chi.root_order, counts)
 
 
-def element_orbit_average(a: Character, g: Element, v: Automorphism) -> Cyclo:
-    """(1/p) * sum of a(v^i(g)) over one least period p of a under the dual of v."""
-    vhat = dual_automorphism(v)
-    p = least_period(vhat, Element(a.group, a.coords))
-    counts: dict[int, Fraction] = {}
-    x = g
-    for _ in range(p):
-        e = a.exponent(x)
-        counts[e] = counts.get(e, Fraction(0)) + Fraction(1, p)
-        x = v(x)
-    return Cyclo.from_exponent_counts(a.root_order, counts)
-
-
 # -- separation witnesses --------------------------------------------------
 
 
@@ -439,18 +426,6 @@ def separation_witness(chi: Character, xi: Character, v: Automorphism) -> Witnes
         lb = character_orbit_average(xi, b, v)
         if la != lb:
             return WitnessResult(b, la, lb)
-    return WitnessResult(None)
-
-
-def separation_witness_elements(g1: Element, g2: Element, v: Automorphism) -> WitnessResult | Character:
-    """Dual orientation: a character a with distinct averages at g1 and g2."""
-    if g2 in orbit(v, g1):
-        raise SameOrbit(f"{g1} and {g2} lie on the same orbit")
-    for a in all_characters(g1.group):
-        la = element_orbit_average(a, g1, v)
-        lb = element_orbit_average(a, g2, v)
-        if la != lb:
-            return WitnessResult(Element(a.group, a.coords), la, lb)
     return WitnessResult(None)
 
 

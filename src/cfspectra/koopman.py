@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from .cocycle import CosetSpace, rung_label_indices
 from .cyclotomic import Cyclo, abs_lower, abs_upper
-from .groups import Character, Subgroup, annihilator, character_orbit_average, same_dual_orbit
+from .groups import (
+    Character,
+    Subgroup,
+    annihilator,
+    character_orbit_average,
+    exponent_table,
+    same_dual_orbit,
+)
 from .pairings import LevelPairing, PairingEngine
 from .tower import Cylinder, EvenTag, Report, StaggerTag, Tower
 
@@ -155,9 +162,8 @@ class LevelOperator:
         self.m = m
         self.N = N
         self.L = chi.root_order
-        G = tower.group
         labels = rung_label_indices(tower, N)
-        exp_of = [chi.exponent(G.element_from_index(i)) for i in range(G.order)]
+        exp_of = exponent_table(chi)
         h = tower.h(N)
         self.defined = [0 <= f + m < h for f in range(h)]
         self.phase_exponent = [
@@ -225,7 +231,7 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
     # the diagonal blocks must be the weighted operators rung for rung
     for chi in chars:
         block = blocks[chi.coords]
-        exp_of = [chi.exponent(G.element_from_index(i)) for i in range(G.order)]
+        exp_of = exponent_table(chi)
         mism = 0
         for f in range(h):
             if not defined[f]:

@@ -42,9 +42,9 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import _addition_table, rung_label
+from .cocycle import rung_label
 from .cyclotomic import Cyclo
-from .groups import Character
+from .groups import Character, addition_table, exponent_table, negation_table
 from .tower import Cylinder, Level, Tower, embed
 
 _STATE_GUARD = 4000
@@ -72,9 +72,9 @@ class _RingStore:
 
     def __init__(self, tower: Tower):
         G = tower.group
+        self.add = addition_table(G)
+        self.neg = negation_table(G)
         els = [G.element_from_index(i) for i in range(G.order)]
-        self.add = _addition_table(tower)
-        self.neg = [G.element_index(-g) for g in els]
         self.v_pow = [[G.element_index(table[g]) for g in els] for table in tower._v_pow]
         v = self.v_pow[1] if len(self.v_pow) > 1 else self.v_pow[0]
         self.orbits = []          # forward v-orbit of each element, one full period
@@ -84,35 +84,31 @@ class _RingStore:
                 orb.append(v[orb[-1]])
             self.orbits.append(orb)
         self._group = G
-        self._labels: dict[int, dict[int, int]] = {}
+        self._labels: dict[int, list[int]] = {}
         self.states: dict[tuple[int, int, int], dict[int, _Ring]] = {}
         self.vectors: dict[tuple[int, Cylinder, Cylinder, int], _Ring] = {}
         self.errors: dict[tuple[int, int, Cylinder], Fraction] = {}
         self._cut_tables: dict[int, tuple[list[int], list[int]]] = {}
 
-    def labels(self, lvl: Level) -> dict[int, int]:
-        """Label indices of a level: on the block for block levels, else on every cut."""
+    def labels(self, lvl: Level) -> list[int]:
+        """Label indices of a level's block, in block order."""
         out = self._labels.get(lvl.n)
         if out is None:
-            G = self._group
-            if _is_block_level(lvl):
-                out = {d: G.element_index(g) for d, g in lvl.block_labels.items()}
-            else:
-                out = {c: G.element_index(lvl.label(c)) for c in lvl.cuts}
-            self._labels[lvl.n] = out
+            index = self._group.element_index
+            out = self._labels[lvl.n] = [index(lvl.block_labels[d]) for d in lvl.block]
         return out
 
-    def add_orbit_range(self, slot: _Ring, g: int, count: int, start: int) -> None:
-        """Add v^j(g) for j = start .. start+count-1 to slot."""
+    def add_orbit_range(self, slot: _Ring, g: int, count: int, start: int, mult: int) -> None:
+        """Add mult * v^j(g) for j = start .. start+count-1 to slot."""
         orb = self.orbits[g]
         p = len(orb)
         full, rem = divmod(count, p)
         if full:
             for x in orb:
-                slot[x] = slot.get(x, 0) + full
+                slot[x] = slot.get(x, 0) + full * mult
         for j in range(start, start + rem):
             x = orb[j % p]
-            slot[x] = slot.get(x, 0) + 1
+            slot[x] = slot.get(x, 0) + mult
 
     def cut_tables(self, tower: Tower, base_level: int) -> tuple[list[int], list[int]]:
         """Running sums of top cuts and products of cut counts over the levels above base_level."""
@@ -134,18 +130,13 @@ def _store(tower: Tower) -> _RingStore:
     return store
 
 
-def _mul_into(acc: _Ring, x: _Ring, y: _Ring, add: list[list[int]]) -> None:
+def _mul_into(acc: _Ring, x: _Ring, y: _Ring, add: tuple[tuple[int, ...], ...]) -> None:
     """acc += x * y in Z[K], with add the element addition table."""
     for a, c1 in x.items():
         row = add[a]
         for b, c2 in y.items():
             g = row[b]
             acc[g] = acc.get(g, 0) + c1 * c2
-
-
-def _is_block_level(lvl: Level) -> bool:
-    """Cuts are block + z*{0..reps-1} with labels v^q(block label) on the q-th copy."""
-    return lvl.explicit_labels is None and lvl.reps > 1 and lvl.z != 0
 
 
 class PairingEngine:
@@ -161,8 +152,7 @@ class PairingEngine:
         self.tower = tower
         self.chi = chi
         self.L = chi.root_order
-        G = tower.group
-        self._exponent = [chi.exponent(G.element_from_index(i)) for i in range(G.order)]
+        self._exponent = exponent_table(chi)
 
     # -- kernels -----------------------------------------------------------
 
@@ -175,37 +165,35 @@ class PairingEngine:
         """
         lvl = self.tower.level(n)
         store = _store(self.tower)
-        add, neg = store.add, store.neg
+        add, neg, v_pow = store.add, store.neg, store.v_pow
         lab = store.labels(lvl)
-        out: dict[int, _Ring] = {}
-        if not _is_block_level(lvl):
-            # direct scan over cut pairs (seed levels and deserialized towers)
-            cuts = lvl.cuts
-            for c in cuts:
-                first = bisect.bisect_left(cuts, c + lo)
-                last = bisect.bisect_right(cuts, c + hi)
-                minus = neg[lab[c]]
-                for c2 in cuts[first:last]:
-                    slot = out.setdefault(c2 - c, {})
-                    g = add[lab[c2]][minus]
-                    slot[g] = slot.get(g, 0) + 1
-            return dict(sorted(out.items()))
-        # block structure: cuts = block + z*{0..reps-1}; the pairs
-        # (d1 + z*j, d2 + z*(j+t)) have increment v^j(v^t(label d2) - label d1)
+        # cuts = block + z*{0..reps-1}; the pairs (d1 + z*j, d2 + z*(j+t)) have
+        # increment v^j(v^t(label d2) - label d1), so one block pair at copy
+        # offset t stands for the reps - |t| increments along a v-orbit.  A
+        # single copy (seed and parsed levels, where z may be 0) has t = 0 only.
         block, z, reps = lvl.block, lvl.z, lvl.reps
         span = block[-1] - block[0]
-        v_pow = store.v_pow
-        for t in range(max((lo - span) // z, 1 - reps), min((hi + span) // z, reps - 1) + 1):
-            vt = v_pow[t % len(v_pow)]
-            start, count = max(0, -t), reps - abs(t)
+        offsets = (range(max((lo - span) // z, 1 - reps), min((hi + span) // z, reps - 1) + 1)
+                   if reps > 1 else (0,))
+        left, right = bisect.bisect_left, bisect.bisect_right
+        out: dict[int, _Ring] = {}
+        for t in offsets:
+            rows = [add[x] for x in v_pow[t % len(v_pow)]]   # rows[i][j]: v^t(i) + j
             shift = z * t
-            for d1 in block:
-                minus = neg[lab[d1]]
-                first = bisect.bisect_left(block, lo - shift + d1)
-                last = bisect.bisect_right(block, hi - shift + d1)
-                for d2 in block[first:last]:
-                    slot = out.setdefault(d2 - d1 + shift, {})
-                    store.add_orbit_range(slot, add[vt[lab[d2]]][minus], count, start)
+            lo_t, hi_t = lo - shift, hi - shift
+            tally: dict[int, _Ring] = {}   # block difference d2 - d1 -> increments
+            for d1, g1 in zip(block, lab):
+                first = left(block, lo_t + d1)
+                minus = neg[g1]
+                for j in range(first, right(block, hi_t + d1, first)):
+                    slot = tally.setdefault(block[j] - d1, {})
+                    g = rows[lab[j]][minus]
+                    slot[g] = slot.get(g, 0) + 1
+            start, count = max(0, -t), reps - abs(t)
+            for diff, hist in tally.items():
+                slot = out.setdefault(diff + shift, {})
+                for g, mult in hist.items():
+                    store.add_orbit_range(slot, g, count, start, mult)
         return dict(sorted(out.items()))
 
     # -- propagation ---------------------------------------------------------

@@ -29,34 +29,6 @@ _INT64_MAX = 2**62
 # -- return cuts ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductCylinder:
-    """A product of cylinders over a common level, one factor per coordinate."""
-
-    factors: tuple[Cylinder, ...]
-
-    def __post_init__(self):
-        levels = {c.level for c in self.factors}
-        if len(levels) != 1:
-            raise ValueError("all factors must sit at a common level")
-
-    @property
-    def p(self) -> int:
-        return len(self.factors)
-
-    @property
-    def level(self) -> int:
-        return self.factors[0].level
-
-    def measure(self, tower: Tower) -> Fraction:
-        from .tower import measure as _measure
-
-        out = Fraction(1)
-        for c in self.factors:
-            out *= _measure(tower, c)
-        return out
-
-
 @dataclass
 class ReturnCuts:
     """Cuts of one stagger level that survive the two forward shifts."""
@@ -457,10 +429,7 @@ def multiple_recurrence_search(tower: Tower, A: Cylinder, p: int, k_max: int,
     """
     if k_max * p >= tower.h(N):
         raise ValueError("search range exceeds the depth height")
-    rungs = np.array(embed(tower, A, N).rungs, dtype=object)
-    if tower.h(N) < _INT64_MAX:
-        rungs = rungs.astype(np.int64)
-    rung_set = set(int(x) for x in rungs)
+    rung_set = set(embed(tower, A, N).rungs)
     for k in range(1, k_max + 1):
         hits = 0
         for f in rung_set:

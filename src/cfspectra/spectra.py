@@ -564,41 +564,3 @@ def _rational_inverse(rows):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-# -- cyclic-vector spectrum test ----------------------------------------------------
-
-
-def cyclic_vector_spectrum_test(U, trials: int = 8, seed: int = 0) -> Report:
-    """Maximal Krylov dimension over sampled vectors, against eigenvalue distinctness.
-
-    For a unitary with all eigenvalues distinct a dense vector is cyclic and
-    the span of U^j v over |j| <= d has full dimension; repeated eigenvalues
-    cap the dimension strictly below d.  Cross-checked against the clustered
-    multiplicity function.
-    """
-    rep = Report()
-    m = U.to_matrix() if isinstance(U, FiniteUnitary) else np.asarray(U, dtype=complex)
-    d = m.shape[0]
-    if d > 200:
-        raise ValueError("cyclic test supported up to dimension 200")
-    rng = np.random.default_rng(seed)
-    uinv = m.conj().T
-    best = 0
-    for _ in range(trials):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        vecs = [v]
-        fwd = bwd = v
-        for _ in range(d):
-            fwd = m @ fwd
-            bwd = uinv @ bwd
-            vecs.extend([fwd, bwd])
-        rank = np.linalg.matrix_rank(np.array(vecs).T, tol=1e-8)
-        best = max(best, rank)
-    mf = multiplicity_function(m)
-    distinct = len(mf.clusters)
-    simple = distinct == d
-    rep.add("cyclic dimension", d, True, f"max Krylov dimension {best} of {d}")
-    rep.add("matches eigenvalue distinctness", d, (best == d) == simple,
-            f"Krylov {best}, distinct eigenvalues {distinct}")
-    return rep

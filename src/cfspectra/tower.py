@@ -60,14 +60,15 @@ class GeneratorExhausted(Exception):
 class Level:
     """One tower level: height, cuts, and cut labels.
 
-    Cuts are ``block + z * {0..reps-1}`` for recipe levels; labels are
-    derived from the labels on the block via the automorphism power rule
-    ``label(d + z*q) = v^q(label(d))`` unless an explicit full label map
-    is attached (as happens for deserialized towers).
+    Every level has cuts ``block + z * {0..reps-1}`` and labels on the block;
+    the label of a cut in the q-th copy follows the automorphism power rule
+    ``label(d + z*q) = v^q(label(d))``.  Recipe levels repeat a short block;
+    seed levels and deserialized levels are the plain case ``reps == 1``,
+    whose block is every cut.
     """
 
     def __init__(self, n, h, z, cuts, block, reps, block_labels, tag, step,
-                 r_expected, v_pow, explicit_labels=None):
+                 r_expected, v_pow):
         self.n = n
         self.h = h
         self.z = z
@@ -80,23 +81,17 @@ class Level:
         self.step = step
         self.r_expected = r_expected
         self._v_pow = v_pow
-        self.explicit_labels = dict(explicit_labels) if explicit_labels is not None else None
 
     @property
     def r(self) -> int:
         return len(self.cuts)
 
     def label(self, c: int) -> Element:
-        if self.explicit_labels is not None:
-            return self.explicit_labels[c]
-        if self.reps == 1 or self.z == 0:
+        if self.reps == 1:
             return self.block_labels[c]
         q, d = divmod(c, self.z)
         base = self.block_labels[d]
         return self._v_pow[q % len(self._v_pow)][base]
-
-    def labels_full(self) -> dict[int, Element]:
-        return {c: self.label(c) for c in self.cuts}
 
     def __repr__(self):
         return f"Level(n={self.n}, h={self.h}, r={self.r}, tag={self.tag})"
@@ -139,9 +134,6 @@ class Tower:
     def h(self, n: int) -> int:
         return 1 if n == 0 else self.level(n).h
 
-    def cut_count(self, n: int) -> int:
-        return self.level(n).r
-
     def cut_product(self, n: int) -> int:
         """Product of cut counts over levels 1..n."""
         return math.prod(self.level(j).r for j in range(1, n + 1))
@@ -149,9 +141,6 @@ class Tower:
     def mu_level(self, n: int) -> Fraction:
         """Measure of the level-n stack (height over cut product)."""
         return Fraction(self.h(n), self.cut_product(n)) if n else Fraction(1)
-
-    def rung_measure(self, n: int) -> Fraction:
-        return Fraction(1, self.cut_product(n))
 
     def extend(self, tag: Tag) -> Level:
         """Append the next level following the recipe for ``tag``."""
@@ -621,7 +610,7 @@ def _parse_tower_inner(text: str) -> Tower:
             raise TowerParseError(f"unknown tag {tag_text!r}")
         r_expected = _expected_cut_count(tower, tag, n, len(cuts))
         lvl = Level(n, int(props["h"]), int(props["z"]), cuts, cuts, 1, labels, tag, step,
-                    r_expected, tower._v_pow, explicit_labels=labels)
+                    r_expected, tower._v_pow)
         if n != tower.depth + 1:
             raise TowerParseError(f"level {n} out of order")
         tower.levels.append(lvl)

@@ -149,6 +149,20 @@ def test_build_bad_config_exit_code(tmp_path):
     assert main(["build", "--target", "4", "--bound", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--target", "abc"],
+    ["groups", "--targets", "0"],
+    ["spectra", "--k", "7"],
+    ["recur", "--tower", "{tower}", "--kmax", "100000000"],
+])
+def test_bad_input_is_a_one_line_config_error(built, capsys, argv):
+    argv = [a.format(tower=built / "tower.txt") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def _swap_first_cut_blocks(text: str, level: str) -> str:
     """Swap the first two arithmetic blocks of one level's cut line; the cut set is unchanged."""
     lines = text.splitlines()

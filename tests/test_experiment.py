@@ -16,6 +16,10 @@ def test_config_round_trip():
     text = cfg.to_text()
     back = ExperimentConfig.from_text(text)
     assert back.E == {1, 2} and back.m == 1 and back.depth == 6
+    assert back.to_text() == text
+    # a config written before the seed key was dropped still builds the same system
+    old = ExperimentConfig.from_text(text + "seed = 0\n")
+    assert old.to_text() == text
 
 
 def test_config_validation():

@@ -218,14 +218,41 @@ def pairing_cases(draw):
     steps = [s for n in range(1, N) for s in (2 * t.h(n), -2 * t.h(n))]
     shifts = draw(st.lists(st.one_of(st.integers(-40, 40), st.sampled_from(steps)),
                            min_size=1, max_size=3, unique=True))
-    return t, draw(cylinders(t)), draw(cylinders(t)), shifts
+    windows = []
+    for _ in range(3):
+        n = draw(st.integers(1, N))
+        top = t.level(n).cuts[-1]
+        lo = draw(st.integers(-top - 1, top + 1))
+        windows.append((n, lo, lo + draw(st.integers(0, 2 * top + 2))))
+    return t, draw(cylinders(t)), draw(cylinders(t)), shifts, windows
+
+
+def brute_kernel(tower, n, lo, hi):
+    """Cut-pair histogram of one level: {delta: {label-difference index: count}}."""
+    lvl = tower.level(n)
+    G = tower.group
+    out = {}
+    for c in lvl.cuts:
+        for c2 in lvl.cuts:
+            if lo <= c2 - c <= hi:
+                slot = out.setdefault(c2 - c, {})
+                g = G.element_index(lvl.label(c2) - lvl.label(c))
+                slot[g] = slot.get(g, 0) + 1
+    return dict(sorted(out.items()))
 
 
 @settings(max_examples=30)   # depth-4 brute enumeration costs up to seconds per example
 @given(pairing_cases())
 def test_engine_matches_brute_force_on_random_towers(case):
-    t, A, B, shifts = case
+    t, A, B, shifts, windows = case
     parsed = parse_tower(serialize_tower(t))
+    trivial = Character(t.group, (0,) * t.group.rank)
+    for n, lo, hi in windows:
+        want = brute_kernel(t, n, lo, hi)
+        # block copies on the in-memory tower; one copy (reps == 1) on the parsed twin
+        for tower in (t, parsed):
+            got = PairingEngine(tower, trivial).level_kernel(n, lo, hi)
+            assert got == want and list(got) == list(want), (n, lo, hi)
     for chi in all_characters(t.group):
         eng, parsed_eng = PairingEngine(t, chi), PairingEngine(parsed, chi)
         for m in shifts:
@@ -233,7 +260,7 @@ def test_engine_matches_brute_force_on_random_towers(case):
             want_value, want_err = brute_pairing(t, chi, m, A, B, t.depth)
             assert got.value == want_value, (chi, m, A, B)
             assert got.error_bound == want_err
-            # the parsed tower takes the direct-scan kernel on every level
+            # every parsed level is a single copy of its cuts (reps == 1)
             again = parsed_eng.pairing(m, A, B, t.depth)
             assert again.value == got.value and again.error_bound == got.error_bound
 

@@ -68,24 +68,6 @@ def test_return_cuts_rejects_even_levels(deep_tower):
         return_cuts(deep_tower, deep_tower.even_steps()[0])
 
 
-def test_product_cylinder():
-    from cfspectra.recurrence import ProductCylinder
-
-    pc = ProductCylinder((Cylinder(1, (0,)), Cylinder(1, (0, 2))))
-    assert pc.p == 2 and pc.level == 1
-    with pytest.raises(ValueError):
-        ProductCylinder((Cylinder(1, (0,)), Cylinder(2, (0,))))
-
-
-def test_product_cylinder_measure(deep_tower):
-    from cfspectra.recurrence import ProductCylinder
-    from cfspectra.tower import measure
-
-    pc = ProductCylinder((Cylinder(1, (0,)), Cylinder(1, (0, 2))))
-    assert pc.measure(deep_tower) == measure(deep_tower, pc.factors[0]) * measure(
-        deep_tower, pc.factors[1])
-
-
 def test_transport_witness_identity_pair(deep_tower):
     w = transport_witness(deep_tower, 2, (5,), (5,))
     assert w.shift == 0 and verify_witness(deep_tower, w)

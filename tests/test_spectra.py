@@ -9,7 +9,6 @@ from cfspectra.spectra import (
     MultiplicityFunction,
     PermGroup,
     all_subgroups_sym,
-    cyclic_vector_spectrum_test,
     float_cluster_check,
     generic_diagonal,
     homogeneous_multiplicity_check,
@@ -160,33 +159,3 @@ def test_vandermonde_extraction():
         vandermonde_extraction_check([Fraction(1, 2), Fraction(1, 2)])
     rep1 = vandermonde_extraction_check([Fraction(7, 3)])
     assert rep1.passed
-
-
-def test_cyclic_vector_spectrum():
-    # identity: cyclic dimension 1, not simple
-    rep = cyclic_vector_spectrum_test(FiniteUnitary(matrix=np.eye(4)), trials=3)
-    assert rep.passed
-    assert any("1 of 4" in it.detail for it in rep.items)
-    # distinct angles: full cyclic dimension
-    V = generic_diagonal(6, 1)
-    rep2 = cyclic_vector_spectrum_test(V, trials=3)
-    assert rep2.passed
-    assert any("6 of 6" in it.detail for it in rep2.items)
-    # a repeated angle caps the dimension
-    W = FiniteUnitary(turns=[Fraction(1, 5), Fraction(1, 5), Fraction(2, 7)])
-    rep3 = cyclic_vector_spectrum_test(W, trials=4)
-    assert rep3.passed
-
-
-def test_cyclic_agrees_with_distinctness_random_mixed():
-    rng = np.random.default_rng(42)
-    for trial in range(100):
-        d = int(rng.integers(2, 7))
-        distinct = int(rng.integers(1, d + 1))
-        base = rng.uniform(0, 1, size=distinct)
-        angles = np.concatenate([base, rng.choice(base, size=d - distinct)])
-        rng.shuffle(angles)
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        U = q @ np.diag(np.exp(2j * np.pi * angles)) @ q.conj().T
-        rep = cyclic_vector_spectrum_test(U, trials=6, seed=trial)
-        assert rep.passed, rep.render()

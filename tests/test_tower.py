@@ -131,12 +131,13 @@ def test_label_validation_catches_corruption(z3_system):
     G, v = z3_system
     t = build_desk_tower(z3_system, depth=4)
     lvl = t.level(3)
-    labels = lvl.labels_full()
+    labels = {c: lvl.label(c) for c in lvl.cuts}
     # corrupt one label on a cut participating in the z-translation
     target = next(c for c in lvl.cuts if c + lvl.z in lvl.cut_set)
     labels[target + lvl.z] = labels[target + lvl.z] + G.element((1,))
-    corrupted = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, lvl.block, lvl.reps, lvl.block_labels,
-                      lvl.tag, lvl.step, lvl.r_expected, t._v_pow, explicit_labels=labels)
+    # the corrupted labels cannot follow the block rule, so the level is one copy
+    corrupted = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, lvl.cuts, 1, labels,
+                      lvl.tag, lvl.step, lvl.r_expected, t._v_pow)
     rep = validate_labels(corrupted, t)
     assert not rep.passed
     assert any("shift-equivariance" in it.name and not it.ok for it in rep.items)
