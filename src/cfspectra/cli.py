@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .experiment import ConfigError, ExperimentConfig, build_tower, write_artifacts
+from .pairings import StateGuardExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -59,6 +60,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except StateGuardExceeded as exc:
+        print(f"limit error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
@@ -234,10 +238,11 @@ def cmd_spectra(args) -> int:
     )
 
     k, d = args.k, args.d
+    subgroups = all_subgroups_sym(k)
     V = generic_diagonal(d, k)
     ok = True
     print(f"homogeneous multiplicity table, d = {d}, k = {k}")
-    for gamma in all_subgroups_sym(k):
+    for gamma in subgroups:
         rep = homogeneous_multiplicity_check(V, k, gamma)
         ok &= rep.passed
         import math
@@ -263,6 +268,8 @@ def cmd_recur(args) -> int:
     from .recurrence import multiple_recurrence_search, return_cuts
     from .tower import Cylinder
 
+    depth = min(args.depth, tower.depth)
+    found = multiple_recurrence_search(tower, Cylinder(1, (0,)), 2, args.kmax, depth)
     ok = True
     for n in tower.stagger_steps(k=1):
         rc = return_cuts(tower, n)
@@ -270,8 +277,6 @@ def cmd_recur(args) -> int:
         ok &= rc.certified
         print(f"step {n}: return densities {rc.density_even}, {rc.density_odd} "
               f">= 1/3: {status}")
-    depth = min(args.depth, tower.depth)
-    found = multiple_recurrence_search(tower, Cylinder(1, (0,)), 2, args.kmax, depth)
     if found:
         k, mass = found
         print(f"triple recurrence at depth {depth}: k = {k}, mass = {mass}")

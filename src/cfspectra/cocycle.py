@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import Element, FinAbGroup, Subgroup, addition_table
+from .groups import Element, FinAbGroup, Subgroup, addition_table, negation_table
 from .tower import Point, Tower, apply_T
 
 
@@ -23,11 +23,12 @@ def rung_label(tower: Tower, f: int, N: int) -> Element:
     if cached is not None:
         return cached
     n_min, _, coords = tower.decompose(f, N)
-    total = tower.group.identity()
+    add = addition_table(tower.group)
+    total = 0
     for j in range(1, N + 1):
-        total = total + tower.level(j).label(coords.get(j, 0))
-    tower._cache[key] = total
-    return total
+        total = add[total][tower.level(j).label_index(coords.get(j, 0))]
+    el = tower._cache[key] = tower.elements[total]
+    return el
 
 
 def rung_label_indices(tower: Tower, N: int) -> list[int]:
@@ -36,17 +37,17 @@ def rung_label_indices(tower: Tower, N: int) -> list[int]:
     cached = tower._cache.get(key)
     if cached is not None:
         return cached
-    G = tower.group
-    add = addition_table(G)
-    newmass = G.element_index(G.identity())
-    arr = [newmass]  # level 0: the single rung carries the identity
+    add = addition_table(tower.group)
+    newmass = 0
+    arr = [newmass]  # level 0: the single rung carries the identity (index 0)
     for n in range(1, N + 1):
         lvl = tower.level(n)
+        lab = lvl.label_indices()
         # rungs outside the embedded region decompose with all-zero coordinates
-        newmass = add[newmass][G.element_index(lvl.label(0))]
+        newmass = add[newmass][lab[0]]
         new = [newmass] * lvl.h
-        for c in lvl.cuts:
-            row = add[G.element_index(lvl.label(c))]
+        for c, g in lab.items():
+            row = add[g]
             for u, b in enumerate(arr):
                 new[c + u] = row[b]
         arr = new
@@ -78,11 +79,13 @@ class Cocycle:
         N = x.truncation
         cx = t.gamma_coords(x.rung(t), N)
         cy = t.gamma_coords(y.rung(t), N)
-        total = t.group.identity()
+        add, neg = addition_table(t.group), negation_table(t.group)
+        total = 0
         for j in range(1, N + 1):
             if cx[j - 1] != cy[j - 1]:
-                total = total + t.level(j).label(cx[j - 1]) - t.level(j).label(cy[j - 1])
-        return total
+                lvl = t.level(j)
+                total = add[add[total][lvl.label_index(cx[j - 1])]][neg[lvl.label_index(cy[j - 1])]]
+        return t.elements[total]
 
     def along_orbit(self, p: Point, m: int) -> Element | None:
         """Cocycle value between the m-shifted point and p; None off the stack."""
@@ -211,10 +214,9 @@ def aligned_cuts(tower: Tower, n: int) -> frozenset[int]:
     lvl = tower.level(n)
     if lvl.tag is None or lvl.z == 0:
         return frozenset(lvl.cuts)
-    v = tower.v
-    return frozenset(
-        c for c in lvl.cuts if c + lvl.z in lvl.cut_set and lvl.label(c + lvl.z) == v(lvl.label(c))
-    )
+    v1 = tower.v_pow[1 % len(tower.v_pow)]
+    lab = lvl.label_indices()
+    return frozenset(c for c, g in lab.items() if lab.get(c + lvl.z) == v1[g])
 
 
 def check_coboundary_condition(tower: Tower) -> AlignedCutsReport:

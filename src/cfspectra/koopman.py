@@ -16,9 +16,11 @@ from .cyclotomic import Cyclo, abs_lower, abs_upper
 from .groups import (
     Character,
     Subgroup,
+    addition_table,
     annihilator,
     character_orbit_average,
     exponent_table,
+    negation_table,
     same_dual_orbit,
 )
 from .pairings import LevelPairing, PairingEngine
@@ -195,10 +197,11 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
     labels = rung_label_indices(tower, N)
     h = tower.h(N)
     defined = [0 <= f + m < h for f in range(h)]
-    increments = sorted({
-        (G.element_from_index(labels[f + m]) - G.element_from_index(labels[f])).coords
-        for f in range(h) if defined[f]
-    })
+    add, neg = addition_table(G), negation_table(G)
+    # index order is coordinate order, so the increments come out sorted by coords
+    increments = [G.element_from_index(i) for i in sorted({
+        add[labels[f + m]][neg[labels[f]]] for f in range(max(0, -m), min(h, h - m))
+    })]
     undefined_count = h - sum(defined)
 
     blocks = {chi.coords: LevelOperator(tower, chi, m, N) for chi in chars}
@@ -207,8 +210,7 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
         for xi in chars:
             ok = True
             detail = ""
-            for coords in increments:
-                a = G.element(coords)
+            for a in increments:
                 # conjugated matrix entry between (f, chi) and (f+m, xi):
                 # (1/#cosets) * sum over coset reps of xi(a + kappa) * conj(chi(kappa))
                 counts: dict[int, int] = {}
@@ -222,7 +224,7 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
                     expected = Cyclo.zero(L)
                 if entry != expected:
                     ok = False
-                    detail = f"increment {coords}: entry {entry} != {expected}"
+                    detail = f"increment {a.coords}: entry {entry} != {expected}"
                     break
             name = (f"fiber block chi={chi.coords}" if chi.coords == xi.coords
                     else f"off-diagonal chi={chi.coords}, xi={xi.coords}")

@@ -45,12 +45,16 @@ from fractions import Fraction
 from .cocycle import rung_label
 from .cyclotomic import Cyclo
 from .groups import Character, addition_table, exponent_table, negation_table
-from .tower import Cylinder, Level, Tower, embed
+from .tower import Cylinder, Tower, embed
 
 _STATE_GUARD = 4000
 
 # a Z[K] vector: element index -> integer count (absent indices count zero)
 _Ring = dict[int, int]
+
+
+class StateGuardExceeded(RuntimeError):
+    """Propagation reached more than ``_STATE_GUARD`` shift states at one level."""
 
 
 @dataclass
@@ -71,32 +75,19 @@ class _RingStore:
     """
 
     def __init__(self, tower: Tower):
-        G = tower.group
-        self.add = addition_table(G)
-        self.neg = negation_table(G)
-        els = [G.element_from_index(i) for i in range(G.order)]
-        self.v_pow = [[G.element_index(table[g]) for g in els] for table in tower._v_pow]
-        v = self.v_pow[1] if len(self.v_pow) > 1 else self.v_pow[0]
+        self.add = addition_table(tower.group)
+        self.neg = negation_table(tower.group)
+        v = tower.v_pow[1 % len(tower.v_pow)]
         self.orbits = []          # forward v-orbit of each element, one full period
-        for i in range(G.order):
+        for i in range(tower.group.order):
             orb = [i]
             while v[orb[-1]] != i:
                 orb.append(v[orb[-1]])
             self.orbits.append(orb)
-        self._group = G
-        self._labels: dict[int, list[int]] = {}
         self.states: dict[tuple[int, int, int], dict[int, _Ring]] = {}
         self.vectors: dict[tuple[int, Cylinder, Cylinder, int], _Ring] = {}
         self.errors: dict[tuple[int, int, Cylinder], Fraction] = {}
         self._cut_tables: dict[int, tuple[list[int], list[int]]] = {}
-
-    def labels(self, lvl: Level) -> list[int]:
-        """Label indices of a level's block, in block order."""
-        out = self._labels.get(lvl.n)
-        if out is None:
-            index = self._group.element_index
-            out = self._labels[lvl.n] = [index(lvl.block_labels[d]) for d in lvl.block]
-        return out
 
     def add_orbit_range(self, slot: _Ring, g: int, count: int, start: int, mult: int) -> None:
         """Add mult * v^j(g) for j = start .. start+count-1 to slot."""
@@ -165,8 +156,8 @@ class PairingEngine:
         """
         lvl = self.tower.level(n)
         store = _store(self.tower)
-        add, neg, v_pow = store.add, store.neg, store.v_pow
-        lab = store.labels(lvl)
+        add, neg, v_pow = store.add, store.neg, self.tower.v_pow
+        lab = lvl.block_labels
         # cuts = block + z*{0..reps-1}; the pairs (d1 + z*j, d2 + z*(j+t)) have
         # increment v^j(v^t(label d2) - label d1), so one block pair at copy
         # offset t stands for the reps - |t| increments along a v-orbit.  A
@@ -222,7 +213,7 @@ class PairingEngine:
             if not states:
                 return {}
             if len(states) > _STATE_GUARD:
-                raise RuntimeError(
+                raise StateGuardExceeded(
                     f"pairing propagation exceeded {_STATE_GUARD} states at level {j}; "
                     "this shift pattern is outside the supported desk workloads"
                 )

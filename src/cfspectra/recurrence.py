@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cocycle import rung_label
-from .groups import Element, least_period
+from .groups import Element, addition_table, least_period, negation_table
 from .tower import Cylinder, EvenTag, StaggerTag, Tower, embed
 
 _BRUTE_GUARD = 2_000_000
@@ -386,9 +386,11 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
         raise NoWitness(f"no even level for {a} above level {base_level + 1}")
     k = lvl.n - 1  # the step whose height drives the shift
     h = tower.h(k)
-    cs = lvl.cut_set
+    G = tower.group
+    add, neg = addition_table(G), negation_table(G)
+    lab, e = lvl.label_indices(), G.element_index(a)
     cls = tuple(c for c in lvl.cuts
-                if c - 2 * h in cs and lvl.label(c) - lvl.label(c - 2 * h) == a)
+                if c - 2 * h in lab and add[lab[c]][neg[lab[c - 2 * h]]] == e)
     m = least_period(tower.v, a)
     ratio = Fraction(len(cls), lvl.r)
     bound = Fraction(1, 2 * m)

@@ -7,6 +7,10 @@ so that the shift-equivariance and frequency-band conditions checked by
 ``validate_labels`` hold by construction.  All quantities are exact:
 heights and cuts are Python ints, measures are Fractions.
 
+Labels are stored and checked as element indices 0..|K|-1 through index
+tables of the group law and of the powers of v; ``Level.label`` hands a
+label out as an ``Element``.
+
 Levels come in two recipe flavours, named for their cut spacing:
 
 * even: cuts uniformly spaced 2*h apart, labels stepping through the
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import Automorphism, Element, FinAbGroup, least_period
+from .groups import Automorphism, Element, FinAbGroup, addition_table, least_period, negation_table
 
 _EMBED_GUARD = 5_000_000
 
@@ -60,15 +64,17 @@ class GeneratorExhausted(Exception):
 class Level:
     """One tower level: height, cuts, and cut labels.
 
-    Every level has cuts ``block + z * {0..reps-1}`` and labels on the block;
-    the label of a cut in the q-th copy follows the automorphism power rule
-    ``label(d + z*q) = v^q(label(d))``.  Recipe levels repeat a short block;
-    seed levels and deserialized levels are the plain case ``reps == 1``,
-    whose block is every cut.
+    Every level has cuts ``block + z * {0..reps-1}`` over a sorted block, and
+    labels on the block as element indices in block order; the label of a
+    cut in the q-th copy follows the automorphism power rule
+    ``label(d + z*q) = v^q(label(d))``.  Recipe levels repeat a short block
+    lying in [0, z); seed levels and deserialized levels are the plain case
+    ``reps == 1``, whose block is every cut.  ``elements`` and ``v_pow`` are
+    the owning tower's index tables.
     """
 
     def __init__(self, n, h, z, cuts, block, reps, block_labels, tag, step,
-                 r_expected, v_pow):
+                 r_expected, elements, v_pow):
         self.n = n
         self.h = h
         self.z = z
@@ -76,22 +82,35 @@ class Level:
         self.cut_set = frozenset(self.cuts)
         self.block = tuple(block)
         self.reps = reps
-        self.block_labels = dict(block_labels)
+        self.block_labels = tuple(block_labels)
         self.tag = tag
         self.step = step
         self.r_expected = r_expected
+        self._elements = elements
         self._v_pow = v_pow
 
     @property
     def r(self) -> int:
         return len(self.cuts)
 
+    def label_index(self, c: int) -> int:
+        """Element index of the label of cut c."""
+        q, d = divmod(c, self.z) if self.reps > 1 else (0, c)   # reps == 1 allows z == 0
+        i = bisect.bisect_left(self.block, d)
+        if i == len(self.block) or self.block[i] != d:
+            raise KeyError(c)
+        return self._v_pow[q % len(self._v_pow)][self.block_labels[i]]
+
     def label(self, c: int) -> Element:
+        return self._elements[self.label_index(c)]
+
+    def label_indices(self) -> dict[int, int]:
+        """{cut: label index} over every cut in cut order, built on demand and not kept."""
         if self.reps == 1:
-            return self.block_labels[c]
-        q, d = divmod(c, self.z)
-        base = self.block_labels[d]
-        return self._v_pow[q % len(self._v_pow)][base]
+            return dict(zip(self.cuts, self.block_labels))
+        # the block lies in [0, z), so the cuts run copy by copy
+        rows = [self._v_pow[q % len(self._v_pow)] for q in range(self.reps)]
+        return dict(zip(self.cuts, [row[g] for row in rows for g in self.block_labels]))
 
     def __repr__(self):
         return f"Level(n={self.n}, h={self.h}, r={self.r}, tag={self.tag})"
@@ -105,7 +124,8 @@ class Tower:
             raise ValueError("automorphism must act on the label group")
         self.group = group
         self.v = v
-        self._v_pow = _power_tables(group, v)
+        self.elements = tuple(group.elements())   # index -> Element
+        self.v_pow = _power_tables(self.elements, v)
         self.levels: list[Level] = []
         self._cache: dict = {}
 
@@ -115,11 +135,11 @@ class Tower:
     def seeded(group: FinAbGroup, v: Automorphism) -> "Tower":
         """The default hand-seeded tower: levels 1 and 2 with zero labels."""
         t = Tower(group, v)
-        zero = group.identity()
-        t.levels.append(Level(1, 3, 0, (0, 1), (0, 1), 1, {0: zero, 1: zero},
-                              None, None, 2, t._v_pow))
-        t.levels.append(Level(2, 12, 0, (0, 3, 6), (0, 3, 6), 1,
-                              {0: zero, 3: zero, 6: zero}, None, None, 3, t._v_pow))
+        # index 0 is the identity
+        t.levels.append(Level(1, 3, 0, (0, 1), (0, 1), 1, (0, 0),
+                              None, None, 2, t.elements, t.v_pow))
+        t.levels.append(Level(2, 12, 0, (0, 3, 6), (0, 3, 6), 1, (0, 0, 0),
+                              None, None, 3, t.elements, t.v_pow))
         return t
 
     @property
@@ -170,8 +190,8 @@ class Tower:
         h_new = 2 * r * h
         level = None
         for offset in range(m):
-            bl = _ramp_labels(block, self.v, self._v_pow, tag.a, m, len(block), offset)
-            cand = Level(n + 1, h_new, z, cuts, block, reps, bl, tag, n, r, self._v_pow)
+            bl = self._ramp_labels(len(block), tag.a, len(block), offset)
+            cand = Level(n + 1, h_new, z, cuts, block, reps, bl, tag, n, r, self.elements, self.v_pow)
             if validate_labels(cand, self).passed:
                 level = cand
                 break
@@ -196,14 +216,24 @@ class Tower:
         h_new = 2 * r * h + kr // (k + 1)
         level = None
         for offset in range(m):
-            bl = _ramp_labels(block, self.v, self._v_pow, tag.b, m, n * m, offset)
-            cand = Level(n + 1, h_new, z, cuts, block, reps, bl, tag, n, r, self._v_pow)
+            bl = self._ramp_labels(len(block), tag.b, n * m, offset)
+            cand = Level(n + 1, h_new, z, cuts, block, reps, bl, tag, n, r, self.elements, self.v_pow)
             if validate_labels(cand, self).passed:
                 level = cand
                 break
         if level is None:
             raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
         return level
+
+    def _ramp_labels(self, length: int, a: Element, ramp_len: int, offset: int) -> list[int]:
+        """Label indices along the block chain: orbit-stepping ramp, then constant."""
+        add = addition_table(self.group)
+        steps = [row[self.group.element_index(a)] for row in self.v_pow]
+        labels = [0]
+        for t in range(1, length):
+            cur = labels[-1]
+            labels.append(add[cur][steps[(t - 1 + offset) % len(steps)]] if t < ramp_len else cur)
+        return labels
 
     # -- decomposition ----------------------------------------------------
 
@@ -253,28 +283,19 @@ class Tower:
         )
 
 
-def _power_tables(group: FinAbGroup, v: Automorphism) -> list[dict[Element, Element]]:
-    tables = [{g: g for g in group.elements()}]
+def _power_tables(elements, v: Automorphism) -> tuple[tuple[int, ...], ...]:
+    """Index tables of v^0, v^1, ... up to the order of v: table[t][i] indexes v^t(element i)."""
+    index = {g: i for i, g in enumerate(elements)}
+    step = tuple(index[v(g)] for g in elements)
+    tables = [tuple(range(len(elements)))]
     while True:
-        nxt = {g: v(tables[-1][g]) for g in tables[0]}
-        if all(nxt[g] == g for g in nxt):
+        nxt = tuple(step[i] for i in tables[-1])
+        if nxt == tables[0]:
             break
         tables.append(nxt)
-        if len(tables) > group.order + 1:
+        if len(tables) > len(elements) + 1:
             raise AssertionError("automorphism order exceeds group order bound")
-    return tables
-
-
-def _ramp_labels(block, v, v_pow, a, m, ramp_len, offset):
-    """Labels along the block chain: orbit-stepping ramp, then constant."""
-    zero = a.group.identity()
-    labels = {block[0]: zero}
-    cur = zero
-    for t in range(1, len(block)):
-        if t < ramp_len:
-            cur = cur + v_pow[(t - 1 + offset) % len(v_pow)][a] if m > 0 else cur
-        labels[block[t]] = cur
-    return labels
+    return tuple(tables)
 
 
 # -- validation ------------------------------------------------------------
@@ -319,44 +340,58 @@ def validate_labels(level: Level, tower: Tower) -> Report:
     Verifies shift-equivariance of labels under the z-translation, the
     per-orbit-power increment frequency bands, and (for stagger levels)
     the carry-class frequency band.  All comparisons are exact rational
-    inequalities; maximal classes are materialized by direct scan.
+    inequalities; every class is counted by a scan over all cuts.
     """
     rep = Report()
     if level.tag is None:
         rep.add("seed level, no label conditions", level.n, True)
         return rep
-    v = tower.v
+    G, v_pow = tower.group, tower.v_pow
+    add, neg = addition_table(G), negation_table(G)
     n = level.step
     h_prev = tower.h(level.n - 1)
-    cuts = level.cut_set
     r = level.r
+    lab = level.label_indices()
 
-    bad = [c for c in level.cuts if c + level.z in cuts and level.label(c + level.z) != v(level.label(c))]
+    z, v1 = level.z, v_pow[1 % len(v_pow)]
+    bad, checked = [], 0
+    for c, g in lab.items():
+        g1 = lab.get(c + z)
+        if g1 is not None:
+            checked += 1
+            if g1 != v1[g]:
+                bad.append(c)
     rep.add("shift-equivariance", level.n, not bad,
-            f"violated at cuts {bad[:3]}" if bad else f"checked {sum(1 for c in level.cuts if c + level.z in cuts)} cuts")
+            f"violated at cuts {bad[:3]}" if bad else f"checked {checked} cuts")
 
     if isinstance(level.tag, EvenTag):
-        el, m = level.tag.a, least_period(v, level.tag.a)
+        el, m = level.tag.a, least_period(tower.v, level.tag.a)
         center = Fraction(1, m)
         width = Fraction(2, n * m)
     else:
-        el, m = level.tag.b, least_period(v, level.tag.b)
+        el, m = level.tag.b, least_period(tower.v, level.tag.b)
         center = Fraction(1, (level.tag.k + 1) * m)
         width = Fraction(2, n * m)
 
     two_h = 2 * h_prev
-    powers = [tower._v_pow[i % len(tower._v_pow)][el] for i in range(m)]
+    increments: dict[int, int] = {}   # label(c) - label(c - 2h) -> number of cuts
+    for c, g in lab.items():
+        g0 = lab.get(c - two_h)
+        if g0 is not None:
+            d = add[g][neg[g0]]
+            increments[d] = increments.get(d, 0) + 1
+    e = G.element_index(el)
     for i in range(m):
-        cls = [c for c in level.cuts if c - two_h in cuts and level.label(c) - level.label(c - two_h) == powers[i]]
-        freq = Fraction(len(cls), r)
+        size = increments.get(v_pow[i % len(v_pow)][e], 0)
+        freq = Fraction(size, r)
         ok = abs(freq - center) < width
         rep.add(f"increment-class-band i={i}", level.n, ok,
-                f"|{freq} - {center}| vs {width}, class size {len(cls)}")
+                f"|{freq} - {center}| vs {width}, class size {size}")
 
     if isinstance(level.tag, StaggerTag):
         k = level.tag.k
-        cls = [c for c in level.cuts if c - two_h - 1 in cuts and level.label(c) == level.label(c - two_h - 1)]
-        freq = Fraction(len(cls), r)
+        size = sum(1 for c, g in lab.items() if lab.get(c - two_h - 1) == g)
+        freq = Fraction(size, r)
         ok = abs(freq - Fraction(k, k + 1)) < Fraction(2, n)
         rep.add("carry-class-band", level.n, ok, f"|{freq} - {Fraction(k, k+1)}| vs {Fraction(2, n)}")
     return rep
@@ -533,6 +568,7 @@ def serialize_tower(tower: Tower) -> str:
     lines.append(f"group = [{', '.join(map(str, tower.group.invariant_factors))}]")
     lines.append("aut = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in tower.v.matrix) + "]")
     lines.append(f"depth = {tower.depth}")
+    text = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
     for lvl in tower.levels:
         lines.append(f"level {lvl.n}")
         if lvl.tag is None:
@@ -544,7 +580,7 @@ def serialize_tower(tower: Tower) -> str:
         lines.append(f"h = {lvl.h}")
         lines.append(f"z = {lvl.z}")
         lines.append(f"cuts = {_compress_aps(lvl.cuts)}")
-        lines.append("labels = " + ";".join(f"{c}={_coords_str(lvl.label(c))}" for c in lvl.cuts))
+        lines.append("labels = " + ";".join(f"{c}={text[g]}" for c, g in lvl.label_indices().items()))
     return "\n".join(lines) + "\n"
 
 
@@ -575,6 +611,7 @@ def _parse_tower_inner(text: str) -> Tower:
     v = Automorphism(group, _parse_int_list(fields["aut"]))
     depth = int(fields["depth"])
     tower = Tower(group, v)
+    index_of = {_coords_str(el): i for i, el in enumerate(tower.elements)}   # coordinate text -> label index
     while idx < len(lines):
         header = lines[idx]
         if not header.startswith("level"):
@@ -592,8 +629,11 @@ def _parse_tower_inner(text: str) -> Tower:
         labels = {}
         for entry in props["labels"].split(";"):
             cpart, _, coordpart = entry.partition("=")
-            labels[int(cpart)] = group.element(_coords_from_str(coordpart))
-        if set(labels) != set(cuts):
+            g = index_of.get(coordpart)
+            if g is None:
+                g = index_of[coordpart] = group.element_index(group.element(_coords_from_str(coordpart)))
+            labels[int(cpart)] = g
+        if labels.keys() != set(cuts):
             raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
         tag_text = props["tag"]
         if tag_text == "seed":
@@ -609,8 +649,8 @@ def _parse_tower_inner(text: str) -> Tower:
         else:
             raise TowerParseError(f"unknown tag {tag_text!r}")
         r_expected = _expected_cut_count(tower, tag, n, len(cuts))
-        lvl = Level(n, int(props["h"]), int(props["z"]), cuts, cuts, 1, labels, tag, step,
-                    r_expected, tower._v_pow)
+        lvl = Level(n, int(props["h"]), int(props["z"]), cuts, cuts, 1, [labels[c] for c in cuts],
+                    tag, step, r_expected, tower.elements, tower.v_pow)
         if n != tower.depth + 1:
             raise TowerParseError(f"level {n} out of order")
         tower.levels.append(lvl)

@@ -1,4 +1,4 @@
-"""The benchmark's recorded output digests hold for the parsed-tower CLI run and one grid seed."""
+"""The benchmark's recorded output digests hold for the parsed-tower CLI run, one grid seed and the depth-24 build."""
 
 import importlib.util
 import sys
@@ -19,7 +19,7 @@ def workloads():
     del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("workload", ["cli-parsed", "grid-inmem"])
+@pytest.mark.parametrize("workload", ["cli-parsed", "grid-inmem", "deep-build"])
 def test_outputs_match_reference_digests(workloads, tmp_path, workload):
     setup, run = workloads.WORKLOADS[workload]
     state = setup(1, tmp_path)

@@ -64,6 +64,36 @@ def test_verify_detects_label_corruption(built, tmp_path, capsys):
                for ln in out.splitlines())
 
 
+def _relabel_last_cut(text: str, level: str, offset: int) -> str:
+    """Add offset to the (rank-one) label coordinate of the last cut on one level's label line."""
+    lines = text.splitlines()
+    current = None
+    for i, line in enumerate(lines):
+        if line.startswith("level "):
+            current = line
+        if current == level and line.startswith("labels = "):
+            head, _, last = line.rpartition(";")
+            cut, _, coord = last.partition("=")
+            lines[i] = f"{head};{cut}={int(coord) + offset}"
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no label line for {level}")
+
+
+@pytest.mark.parametrize("offset, rc", [(1, 1), (3, 0)])
+def test_verify_reads_the_label_element_not_its_text(built, tmp_path, capsys, offset, rc):
+    """A changed top-level label fails verify; the same element written unreduced passes unchanged."""
+    assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
+    clean = capsys.readouterr().out
+    bad = tmp_path / "relabelled.txt"
+    bad.write_text(_relabel_last_cut((built / "tower.txt").read_text(), "level 6", offset))
+    assert main(["verify", "--tower", str(bad)]) == rc
+    out = capsys.readouterr().out
+    if rc:
+        assert any(ln.startswith("[FAIL] level 6: shift-equivariance") for ln in out.splitlines())
+    else:
+        assert out == clean
+
+
 def test_verify_truncated_file_is_config_error(built, tmp_path):
     text = (built / "tower.txt").read_text()
     bad = tmp_path / "trunc.txt"
@@ -157,10 +187,25 @@ def test_build_bad_config_exit_code(tmp_path):
 ])
 def test_bad_input_is_a_one_line_config_error(built, capsys, argv):
     argv = [a.format(tower=built / "tower.txt") for a in argv]
+    capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_state_guard_is_a_one_line_limit_error(built, capsys, monkeypatch):
+    from cfspectra import pairings
+
+    monkeypatch.setattr(pairings, "_STATE_GUARD", 0)
+    capsys.readouterr()
+    assert main(["weaklimits", "--tower", str(built / "tower.txt")]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("limit error: ")
+    assert "exceeded 0 states" in err and "Traceback" not in err
+    assert out == ""
+    assert issubclass(pairings.StateGuardExceeded, RuntimeError)
 
 
 def _swap_first_cut_blocks(text: str, level: str) -> str:

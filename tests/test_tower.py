@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cfspectra.groups import Automorphism, FinAbGroup
+from cfspectra.groups import Automorphism, FinAbGroup, least_period
 from cfspectra.tower import (
     Cylinder,
     EvenTag,
     Level,
     Point,
+    Report,
     StaggerTag,
     Tower,
     apply_T,
@@ -136,18 +137,94 @@ def test_label_validation_catches_corruption(z3_system):
     target = next(c for c in lvl.cuts if c + lvl.z in lvl.cut_set)
     labels[target + lvl.z] = labels[target + lvl.z] + G.element((1,))
     # the corrupted labels cannot follow the block rule, so the level is one copy
-    corrupted = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, lvl.cuts, 1, labels,
-                      lvl.tag, lvl.step, lvl.r_expected, t._v_pow)
+    corrupted = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, lvl.cuts, 1,
+                      [G.element_index(labels[c]) for c in lvl.cuts],
+                      lvl.tag, lvl.step, lvl.r_expected, t.elements, t.v_pow)
     rep = validate_labels(corrupted, t)
     assert not rep.passed
     assert any("shift-equivariance" in it.name and not it.ok for it in rep.items)
+
+
+def reference_label_report(level, tower):
+    """The three label checks on ``Element`` values, each class counted by its own scan."""
+    rep = Report()
+    if level.tag is None:
+        rep.add("seed level, no label conditions", level.n, True)
+        return rep
+    v, n, r, tag = tower.v, level.step, level.r, level.tag
+    cuts = set(level.cuts)
+    label = {c: level.label(c) for c in level.cuts}
+    shifted = [c for c in level.cuts if c + level.z in cuts]
+    bad = [c for c in shifted if label[c + level.z] != v(label[c])]
+    rep.add("shift-equivariance", level.n, not bad,
+            f"violated at cuts {bad[:3]}" if bad else f"checked {len(shifted)} cuts")
+    el = tag.a if isinstance(tag, EvenTag) else tag.b
+    m = least_period(v, el)
+    center = Fraction(1, m) if isinstance(tag, EvenTag) else Fraction(1, (tag.k + 1) * m)
+    width = Fraction(2, n * m)
+    two_h = 2 * tower.h(level.n - 1)
+    power = el
+    for i in range(m):
+        cls = [c for c in level.cuts if c - two_h in cuts and label[c] - label[c - two_h] == power]
+        freq = Fraction(len(cls), r)
+        rep.add(f"increment-class-band i={i}", level.n, abs(freq - center) < width,
+                f"|{freq} - {center}| vs {width}, class size {len(cls)}")
+        power = v(power)
+    if isinstance(tag, StaggerTag):
+        k = tag.k
+        cls = [c for c in level.cuts if c - two_h - 1 in cuts and label[c] == label[c - two_h - 1]]
+        freq = Fraction(len(cls), r)
+        rep.add("carry-class-band", level.n, abs(freq - Fraction(k, k + 1)) < Fraction(2, n),
+                f"|{freq} - {Fraction(k, k + 1)}| vs {Fraction(2, n)}")
+    return rep
+
+
+SMALL_SYSTEMS = [
+    ((2,), [[[1]]]),
+    ((3,), [[[1]], [[2]]]),
+    ((2, 2), [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [1, 1]]]),
+    ((5,), [[[1]], [[2]], [[4]]]),
+]
+
+
+@st.composite
+def small_levels(draw):
+    """A level of a random depth 3-5 tower, as built, with one label changed, or all labels zero."""
+    factors, matrices = draw(st.sampled_from(SMALL_SYSTEMS))
+    G = FinAbGroup(factors)
+    t = Tower.seeded(G, Automorphism(G, draw(st.sampled_from(matrices))))
+    elements = list(G.elements())
+    for _ in range(draw(st.integers(1, 3))):
+        el = draw(st.sampled_from(elements))
+        t.extend(EvenTag(el) if draw(st.booleans()) else StaggerTag(el, draw(st.integers(1, 2))))
+    lvl = t.level(draw(st.integers(1, t.depth)))
+    change = draw(st.sampled_from(["none", "one", "zero"])) if lvl.tag is not None else "none"
+    if change != "none":
+        labels = [lvl.label_index(c) for c in lvl.cuts] if change == "one" else [0] * lvl.r
+        if change == "one":
+            i = draw(st.integers(0, lvl.r - 1))
+            labels[i] = (labels[i] + draw(st.integers(1, G.order - 1))) % G.order
+        lvl = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, lvl.cuts, 1, labels,
+                    lvl.tag, lvl.step, lvl.r_expected, t.elements, t.v_pow)
+    return t, lvl, change
+
+
+@given(small_levels())
+def test_label_validation_matches_element_reference(case):
+    t, lvl, change = case
+    rep = validate_labels(lvl, t)
+    assert rep.render() == reference_label_report(lvl, t).render()
+    if change == "one":   # every recipe cut has a z-partner, so a changed label breaks equivariance
+        assert not rep.passed
+    elif change == "none":
+        assert rep.passed
 
 
 def test_structure_validation_catches_height_tampering(z3_system):
     t = build_desk_tower(z3_system, depth=4)
     lvl = t.level(3)
     bad = Level(lvl.n, max(lvl.cuts) + t.h(2) - 1, lvl.z, lvl.cuts, lvl.block, lvl.reps,
-                lvl.block_labels, lvl.tag, lvl.step, lvl.r_expected, t._v_pow)
+                lvl.block_labels, lvl.tag, lvl.step, lvl.r_expected, t.elements, t.v_pow)
     t2 = Tower(t.group, t.v)
     t2.levels = [t.level(1), t.level(2), bad]
     rep = validate_structure(t2)
