@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .experiment import ConfigError, ExperimentConfig, build_tower, write_artifacts
+from .groups import CatalogGuardExceeded
 from .pairings import StateGuardExceeded
 
 EXIT_OK = 0
@@ -61,7 +62,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StateGuardExceeded as exc:
+    except (StateGuardExceeded, CatalogGuardExceeded) as exc:
         print(f"limit error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

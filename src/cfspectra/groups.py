@@ -342,8 +342,7 @@ def orbit_count_in_subgroup(v: Automorphism, h: Element, H: Subgroup) -> int:
     return sum(1 for x in orbit(v, h) if x in H)
 
 
-def multiplicity_set(group: FinAbGroup, H: Subgroup, v: Automorphism,
-                     _orbit_cache: dict | None = None) -> frozenset[int]:
+def multiplicity_set(group: FinAbGroup, H: Subgroup, v: Automorphism) -> frozenset[int]:
     """Orbit-in-subgroup counts over all nonzero elements of H."""
     if H.is_trivial():
         return frozenset()
@@ -351,13 +350,7 @@ def multiplicity_set(group: FinAbGroup, H: Subgroup, v: Automorphism,
     for h in H.members:
         if h.is_identity():
             continue
-        if _orbit_cache is not None:
-            if h not in _orbit_cache:
-                _orbit_cache[h] = orbit(v, h)
-            orb = _orbit_cache[h]
-        else:
-            orb = orbit(v, h)
-        counts.add(sum(1 for x in orb if x in H))
+        counts.add(sum(1 for x in orbit(v, h) if x in H))
     return frozenset(counts)
 
 
@@ -518,26 +511,143 @@ class CatalogRecord:
     verified: bool = False
 
 
+# Most candidate matrices ``automorphisms`` may test for one group of the
+# catalog.  Z2^4 (50,625), Z2^3xZ4 (54,000) and Z3^3 (17,576) pass; Z2^5
+# (31^5 = 28,629,151, hours of enumeration) does not.
+_AUT_GUARD = 10**6
+
+
+class CatalogGuardExceeded(RuntimeError):
+    """The catalog search reached a group whose automorphisms are too many to enumerate."""
+
+
+@lru_cache(maxsize=None)
+def _candidate_matrices(factors: tuple[int, ...]) -> int:
+    """The matrices ``automorphisms`` tests: exact-order images per generator, multiplied."""
+    orders: dict[int, int] = {}
+    for cs in itertools.product(*(range(d) for d in factors)):
+        o = math.lcm(1, *(d // math.gcd(c, d) for c, d in zip(cs, factors)))
+        orders[o] = orders.get(o, 0) + 1
+    return math.prod(orders.get(d, 0) for d in factors)
+
+
+class _GroupScan:
+    """One group's catalog enumeration, advanced on demand and shared by every query.
+
+    ``first`` maps each multiplicity set met so far to the first (v, H) that
+    produces it in the order of ``automorphisms`` x ``all_subgroups``, which
+    is the order ``catalog_search`` reports hits in.  Elements are indices;
+    a subgroup is the bitmask of its nonzero elements and v is cut into the
+    bitmasks of its permutation cycles.  The v-orbit of a nonzero h is its
+    cycle, so the count ``multiplicity_set`` takes for h in H is
+    ``(cycle & mask).bit_count()``.
+    """
+
+    def __init__(self, factors: tuple[int, ...]):
+        self.group = FinAbGroup(factors)
+        self.subgroups = all_subgroups(self.group)
+        index = self.group.element_index
+        self.masks = [sum(1 << index(h) for h in H.members) & ~1 for H in self.subgroups]
+        self.first: dict[frozenset[int], tuple[Automorphism, Subgroup]] = {}
+        self.exhausted = False
+        self._auts = automorphisms(self.group)
+        self._taken = 0          # automorphisms drawn from the generator
+        self._pending = None     # drawn but not yet committed to ``first``
+        self._partitions: set[tuple[int, ...]] = set()
+
+    def find(self, E: frozenset[int]) -> tuple[Automorphism, Subgroup] | None:
+        while E not in self.first and not self.exhausted:
+            self._advance()
+        return self.first.get(E)
+
+    def _advance(self):
+        if self._pending is None:
+            try:
+                self._pending = next(self._auts)
+            except StopIteration:
+                self.exhausted = True
+                return
+            except BaseException:
+                # a generator that raised is finished: resume a fresh one past what was taken
+                self._auts = itertools.islice(automorphisms(self.group), self._taken, None)
+                raise
+            self._taken += 1
+        aut = self._pending
+        cycles = _cycle_masks(_permutation(self.group, aut))
+        # automorphisms with the same cycles (say v and v^-1) give the same sets
+        if cycles not in self._partitions:
+            new: dict[frozenset[int], int] = {}
+            for i, m in enumerate(self.masks):
+                new.setdefault(frozenset((c & m).bit_count() for c in cycles if c & m), i)
+            for E, i in new.items():
+                self.first.setdefault(E, (aut, self.subgroups[i]))
+            self._partitions.add(cycles)
+        self._pending = None
+
+
+@lru_cache(maxsize=None)
+def _group_scan(factors: tuple[int, ...]) -> _GroupScan:
+    return _GroupScan(factors)
+
+
+def _permutation(group: FinAbGroup, v: Automorphism) -> list[int]:
+    """v as a permutation of element indices: perm[i] indexes v(element i)."""
+    add = addition_table(group)
+    images = [0]
+    for j in range(group.rank):
+        col = group.element_index(group.element(tuple(row[j] for row in v.matrix)))
+        multiples = [0]
+        for _ in range(group.invariant_factors[j] - 1):
+            multiples.append(add[multiples[-1]][col])
+        # indices run over coordinates with the last one fastest
+        images = [add[x][y] for x in images for y in multiples]
+    return images
+
+
+def _cycle_masks(perm: list[int]) -> tuple[int, ...]:
+    """Bitmasks of the cycles of perm through nonzero indices, by least member."""
+    seen = 1
+    cycles = []
+    for i in range(1, len(perm)):
+        if seen >> i & 1:
+            continue
+        c = 0
+        x = i
+        while not c >> x & 1:
+            c |= 1 << x
+            x = perm[x]
+        seen |= c
+        cycles.append(c)
+    return tuple(cycles)
+
+
 def catalog_search(E, bound: int) -> CatalogRecord | None:
     """Exhaustive search for (G, H, v) with multiplicity_set == E, order <= bound.
 
     Returns the first hit in a deterministic enumeration order, re-verified
     with the independent naive recount, or None when the bound is too small.
+    Each group's enumeration is kept for the life of the process and resumed
+    by later queries.  Raises CatalogGuardExceeded on reaching a group with
+    more than ``_AUT_GUARD`` candidate automorphism matrices.
     """
     E = frozenset(int(x) for x in E)
     if not E or any(x < 1 for x in E):
         raise ValueError("target must be a nonempty set of positive integers")
     for order in range(2, bound + 1):
         for factors in abelian_group_types(order):
-            group = FinAbGroup(factors)
-            subgroups = all_subgroups(group)
-            for aut in automorphisms(group):
-                cache: dict = {}
-                for H in subgroups:
-                    if multiplicity_set(group, H, aut, _orbit_cache=cache) == E:
-                        if multiplicity_set_naive(group, H, aut) != E:
-                            raise AssertionError("cached and naive recounts disagree")
-                        return CatalogRecord(E, group, H, aut, verified=True)
+            n = _candidate_matrices(factors)
+            if n > _AUT_GUARD:
+                raise CatalogGuardExceeded(
+                    f"catalog search for {sorted(E)} reached {FinAbGroup(factors)!r}, whose "
+                    f"automorphism enumeration would test {n:,} matrices (guard {_AUT_GUARD:,}); "
+                    f"use a bound below {order}")
+            scan = _group_scan(factors)
+            hit = scan.find(E)
+            if hit is not None:
+                aut, H = hit
+                if multiplicity_set_naive(scan.group, H, aut) != E:
+                    raise AssertionError("cycle-mask and naive recounts disagree")
+                return CatalogRecord(E, scan.group, H, aut, verified=True)
     return None
 
 

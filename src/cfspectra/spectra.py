@@ -109,6 +109,7 @@ class PermGroup:
         self.elements = sorted(elems)
         if math.factorial(k) % len(self.elements) != 0:
             raise AssertionError("subgroup order must divide k!")
+        self._inverses = [_inverse(s) for s in self.elements]
 
     @property
     def order(self) -> int:
@@ -129,7 +130,7 @@ class PermGroup:
 
     def tuple_orbit(self, t: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
         # position action: sigma moves the entry at i to position sigma(i)
-        return frozenset(tuple(t[_inverse(s)[i]] for i in range(self.k)) for s in self.elements)
+        return frozenset(tuple(t[j] for j in inv) for inv in self._inverses)
 
     def __repr__(self):
         return f"PermGroup(k={self.k}, order={self.order})"

@@ -1,4 +1,4 @@
-"""The benchmark's recorded output digests hold for the parsed-tower CLI run, one grid seed and the depth-24 build."""
+"""The benchmark's recorded output digests hold for the parsed-tower CLI run, one grid seed, the depth-24 build and one desk stream."""
 
 import importlib.util
 import sys
@@ -19,7 +19,7 @@ def workloads():
     del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("workload", ["cli-parsed", "grid-inmem", "deep-build"])
+@pytest.mark.parametrize("workload", ["cli-parsed", "grid-inmem", "deep-build", "desk-queries"])
 def test_outputs_match_reference_digests(workloads, tmp_path, workload):
     setup, run = workloads.WORKLOADS[workload]
     state = setup(1, tmp_path)

@@ -208,6 +208,18 @@ def test_state_guard_is_a_one_line_limit_error(built, capsys, monkeypatch):
     assert issubclass(pairings.StateGuardExceeded, RuntimeError)
 
 
+def test_catalog_guard_is_a_one_line_limit_error(capsys, monkeypatch):
+    from cfspectra import groups
+
+    monkeypatch.setattr(groups, "_AUT_GUARD", 100)   # Z2^3 has 7^3 = 343 candidate matrices
+    capsys.readouterr()
+    assert main(["groups", "--targets", "1,2;23", "--bound", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("limit error: ")
+    assert "Z2xZ2xZ2" in err and "Traceback" not in err
+    assert out == ""
+
+
 def _swap_first_cut_blocks(text: str, level: str) -> str:
     """Swap the first two arithmetic blocks of one level's cut line; the cut set is unchanged."""
     lines = text.splitlines()

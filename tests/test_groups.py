@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cfspectra import groups
 from cfspectra.cyclotomic import Cyclo, zeta
 from cfspectra.groups import (
+    CatalogGuardExceeded,
     Automorphism,
     CatalogRecord,
     Character,
@@ -113,9 +115,8 @@ def test_multiplicity_set_examples():
 def test_multiplicity_set_matches_naive_recount(factors):
     G = FinAbGroup(factors)
     for v in automorphisms(G):
-        cache = {}
         for H in all_subgroups(G):
-            assert multiplicity_set(G, H, v, _orbit_cache=cache) == multiplicity_set_naive(G, H, v)
+            assert multiplicity_set(G, H, v) == multiplicity_set_naive(G, H, v)
 
 
 def test_orbit_divisibility_invariant():
@@ -301,3 +302,89 @@ def test_triple_serialization_round_trip():
     assert G == rec.group
     assert H.members == rec.subgroup.members
     assert v.matrix == rec.automorphism.matrix
+
+
+def _element_loop_first_hits(G):
+    """First (v, H) per multiplicity set, by the Element-based loop over automorphisms x subgroups."""
+    first = {}
+    subgroups = all_subgroups(G)
+    for v in automorphisms(G):
+        for H in subgroups:
+            first.setdefault(multiplicity_set(G, H, v), (v, H))
+    return first
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_group_scan_first_hits_match_element_loop(order):
+    for factors in abelian_group_types(order):
+        expected = _element_loop_first_hits(FinAbGroup(factors))
+        scan = groups._group_scan(factors)
+        for E, (v, H) in expected.items():
+            assert scan.find(E) == (v, H), (factors, sorted(E))
+        assert scan.find(frozenset({order + 1})) is None and scan.exhausted
+        assert scan.first == expected
+
+
+def _catalog_texts(targets, bound):
+    out = []
+    for E in targets:
+        rec = catalog_search(E, bound)
+        if rec is None:
+            out.append((sorted(E), None, None))
+        else:
+            verified = multiplicity_set_naive(rec.group, rec.subgroup, rec.automorphism) == E
+            out.append((sorted(E), format_triple(rec.group, rec.subgroup, rec.automorphism), verified))
+    return out
+
+
+def test_catalog_answers_do_not_depend_on_query_order():
+    targets = [frozenset(E) for E in ({2, 4}, {23}, {1}, {1, 2, 4}, {1, 5}, {4}, {3, 6}, {1, 2})]
+    groups._group_scan.cache_clear()
+    forward = _catalog_texts(targets, 15)
+    groups._group_scan.cache_clear()
+    backward = _catalog_texts(targets[::-1], 15)[::-1]
+    assert forward == backward
+    assert {verified for *_, verified in forward} == {None, True}   # misses and verified hits
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_interrupted_group_scan_resumes_without_gaps(monkeypatch):
+    factors = (2, 2, 2)
+    uninterrupted = groups._GroupScan(factors)
+    assert uninterrupted.find(frozenset({99})) is None
+    real_automorphisms, real_cycle_masks = groups.automorphisms, groups._cycle_masks
+    calls = {"automorphisms": 0, "cycle_masks": 0}
+
+    def automorphisms_failing_once(G):
+        calls["automorphisms"] += 1
+        for i, v in enumerate(real_automorphisms(G)):
+            if calls["automorphisms"] == 1 and i == 40:
+                raise _Interrupted
+            yield v
+
+    def cycle_masks_failing_once(perm):
+        calls["cycle_masks"] += 1
+        if calls["cycle_masks"] == 1:   # the identity, the first hit of {1}
+            raise _Interrupted
+        return real_cycle_masks(perm)
+
+    monkeypatch.setattr(groups, "automorphisms", automorphisms_failing_once)
+    monkeypatch.setattr(groups, "_cycle_masks", cycle_masks_failing_once)
+    scan = groups._GroupScan(factors)
+    for _ in range(2):
+        with pytest.raises(_Interrupted):
+            scan.find(frozenset({99}))
+    assert scan.find(frozenset({99})) is None
+    assert scan.first == uninterrupted.first
+    assert scan._taken == uninterrupted._taken == 168
+
+
+def test_catalog_guard_refuses_before_enumerating(monkeypatch):
+    monkeypatch.setattr(groups, "_AUT_GUARD", 100)   # Z2^3 has 7^3 = 343 candidate matrices
+    with pytest.raises(CatalogGuardExceeded, match="343"):
+        catalog_search({23}, bound=8)
+    assert catalog_search({1, 2}, bound=8).group.order == 4   # hits before order 8
+    assert issubclass(CatalogGuardExceeded, RuntimeError)
