@@ -7,13 +7,16 @@ input/output errors.  Outputs are byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .experiment import ConfigError, ExperimentConfig, build_tower, write_artifacts
 from .groups import CatalogGuardExceeded
+from .koopman import GridGuardExceeded
 from .pairings import StateGuardExceeded
+from .spectra import SpectraGuardExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -62,7 +65,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StateGuardExceeded, CatalogGuardExceeded) as exc:
+    except (StateGuardExceeded, CatalogGuardExceeded, GridGuardExceeded,
+            SpectraGuardExceeded) as exc:
         print(f"limit error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -183,9 +187,10 @@ def cmd_weaklimits(args) -> int:
     if tower is None:
         return EXIT_CONFIG
     from .groups import all_characters
-    from .koopman import cylinder_family, residual_csv, residual_grid
+    from .koopman import check_grid_size, cylinder_family, residual_csv, residual_grid
 
     chars = list(all_characters(tower.group))
+    check_grid_size(tower, len(chars), args.max_level)
     fam = cylinder_family(tower, max_level=args.max_level)
     rows = residual_grid(tower, chars, fam)
     text = residual_csv(rows)
@@ -239,6 +244,7 @@ def cmd_spectra(args) -> int:
     )
 
     k, d = args.k, args.d
+    # both calls validate k and d, and refuse past the guards, before any line is printed
     subgroups = all_subgroups_sym(k)
     V = generic_diagonal(d, k)
     ok = True
@@ -246,8 +252,6 @@ def cmd_spectra(args) -> int:
     for gamma in subgroups:
         rep = homogeneous_multiplicity_check(V, k, gamma)
         ok &= rep.passed
-        import math
-
         print(f"  subgroup order {gamma.order}: expected multiplicity "
               f"{math.factorial(k) // gamma.order}: {'pass' if rep.passed else 'FAIL'}")
     rep = product_power_multiplicity_check(V, k)

@@ -28,6 +28,15 @@ from .tower import Cylinder, EvenTag, Report, StaggerTag, Tower
 
 _BITS = 128
 
+# The most residual cells (scheduled steps x characters x family^2) one grid
+# may certify.  A cell takes about half a millisecond on depth 8-12 towers,
+# so this is about a minute of work; larger grids are refused up front.
+_GRID_GUARD = 100_000
+
+
+class GridGuardExceeded(RuntimeError):
+    """A residual grid would certify more than ``_GRID_GUARD`` cells."""
+
 
 def _engine(tower: Tower, chi: Character) -> PairingEngine:
     key = ("engine", chi.coords)
@@ -250,6 +259,24 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
 
 
 # -- residual grids -------------------------------------------------------------
+
+
+def check_grid_size(tower: Tower, n_chars: int, max_level: int) -> None:
+    """Refuse a grid over ``cylinder_family(tower, max_level)`` past ``_GRID_GUARD`` cells.
+
+    The cell count is estimated from the stack heights alone, before any
+    cylinder is built.
+    """
+    if not 0 <= max_level <= tower.depth:
+        raise ValueError(f"max level {max_level} outside 0..{tower.depth} (the tower depth)")
+    steps = sum(1 for lvl in tower.levels if lvl.tag is not None)
+    family = 1 + sum(tower.h(n) for n in range(1, max_level + 1))
+    cells = steps * n_chars * family**2
+    if cells > _GRID_GUARD:
+        raise GridGuardExceeded(
+            f"residual grid to max level {max_level} would certify {cells:,} cells "
+            f"({steps} steps x {n_chars} characters x {family:,}^2 cylinder pairs; "
+            f"guard {_GRID_GUARD:,}); lower --max-level")
 
 
 def cylinder_family(tower: Tower, max_level: int = 2) -> list[tuple[str, Cylinder]]:

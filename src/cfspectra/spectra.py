@@ -6,12 +6,24 @@ powers are then exact fractions mod 1 and multiplicity counting is literal.
 The floating mode takes arbitrary unitary matrices and clusters eigenvalues
 with a stability audit.
 
+Exact turns are held as integer numerators over one common denominator q
+(the lcm of the turn denominators), so every eigen-turn of a restricted
+power is a sum of numerators mod q and the checks add and count ints.
+Fractions are built only at the public boundary: ``FiniteUnitary.turns``,
+``RestrictedPower.eigen_turns`` and the keys of ``multiplicity_function``.
+
 Continuity of spectrum has no finite-dimensional counterpart; its working
 shadow here is relation-freeness of the angles, which makes the permutation
 action on index tuples with distinct entries behave exactly like the action
 on generic fibers.  Multiplicity assertions are made on that free part of
 the spectrum; eigenvalues carried by repeated-index tuples are reported
 separately as the vanishing-proportion degenerate part.
+
+A (d, k) table enumerates a (2k+1)^ceil(d/2) half-box of relation sums and
+d^k index tuples per restriction.  Past ``_SPECTRA_GUARD`` either count is
+refused up front with ``SpectraGuardExceeded``, which ``cfspectra spectra``
+reports as one ``limit error:`` line and exit 2; a non-positive d or k is a
+``config error:`` line and exit 2, both before any table line is printed.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,18 +41,38 @@ from .tower import Report
 
 _CLUSTER_TOL = 1e-9
 
+# The most relation sums or index tuples one spectra table may enumerate:
+# d <= 10 at k = 3, 4 and d <= 14 at k = 2, each well under a second.
+_SPECTRA_GUARD = 100_000
+
+
+class SpectraGuardExceeded(RuntimeError):
+    """A spectra table would enumerate more than ``_SPECTRA_GUARD`` sums or tuples."""
+
+
+def _guard(size: int, what: str) -> None:
+    if size > _SPECTRA_GUARD:
+        raise SpectraGuardExceeded(f"{what} would enumerate {size:,} "
+                                   f"(guard {_SPECTRA_GUARD:,}); lower d or k")
+
 
 # -- unitaries ---------------------------------------------------------------
 
 
 class FiniteUnitary:
-    """A unitary in exact-diagonal form (rational turns) or as a float matrix."""
+    """A unitary in exact-diagonal form (rational turns) or as a float matrix.
+
+    In exact form ``turns[i] == Fraction(nums[i], q)`` with ``q`` the lcm of
+    the turn denominators.
+    """
 
     def __init__(self, turns=None, matrix=None):
         if (turns is None) == (matrix is None):
             raise ValueError("give exactly one of turns or matrix")
         if turns is not None:
             self.turns = tuple(Fraction(t) % 1 for t in turns)
+            self.q = math.lcm(*(t.denominator for t in self.turns))
+            self.nums = tuple(t.numerator * (self.q // t.denominator) for t in self.turns)
             self.matrix = None
             self.dim = len(self.turns)
         else:
@@ -48,7 +81,7 @@ class FiniteUnitary:
                 raise ValueError("matrix must be square")
             if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12):
                 raise ValueError("matrix is not unitary within 1e-12")
-            self.turns = None
+            self.turns = self.q = self.nums = None
             self.matrix = m
             self.dim = m.shape[0]
 
@@ -67,19 +100,44 @@ class FiniteUnitary:
         return self.turns
 
 
+@lru_cache(maxsize=32)
 def relation_free_turns(d: int, k: int) -> tuple[Fraction, ...]:
     """Angles p_i/q with no integer relation sum(n_i * theta_i) in Z, |n_i| <= k.
 
     Chosen as powers of a base exceeding k, so any small relation would be a
-    vanishing base-B expansion; verified exhaustively before returning.
+    vanishing base-B expansion; verified over the whole (2k+1)^d coefficient
+    box before returning.  Also refuses a (d, k) table past the guard.
     """
+    if d < 1 or k < 1:
+        raise ValueError(f"dimension and power must be positive (d = {d}, k = {k})")
+    _guard(max((2 * k + 1) ** -(-d // 2), d**k), f"spectra table d = {d}, k = {k}")
     B = 2 * k + 1
     ps = [B**i for i in range(d)]
     q = 2 * k * sum(ps) + 1
-    for n in itertools.product(range(-k, k + 1), repeat=d):
-        if any(n) and sum(c * p for c, p in zip(n, ps)) % q == 0:
-            raise AssertionError("relation found; base choice is broken")
+    if _has_relation(ps, q, k):
+        raise AssertionError("relation found; base choice is broken")
     return tuple(Fraction(p, q) for p in ps)
+
+
+def _box_sums(ps, q: int, k: int) -> list[int]:
+    """sum(n_i * p_i) mod q for every n in [-k, k]^len(ps), in product order."""
+    sums = [0]
+    for p in ps:
+        sums = [(s + c * p) % q for s in sums for c in range(-k, k + 1)]
+    return sums
+
+
+def _has_relation(ps, q: int, k: int) -> bool:
+    """Whether some nonzero n in [-k, k]^len(ps) has sum(n_i * p_i) = 0 mod q.
+
+    Meet in the middle: n splits into a left and a right half, and a relation
+    is a left sum equal to minus a right sum, other than both halves zero.
+    """
+    h = -(-len(ps) // 2)
+    left = Counter(_box_sums(ps[:h], q, k))
+    right = _box_sums(ps[h:], q, k)
+    del right[len(right) // 2]        # the zero right half, met only by a nonzero left one
+    return left[0] > 1 or any(-r % q in left for r in right)
 
 
 def generic_diagonal(d: int, k: int) -> FiniteUnitary:
@@ -109,7 +167,6 @@ class PermGroup:
         self.elements = sorted(elems)
         if math.factorial(k) % len(self.elements) != 0:
             raise AssertionError("subgroup order must divide k!")
-        self._inverses = [_inverse(s) for s in self.elements]
 
     @property
     def order(self) -> int:
@@ -128,42 +185,54 @@ class PermGroup:
     def trivial(k: int) -> "PermGroup":
         return PermGroup(k, [])
 
-    def tuple_orbit(self, t: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-        # position action: sigma moves the entry at i to position sigma(i)
-        return frozenset(tuple(t[j] for j in inv) for inv in self._inverses)
-
     def __repr__(self):
         return f"PermGroup(k={self.k}, order={self.order})"
 
 
-def _inverse(s: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(s)
-    for i, x in enumerate(s):
-        inv[x] = i
-    return tuple(inv)
+def all_subgroups_sym(k: int) -> tuple[PermGroup, ...]:
+    """Every subgroup of the symmetric group on k points (1 <= k <= 4).
+
+    Sorted by (order, elements); cached per k, so callers share one tuple.
+    """
+    if not 1 <= k <= 4:
+        raise ValueError(f"subgroup enumeration supported for 1 <= k <= 4 only (k = {k})")
+    return _subgroup_lattice(k)
 
 
-def all_subgroups_sym(k: int) -> list[PermGroup]:
-    """Every subgroup of the symmetric group on k points (k <= 4)."""
-    if k > 4:
-        raise ValueError("subgroup enumeration supported for k <= 4 only")
-    full = PermGroup.symmetric(k).elements
-    seen = {frozenset([tuple(range(k))])}
-    out = [PermGroup(k, [])]
-    frontier = [out[0]]
+@lru_cache(maxsize=4)
+def _subgroup_lattice(k: int) -> tuple[PermGroup, ...]:
+    """Close subgroups as bitmasks over the index multiplication table of S_k."""
+    perms = PermGroup.symmetric(k).elements     # sorted: index 0 is the identity
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple(s[g[i]] for i in range(k))] for g in perms] for s in perms]
+    gens_of = {1: ()}                           # subgroup bitmask -> generator indices
+    frontier = [1]
     while frontier:
-        H = frontier.pop()
-        for g in full:
-            if g in H.elements:
+        mask = frontier.pop()
+        for g in range(len(perms)):
+            if mask >> g & 1:
                 continue
-            H2 = PermGroup(k, [list(x) for x in H.elements] + [g])
-            key = frozenset(H2.elements)
-            if key not in seen:
-                seen.add(key)
-                out.append(H2)
-                frontier.append(H2)
+            gens = gens_of[mask] + (g,)
+            closed = _closure(mul, gens)
+            if closed not in gens_of:
+                gens_of[closed] = gens
+                frontier.append(closed)
+    out = [PermGroup(k, [perms[i] for i in gens]) for gens in gens_of.values()]
     out.sort(key=lambda h: (h.order, h.elements))
-    return out
+    return tuple(out)
+
+
+def _closure(mul, gens) -> int:
+    """Bitmask of the subgroup generated by the element indices ``gens``."""
+    mask, frontier = 1, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = mul[s][x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                frontier.append(y)
+    return mask
 
 
 def orbit_count_burnside(gamma: PermGroup, d: int) -> int:
@@ -192,36 +261,48 @@ class RestrictedPower:
 
     For diagonal input the operator is diagonal in the orbit-sum basis; each
     basis vector is labelled by its orbit representative and carries the exact
-    eigen-turn (the sum of the angle turns along the tuple).
+    eigen-turn ``eigen_nums[i] / q`` (the sum of the angle turns along the tuple).
     """
 
     dim: int
     k: int
     gamma_order: int
     orbit_reps: tuple[tuple[int, ...], ...]
-    eigen_turns: tuple[Fraction, ...]
+    q: int
+    eigen_nums: tuple[int, ...]              # eigen-turn numerators mod q
     contents: tuple[tuple[int, ...], ...]  # sorted index multiset per basis vector
+
+    @property
+    def eigen_turns(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.q) for n in self.eigen_nums)
 
 
 def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> RestrictedPower:
-    """V^(tensor k) restricted to the gamma-invariant subspace (exact diagonal mode)."""
+    """V^(tensor k) restricted to the gamma-invariant subspace (exact diagonal mode).
+
+    A permutation sigma moves the entry at position i to position sigma(i).
+    Index tuples are coded as base-d integers in lexicographic order; each
+    orbit is represented by its least code, the running minimum over the
+    group of the permuted codes.  Reading the digits through sigma applies
+    sigma^-1, which ranges over the same group.
+    """
     if not V.exact:
         raise ValueError("exact restriction requires a diagonal-turn unitary")
     if gamma.k != k:
         raise ValueError("permutation group degree must equal the power")
     d = V.dim
-    reps = []
-    seen = set()
-    for t in itertools.product(range(d), repeat=k):
-        if t in seen:
-            continue
-        orb = gamma.tuple_orbit(t)
-        seen.update(orb)
-        reps.append(min(orb))
-    reps.sort()
-    turns = tuple(sum((V.turns[i] for i in rep), Fraction(0)) % 1 for rep in reps)
-    contents = tuple(tuple(sorted(rep)) for rep in reps)
-    rp = RestrictedPower(len(reps), k, gamma.order, tuple(reps), turns, contents)
+    _guard(d**k, f"restriction of a dimension-{d} unitary to power {k}")
+    digits = np.indices((d,) * k).reshape(k, d**k).T     # row c: the digits of code c
+    weights = d ** np.arange(k - 1, -1, -1)
+    codes = np.arange(d**k)
+    least = codes.copy()
+    for sigma in gamma.elements:
+        np.minimum(least, digits[:, list(sigma)] @ weights, out=least)
+    reps = [tuple(r) for r in digits[least == codes].tolist()]
+    nums, q = V.nums, V.q
+    eigen = tuple(sum(nums[i] for i in r) % q for r in reps)
+    contents = tuple(tuple(sorted(r)) for r in reps)
+    rp = RestrictedPower(len(reps), k, gamma.order, tuple(reps), q, eigen, contents)
     if rp.dim != orbit_count_burnside(gamma, d):
         raise AssertionError("orbit count disagrees with the Burnside average")
     return rp
@@ -253,7 +334,8 @@ class MultiplicityFunction:
 def multiplicity_function(U) -> MultiplicityFunction:
     """Eigenvalue multiplicities: exact for turn-diagonal input, clustered for float."""
     if isinstance(U, RestrictedPower):
-        return MultiplicityFunction(dict(Counter(U.eigen_turns)), "exact")
+        counts = Counter(U.eigen_nums)
+        return MultiplicityFunction({Fraction(n, U.q): c for n, c in counts.items()}, "exact")
     if isinstance(U, FiniteUnitary) and U.exact:
         return MultiplicityFunction(dict(Counter(U.turns)), "exact")
     m = U.to_matrix() if isinstance(U, FiniteUnitary) else np.asarray(U, dtype=complex)
@@ -285,10 +367,8 @@ def _cluster(eigs, tol):
 
 def _power_hypothesis_ok(V: FiniteUnitary, k: int) -> bool:
     """The k-fold symmetric power has simple spectrum: all multiset sums distinct."""
-    sums = Counter()
-    for comb in itertools.combinations_with_replacement(range(V.dim), k):
-        sums[sum((V.turns[i] for i in comb), Fraction(0)) % 1] += 1
-    return all(c == 1 for c in sums.values())
+    sums = [sum(c) % V.q for c in itertools.combinations_with_replacement(V.nums, k)]
+    return len(set(sums)) == len(sums)
 
 
 def homogeneous_multiplicity_check(V: FiniteUnitary, k: int, gamma: PermGroup) -> Report:
@@ -301,30 +381,28 @@ def homogeneous_multiplicity_check(V: FiniteUnitary, k: int, gamma: PermGroup) -
     are counted and reported but carry no constancy claim.
     """
     rep = Report()
-    if len(set(V.turns)) != V.dim or not _power_hypothesis_ok(V, k):
+    if len(set(V.nums)) != V.dim or not _power_hypothesis_ok(V, k):
         rep.add("hypothesis: simple symmetric power", k, False, "HypothesisFail")
         return rep
     rep.add("hypothesis: simple symmetric power", k, True)
     rest = invariant_restriction(V, k, gamma)
-    mf = multiplicity_function(rest)
+    counts = Counter(rest.eigen_nums)
     expected = math.factorial(k) // gamma.order
     free = {}
     degenerate = {}
-    content_of_turn: dict[Fraction, tuple[int, ...]] = {}
-    for turn, content in zip(rest.eigen_turns, rest.contents):
-        content_of_turn[turn] = content
-    for turn, mult in mf.clusters.items():
-        if len(set(content_of_turn[turn])) == k:
-            free[turn] = mult
+    content_of_num = dict(zip(rest.eigen_nums, rest.contents))
+    for num, mult in counts.items():
+        if len(set(content_of_num[num])) == k:
+            free[num] = mult
         else:
-            degenerate[turn] = mult
+            degenerate[num] = mult
     ok = set(free.values()) == {expected}
     rep.add(f"free spectrum constant multiplicity {expected}", k, ok,
             f"multiplicities seen: {sorted(set(free.values()))}")
     rep.add("free spectrum nonempty", k, bool(free),
             f"free dim {sum(free.values())}, degenerate dim {sum(degenerate.values())}")
     if gamma.order == math.factorial(k):
-        rep.add("full spectrum constant (symmetric case)", k, mf.is_constant(expected))
+        rep.add("full spectrum constant (symmetric case)", k, set(counts.values()) == {expected})
     return rep
 
 
@@ -332,7 +410,7 @@ def float_cluster_check(V: FiniteUnitary, k: int, gamma: PermGroup) -> Report:
     """Floating cross-check of the free-spectrum multiplicities via clustering."""
     rep = Report()
     rest = invariant_restriction(V, k, gamma)
-    eigs = np.exp(2j * np.pi * np.array([float(t) for t in rest.eigen_turns]))
+    eigs = np.exp(2j * np.pi * np.array([n / rest.q for n in rest.eigen_nums]))
     clusters = _cluster(eigs, _CLUSTER_TOL)
     stable = len(clusters) == len(_cluster(eigs, _CLUSTER_TOL / 2))
     rep.add("cluster stability under tolerance halving", k, stable)
@@ -359,13 +437,13 @@ def product_power_multiplicity_check(V: FiniteUnitary, k: int) -> Report:
         rep.add("hypothesis: simple symmetric power", k, False, "HypothesisFail")
         return rep
     rep.add("hypothesis: simple symmetric power", k, True)
-    d = V.dim
+    d, q = V.dim, V.q
     sym = symmetric_power(V, k - 1)
     # product basis: (multiset of size k-1) x index, eigen-turn additive
     product_entries = {}
-    for rep_tuple, turn in zip(sym.orbit_reps, sym.eigen_turns):
+    for rep_tuple, num in zip(sym.orbit_reps, sym.eigen_nums):
         for j in range(d):
-            product_entries[(tuple(sorted(rep_tuple)), j)] = (turn + V.turns[j]) % 1
+            product_entries[(tuple(sorted(rep_tuple)), j)] = (num + V.nums[j]) % q
 
     # restriction to permutations of the first k-1 slots
     gens = []
@@ -377,9 +455,9 @@ def product_power_multiplicity_check(V: FiniteUnitary, k: int) -> Report:
     rest = invariant_restriction(V, k, gamma)
     bijection_ok = len(product_entries) == rest.dim
     matched = 0
-    for rep_tuple, turn in zip(rest.orbit_reps, rest.eigen_turns):
+    for rep_tuple, num in zip(rest.orbit_reps, rest.eigen_nums):
         key = (tuple(sorted(rep_tuple[:-1])), rep_tuple[-1])
-        if key in product_entries and product_entries[key] == turn:
+        if key in product_entries and product_entries[key] == num:
             matched += 1
     rep.add("restriction identity: basis bijection", k, bijection_ok,
             f"{len(product_entries)} product vs {rest.dim} restricted")
@@ -400,14 +478,14 @@ def product_power_multiplicity_check(V: FiniteUnitary, k: int) -> Report:
 # -- symmetric polynomial generation and extraction -------------------------------
 
 
-def _elementary_symmetric(k: int, i: int) -> dict[tuple[int, ...], Fraction]:
+def _elementary_symmetric(k: int, i: int) -> dict[tuple[int, ...], int]:
     """e_i in k variables as a dict over exponent vectors."""
     out = {}
     for comb in itertools.combinations(range(k), i):
         mono = [0] * k
         for j in comb:
             mono[j] = 1
-        out[tuple(mono)] = Fraction(1)
+        out[tuple(mono)] = 1
     return out
 
 
@@ -418,7 +496,7 @@ def _poly_mul(a, b, cap):
             m = tuple(x + y for x, y in zip(ma, mb))
             if sum(m) > cap:
                 continue
-            out[m] = out.get(m, Fraction(0)) + ca * cb
+            out[m] = out.get(m, 0) + ca * cb
     return {m: c for m, c in out.items() if c}
 
 
@@ -435,67 +513,79 @@ def _partitions_at_most(total_max: int, parts: int):
     return [p for p in out if sum(p) <= total_max and len(p) <= parts]
 
 
+def _generation_products(k: int, degree_cap: int) -> list[dict[tuple[int, ...], int]]:
+    """Every monomial in e_1..e_k of weighted degree <= cap, as an integer polynomial."""
+    es = {i: _elementary_symmetric(k, i) for i in range(k + 1)}
+    products = []
+    for exps in itertools.product(*(range(degree_cap // i + 1) for i in range(1, k + 1))):
+        if sum(i * e for i, e in zip(range(1, k + 1), exps)) > degree_cap:
+            continue
+        poly = {(0,) * k: 1}
+        for i, e in zip(range(1, k + 1), exps):
+            for _ in range(e):
+                poly = _poly_mul(poly, es[i], degree_cap)
+        products.append(poly)
+    return products
+
+
+def _coefficient_rows(products) -> list[list[int]]:
+    """One row per polynomial over the sorted union of their monomials."""
+    monomials = sorted({m for p in products for m in p})
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = []
+    for p in products:
+        row = [0] * len(monomials)
+        for m, c in p.items():
+            row[index[m]] = c
+        rows.append(row)
+    return rows
+
+
 def symmetric_generation_check(k: int, degree_cap: int) -> Report:
     """Products of the elementary symmetric polynomials span all symmetric ones.
 
-    Verified by exact rational rank computation against the partition count
+    Verified by exact integer rank computation against the partition count
     up to the degree cap.
     """
     rep = Report()
     if k > 4 or degree_cap > 6:
         raise ValueError("desk-scale parameters only: k <= 4, degree cap <= 6")
-    es = {i: _elementary_symmetric(k, i) for i in range(k + 1)}
-    # all monomials in e_1..e_k of weighted degree <= cap
-    products = []
-    for exps in itertools.product(*(range(degree_cap // i + 1) for i in range(1, k + 1))):
-        if sum(i * e for i, e in zip(range(1, k + 1), exps)) > degree_cap:
-            continue
-        poly = {(0,) * k: Fraction(1)}
-        for i, e in zip(range(1, k + 1), exps):
-            for _ in range(e):
-                poly = _poly_mul(poly, es[i], degree_cap)
-        products.append(poly)
-    monomials = sorted({m for p in products for m in p})
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for p in products:
-        row = [Fraction(0)] * len(monomials)
-        for m, c in p.items():
-            row[index[m]] = c
-        rows.append(row)
-    rank = _rational_rank(rows)
+    products = _generation_products(k, degree_cap)
+    rank = _integer_rank(_coefficient_rows(products))
     target = len(_partitions_at_most(degree_cap, k))
     rep.add("span dimension equals partition count", k, rank == target,
             f"rank {rank} vs partitions {target}")
     # every product must be a symmetric polynomial: coefficients constant on orbits
     sym_ok = all(
-        p.get(tuple(sorted(m, reverse=True)), Fraction(0)) == c
+        p.get(tuple(sorted(m, reverse=True)), 0) == c
         for p in products for m, c in p.items()
     )
     rep.add("products are symmetric", k, sym_ok)
     return rep
 
 
-def _rational_rank(rows) -> int:
+def _integer_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact and all entries stay integers.
+    """
     rows = [list(r) for r in rows]
-    rank = 0
     cols = len(rows[0]) if rows else 0
-    pivot_row = 0
+    rank = 0
+    prev = 1
     for col in range(cols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if sel is None:
             continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot_tail = rows[rank][col:]
+        pv = pivot_tail[0]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]        # zero left of col: eliminated or already zero
+            a = row[col]
+            row[col:] = [(pv * x - a * y) // prev for x, y in zip(row[col:], pivot_tail)]
+        prev = pv
         rank += 1
     return rank
 

@@ -1,4 +1,5 @@
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,40 @@ def test_spectra_command(capsys):
     out = capsys.readouterr().out
     assert "expected multiplicity 1: pass" in out
     assert "expected multiplicity 2: pass" in out
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["spectra", "--k", "0"], "config error: "),
+    (["spectra", "--k", "-1"], "config error: "),
+    (["spectra", "--k", "2", "--d", "0"], "config error: "),
+    (["spectra", "--k", "2", "--d", "40"], "limit error: "),
+])
+def test_bad_spectra_input_is_refused_before_any_table_line(capsys, argv, prefix):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+def test_weaklimits_refuses_a_grid_past_its_guard(tmp_path, capsys):
+    out = tmp_path / "t8"
+    assert main(["build", "--target", "2", "--depth", "8", "--out", str(out)]) == 0
+    tower = str(out / "tower.txt")
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["weaklimits", "--tower", tower, "--max-level", "5"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("limit error: "), err
+    assert "21,330,886^2" in err
+    for level in ("9", "-1"):
+        assert main(["weaklimits", "--tower", tower, "--max-level", level]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("config error: ") and "0..8" in err
 
 
 def test_recur_command(built, capsys):

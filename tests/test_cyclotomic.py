@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from cfspectra.cyclotomic import (
@@ -126,3 +128,73 @@ def test_rationality_detection():
     assert not z.is_rational()
     assert (z + z.conjugate()).as_fraction() == -1
     assert (z * z.conjugate()).as_fraction() == 1
+
+
+# -- independent oracles: sympy's Q[x]/Phi_n and mpmath at 200 digits -------------
+
+X = sympy.Symbol("x")
+
+
+def _as_poly(z: Cyclo, order: int) -> sympy.Poly:
+    """z as a polynomial in x = zeta_order (order a multiple of z.order)."""
+    scale = order // z.order
+    terms = {(j * scale,): sympy.Rational(c.numerator, c.denominator)
+             for j, c in enumerate(z.coeffs) if c}
+    return sympy.Poly.from_dict(terms or {(0,): 0}, X, domain="QQ")
+
+
+def _reduced(poly: sympy.Poly, n: int) -> tuple[Fraction, ...]:
+    """sympy's remainder of poly mod Phi_n, constant term first, padded to deg Phi_n."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+    rem = poly.rem(phi)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    coeffs += [Fraction(0)] * (phi.degree() - len(coeffs))
+    return tuple(coeffs[:phi.degree()])
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for n in range(1, 61):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
+        assert list(cyclotomic_polynomial(n)) == [int(c) for c in want], n
+
+
+@given(st.sampled_from(ORDERS), st.dictionaries(st.integers(0, 40), coeff_st, max_size=6))
+def test_reduction_matches_sympy(n, counts):
+    poly = sympy.Poly.from_dict({(e,): c for e, c in counts.items()} or {(0,): 0}, X,
+                                domain="QQ")
+    assert Cyclo.from_exponent_counts(n, counts).coeffs == _reduced(poly, n)
+
+
+@given(cyclo_values(), cyclo_values())
+def test_products_and_conjugates_match_sympy(a, b):
+    prod = a * b
+    n = math.lcm(a.order, b.order)
+    assert prod.order == n
+    assert prod.coeffs == _reduced(_as_poly(a, n) * _as_poly(b, n), n)
+    # conjugation sends zeta to zeta^(n-1)
+    conj = a.conjugate()
+    flipped = _as_poly(a, a.order).compose(sympy.Poly(X ** (a.order - 1), X, domain="QQ"))
+    assert conj.coeffs == _reduced(flipped, a.order)
+
+
+def _mp_value(z: Cyclo):
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(mpmath.mpf(2 * j) / z.order)
+                       for j, c in enumerate(z.coeffs) if c)
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@given(cyclo_values())
+def test_enclosures_bracket_the_200_digit_value(z):
+    with mpmath.workdps(200):
+        eps = mpmath.mpf(10) ** -150
+        size = abs(_mp_value(z))
+        for bits in (32, 96):
+            lo, hi = abs_lower(z, bits), abs_upper(z, bits)
+            assert _mp(lo) <= size + eps and size <= _mp(hi) + eps, (z, bits)
+            real = z + z.conjugate()
+            rlo, rhi = real.real_bounds(bits)
+            value = 2 * mpmath.re(_mp_value(z))
+            assert _mp(rlo) <= value + eps and value <= _mp(rhi) + eps, (z, bits)

@@ -28,11 +28,15 @@ def characters(tower):
     return [Character(tower.group, (c,)) for c in range(3)]
 
 
-def brute_pairing(tower, chi, m, A, B, N):
-    """Direct rung enumeration; only usable at shallow depth."""
+def brute_histogram(tower, m, A, B, N):
+    """Direct rung enumeration; only usable at shallow depth.
+
+    Returns the label increments of the rungs of B that U^m carries into A,
+    as a histogram, and the number of rungs it carries out of the stack.
+    """
     EA = set(embed(tower, A, N).rungs)
     EB = embed(tower, B, N).rungs
-    counts = {}
+    increments = {}
     outside = 0
     for f in EB:
         g = f + m
@@ -40,10 +44,24 @@ def brute_pairing(tower, chi, m, A, B, N):
             outside += 1
             continue
         if g in EA:
-            e = chi.exponent(rung_label(tower, g, N) - rung_label(tower, f, N))
-            counts[e] = counts.get(e, 0) + 1
+            inc = rung_label(tower, g, N) - rung_label(tower, f, N)
+            increments[inc] = increments.get(inc, 0) + 1
+    return increments, outside
+
+
+def brute_value(tower, chi, brute, N):
+    """The pairing value and error bound of one character on a brute histogram."""
+    increments, outside = brute
+    counts = {}
+    for inc, c in increments.items():
+        e = chi.exponent(inc)
+        counts[e] = counts.get(e, 0) + c
     value = Cyclo.from_exponent_counts(chi.root_order, counts) / tower.cut_product(N)
     return value, Fraction(outside, tower.cut_product(N))
+
+
+def brute_pairing(tower, chi, m, A, B, N):
+    return brute_value(tower, chi, brute_histogram(tower, m, A, B, N), N)
 
 
 CYLS = [
@@ -59,12 +77,13 @@ CYLS = [
 def test_engine_matches_brute_force(z3_tower, depth):
     t = z3_tower
     shifts = [0, 1, -1, 7, -11, 2 * t.h(2), 2 * t.h(depth - 1), -2 * t.h(2)]
-    for chi in characters(t):
-        eng = PairingEngine(t, chi)
-        for A, B in itertools.product(CYLS, repeat=2):
-            for m in shifts:
+    engines = [(chi, PairingEngine(t, chi)) for chi in characters(t)]
+    for A, B in itertools.product(CYLS, repeat=2):
+        for m in shifts:
+            brute = brute_histogram(t, m, A, B, depth)
+            for chi, eng in engines:
                 got = eng.pairing(m, A, B, depth)
-                want_value, want_err = brute_pairing(t, chi, m, A, B, depth)
+                want_value, want_err = brute_value(t, chi, brute, depth)
                 assert got.value == want_value, (chi, m, A, B)
                 assert got.error_bound == want_err
 
@@ -253,11 +272,12 @@ def test_engine_matches_brute_force_on_random_towers(case):
         for tower in (t, parsed):
             got = PairingEngine(tower, trivial).level_kernel(n, lo, hi)
             assert got == want and list(got) == list(want), (n, lo, hi)
+    brutes = {m: brute_histogram(t, m, A, B, t.depth) for m in shifts}
     for chi in all_characters(t.group):
         eng, parsed_eng = PairingEngine(t, chi), PairingEngine(parsed, chi)
         for m in shifts:
             got = eng.pairing(m, A, B, t.depth)
-            want_value, want_err = brute_pairing(t, chi, m, A, B, t.depth)
+            want_value, want_err = brute_value(t, chi, brutes[m], t.depth)
             assert got.value == want_value, (chi, m, A, B)
             assert got.error_bound == want_err
             # every parsed level is a single copy of its cuts (reps == 1)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,11 @@ from cfspectra.spectra import (
     FiniteUnitary,
     MultiplicityFunction,
     PermGroup,
+    SpectraGuardExceeded,
+    _coefficient_rows,
+    _generation_products,
+    _has_relation,
+    _integer_rank,
     all_subgroups_sym,
     float_cluster_check,
     generic_diagonal,
@@ -159,3 +166,143 @@ def test_vandermonde_extraction():
         vandermonde_extraction_check([Fraction(1, 2), Fraction(1, 2)])
     rep1 = vandermonde_extraction_check([Fraction(7, 3)])
     assert rep1.passed
+
+
+# -- oracles for the integer-turn path -------------------------------------------
+
+
+def _brute_relation(ps, q, k):
+    return any(any(n) and sum(c * p for c, p in zip(n, ps)) % q == 0
+               for n in itertools.product(range(-k, k + 1), repeat=len(ps)))
+
+
+def _test_bases(d, k):
+    """The relation-free base of (d, k), then seeded bases with and without relations."""
+    B = 2 * k + 1
+    ps = [B**i for i in range(d)]
+    yield ps, 2 * k * sum(ps) + 1
+    rng = random.Random(f"bases:{d}:{k}")
+    for _ in range(8):
+        q = rng.choice([rng.randint(2, 60), rng.randint(10**5, 10**7)])
+        yield [rng.randrange(q) for _ in range(d)], q
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_meet_in_the_middle_matches_brute_force_scan(d, k):
+    for ps, q in _test_bases(d, k):
+        assert _has_relation(ps, q, k) == _brute_relation(ps, q, k), (ps, q, k)
+
+
+@pytest.mark.parametrize("plant", ["left", "right", "across"])
+def test_planted_relation_is_caught(plant):
+    d, k = 5, 4
+    ps = [9**i for i in range(d)]
+    q = 2 * k * sum(ps) + 1
+    assert not _has_relation(ps, q, k)
+    if plant == "left":            # both coordinates in the first half: 2 p_0 - p_1 = 0
+        ps[1] = 2 * ps[0]
+    elif plant == "right":         # both in the second half: p_3 + p_4 = 0 mod q
+        ps[4] = q - ps[3]
+    else:                          # p_0 + p_1 - p_4 = 0
+        ps[4] = ps[0] + ps[1]
+    assert _has_relation(ps, q, k)
+
+
+def _moved(sigma, t):
+    """sigma moves the entry at position i to position sigma(i)."""
+    out = [None] * len(t)
+    for i, x in enumerate(t):
+        out[sigma[i]] = x
+    return tuple(out)
+
+
+def reference_restriction(V, k, gamma):
+    """The orbit-set enumeration with Fraction sums: (reps, eigen-turns, contents)."""
+    reps = []
+    seen = set()
+    for t in itertools.product(range(V.dim), repeat=k):
+        if t in seen:
+            continue
+        orb = {_moved(sigma, t) for sigma in gamma.elements}
+        seen.update(orb)
+        reps.append(min(orb))
+    reps.sort()
+    turns = tuple(sum((V.turns[i] for i in rep), Fraction(0)) % 1 for rep in reps)
+    return tuple(reps), turns, tuple(tuple(sorted(rep)) for rep in reps)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_integer_restriction_matches_fraction_reference(k):
+    mixed = FiniteUnitary(turns=[Fraction(1, 3), Fraction(3, 4), Fraction(5, 6), Fraction(7, 10)])
+    assert mixed.q == 60 and mixed.nums == (20, 45, 50, 42)
+    for V in [generic_diagonal(d, k) for d in range(1, 6)] + [mixed]:
+        for gamma in all_subgroups_sym(k):
+            rest = invariant_restriction(V, k, gamma)
+            reps, turns, contents = reference_restriction(V, k, gamma)
+            assert rest.orbit_reps == reps, (V.dim, gamma)
+            assert rest.eigen_turns == turns, (V.dim, gamma)
+            assert rest.contents == contents, (V.dim, gamma)
+            assert all(type(t) is Fraction for t in rest.eigen_turns)
+            assert all(type(t) is Fraction for t in multiplicity_function(rest).clusters)
+
+
+def test_subgroup_lattice_matches_generator_closure():
+    for k in range(1, 5):
+        full = PermGroup.symmetric(k).elements
+        seen = {frozenset([tuple(range(k))])}
+        want = [PermGroup(k, [])]
+        frontier = list(want)
+        while frontier:
+            H = frontier.pop()
+            for g in full:
+                H2 = PermGroup(k, H.elements + [g])
+                if frozenset(H2.elements) not in seen:
+                    seen.add(frozenset(H2.elements))
+                    want.append(H2)
+                    frontier.append(H2)
+        want.sort(key=lambda h: (h.order, h.elements))
+        got = all_subgroups_sym(k)
+        assert isinstance(got, tuple) and got is all_subgroups_sym(k)
+        assert [h.elements for h in got] == [h.elements for h in want]
+    assert len(all_subgroups_sym(4)) == 30
+
+
+def _deficient_matrix(rng, rows, cols, rank):
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(cols)]
+             for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def test_integer_rank_matches_sympy():
+    import sympy
+    for k, cap in [(1, 4), (2, 4), (2, 6), (3, 5), (3, 6), (4, 6)]:
+        rows = _coefficient_rows(_generation_products(k, cap))
+        assert _integer_rank(rows) == sympy.Matrix(rows).rank(), (k, cap)
+    rng = random.Random("rank")
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _deficient_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        assert _integer_rank(m) == sympy.Matrix(m).rank(), m
+
+
+def test_spectra_guard_refuses_before_enumerating(monkeypatch):
+    from cfspectra import spectra
+
+    with pytest.raises(SpectraGuardExceeded, match="95,367,431,640,625"):
+        relation_free_turns(40, 2)
+    monkeypatch.setattr(spectra, "_SPECTRA_GUARD", 1000)
+    relation_free_turns.cache_clear()
+    assert len(relation_free_turns(6, 3)) == 6          # 7^3 sums and 6^3 tuples
+    with pytest.raises(SpectraGuardExceeded, match="1,296"):
+        relation_free_turns(6, 4)                       # 9^3 sums but 6^4 tuples
+    with pytest.raises(SpectraGuardExceeded, match="3,125"):
+        invariant_restriction(FiniteUnitary(turns=[Fraction(j, 11) for j in range(5)]), 5,
+                              PermGroup.trivial(5))
+    for d, k in [(0, 2), (3, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            relation_free_turns(d, k)
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError):
+            all_subgroups_sym(k)
