@@ -2,11 +2,13 @@
 
 Values are stored as polynomials in zeta_n reduced modulo the n-th
 cyclotomic polynomial, so equality is literal coefficient equality.
-Rational coefficients throughout; nothing here touches floats except
-the rendering helpers.  The module also provides certified rational
-enclosures (directed-rounding Taylor series against hard-coded pi
-bounds) so moduli of cyclotomic numbers can be bounded above/below by
-exact fractions.
+Each value keeps integer numerators over one positive denominator that
+shares no factor with all of them, so sums and products of integer
+counts run on ints alone; the rational coefficients are read through
+``Cyclo.coeffs``.  Nothing here touches floats except the rendering
+helpers.  The module also provides certified rational enclosures
+(directed-rounding Taylor series against hard-coded pi bounds) so moduli
+of cyclotomic numbers can be bounded above/below by exact fractions.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ def _phi_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n (exponent-indexed list) modulo Phi_n."""
+def _reduce_mod_phi(nums: list[int], n: int) -> tuple[int, ...]:
+    """Reduce an integer polynomial in zeta_n (exponent-indexed list) modulo Phi_n."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    work = list(coeffs)
+    work = list(nums)
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
@@ -72,47 +74,93 @@ def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
                 work[i - deg + j] -= c * phi[j]
     work = work[:deg]
     while len(work) < deg:
-        work.append(_ZERO)
+        work.append(0)
     return tuple(work)
 
 
-class Cyclo:
-    """An element of Q(zeta_n), canonical modulo the n-th cyclotomic polynomial."""
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    if all(isinstance(c, int) for c in values):
+        return list(values), 1
+    fracs = [Fraction(c) for c in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
-    __slots__ = ("order", "coeffs")
+
+def _canonical(order: int, nums, den: int) -> "Cyclo":
+    """The Cyclo sum(nums[j] zeta^j) / den, reduced so den > 0 and gcd(den, *nums) == 1."""
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [x // g for x in nums], den // g
+    z = object.__new__(Cyclo)
+    z.order, z.nums, z.den = order, tuple(nums), den
+    return z
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights w_j and a scale W with Tr(zeta_n^j) / phi(n) = w_j / W.
+
+    zeta_n^j is a primitive d-th root of unity for d = n / gcd(j, n).  Its
+    normalized trace is the mean of the primitive d-th roots, mu(d) / phi(d),
+    and their sum mu(d) is minus the x^(phi(d) - 1) coefficient of Phi_d.
+    """
+    ds = [n // math.gcd(j, n) for j in range(_phi_degree(n))]
+    scale = math.lcm(*(_phi_degree(d) for d in ds))
+    return tuple(-cyclotomic_polynomial(d)[-2] * (scale // _phi_degree(d)) for d in ds), scale
+
+
+class Cyclo:
+    """An element of Q(zeta_n), canonical modulo the n-th cyclotomic polynomial.
+
+    The value is sum(nums[j] * zeta_n^j) / den, with integer ``nums`` of length
+    deg Phi_n, ``den > 0`` and ``gcd(den, *nums) == 1``; zero is all zeros over 1.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
-        self.order = order
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != _phi_degree(order):
+        nums, den = _over_common_denominator(tuple(coeffs))
+        if len(nums) != _phi_degree(order):
             raise ValueError("coefficient vector has wrong length")
-        self.coeffs = coeffs
+        # the least common denominator of reduced fractions shares no prime
+        # with all the numerators, so the pair is already canonical
+        self.order, self.nums, self.den = order, tuple(nums), den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, constant term first."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclo":
-        return Cyclo(order, [_ZERO] * _phi_degree(order))
+        return _canonical(order, [0] * _phi_degree(order), 1)
 
     @staticmethod
     def from_fraction(q, order: int = 1) -> "Cyclo":
-        v = [_ZERO] * _phi_degree(order)
-        v[0] = Fraction(q)
-        return Cyclo(order, v)
+        (num,), den = _over_common_denominator((q,))
+        v = [0] * _phi_degree(order)
+        v[0] = num
+        return _canonical(order, v, den)
 
     @staticmethod
     def root_of_unity(order: int, k: int = 1) -> "Cyclo":
-        v = [_ZERO] * order
-        v[k % order] = _ONE
-        return Cyclo(order, _reduce_mod_phi(v, order))
+        v = [0] * order
+        v[k % order] = 1
+        return _canonical(order, _reduce_mod_phi(v, order), 1)
 
     @staticmethod
     def from_exponent_counts(order: int, counts) -> "Cyclo":
         """Sum of counts[e] * zeta_order^e; counts is a mapping exponent -> rational."""
-        v = [_ZERO] * order
-        for e, c in counts.items():
-            v[e % order] += Fraction(c)
-        return Cyclo(order, _reduce_mod_phi(v, order))
+        nums, den = _over_common_denominator(counts.values())
+        v = [0] * order
+        for e, c in zip(counts, nums):
+            v[e % order] += c
+        return _canonical(order, _reduce_mod_phi(v, order), den)
 
     # -- order promotion ---------------------------------------------
 
@@ -122,11 +170,11 @@ class Cyclo:
         if order % self.order != 0:
             raise ValueError("can only promote to a multiple order")
         scale = order // self.order
-        v = [_ZERO] * order
-        for j, c in enumerate(self.coeffs):
+        v = [0] * order
+        for j, c in enumerate(self.nums):
             if c:
                 v[j * scale] += c
-        return Cyclo(order, _reduce_mod_phi(v, order))
+        return _canonical(order, _reduce_mod_phi(v, order), self.den)
 
     @staticmethod
     def _common(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -137,49 +185,55 @@ class Cyclo:
 
     # -- ring operations ----------------------------------------------
 
+    def _plus(self, other, sign: int) -> "Cyclo":
+        a, b = Cyclo._common(self, _as_cyclo(other))
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, sign * (den // b.den)
+        return _canonical(a.order, [x * sa + y * sb for x, y in zip(a.nums, b.nums)], den)
+
     def __add__(self, other) -> "Cyclo":
-        other = _as_cyclo(other)
-        a, b = Cyclo._common(self, other)
-        return Cyclo(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.order, [-c for c in self.coeffs])
+        return _canonical(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> "Cyclo":
-        return self + (-_as_cyclo(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Cyclo":
         return _as_cyclo(other) - self
 
     def __mul__(self, other) -> "Cyclo":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclo(self.order, [c * q for c in self.coeffs])
+            (num,), den = _over_common_denominator((other,))
+            return _canonical(self.order, [x * num for x in self.nums], self.den * den)
         a, b = Cyclo._common(self, _as_cyclo(other))
         n = a.order
-        conv = [_ZERO] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
+        conv = [0] * (2 * len(a.nums))
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b.nums):
                     if y:
                         conv[i + j] += x * y
-        return Cyclo(n, _reduce_mod_phi(conv, n))
+        return _canonical(n, _reduce_mod_phi(conv, n), a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Cyclo":
-        q = Fraction(other)
-        return Cyclo(self.order, [c / q for c in self.coeffs])
+        (num,), den = _over_common_denominator((other,))
+        if num == 0:
+            raise ZeroDivisionError("division of a Cyclo by zero")
+        return _canonical(self.order, [x * den for x in self.nums], self.den * num)
 
     def conjugate(self) -> "Cyclo":
         n = self.order
-        v = [_ZERO] * n
-        for j, c in enumerate(self.coeffs):
+        v = [0] * n
+        for j, c in enumerate(self.nums):
             if c:
                 v[(-j) % n] += c
-        return Cyclo(n, _reduce_mod_phi(v, n))
+        return _canonical(n, _reduce_mod_phi(v, n), self.den)
 
     def abs_squared(self) -> "Cyclo":
         return self * self.conjugate()
@@ -187,15 +241,15 @@ class Cyclo:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -203,40 +257,41 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = Cyclo._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        # hash through a canonical promotion-free invariant: rational values
-        # hash like their Fraction, everything else by coefficients at own order
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        # Equal values at different orders must hash alike, so hash the trace
+        # over Q divided by the field degree, which promotion leaves unchanged.
+        # A rational value is its own normalized trace and hashes like its Fraction.
+        weights, scale = _trace_weights(self.order)
+        return hash(Fraction(sum(w * x for w, x in zip(weights, self.nums)), scale * self.den))
 
     # -- rendering and enclosures ---------------------------------------
 
     def to_complex(self) -> complex:
         n = self.order
         return sum(
-            complex(c) * complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
-            for j, c in enumerate(self.coeffs)
+            (x / self.den) * complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
+            for j, x in enumerate(self.nums)
         )
 
     def real_bounds(self, bits: int = 96) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure of the value, which must be real (self-conjugate)."""
         if self != self.conjugate():
             raise ValueError("real_bounds requires a self-conjugate value")
-        lo = hi = _ZERO
-        for j, c in enumerate(self.coeffs):
+        lo = hi = 0
+        for j, c in enumerate(self.nums):
             if not c:
                 continue
-            clo, chi = _cos_two_pi_enclosure(j, self.order, bits)
+            clo, chi = _cos_two_pi_numerators(j, self.order, bits)
             if c > 0:
                 lo += c * clo
                 hi += c * chi
             else:
                 lo += c * chi
                 hi += c * clo
-        return lo, hi
+        scale = self.den << (2 * bits)
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     def __repr__(self):
         return f"Cyclo(order={self.order}, {self.coeffs})"
@@ -317,6 +372,14 @@ def _cos_two_pi_enclosure(j: int, n: int, bits: int) -> tuple[Fraction, Fraction
     if sign < 0:
         lo, hi = -hi, -lo
     return _round_down(lo, 2 * bits), _round_up(hi, 2 * bits)
+
+
+@lru_cache(maxsize=None)
+def _cos_two_pi_numerators(j: int, n: int, bits: int) -> tuple[int, int]:
+    """The enclosure of cos(2*pi*j/n) as integer numerators over 2**(2*bits)."""
+    scale = 1 << (2 * bits)
+    lo, hi = _cos_two_pi_enclosure(j, n, bits)
+    return lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator)
 
 
 def sqrt_lower(q: Fraction, bits: int = 96) -> Fraction:

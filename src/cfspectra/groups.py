@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import Cyclo
@@ -376,11 +375,11 @@ def character_orbit_average(chi: Character, b: Element, v: Automorphism) -> Cycl
     """(1/p) * sum of chi(v^i(b)) over one least period p of b under v."""
     orb = orbit(v, b)
     p = len(orb)
-    counts: dict[int, Fraction] = {}
+    counts: dict[int, int] = {}
     for x in orb:
         e = chi.exponent(x)
-        counts[e] = counts.get(e, Fraction(0)) + Fraction(1, p)
-    return Cyclo.from_exponent_counts(chi.root_order, counts)
+        counts[e] = counts.get(e, 0) + 1
+    return Cyclo.from_exponent_counts(chi.root_order, counts) / p
 
 
 # -- separation witnesses --------------------------------------------------

@@ -47,6 +47,16 @@ def _engine(tower: Tower, chi: Character) -> PairingEngine:
     return eng
 
 
+def _orbit_average(tower: Tower, chi: Character, a) -> Cyclo:
+    """``character_orbit_average(chi, a, tower.v)``, kept per tower for each (chi, a)."""
+    cache = tower._cache.setdefault("orbit_averages", {})
+    key = (chi.coords, a.coords)
+    avg = cache.get(key)
+    if avg is None:
+        avg = cache[key] = character_orbit_average(chi, a, tower.v)
+    return avg
+
+
 def pairing(tower: Tower, chi: Character, m: int, A: Cylinder, B: Cylinder,
             N: int | None = None) -> LevelPairing:
     """<U^m 1_A, 1_B> at depth N (default: the full built depth)."""
@@ -79,7 +89,7 @@ def _residual_even(tower, chi, a, A, B, n, N) -> tuple[Fraction, LevelPairing]:
     """The even-step residual and the 2h_n-shift pairing it was taken from."""
     p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
     inner = pairing(tower, chi, 0, A, B, N)
-    target = character_orbit_average(chi, a, tower.v) * inner.value
+    target = _orbit_average(tower, chi, a) * inner.value
     return abs_upper(p.value - target, _BITS) + p.error_bound, p
 
 
@@ -98,7 +108,7 @@ def _residual_stagger(tower, chi, b, k, A, B, n, N) -> tuple[Fraction, LevelPair
     """The stagger-step residual and the 2h_n-shift pairing it was taken from."""
     p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
     back = pairing(tower, chi, -1, A, B, N)
-    l = character_orbit_average(chi, b, tower.v)
+    l = _orbit_average(tower, chi, b)
     target = l * inner_value(tower, chi, A, B, N) / (k + 1) + back.value * Fraction(k, k + 1)
     dev = abs_upper(p.value - target, _BITS)
     return dev + p.error_bound + Fraction(k, k + 1) * back.error_bound, p
@@ -150,8 +160,8 @@ def separation_check(tower: Tower, chi: Character, xi: Character, a, A: Cylinder
         raise ValueError("characters lie on the same dual orbit; no separation to certify")
     ra = weak_limit_residual_even(tower, chi, a, A, B, n)
     rb = weak_limit_residual_even(tower, xi, a, A, B, n)
-    la = character_orbit_average(chi, a, tower.v)
-    lb = character_orbit_average(xi, a, tower.v)
+    la = _orbit_average(tower, chi, a)
+    lb = _orbit_average(tower, xi, a)
     inner = inner_value(tower, chi, A, B).as_fraction()
     gap = abs_lower(la - lb, _BITS) * inner
     return SeparationResult(ra, rb, gap, gap > ra + rb)

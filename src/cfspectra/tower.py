@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -156,7 +155,14 @@ class Tower:
 
     def cut_product(self, n: int) -> int:
         """Product of cut counts over levels 1..n."""
-        return math.prod(self.level(j).r for j in range(1, n + 1))
+        # prefix products over the built levels, rebuilt when a level is added
+        prods = self._cache.get("cut_products")
+        if prods is None or len(prods) != self.depth + 1:
+            prods = [1]
+            for lvl in self.levels:
+                prods.append(prods[-1] * lvl.r)
+            self._cache["cut_products"] = prods
+        return prods[max(n, 0)]
 
     def mu_level(self, n: int) -> Fraction:
         """Measure of the level-n stack (height over cut product)."""

@@ -198,3 +198,82 @@ def test_enclosures_bracket_the_200_digit_value(z):
             rlo, rhi = real.real_bounds(bits)
             value = 2 * mpmath.re(_mp_value(z))
             assert _mp(rlo) <= value + eps and value <= _mp(rhi) + eps, (z, bits)
+
+
+# -- the integer-numerator representation ------------------------------------------
+
+frac_coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def rational_cyclo_values(draw):
+    n = draw(st.sampled_from(ORDERS))
+    counts = {draw(st.integers(0, n - 1)): draw(frac_coeff_st) for _ in range(draw(st.integers(1, 3)))}
+    return Cyclo.from_exponent_counts(n, counts)
+
+
+# The sympy and mpmath oracles above, run through their unwrapped bodies on
+# rational coefficients.
+
+@given(st.sampled_from(ORDERS), st.dictionaries(st.integers(0, 40), frac_coeff_st, max_size=6))
+def test_rational_reduction_matches_sympy(n, counts):
+    test_reduction_matches_sympy.hypothesis.inner_test(n, counts)
+
+
+@given(rational_cyclo_values(), st.one_of(cyclo_values(), rational_cyclo_values()))
+def test_rational_products_and_conjugates_match_sympy(a, b):
+    test_products_and_conjugates_match_sympy.hypothesis.inner_test(a, b)
+
+
+@given(rational_cyclo_values())
+def test_rational_enclosures_bracket_the_200_digit_value(z):
+    test_enclosures_bracket_the_200_digit_value.hypothesis.inner_test(z)
+
+
+@given(rational_cyclo_values(), st.one_of(cyclo_values(), rational_cyclo_values()),
+       frac_coeff_st.filter(bool))
+def test_numerators_stay_canonical(a, b, q):
+    assert (a - b) + b == a and (a * q) / q == a
+    for z in (a, a + b, a - b, a - a, a * b, a * q, a / q, -a, a.conjugate(),
+              a.promoted(2 * a.order), Cyclo.zero(a.order)):
+        assert z.den > 0
+        assert math.gcd(z.den, *z.nums) == 1
+        assert all(type(x) is int for x in z.nums)
+        if z.is_zero():
+            assert z.nums == (0,) * len(z.nums) and z.den == 1
+
+
+@given(st.sampled_from(ORDERS).flatmap(
+    lambda n: st.lists(st.one_of(coeff_st, frac_coeff_st), min_size=len(cyclotomic_polynomial(n)) - 1,
+                       max_size=len(cyclotomic_polynomial(n)) - 1).map(lambda c: (n, c))))
+def test_coeffs_read_back_as_fractions(case):
+    n, coeffs = case
+    assert Cyclo(n, coeffs).coeffs == tuple(map(Fraction, coeffs))
+
+
+def test_integer_counts_build_no_fraction(monkeypatch):
+    import cfspectra.cyclotomic as cyclotomic
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(cyclotomic, "Fraction", refuse)
+    z = Cyclo.from_exponent_counts(12, {0: 3, 5: -2, 17: 4, 6: 0})
+    monkeypatch.undo()
+    assert z == 3 - 2 * zeta(12, 5) + 4 * zeta(12, 17)
+
+
+def test_promoted_values_hash_alike():
+    assert zeta(3) == zeta(3).promoted(6)
+    assert len({zeta(3), zeta(3).promoted(6)}) == 1
+    assert len({zeta(4), zeta(8, 2)}) == 1
+    assert len({zeta(6, 3), Cyclo.from_fraction(-1), -1}) == 1
+    assert hash(Cyclo.from_fraction(Fraction(3, 7), 12)) == hash(Fraction(3, 7))
+
+
+@given(st.one_of(cyclo_values(), rational_cyclo_values()), st.sampled_from([2, 3, 4, 5]))
+def test_equal_values_hash_alike(z, k):
+    w = z.promoted(k * z.order)
+    assert w == z and hash(w) == hash(z)
+    if z.is_rational():
+        assert hash(z) == hash(z.as_fraction())

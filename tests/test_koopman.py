@@ -213,3 +213,21 @@ def test_residual_grid_deterministic(z3_tower):
         (r.n, r.tag, r.chi, r.a_id, r.b_id, r.residual) for r in rows2
     ]
     assert len(rows1) == len(t.levels[2:]) * 2 * len(fam) ** 2
+
+
+def test_residual_grid_rows_with_cold_and_warm_orbit_averages(z3_tower):
+    """Orbit averages are cached per tower for each (chi, step element); a warm
+    cache shared by every character gives the rows of one cold grid per character."""
+    t = z3_tower
+    fam = cylinder_family(t, max_level=1)
+    cold = []
+    for chi in chars(t):
+        t._cache.clear()
+        cold += residual_grid(t, [chi], fam)
+    warm = residual_grid(t, chars(t), fam)
+    assert warm == sorted(cold, key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))
+    cache = t._cache["orbit_averages"]
+    a = t.group.element((1,))   # the only step element
+    assert len(cache) == len(chars(t))
+    for chi in chars(t):
+        assert cache[(chi.coords, a.coords)] == character_orbit_average(chi, a, t.v)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,25 @@ def test_structure_suite_on_desk_tower(z3_system):
     assert rep.passed, rep.render()
     for n in range(3, t.depth + 1):
         assert t.mu_level(n) >= 2 * t.mu_level(n - 1)
+
+
+def test_cut_product_prefix_table_follows_extend(z3_system):
+    G, _ = z3_system
+    t = seeded(z3_system)
+    a = G.element((1,))
+    for tag in (EvenTag(a), StaggerTag(a, 1), EvenTag(a), None):
+        assert [t.cut_product(n) for n in range(t.depth + 1)] == [
+            math.prod(t.level(j).r for j in range(1, n + 1)) for n in range(t.depth + 1)]
+        with pytest.raises(IndexError):
+            t.cut_product(t.depth + 1)
+        if tag is not None:
+            t.extend(tag)
+    # levels appended outside extend (as seeded and parse_tower do) also renew the table
+    bare = Tower(*z3_system)
+    assert bare.cut_product(0) == 1
+    bare.levels.extend(t.levels)
+    assert [bare.cut_product(n) for n in range(t.depth + 1)] == [
+        t.cut_product(n) for n in range(t.depth + 1)]
 
 
 def test_measure_doubling_exact_on_even_levels(z3_system):
