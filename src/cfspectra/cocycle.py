@@ -214,7 +214,7 @@ def aligned_cuts(tower: Tower, n: int) -> frozenset[int]:
     lvl = tower.level(n)
     if lvl.tag is None or lvl.z == 0:
         return frozenset(lvl.cuts)
-    v1 = tower.v_pow[1 % len(tower.v_pow)]
+    v1 = tower.v.perm
     lab = lvl.label_indices()
     return frozenset(c for c, g in lab.items() if lab.get(c + lvl.z) == v1[g])
 

@@ -154,13 +154,15 @@ class Cyclo:
         return _canonical(order, _reduce_mod_phi(v, order), 1)
 
     @staticmethod
-    def from_exponent_counts(order: int, counts) -> "Cyclo":
-        """Sum of counts[e] * zeta_order^e; counts is a mapping exponent -> rational."""
-        nums, den = _over_common_denominator(counts.values())
+    def from_exponent_counts(order: int, counts, den: int = 1) -> "Cyclo":
+        """Sum of counts[e] * zeta_order^e over the nonzero int den; counts maps exponent -> rational."""
+        if den == 0:
+            raise ZeroDivisionError("division of a Cyclo by zero")
+        nums, common = _over_common_denominator(counts.values())
         v = [0] * order
         for e, c in zip(counts, nums):
             v[e % order] += c
-        return _canonical(order, _reduce_mod_phi(v, order), den)
+        return _canonical(order, _reduce_mod_phi(v, order), common * den)
 
     # -- order promotion ---------------------------------------------
 

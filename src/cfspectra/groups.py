@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclotomic import Cyclo
 
@@ -108,8 +109,10 @@ class Element:
 class Automorphism:
     """Group automorphism given by an integer matrix acting on coordinates.
 
-    Column j is the image of the j-th standard generator.  Well-definedness
-    and bijectivity are checked at construction by enumeration.
+    Column j is the image of the j-th standard generator.  Index-level code
+    reads v through ``perm`` and ``orbits``, both built once per object.
+    Construction checks well-definedness, and bijectivity as a trivial
+    kernel: only index 0 maps to 0.
     """
 
     def __init__(self, group: FinAbGroup, matrix, check: bool = True):
@@ -121,19 +124,44 @@ class Automorphism:
             self._validate()
 
     def _validate(self):
-        d = self.group.invariant_factors
-        for i in range(self.group.rank):
-            for j in range(self.group.rank):
-                # image of generator j must be killed by d_j
-                if (self.matrix[i][j] * d[j]) % d[i] != 0:
-                    raise ValueError("matrix does not define a homomorphism")
+        if not _is_homomorphism(self.group.invariant_factors, self.matrix):
+            raise ValueError("matrix does not define a homomorphism")
         if self.group.order > _ENUMERATION_LIMIT:
             raise ValueError("group too large for the bijectivity check")
-        seen = set()
-        for g in self.group.elements():
-            seen.add(self(g).coords)
-        if len(seen) != self.group.order:
+        if self.perm.count(0) != 1:
             raise ValueError("matrix does not define a bijection")
+
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        """v as a permutation of element indices: perm[i] indexes v(element i)."""
+        group = self.group
+        images = [0]
+        # indices run with the last coordinate fastest, so build from the last column out:
+        # each column's multiples translate the whole block built so far
+        for j in reversed(range(group.rank)):
+            col = 0   # the index of column j, whose entries are already reduced
+            for row, d in zip(self.matrix, group.invariant_factors):
+                col = col * d + row[j]
+            shift, block = _translation(group, col), images
+            images = list(block)
+            for _ in range(group.invariant_factors[j] - 1):
+                block = [shift[x] for x in block]
+                images.extend(block)
+        return tuple(images)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Forward orbit of each element index over one period: (i, perm[i], ...)."""
+        perm = self.perm
+        orbits: list = [None] * len(perm)
+        for i in range(len(perm)):
+            if orbits[i] is None:
+                cycle = [i]
+                while perm[cycle[-1]] != i:
+                    cycle.append(perm[cycle[-1]])
+                for k, x in enumerate(cycle):
+                    orbits[x] = tuple(cycle[k:] + cycle[:k])
+        return tuple(orbits)
 
     def __call__(self, g: Element) -> Element:
         d = self.group.invariant_factors
@@ -141,25 +169,6 @@ class Automorphism:
             self.group,
             tuple(sum(self.matrix[i][j] * g.coords[j] for j in range(len(d))) % d[i] for i in range(len(d))),
         )
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        d = self.group.invariant_factors
-        r = self.group.rank
-        m = [[sum(self.matrix[i][k] * other.matrix[k][j] for k in range(r)) % d[i] for j in range(r)] for i in range(r)]
-        return Automorphism(self.group, m, check=False)
-
-    def inverse(self) -> "Automorphism":
-        cols = []
-        images = {self(g).coords: g for g in self.group.elements()}
-        for j in range(self.group.rank):
-            gen = self.group.element(tuple(1 if i == j else 0 for i in range(self.group.rank)))
-            cols.append(images[gen.coords].coords)
-        m = [[cols[j][i] for j in range(self.group.rank)] for i in range(self.group.rank)]
-        return Automorphism(self.group, m, check=False)
-
-    def is_identity(self) -> bool:
-        return all(self.matrix[i][j] == (1 if i == j else 0) % self.group.invariant_factors[i]
-                   for i in range(self.group.rank) for j in range(self.group.rank))
 
     @staticmethod
     def identity(group: FinAbGroup) -> "Automorphism":
@@ -174,6 +183,12 @@ class Automorphism:
 
     def __repr__(self):
         return f"Aut{self.matrix}"
+
+
+def _is_homomorphism(d: tuple[int, ...], matrix) -> bool:
+    """Is the image of each generator j killed by d_j?"""
+    r = len(d)
+    return all((matrix[i][j] * d[j]) % d[i] == 0 for i in range(r) for j in range(r))
 
 
 class Subgroup:
@@ -202,9 +217,6 @@ class Subgroup:
 
     def elements_sorted(self):
         return sorted(self.members, key=lambda e: e.coords)
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
     def is_stable_under(self, v: Automorphism) -> bool:
         return all(v(h) in self.members for h in self.members)
@@ -273,10 +285,16 @@ class Character:
 
 
 @lru_cache(maxsize=None)
+def _translation(group: FinAbGroup, c: int) -> tuple[int, ...]:
+    """Element-index translation by element c: row[i] indexes element i + element c."""
+    g = group.element_from_index(c)
+    return tuple(group.element_index(x + g) for x in group.elements())
+
+
+@lru_cache(maxsize=None)
 def addition_table(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
     """Element-index addition: add[i][j] indexes element i + element j."""
-    els = [group.element_from_index(i) for i in range(group.order)]
-    return tuple(tuple(group.element_index(a + b) for b in els) for a in els)
+    return tuple(_translation(group, i) for i in range(group.order))
 
 
 @lru_cache(maxsize=None)
@@ -315,23 +333,20 @@ def dual_automorphism(v: Automorphism) -> Automorphism:
 # -- orbit statistics ----------------------------------------------------
 
 
-def orbit(v: Automorphism, g: Element) -> list[Element]:
-    """The v-orbit {v^i(g) : i in Z} in order of first appearance."""
+def _orbit_indices(v: Automorphism, g: Element) -> tuple[int, ...]:
     if g.group != v.group:
         raise ValueError("element and automorphism live on different groups")
-    out = [g]
-    seen = {g}
-    x = v(g)
-    while x not in seen:
-        out.append(x)
-        seen.add(x)
-        x = v(x)
-    return out
+    return v.orbits[v.group.element_index(g)]
+
+
+def orbit(v: Automorphism, g: Element) -> list[Element]:
+    """The v-orbit {v^i(g) : i in Z} in order of first appearance."""
+    return [v.group.element_from_index(i) for i in _orbit_indices(v, g)]
 
 
 def least_period(v: Automorphism, g: Element) -> int:
     """Least p > 0 with v^p(g) = g; equals the orbit length in a finite group."""
-    return len(orbit(v, g))
+    return len(_orbit_indices(v, g))
 
 
 def orbit_count_in_subgroup(v: Automorphism, h: Element, H: Subgroup) -> int:
@@ -343,14 +358,17 @@ def orbit_count_in_subgroup(v: Automorphism, h: Element, H: Subgroup) -> int:
 
 def multiplicity_set(group: FinAbGroup, H: Subgroup, v: Automorphism) -> frozenset[int]:
     """Orbit-in-subgroup counts over all nonzero elements of H."""
-    if H.is_trivial():
-        return frozenset()
-    counts = set()
-    for h in H.members:
-        if h.is_identity():
-            continue
-        counts.add(sum(1 for x in orbit(v, h) if x in H))
-    return frozenset(counts)
+    return _orbit_counts(_cycle_masks(v.perm), _subgroup_mask(H))
+
+
+def _subgroup_mask(H: Subgroup) -> int:
+    """Bitmask of the indices of the nonzero elements of H."""
+    return sum(1 << H.group.element_index(h) for h in H.members) & ~1
+
+
+def _orbit_counts(cycles: tuple[int, ...], mask: int) -> frozenset[int]:
+    """The multiplicity set from v's cycle masks and H's mask: the v-orbit of a nonzero h is its cycle."""
+    return frozenset((c & mask).bit_count() for c in cycles if c & mask)
 
 
 def multiplicity_set_naive(group: FinAbGroup, H: Subgroup, v: Automorphism) -> frozenset[int]:
@@ -373,13 +391,10 @@ def multiplicity_set_naive(group: FinAbGroup, H: Subgroup, v: Automorphism) -> f
 
 def character_orbit_average(chi: Character, b: Element, v: Automorphism) -> Cyclo:
     """(1/p) * sum of chi(v^i(b)) over one least period p of b under v."""
-    orb = orbit(v, b)
-    p = len(orb)
-    counts: dict[int, int] = {}
-    for x in orb:
-        e = chi.exponent(x)
-        counts[e] = counts.get(e, 0) + 1
-    return Cyclo.from_exponent_counts(chi.root_order, counts) / p
+    orb = _orbit_indices(v, b)
+    exponent = exponent_table(chi)
+    counts = Counter(exponent[i] for i in orb)
+    return Cyclo.from_exponent_counts(chi.root_order, counts, len(orb))
 
 
 # -- separation witnesses --------------------------------------------------
@@ -490,14 +505,12 @@ def automorphisms(group: FinAbGroup):
     for j in range(r):
         cands = [g for g in group.elements() if g.additive_order() == d[j]]
         candidates.append(sorted(cands, key=lambda e: e.coords))
-    order = group.order
-    elements = list(group.elements())
     for cols in itertools.product(*candidates):
         matrix = [[cols[j].coords[i] for j in range(r)] for i in range(r)]
-        if not all((matrix[i][j] * d[j]) % d[i] == 0 for i in range(r) for j in range(r)):
+        if not _is_homomorphism(d, matrix):
             continue
         aut = Automorphism(group, matrix, check=False)
-        if len({aut(g).coords for g in elements}) == order:
+        if aut.perm.count(0) == 1:   # a trivial kernel: v is a bijection
             yield aut
 
 
@@ -535,18 +548,16 @@ class _GroupScan:
 
     ``first`` maps each multiplicity set met so far to the first (v, H) that
     produces it in the order of ``automorphisms`` x ``all_subgroups``, which
-    is the order ``catalog_search`` reports hits in.  Elements are indices;
-    a subgroup is the bitmask of its nonzero elements and v is cut into the
-    bitmasks of its permutation cycles.  The v-orbit of a nonzero h is its
-    cycle, so the count ``multiplicity_set`` takes for h in H is
-    ``(cycle & mask).bit_count()``.
+    is the order ``catalog_search`` reports hits in.  Each subgroup is kept
+    as the bitmask of its nonzero element indices, and each v's ``perm`` is
+    cut into the bitmasks of its cycles; ``_orbit_counts`` turns the two into
+    the multiplicity set, as it does for ``multiplicity_set``.
     """
 
     def __init__(self, factors: tuple[int, ...]):
         self.group = FinAbGroup(factors)
         self.subgroups = all_subgroups(self.group)
-        index = self.group.element_index
-        self.masks = [sum(1 << index(h) for h in H.members) & ~1 for H in self.subgroups]
+        self.masks = [_subgroup_mask(H) for H in self.subgroups]
         self.first: dict[frozenset[int], tuple[Automorphism, Subgroup]] = {}
         self.exhausted = False
         self._auts = automorphisms(self.group)
@@ -572,12 +583,12 @@ class _GroupScan:
                 raise
             self._taken += 1
         aut = self._pending
-        cycles = _cycle_masks(_permutation(self.group, aut))
+        cycles = _cycle_masks(aut.perm)
         # automorphisms with the same cycles (say v and v^-1) give the same sets
         if cycles not in self._partitions:
             new: dict[frozenset[int], int] = {}
             for i, m in enumerate(self.masks):
-                new.setdefault(frozenset((c & m).bit_count() for c in cycles if c & m), i)
+                new.setdefault(_orbit_counts(cycles, m), i)
             for E, i in new.items():
                 self.first.setdefault(E, (aut, self.subgroups[i]))
             self._partitions.add(cycles)
@@ -589,21 +600,7 @@ def _group_scan(factors: tuple[int, ...]) -> _GroupScan:
     return _GroupScan(factors)
 
 
-def _permutation(group: FinAbGroup, v: Automorphism) -> list[int]:
-    """v as a permutation of element indices: perm[i] indexes v(element i)."""
-    add = addition_table(group)
-    images = [0]
-    for j in range(group.rank):
-        col = group.element_index(group.element(tuple(row[j] for row in v.matrix)))
-        multiples = [0]
-        for _ in range(group.invariant_factors[j] - 1):
-            multiples.append(add[multiples[-1]][col])
-        # indices run over coordinates with the last one fastest
-        images = [add[x][y] for x in images for y in multiples]
-    return images
-
-
-def _cycle_masks(perm: list[int]) -> tuple[int, ...]:
+def _cycle_masks(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Bitmasks of the cycles of perm through nonzero indices, by least member."""
     seen = 1
     cycles = []
@@ -710,6 +707,9 @@ def parse_triple(text: str) -> tuple[FinAbGroup, Subgroup, Automorphism]:
             continue
         key, _, val = line.partition("=")
         fields[key.strip()] = val.strip()
+    missing = [key for key in ("group", "subgroup_gens", "aut") if key not in fields]
+    if missing:
+        raise ValueError(f"triple is missing {', '.join(missing)}")
     group = FinAbGroup(tuple(_parse_int_list(fields["group"])))
     gens = [group.element(tuple(c)) for c in _parse_int_list(fields["subgroup_gens"])]
     H = Subgroup(group, gens)

@@ -236,7 +236,7 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
                 for kappa in cosets.reps:
                     e = (xi.exponent(a + kappa) - chi.exponent(kappa)) % L
                     counts[e] = counts.get(e, 0) + 1
-                entry = Cyclo.from_exponent_counts(L, counts) / cosets.size
+                entry = Cyclo.from_exponent_counts(L, counts, cosets.size)
                 if chi.coords == xi.coords:
                     expected = Cyclo.root_of_unity(L, chi.exponent(a))
                 else:

@@ -77,13 +77,7 @@ class _RingStore:
     def __init__(self, tower: Tower):
         self.add = addition_table(tower.group)
         self.neg = negation_table(tower.group)
-        v = tower.v_pow[1 % len(tower.v_pow)]
-        self.orbits = []          # forward v-orbit of each element, one full period
-        for i in range(tower.group.order):
-            orb = [i]
-            while v[orb[-1]] != i:
-                orb.append(v[orb[-1]])
-            self.orbits.append(orb)
+        self.orbits = tower.v.orbits   # forward v-orbit of each element, one full period
         self.states: dict[tuple[int, int, int], dict[int, _Ring]] = {}
         self.vectors: dict[tuple[int, Cylinder, Cylinder, int], _Ring] = {}
         self.errors: dict[tuple[int, int, Cylinder], Fraction] = {}
@@ -279,7 +273,7 @@ class PairingEngine:
         for g, c in vector.items():
             e = exponent[g]
             counts[e] = counts.get(e, 0) + c
-        value = Cyclo.from_exponent_counts(self.L, counts) / t.cut_product(N)
+        value = Cyclo.from_exponent_counts(self.L, counts, t.cut_product(N))
         return LevelPairing(value, store.errors[(N, m, B)], N, m)
 
 

@@ -429,6 +429,10 @@ def multiple_recurrence_search(tower: Tower, A: Cylinder, p: int, k_max: int,
     A miss is a truncation statement, not a disproof; a hit is exact and
     monotone with depth.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, not {k_max}")
+    if not 0 <= N <= tower.depth:
+        raise ValueError(f"depth {N} is outside 0..{tower.depth}")
     if k_max * p >= tower.h(N):
         raise ValueError("search range exceeds the depth height")
     rung_set = set(embed(tower, A, N).rungs)

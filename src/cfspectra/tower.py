@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -124,7 +125,7 @@ class Tower:
         self.group = group
         self.v = v
         self.elements = tuple(group.elements())   # index -> Element
-        self.v_pow = _power_tables(self.elements, v)
+        self.v_pow = _power_tables(v)
         self.levels: list[Level] = []
         self._cache: dict = {}
 
@@ -289,19 +290,10 @@ class Tower:
         )
 
 
-def _power_tables(elements, v: Automorphism) -> tuple[tuple[int, ...], ...]:
+def _power_tables(v: Automorphism) -> tuple[tuple[int, ...], ...]:
     """Index tables of v^0, v^1, ... up to the order of v: table[t][i] indexes v^t(element i)."""
-    index = {g: i for i, g in enumerate(elements)}
-    step = tuple(index[v(g)] for g in elements)
-    tables = [tuple(range(len(elements)))]
-    while True:
-        nxt = tuple(step[i] for i in tables[-1])
-        if nxt == tables[0]:
-            break
-        tables.append(nxt)
-        if len(tables) > len(elements) + 1:
-            raise AssertionError("automorphism order exceeds group order bound")
-    return tuple(tables)
+    order = math.lcm(*map(len, v.orbits))
+    return tuple(tuple(orb[t % len(orb)] for orb in v.orbits) for t in range(order))
 
 
 # -- validation ------------------------------------------------------------
@@ -359,7 +351,7 @@ def validate_labels(level: Level, tower: Tower) -> Report:
     r = level.r
     lab = level.label_indices()
 
-    z, v1 = level.z, v_pow[1 % len(v_pow)]
+    z, v1 = level.z, tower.v.perm
     bad, checked = [], 0
     for c, g in lab.items():
         g1 = lab.get(c + z)

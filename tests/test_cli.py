@@ -214,11 +214,24 @@ def test_build_bad_config_exit_code(tmp_path):
     assert main(["build", "--target", "4", "--bound", "3"]) == 2
 
 
+def test_config_group_without_a_triple_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "custom.txt"
+    cfg.write_text("E = 1,2\ngroup = custom\n")
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "config error: triple is missing group, subgroup_gens, aut\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--target", "abc"],
     ["groups", "--targets", "0"],
     ["spectra", "--k", "7"],
     ["recur", "--tower", "{tower}", "--kmax", "100000000"],
+    ["recur", "--tower", "{tower}", "--depth", "-1"],
+    ["recur", "--tower", "{tower}", "--kmax", "0"],
+    ["recur", "--tower", "{tower}", "--kmax", "-5"],
 ])
 def test_bad_input_is_a_one_line_config_error(built, capsys, argv):
     argv = [a.format(tower=built / "tower.txt") for a in argv]

@@ -263,6 +263,20 @@ def test_integer_counts_build_no_fraction(monkeypatch):
     assert z == 3 - 2 * zeta(12, 5) + 4 * zeta(12, 17)
 
 
+@given(st.sampled_from(ORDERS), st.dictionaries(st.integers(0, 40), st.one_of(coeff_st, frac_coeff_st),
+                                                max_size=6),
+       st.integers(-10**30, 10**30).filter(bool))
+def test_divided_counts_equal_counts_then_division(n, counts, den):
+    z = Cyclo.from_exponent_counts(n, counts, den)
+    assert z == Cyclo.from_exponent_counts(n, counts) / den
+    assert z.den > 0 and math.gcd(z.den, *z.nums) == 1
+    assert all(type(x) is int for x in z.nums)
+    if z.is_zero():
+        assert z.den == 1
+    with pytest.raises(ZeroDivisionError):
+        Cyclo.from_exponent_counts(n, counts, 0)
+
+
 def test_promoted_values_hash_alike():
     assert zeta(3) == zeta(3).promoted(6)
     assert len({zeta(3), zeta(3).promoted(6)}) == 1

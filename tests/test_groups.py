@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,8 @@ from cfspectra.groups import (
     parse_triple,
     separation_witness,
 )
+from cfspectra.pairings import _RingStore
+from cfspectra.tower import Tower
 
 
 def z(n):
@@ -272,12 +276,80 @@ def test_automorphism_counts():
     assert len(list(automorphisms(FinAbGroup((2, 4))))) == 8
 
 
-def test_automorphism_algebra():
+def _element_walk(v, g):
+    """g, v(g), v(v(g)), ... up to the first return to g, by Element arithmetic."""
+    out = [g]
+    while v(out[-1]) != g:
+        out.append(v(out[-1]))
+    return out
+
+
+@pytest.mark.parametrize("factors", [f for n in range(1, 13) for f in abelian_group_types(n)],
+                         ids=lambda f: "x".join(map(str, f)) or "trivial")
+def test_automorphisms_match_element_oracle(factors):
+    G = FinAbGroup(factors)
+    els = list(G.elements())
+    # the candidate matrices in enumeration order, kept when v is injective on Elements
+    images = [sorted((g for g in els if g.additive_order() == d), key=lambda e: e.coords) for d in factors]
+    expected = []
+    for cols in itertools.product(*images):
+        matrix = [[cols[j].coords[i] for j in range(G.rank)] for i in range(G.rank)]
+        if all(matrix[i][j] * factors[j] % factors[i] == 0 for i in range(G.rank) for j in range(G.rank)):
+            v = Automorphism(G, matrix, check=False)
+            if len({v(g).coords for g in els}) == G.order:
+                expected.append(v.matrix)
+    auts = list(automorphisms(G))
+    assert [v.matrix for v in auts] == expected
+    for v in auts:
+        assert list(v.perm) == [G.element_index(v(g)) for g in els]
+        tower = Tower(G, v)
+        store = _RingStore(tower)
+        order = 1
+        for g in els:
+            walk = _element_walk(v, g)
+            assert orbit(v, g) == walk
+            assert least_period(v, g) == len(walk)
+            assert list(store.orbits[G.element_index(g)]) == [G.element_index(x) for x in walk]
+            order = math.lcm(order, len(walk))
+        assert len(tower.v_pow) == order
+        x = els
+        for table in tower.v_pow:
+            assert list(table) == [G.element_index(y) for y in x]
+            x = [v(y) for y in x]
+
+
+@pytest.mark.parametrize("factors,matrix", [((4,), [[2]]), ((2, 2), [[1, 1], [1, 1]]), ((2, 4), [[1, 0], [0, 2]])])
+def test_non_bijective_matrix_is_rejected(factors, matrix):
+    G = FinAbGroup(factors)
+    triple = f"group = {list(factors)}\nsubgroup_gens = []\naut = {matrix}"
+    with pytest.raises(ValueError, match="^matrix does not define a bijection$"):
+        Automorphism(G, matrix)
+    with pytest.raises(ValueError, match="^matrix does not define a bijection$"):
+        parse_triple(triple)
+    assert all(v.matrix != tuple(map(tuple, matrix)) for v in automorphisms(G))
+
+
+def test_checked_automorphism_of_a_large_group_builds_no_addition_table():
+    before = groups.addition_table.cache_info().misses
+    v = Automorphism(FinAbGroup((3000,)), [[7]])   # a table would hold 9M entries
+    assert groups.addition_table.cache_info().misses == before
+    assert v.perm[:4] == (0, 7, 14, 21) and least_period(v, v.group.element((1,))) == 20
+
+
+def test_non_homomorphism_is_rejected_before_bijectivity():
     G = FinAbGroup((2, 4))
-    for v in automorphisms(G):
-        w = v.inverse()
-        assert v.compose(w).is_identity()
-        assert w.compose(v).is_identity()
+    with pytest.raises(ValueError, match="^matrix does not define a homomorphism$"):
+        Automorphism(G, [[1, 0], [1, 1]])   # column 0, the image (1, 1) of the order-2 generator, has order 4
+    with pytest.raises(ValueError, match="^matrix does not define a homomorphism$"):
+        parse_triple("group = [2, 4]\nsubgroup_gens = []\naut = [[1, 0], [1, 1]]")
+
+
+@pytest.mark.parametrize("missing", ["group", "subgroup_gens", "aut"])
+def test_triple_with_a_missing_field_is_a_value_error(missing):
+    fields = {"group": "[2, 4]", "subgroup_gens": "[[0, 1]]", "aut": "[[1, 0], [0, 3]]"}
+    del fields[missing]
+    with pytest.raises(ValueError, match=f"missing {missing}"):
+        parse_triple("\n".join(f"{k} = {v}" for k, v in fields.items()))
 
 
 @pytest.mark.parametrize(
@@ -310,7 +382,7 @@ def _element_loop_first_hits(G):
     subgroups = all_subgroups(G)
     for v in automorphisms(G):
         for H in subgroups:
-            first.setdefault(multiplicity_set(G, H, v), (v, H))
+            first.setdefault(multiplicity_set_naive(G, H, v), (v, H))
     return first
 
 
