@@ -111,17 +111,21 @@ class Automorphism:
 
     Column j is the image of the j-th standard generator.  Index-level code
     reads v through ``perm`` and ``orbits``, both built once per object.
-    Construction checks well-definedness, and bijectivity as a trivial
-    kernel: only index 0 maps to 0.
+    Construction reduces the entries and checks the shape, well-definedness,
+    and bijectivity as a trivial kernel: only index 0 maps to 0.  With
+    ``check=False`` the matrix must already be square and reduced, and is
+    taken as given.
     """
 
     def __init__(self, group: FinAbGroup, matrix, check: bool = True):
         self.group = group
+        if not check:
+            self.matrix = tuple(map(tuple, matrix))
+            return
         self.matrix = tuple(tuple(int(x) % group.invariant_factors[i] for x in row) for i, row in enumerate(matrix))
         if len(self.matrix) != group.rank or any(len(r) != group.rank for r in self.matrix):
             raise ValueError("matrix shape does not match group rank")
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if not _is_homomorphism(self.group.invariant_factors, self.matrix):

@@ -109,13 +109,9 @@ def _residual_stagger(tower, chi, b, k, A, B, n, N) -> tuple[Fraction, LevelPair
     p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
     back = pairing(tower, chi, -1, A, B, N)
     l = _orbit_average(tower, chi, b)
-    target = l * inner_value(tower, chi, A, B, N) / (k + 1) + back.value * Fraction(k, k + 1)
+    target = l * pairing(tower, chi, 0, A, B, N).value / (k + 1) + back.value * Fraction(k, k + 1)
     dev = abs_upper(p.value - target, _BITS)
     return dev + p.error_bound + Fraction(k, k + 1) * back.error_bound, p
-
-
-def inner_value(tower: Tower, chi: Character, A: Cylinder, B: Cylinder, N: int | None = None) -> Cyclo:
-    return pairing(tower, chi, 0, A, B, N).value
 
 
 def tail_shift_residual(tower: Tower, A: Cylinder, B: Cylinder, n: int,
@@ -162,7 +158,7 @@ def separation_check(tower: Tower, chi: Character, xi: Character, a, A: Cylinder
     rb = weak_limit_residual_even(tower, xi, a, A, B, n)
     la = _orbit_average(tower, chi, a)
     lb = _orbit_average(tower, xi, a)
-    inner = inner_value(tower, chi, A, B).as_fraction()
+    inner = pairing(tower, chi, 0, A, B).value.as_fraction()
     gap = abs_lower(la - lb, _BITS) * inner
     return SeparationResult(ra, rb, gap, gap > ra + rb)
 

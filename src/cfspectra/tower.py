@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .groups import Automorphism, Element, FinAbGroup, addition_table, least_period, negation_table
 
@@ -62,30 +63,29 @@ class GeneratorExhausted(Exception):
 
 
 class Level:
-    """One tower level: height, cuts, and cut labels.
+    """One tower level: height, shift, cuts, and cut labels.
 
     Every level has cuts ``block + z * {0..reps-1}`` over a sorted block, and
     labels on the block as element indices in block order; the label of a
     cut in the q-th copy follows the automorphism power rule
     ``label(d + z*q) = v^q(label(d))``.  Recipe levels repeat a short block
-    lying in [0, z); seed levels and deserialized levels are the plain case
-    ``reps == 1``, whose block is every cut.  ``elements`` and ``v_pow`` are
-    the owning tower's index tables.
+    lying in [0, z), so the copies come out in cut order; seed levels and
+    deserialized levels are the plain case ``reps == 1``, whose cuts are the
+    block itself.  A tagged level n was built at step ``n - 1``.
+    ``elements`` and ``v_pow`` are the owning tower's index tables.
     """
 
-    def __init__(self, n, h, z, cuts, block, reps, block_labels, tag, step,
-                 r_expected, elements, v_pow):
+    def __init__(self, n, h, z, block, reps, block_labels, tag, elements, v_pow):
         self.n = n
         self.h = h
         self.z = z
-        self.cuts = tuple(cuts)
-        self.cut_set = frozenset(self.cuts)
         self.block = tuple(block)
+        self.cuts = self.block if reps == 1 else tuple(d + z * q for q in range(reps) for d in self.block)
+        self.cut_set = frozenset(self.cuts)
         self.reps = reps
         self.block_labels = tuple(block_labels)
         self.tag = tag
-        self.step = step
-        self.r_expected = r_expected
+        self.step = None if tag is None else n - 1
         self._elements = elements
         self._v_pow = v_pow
 
@@ -136,10 +136,8 @@ class Tower:
         """The default hand-seeded tower: levels 1 and 2 with zero labels."""
         t = Tower(group, v)
         # index 0 is the identity
-        t.levels.append(Level(1, 3, 0, (0, 1), (0, 1), 1, (0, 0),
-                              None, None, 2, t.elements, t.v_pow))
-        t.levels.append(Level(2, 12, 0, (0, 3, 6), (0, 3, 6), 1, (0, 0, 0),
-                              None, None, 3, t.elements, t.v_pow))
+        t.levels.append(Level(1, 3, 0, (0, 1), 1, (0, 0), None, t.elements, t.v_pow))
+        t.levels.append(Level(2, 12, 0, (0, 3, 6), 1, (0, 0, 0), None, t.elements, t.v_pow))
         return t
 
     @property
@@ -174,63 +172,18 @@ class Tower:
         n = self.depth
         if n < 2:
             raise ValueError("seed levels 1..2 must exist before extension")
-        h = self.h(n)
-        if isinstance(tag, EvenTag):
-            lvl = self._extend_even(n, h, tag)
-        elif isinstance(tag, StaggerTag):
-            lvl = self._extend_stagger(n, h, tag)
+        rec = recipe(self, n, tag)
+        el = tag.a if isinstance(tag, EvenTag) else tag.b
+        for offset in range(least_period(self.v, el)):
+            labels = self._ramp_labels(len(rec.block), el, rec.ramp_len, offset)
+            lvl = Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag, self.elements, self.v_pow)
+            if validate_labels(lvl, self).passed:
+                break
         else:
-            raise TypeError(f"unknown tag {tag!r}")
+            raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
         self.levels.append(lvl)
         self._cache.clear()
         return lvl
-
-    def _extend_even(self, n: int, h: int, tag: EvenTag) -> Level:
-        m = least_period(self.v, tag.a)
-        P = n * m
-        z = 2 * h * P
-        r = n**3 * m
-        reps = r // P
-        assert reps == n * n
-        block = tuple(2 * h * t for t in range(P))
-        cuts = tuple(2 * h * t for t in range(r))
-        h_new = 2 * r * h
-        level = None
-        for offset in range(m):
-            bl = self._ramp_labels(len(block), tag.a, len(block), offset)
-            cand = Level(n + 1, h_new, z, cuts, block, reps, bl, tag, n, r, self.elements, self.v_pow)
-            if validate_labels(cand, self).passed:
-                level = cand
-                break
-        if level is None:
-            raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
-        return level
-
-    def _extend_stagger(self, n: int, h: int, tag: StaggerTag) -> Level:
-        m = least_period(self.v, tag.b)
-        k = tag.k
-        z = m * n * (2 * h * (k + 1) + k)
-        r = n**3 * (k + 1) * m
-        reps = n * n
-        block1 = [2 * h * t for t in range(n * m)]
-        block2 = [2 * h * (n * m - 1) + (2 * h + 1) * j for j in range(1, n * k * m + 1)]
-        block = tuple(block1 + block2)
-        assert len(block) * reps == r
-        cuts = tuple(sorted(d + z * t for t in range(reps) for d in block))
-        kr = k * r
-        if kr % (k + 1) != 0:
-            raise AssertionError("mix term k*r/(k+1) must be an integer")
-        h_new = 2 * r * h + kr // (k + 1)
-        level = None
-        for offset in range(m):
-            bl = self._ramp_labels(len(block), tag.b, n * m, offset)
-            cand = Level(n + 1, h_new, z, cuts, block, reps, bl, tag, n, r, self.elements, self.v_pow)
-            if validate_labels(cand, self).passed:
-                level = cand
-                break
-        if level is None:
-            raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
-        return level
 
     def _ramp_labels(self, length: int, a: Element, ramp_len: int, offset: int) -> list[int]:
         """Label indices along the block chain: orbit-stepping ramp, then constant."""
@@ -294,6 +247,44 @@ def _power_tables(v: Automorphism) -> tuple[tuple[int, ...], ...]:
     """Index tables of v^0, v^1, ... up to the order of v: table[t][i] indexes v^t(element i)."""
     order = math.lcm(*map(len, v.orbits))
     return tuple(tuple(orb[t % len(orb)] for orb in v.orbits) for t in range(order))
+
+
+class Recipe(NamedTuple):
+    """The shape of a recipe level, derived from the level below it and the tag."""
+
+    h: int
+    z: int
+    r: int
+    block: tuple[int, ...]
+    reps: int
+    ramp_len: int
+
+
+def recipe(tower: Tower, n: int, tag: Tag) -> Recipe:
+    """The recipe for level n + 1 of ``tower`` at step n, read from h_n and the tag.
+
+    Even: r = n^3 m, z = 2 h n m, h' = 2 r h; the block is n m cuts 2h apart,
+    all on the label ramp.  Stagger: r = n^3 (k+1) m, z = m n (2h(k+1) + k),
+    h' = 2 r h + k r/(k+1); the block is n m cuts 2h apart on the ramp, then
+    n k m cuts 2h+1 apart with a constant label.  m is the period of the
+    tag's element under v; both blocks lie in [0, z) and repeat n^2 times.
+    """
+    h = tower.h(n)
+    if isinstance(tag, EvenTag):
+        m = least_period(tower.v, tag.a)
+        r, z, mix = n**3 * m, 2 * h * n * m, 0
+        block = tuple(2 * h * t for t in range(n * m))
+        ramp_len = len(block)
+    elif isinstance(tag, StaggerTag):
+        m, k = least_period(tower.v, tag.b), tag.k
+        r, z = n**3 * (k + 1) * m, m * n * (2 * h * (k + 1) + k)
+        mix = k * r // (k + 1)   # exact: k + 1 divides r
+        block = (tuple(2 * h * t for t in range(n * m))
+                 + tuple(2 * h * (n * m - 1) + (2 * h + 1) * j for j in range(1, n * k * m + 1)))
+        ramp_len = n * m
+    else:
+        raise TypeError(f"unknown tag {tag!r}")
+    return Recipe(2 * r * h + mix, z, r, block, n * n, ramp_len)
 
 
 # -- validation ------------------------------------------------------------
@@ -403,15 +394,12 @@ def validate_structure(tower: Tower) -> Report:
         h_prev = tower.h(n - 1)
         rep.add("zero cut present", n, 0 in lvl.cut_set)
         rep.add("more than one cut", n, lvl.r > 1)
-        rep.add("cut count matches recipe", n, lvl.r == lvl.r_expected,
-                f"{lvl.r} vs {lvl.r_expected}")
+        r_recipe = lvl.r if lvl.tag is None else recipe(tower, n - 1, lvl.tag).r
+        rep.add("cut count matches recipe", n, lvl.r == r_recipe, f"{lvl.r} vs {r_recipe}")
         rep.add("stack containment", n, max(lvl.cuts) + h_prev <= lvl.h,
                 f"max cut {max(lvl.cuts)} + {h_prev} vs height {lvl.h}")
         gaps_ok = all(b - a >= h_prev for a, b in zip(lvl.cuts, lvl.cuts[1:]))
         rep.add("cut disjointness", n, gaps_ok)
-        if lvl.reps > 1:
-            rebuilt = sorted(d + lvl.z * t for d in lvl.block for t in range(lvl.reps))
-            rep.add("block replication", n, tuple(rebuilt) == lvl.cuts)
     mus = [tower.mu_level(n) for n in range(tower.depth + 1)]
     for n in range(1, tower.depth + 1):
         rep.add("measure nondecreasing", n, mus[n] >= mus[n - 1], f"{mus[n]} vs {mus[n-1]}")
@@ -621,7 +609,9 @@ def _parse_tower_inner(text: str) -> Tower:
             key, _, val = lines[idx].partition("=")
             props[key.strip()] = val.strip()
             idx += 1
-        cuts = _expand_aps(props["cuts"])
+        if n != tower.depth + 1:
+            raise TowerParseError(f"level {n} out of order")
+        cuts = tuple(_expand_aps(props["cuts"]))
         if any(b <= a for a, b in itertools.pairwise(cuts)):
             raise TowerParseError(f"level {n}: cuts are not strictly increasing")
         labels = {}
@@ -635,32 +625,25 @@ def _parse_tower_inner(text: str) -> Tower:
             raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
         tag_text = props["tag"]
         if tag_text == "seed":
-            tag, step = None, None
+            tag = None
         elif tag_text.startswith("even"):
             tag = EvenTag(group.element(_coords_from_str(tag_text.split()[1])))
-            step = n - 1
         elif tag_text.startswith("stagger"):
             parts = tag_text.split()
             k = int(parts[2].split("=")[1])
             tag = StaggerTag(group.element(_coords_from_str(parts[1])), k)
-            step = n - 1
         else:
             raise TowerParseError(f"unknown tag {tag_text!r}")
-        r_expected = _expected_cut_count(tower, tag, n, len(cuts))
-        lvl = Level(n, int(props["h"]), int(props["z"]), cuts, cuts, 1, [labels[c] for c in cuts],
-                    tag, step, r_expected, tower.elements, tower.v_pow)
-        if n != tower.depth + 1:
-            raise TowerParseError(f"level {n} out of order")
-        tower.levels.append(lvl)
+        if (tag is None) != (n <= 2):   # every tower grows by recipe from Tower.seeded
+            raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
+        h, z = int(props["h"]), int(props["z"])
+        if tag is not None:
+            rec = recipe(tower, n - 1, tag)
+            if (h, z) != (rec.h, rec.z):
+                raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
+                                      f"(h = {rec.h}, z = {rec.z})")
+        tower.levels.append(Level(n, h, z, cuts, 1, [labels[c] for c in cuts], tag,
+                                  tower.elements, tower.v_pow))
     if tower.depth != depth:
         raise TowerParseError(f"declared depth {depth} but parsed {tower.depth} levels")
     return tower
-
-
-def _expected_cut_count(tower: Tower, tag, n: int, actual: int) -> int:
-    if tag is None:
-        return actual
-    step = n - 1
-    if isinstance(tag, EvenTag):
-        return step**3 * least_period(tower.v, tag.a)
-    return step**3 * (tag.k + 1) * least_period(tower.v, tag.b)

@@ -296,6 +296,63 @@ def test_unsorted_cuts_are_a_parse_error(tmp_path, capsys, command):
     assert "not strictly increasing" in err[0]
 
 
+def _add_to_level_field(text: str, level: str, key: str, delta: int) -> str:
+    """Add delta to the integer on one level's ``key = ...`` line."""
+    lines = text.splitlines()
+    current = None
+    for i, line in enumerate(lines):
+        if line.startswith("level "):
+            current = line
+        if current == level and line.startswith(f"{key} = "):
+            lines[i] = f"{key} = {int(line.split(' = ')[1]) + delta}"
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no {key} line for {level}")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"]])
+@pytest.mark.parametrize("level,key", [("level 5", "h"), ("level 5", "z"), ("level 4", "h")])
+def test_recipe_mismatch_is_a_parse_error(tmp_path, capsys, command, level, key):
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(_add_to_level_field((out / "tower.txt").read_text(), level, key, 7))
+    capsys.readouterr()
+    assert main([command[0], "--tower", str(bad), *command[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: {level}:") and "recipe" in err[0], err
+
+
+@pytest.mark.parametrize("level,old,new", [("level 5", "tag = even 1", "tag = seed"),
+                                           ("level 1", "tag = seed", "tag = even 1")])
+def test_misplaced_seed_tag_is_a_parse_error(tmp_path, capsys, level, old, new):
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    text = (out / "tower.txt").read_text()
+    assert f"{level}\n{old}\n" in text
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(text.replace(f"{level}\n{old}\n", f"{level}\n{new}\n"))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: {level}: levels 1-2 must be tagged seed"), err
+
+
+def test_moved_cut_fails_verify(built, tmp_path, capsys):
+    from cfspectra.tower import Level, parse_tower, serialize_tower
+
+    t = parse_tower((built / "tower.txt").read_text())
+    top = t.level(t.depth)
+    # the last cut moves up one rung and keeps its label; the cut line stays sorted
+    cuts = top.cuts[:-1] + (top.cuts[-1] + 1,)
+    t.levels[-1] = Level(top.n, top.h, top.z, cuts, 1, top.block_labels, top.tag, t.elements, t.v_pow)
+    bad = tmp_path / "moved.txt"
+    bad.write_text(serialize_tower(t))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 1
+    fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert fails == ["[FAIL] level 6: coboundary term exact (21/500 vs 1/5^2)"]
+
+
 def test_weaklimits_csv_matches_in_memory_tower(built, tmp_path):
     from cfspectra.experiment import ExperimentConfig, build_tower
     from cfspectra.groups import all_characters

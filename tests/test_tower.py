@@ -20,6 +20,7 @@ from cfspectra.tower import (
     embed,
     measure,
     parse_tower,
+    recipe,
     serialize_tower,
     validate_labels,
     validate_structure,
@@ -86,7 +87,7 @@ def test_cut_count_equals_recipe_both_cases(z3_system):
             assert lvl.r == n**3 * m
         else:
             assert lvl.r == n**3 * (tag.k + 1) * m
-        assert lvl.r == lvl.r_expected == len(lvl.cuts)
+        assert lvl.r == recipe(t, n, tag).r == len(lvl.cuts)
 
 
 def build_desk_tower(system, depth=6):
@@ -157,9 +158,9 @@ def test_label_validation_catches_corruption(z3_system):
     target = next(c for c in lvl.cuts if c + lvl.z in lvl.cut_set)
     labels[target + lvl.z] = labels[target + lvl.z] + G.element((1,))
     # the corrupted labels cannot follow the block rule, so the level is one copy
-    corrupted = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, lvl.cuts, 1,
+    corrupted = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1,
                       [G.element_index(labels[c]) for c in lvl.cuts],
-                      lvl.tag, lvl.step, lvl.r_expected, t.elements, t.v_pow)
+                      lvl.tag, t.elements, t.v_pow)
     rep = validate_labels(corrupted, t)
     assert not rep.passed
     assert any("shift-equivariance" in it.name and not it.ok for it in rep.items)
@@ -208,15 +209,25 @@ SMALL_SYSTEMS = [
 
 
 @st.composite
-def small_levels(draw):
-    """A level of a random depth 3-5 tower, as built, with one label changed, or all labels zero."""
+def small_towers(draw):
+    """A random depth 3-5 tower over a small system, with its tags in build order."""
     factors, matrices = draw(st.sampled_from(SMALL_SYSTEMS))
     G = FinAbGroup(factors)
     t = Tower.seeded(G, Automorphism(G, draw(st.sampled_from(matrices))))
     elements = list(G.elements())
+    tags = []
     for _ in range(draw(st.integers(1, 3))):
         el = draw(st.sampled_from(elements))
-        t.extend(EvenTag(el) if draw(st.booleans()) else StaggerTag(el, draw(st.integers(1, 2))))
+        tags.append(EvenTag(el) if draw(st.booleans()) else StaggerTag(el, draw(st.integers(1, 2))))
+        t.extend(tags[-1])
+    return t, tags
+
+
+@st.composite
+def small_levels(draw):
+    """A level of a random depth 3-5 tower, as built, with one label changed, or all labels zero."""
+    t, _ = draw(small_towers())
+    G = t.group
     lvl = t.level(draw(st.integers(1, t.depth)))
     change = draw(st.sampled_from(["none", "one", "zero"])) if lvl.tag is not None else "none"
     if change != "none":
@@ -224,8 +235,7 @@ def small_levels(draw):
         if change == "one":
             i = draw(st.integers(0, lvl.r - 1))
             labels[i] = (labels[i] + draw(st.integers(1, G.order - 1))) % G.order
-        lvl = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, lvl.cuts, 1, labels,
-                    lvl.tag, lvl.step, lvl.r_expected, t.elements, t.v_pow)
+        lvl = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, labels, lvl.tag, t.elements, t.v_pow)
     return t, lvl, change
 
 
@@ -240,11 +250,34 @@ def test_label_validation_matches_element_reference(case):
         assert rep.passed
 
 
+@given(small_towers())
+def test_extension_matches_recipe_formulas(case):
+    t, tags = case
+    for n, tag in enumerate(tags, start=2):
+        lvl, h = t.level(n + 1), t.h(n)
+        el = tag.a if isinstance(tag, EvenTag) else tag.b
+        m, g = 1, t.v(el)   # the period of el under v, walked on Elements
+        while g != el:
+            m, g = m + 1, t.v(g)
+        if isinstance(tag, EvenTag):
+            r, z = n**3 * m, 2 * h * n * m
+            assert lvl.h == 2 * r * h
+            assert lvl.cuts == tuple(2 * h * i for i in range(r))
+        else:
+            k = tag.k
+            r, z = n**3 * (k + 1) * m, m * n * (2 * h * (k + 1) + k)
+            assert lvl.h == 2 * r * h + k * r // (k + 1)
+            block = [2 * h * i for i in range(n * m)]
+            block += [block[-1] + (2 * h + 1) * j for j in range(1, n * k * m + 1)]
+            assert lvl.cuts == tuple(sorted(d + z * q for q in range(n * n) for d in block))
+        assert (lvl.z, lvl.r, lvl.step) == (z, r, n)
+
+
 def test_structure_validation_catches_height_tampering(z3_system):
     t = build_desk_tower(z3_system, depth=4)
     lvl = t.level(3)
-    bad = Level(lvl.n, max(lvl.cuts) + t.h(2) - 1, lvl.z, lvl.cuts, lvl.block, lvl.reps,
-                lvl.block_labels, lvl.tag, lvl.step, lvl.r_expected, t.elements, t.v_pow)
+    bad = Level(lvl.n, max(lvl.cuts) + t.h(2) - 1, lvl.z, lvl.block, lvl.reps,
+                lvl.block_labels, lvl.tag, t.elements, t.v_pow)
     t2 = Tower(t.group, t.v)
     t2.levels = [t.level(1), t.level(2), bad]
     rep = validate_structure(t2)
