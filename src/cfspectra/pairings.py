@@ -155,7 +155,8 @@ class PairingEngine:
         # cuts = block + z*{0..reps-1}; the pairs (d1 + z*j, d2 + z*(j+t)) have
         # increment v^j(v^t(label d2) - label d1), so one block pair at copy
         # offset t stands for the reps - |t| increments along a v-orbit.  A
-        # single copy (seed and parsed levels, where z may be 0) has t = 0 only.
+        # single copy (seed levels and parsed levels that break their recipe,
+        # where z may be 0) has t = 0 only.
         block, z, reps = lvl.block, lvl.z, lvl.reps
         span = block[-1] - block[0]
         offsets = (range(max((lo - span) // z, 1 - reps), min((hi + span) // z, reps - 1) + 1)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -69,9 +70,11 @@ class Level:
     labels on the block as element indices in block order; the label of a
     cut in the q-th copy follows the automorphism power rule
     ``label(d + z*q) = v^q(label(d))``.  Recipe levels repeat a short block
-    lying in [0, z), so the copies come out in cut order; seed levels and
-    deserialized levels are the plain case ``reps == 1``, whose cuts are the
-    block itself.  A tagged level n was built at step ``n - 1``.
+    lying in [0, z), so the copies come out in cut order; ``parse_tower``
+    restores that block from the recipe when the file's cuts and labels
+    repeat it.  Seed levels, and parsed levels that do not repeat their
+    recipe, are the plain case ``reps == 1``, whose cuts are the block
+    itself.  A tagged level n was built at step ``n - 1``.
     ``elements`` and ``v_pow`` are the owning tower's index tables.
     """
 
@@ -583,6 +586,38 @@ def parse_tower(text: str) -> Tower:
         raise TowerParseError(f"malformed tower file: {exc}") from exc
 
 
+class _LabelIndex(dict):
+    """Coordinate text -> label index; a text not written as ``_coords_str`` writes it is parsed once."""
+
+    def __init__(self, tower: Tower):
+        super().__init__((_coords_str(el), i) for i, el in enumerate(tower.elements))
+        self.group = tower.group
+
+    def __missing__(self, text: str) -> int:
+        g = self[text] = self.group.element_index(self.group.element(_coords_from_str(text)))
+        return g
+
+
+def _parse_labels(text: str, cuts: tuple[int, ...], index_of: _LabelIndex) -> list[int] | None:
+    """Label indices of one level's ``labels`` line in cut order.
+
+    None unless the line has exactly one entry per cut.  Entries written in
+    cut order map straight into the list; a dict of entries is built only
+    for a line that is not.
+    """
+    entries = text.split(";")
+
+    def column(i):   # the cut (0) or label (2) text of each entry, one at a time
+        return map(operator.itemgetter(i), map(str.partition, entries, itertools.repeat("=")))
+
+    if len(entries) == len(cuts) and all(map(operator.eq, map(int, column(0)), cuts)):
+        return list(map(index_of.__getitem__, column(2)))
+    by_cut = dict(zip(map(int, column(0)), map(index_of.__getitem__, column(2))))
+    if len(by_cut) != len(entries) or by_cut.keys() != set(cuts):   # a repeated cut, or a cut missing or extra
+        return None
+    return [by_cut[c] for c in cuts]
+
+
 def _parse_tower_inner(text: str) -> Tower:
     from .groups import _parse_int_list
 
@@ -596,8 +631,9 @@ def _parse_tower_inner(text: str) -> Tower:
     group = FinAbGroup(tuple(_parse_int_list(fields["group"])))
     v = Automorphism(group, _parse_int_list(fields["aut"]))
     depth = int(fields["depth"])
-    tower = Tower(group, v)
-    index_of = {_coords_str(el): i for i, el in enumerate(tower.elements)}   # coordinate text -> label index
+    tower = Tower.seeded(group, v)
+    seeds, tower.levels = tower.levels, []   # the file's levels 1-2 must equal these
+    index_of = _LabelIndex(tower)
     while idx < len(lines):
         header = lines[idx]
         if not header.startswith("level"):
@@ -614,14 +650,8 @@ def _parse_tower_inner(text: str) -> Tower:
         cuts = tuple(_expand_aps(props["cuts"]))
         if any(b <= a for a, b in itertools.pairwise(cuts)):
             raise TowerParseError(f"level {n}: cuts are not strictly increasing")
-        labels = {}
-        for entry in props["labels"].split(";"):
-            cpart, _, coordpart = entry.partition("=")
-            g = index_of.get(coordpart)
-            if g is None:
-                g = index_of[coordpart] = group.element_index(group.element(_coords_from_str(coordpart)))
-            labels[int(cpart)] = g
-        if labels.keys() != set(cuts):
+        labels = _parse_labels(props["labels"], cuts, index_of)
+        if labels is None:
             raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
         tag_text = props["tag"]
         if tag_text == "seed":
@@ -637,13 +667,26 @@ def _parse_tower_inner(text: str) -> Tower:
         if (tag is None) != (n <= 2):   # every tower grows by recipe from Tower.seeded
             raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
         h, z = int(props["h"]), int(props["z"])
-        if tag is not None:
+        if tag is None:
+            lvl = seeds[n - 1]
+            if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, list(lvl.block_labels)):
+                raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
+                                      f"(h = {lvl.h}, z = {lvl.z}, cuts = {lvl.cuts}, zero labels)")
+        else:
             rec = recipe(tower, n - 1, tag)
             if (h, z) != (rec.h, rec.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
                                       f"(h = {rec.h}, z = {rec.z})")
-        tower.levels.append(Level(n, h, z, cuts, 1, [labels[c] for c in cuts], tag,
-                                  tower.elements, tower.v_pow))
+            # keep the level Tower.extend builds when the file repeats its block by
+            # the v^q rule; any other file gets one copy (reps == 1) of its cuts
+            b, v_pow = len(rec.block), tower.v_pow
+            head = labels[:b]
+            lvl = Level(n, h, z, rec.block, rec.reps, head, tag, tower.elements, v_pow)
+            copies_ok = all(list(map(v_pow[q % len(v_pow)].__getitem__, head)) == labels[q * b:(q + 1) * b]
+                            for q in range(1, rec.reps))
+            if lvl.cuts != cuts or not copies_ok:
+                lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, v_pow)
+        tower.levels.append(lvl)
     if tower.depth != depth:
         raise TowerParseError(f"declared depth {depth} but parsed {tower.depth} levels")
     return tower

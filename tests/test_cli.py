@@ -337,6 +337,70 @@ def test_misplaced_seed_tag_is_a_parse_error(tmp_path, capsys, level, old, new):
     assert len(err) == 1 and err[0].startswith(f"parse error: {level}: levels 1-2 must be tagged seed"), err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"]])
+def test_seed_level_unlike_tower_seeded_is_a_parse_error(tmp_path, capsys, command):
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    text = (out / "tower.txt").read_text()
+    seed = "level 1\ntag = seed\nh = 3\nz = 0\ncuts = 0:1:2\nlabels = 0=0;1=0\n"
+    assert seed in text
+    # the level-1 cut 1 moves to 2 with its label; the structural checks all still pass
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(text.replace(seed, seed.replace("0:1:2", "0:2:2").replace("1=0", "2=0")))
+    capsys.readouterr()
+    assert main([command[0], "--tower", str(bad), *command[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: level 1: seed level differs from Tower.seeded"), err
+
+
+def _edit_labels(text: str, edit) -> str:
+    """Apply edit(level header, entries) to the entry list of every level's label line."""
+    lines = text.splitlines()
+    current = None
+    for i, line in enumerate(lines):
+        if line.startswith("level "):
+            current = line
+        if line.startswith("labels = "):
+            lines[i] = "labels = " + ";".join(edit(current, line[len("labels = "):].split(";")))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("permute", [lambda e: e[::-1], lambda e: e[:-2] + e[:-3:-1]],
+                         ids=["reversed", "last-two-swapped"])
+def test_permuted_labels_parse_to_the_same_tower(built, tmp_path, capsys, permute):
+    from cfspectra.tower import parse_tower
+
+    text = (built / "tower.txt").read_text()
+    bad = tmp_path / "permuted.txt"
+    bad.write_text(_edit_labels(text, lambda level, entries: permute(entries)))
+    assert bad.read_text() != text
+    t, twin = parse_tower(text), parse_tower(bad.read_text())
+    for lvl, other in zip(t.levels, twin.levels, strict=True):
+        assert other.cuts == lvl.cuts and other.label_indices() == lvl.label_indices()
+        assert (other.block, other.reps) == (lvl.block, lvl.reps)
+    assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
+    clean = capsys.readouterr().out
+    assert main(["verify", "--tower", str(bad)]) == 0
+    assert capsys.readouterr().out == clean
+
+
+@pytest.mark.parametrize("edit", [
+    lambda e: e[:-1],                                  # last entry missing: the in-order stream runs short
+    lambda e: e[:3] + e[4:],                           # a middle entry missing
+    lambda e: e + [f"{int(e[-1].split('=')[0]) + 1}=0"],   # an entry for a cut that is not there
+    lambda e: e[:4] + e[3:],                           # a middle entry twice
+    lambda e: e + [e[0]],                              # the first entry again at the end
+], ids=["missing-last", "missing-middle", "extra", "duplicated-middle", "duplicated-first"])
+def test_labels_that_miss_or_repeat_a_cut_are_a_parse_error(built, tmp_path, capsys, edit):
+    text = (built / "tower.txt").read_text()
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(_edit_labels(text, lambda level, entries: edit(entries) if level == "level 4" else entries))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["parse error: level 4: labels do not cover the cuts exactly"]
+
+
 def test_moved_cut_fails_verify(built, tmp_path, capsys):
     from cfspectra.tower import Level, parse_tower, serialize_tower
 
@@ -344,7 +408,8 @@ def test_moved_cut_fails_verify(built, tmp_path, capsys):
     top = t.level(t.depth)
     # the last cut moves up one rung and keeps its label; the cut line stays sorted
     cuts = top.cuts[:-1] + (top.cuts[-1] + 1,)
-    t.levels[-1] = Level(top.n, top.h, top.z, cuts, 1, top.block_labels, top.tag, t.elements, t.v_pow)
+    labels = list(top.label_indices().values())   # in cut order
+    t.levels[-1] = Level(top.n, top.h, top.z, cuts, 1, labels, top.tag, t.elements, t.v_pow)
     bad = tmp_path / "moved.txt"
     bad.write_text(serialize_tower(t))
     capsys.readouterr()

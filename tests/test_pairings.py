@@ -9,7 +9,7 @@ from cfspectra.cocycle import rung_label
 from cfspectra.cyclotomic import Cyclo, abs_upper
 from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
-from cfspectra.tower import (Cylinder, EvenTag, StaggerTag, Tower, embed, measure, parse_tower,
+from cfspectra.tower import (Cylinder, EvenTag, Level, StaggerTag, Tower, embed, measure, parse_tower,
                              serialize_tower)
 
 
@@ -265,24 +265,32 @@ def brute_kernel(tower, n, lo, hi):
 def test_engine_matches_brute_force_on_random_towers(case):
     t, A, B, shifts, windows = case
     parsed = parse_tower(serialize_tower(t))
+    for lvl, twin in zip(t.levels, parsed.levels):
+        assert (twin.block, twin.reps, twin.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
+    # every level as one copy of its cuts (reps == 1), the shape of a file that breaks its recipe
+    single = Tower(t.group, t.v)
+    single.levels = [Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, list(lvl.label_indices().values()), lvl.tag,
+                           single.elements, single.v_pow) for lvl in t.levels]
     trivial = Character(t.group, (0,) * t.group.rank)
     for n, lo, hi in windows:
         want = brute_kernel(t, n, lo, hi)
-        # block copies on the in-memory tower; one copy (reps == 1) on the parsed twin
-        for tower in (t, parsed):
+        # block copies on the in-memory tower and its parsed twin; one copy on the single twin
+        for tower in (t, parsed, single):
             got = PairingEngine(tower, trivial).level_kernel(n, lo, hi)
             assert got == want and list(got) == list(want), (n, lo, hi)
     brutes = {m: brute_histogram(t, m, A, B, t.depth) for m in shifts}
     for chi in all_characters(t.group):
-        eng, parsed_eng = PairingEngine(t, chi), PairingEngine(parsed, chi)
+        eng = PairingEngine(t, chi)
+        twin_engs = [PairingEngine(parsed, chi), PairingEngine(single, chi)]
         for m in shifts:
             got = eng.pairing(m, A, B, t.depth)
             want_value, want_err = brute_value(t, chi, brutes[m], t.depth)
             assert got.value == want_value, (chi, m, A, B)
             assert got.error_bound == want_err
-            # every parsed level is a single copy of its cuts (reps == 1)
-            again = parsed_eng.pairing(m, A, B, t.depth)
-            assert again.value == got.value and again.error_bound == got.error_bound
+            # the parsed twin repeats the in-memory blocks; the single twin has reps == 1
+            for twin_eng in twin_engs:
+                again = twin_eng.pairing(m, A, B, t.depth)
+                assert again.value == got.value and again.error_bound == got.error_bound
 
 
 def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch):
