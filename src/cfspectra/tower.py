@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -83,7 +82,7 @@ class Level:
         self.h = h
         self.z = z
         self.block = tuple(block)
-        self.cuts = self.block if reps == 1 else tuple(d + z * q for q in range(reps) for d in self.block)
+        self.cuts = self.block if reps == 1 else tuple([d + z * q for q in range(reps) for d in self.block])
         self.cut_set = frozenset(self.cuts)
         self.reps = reps
         self.block_labels = tuple(block_labels)
@@ -107,13 +106,17 @@ class Level:
     def label(self, c: int) -> Element:
         return self._elements[self.label_index(c)]
 
-    def label_indices(self) -> dict[int, int]:
-        """{cut: label index} over every cut in cut order, built on demand and not kept."""
+    def cut_labels(self) -> list[int]:
+        """Label indices of every cut, in cut order, built on demand and not kept."""
         if self.reps == 1:
-            return dict(zip(self.cuts, self.block_labels))
+            return list(self.block_labels)
         # the block lies in [0, z), so the cuts run copy by copy
         rows = [self._v_pow[q % len(self._v_pow)] for q in range(self.reps)]
-        return dict(zip(self.cuts, [row[g] for row in rows for g in self.block_labels]))
+        return [row[g] for row in rows for g in self.block_labels]
+
+    def label_indices(self) -> dict[int, int]:
+        """{cut: label index} over every cut in cut order, built on demand and not kept."""
+        return dict(zip(self.cuts, self.cut_labels()))
 
     def __repr__(self):
         return f"Level(n={self.n}, h={self.h}, r={self.r}, tag={self.tag})"
@@ -586,38 +589,6 @@ def parse_tower(text: str) -> Tower:
         raise TowerParseError(f"malformed tower file: {exc}") from exc
 
 
-class _LabelIndex(dict):
-    """Coordinate text -> label index; a text not written as ``_coords_str`` writes it is parsed once."""
-
-    def __init__(self, tower: Tower):
-        super().__init__((_coords_str(el), i) for i, el in enumerate(tower.elements))
-        self.group = tower.group
-
-    def __missing__(self, text: str) -> int:
-        g = self[text] = self.group.element_index(self.group.element(_coords_from_str(text)))
-        return g
-
-
-def _parse_labels(text: str, cuts: tuple[int, ...], index_of: _LabelIndex) -> list[int] | None:
-    """Label indices of one level's ``labels`` line in cut order.
-
-    None unless the line has exactly one entry per cut.  Entries written in
-    cut order map straight into the list; a dict of entries is built only
-    for a line that is not.
-    """
-    entries = text.split(";")
-
-    def column(i):   # the cut (0) or label (2) text of each entry, one at a time
-        return map(operator.itemgetter(i), map(str.partition, entries, itertools.repeat("=")))
-
-    if len(entries) == len(cuts) and all(map(operator.eq, map(int, column(0)), cuts)):
-        return list(map(index_of.__getitem__, column(2)))
-    by_cut = dict(zip(map(int, column(0)), map(index_of.__getitem__, column(2))))
-    if len(by_cut) != len(entries) or by_cut.keys() != set(cuts):   # a repeated cut, or a cut missing or extra
-        return None
-    return [by_cut[c] for c in cuts]
-
-
 def _parse_tower_inner(text: str) -> Tower:
     from .groups import _parse_int_list
 
@@ -633,7 +604,7 @@ def _parse_tower_inner(text: str) -> Tower:
     depth = int(fields["depth"])
     tower = Tower.seeded(group, v)
     seeds, tower.levels = tower.levels, []   # the file's levels 1-2 must equal these
-    index_of = _LabelIndex(tower)
+    index_of = {_coords_str(el): i for i, el in enumerate(tower.elements)}   # coordinate text -> label index
     while idx < len(lines):
         header = lines[idx]
         if not header.startswith("level"):
@@ -650,8 +621,21 @@ def _parse_tower_inner(text: str) -> Tower:
         cuts = tuple(_expand_aps(props["cuts"]))
         if any(b <= a for a, b in itertools.pairwise(cuts)):
             raise TowerParseError(f"level {n}: cuts are not strictly increasing")
-        labels = _parse_labels(props["labels"], cuts, index_of)
-        if labels is None:
+        labels = [None] * len(cuts)   # label indices in cut order, whatever the order of the entries
+        i = -1
+        for entry in props["labels"].split(";"):
+            cpart, _, coordpart = entry.partition("=")
+            g = index_of.get(coordpart)
+            if g is None:
+                g = index_of[coordpart] = group.element_index(group.element(_coords_from_str(coordpart)))
+            c = int(cpart)
+            i += 1
+            if i == len(cuts) or cuts[i] != c:   # not the next cut: look it up
+                i = bisect.bisect_left(cuts, c)
+            if i == len(cuts) or cuts[i] != c or labels[i] is not None:   # an extra or repeated cut
+                raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
+            labels[i] = g
+        if None in labels:
             raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
         tag_text = props["tag"]
         if tag_text == "seed":
@@ -669,7 +653,7 @@ def _parse_tower_inner(text: str) -> Tower:
         h, z = int(props["h"]), int(props["z"])
         if tag is None:
             lvl = seeds[n - 1]
-            if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, list(lvl.block_labels)):
+            if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, lvl.cut_labels()):
                 raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
                                       f"(h = {lvl.h}, z = {lvl.z}, cuts = {lvl.cuts}, zero labels)")
         else:
@@ -679,13 +663,9 @@ def _parse_tower_inner(text: str) -> Tower:
                                       f"(h = {rec.h}, z = {rec.z})")
             # keep the level Tower.extend builds when the file repeats its block by
             # the v^q rule; any other file gets one copy (reps == 1) of its cuts
-            b, v_pow = len(rec.block), tower.v_pow
-            head = labels[:b]
-            lvl = Level(n, h, z, rec.block, rec.reps, head, tag, tower.elements, v_pow)
-            copies_ok = all(list(map(v_pow[q % len(v_pow)].__getitem__, head)) == labels[q * b:(q + 1) * b]
-                            for q in range(1, rec.reps))
-            if lvl.cuts != cuts or not copies_ok:
-                lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, v_pow)
+            lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
+            if lvl.cuts != cuts or lvl.cut_labels() != labels:
+                lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)
         tower.levels.append(lvl)
     if tower.depth != depth:
         raise TowerParseError(f"declared depth {depth} but parsed {tower.depth} levels")

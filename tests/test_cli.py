@@ -385,7 +385,7 @@ def test_permuted_labels_parse_to_the_same_tower(built, tmp_path, capsys, permut
 
 
 @pytest.mark.parametrize("edit", [
-    lambda e: e[:-1],                                  # last entry missing: the in-order stream runs short
+    lambda e: e[:-1],                                  # the last entry missing
     lambda e: e[:3] + e[4:],                           # a middle entry missing
     lambda e: e + [f"{int(e[-1].split('=')[0]) + 1}=0"],   # an entry for a cut that is not there
     lambda e: e[:4] + e[3:],                           # a middle entry twice
@@ -408,7 +408,7 @@ def test_moved_cut_fails_verify(built, tmp_path, capsys):
     top = t.level(t.depth)
     # the last cut moves up one rung and keeps its label; the cut line stays sorted
     cuts = top.cuts[:-1] + (top.cuts[-1] + 1,)
-    labels = list(top.label_indices().values())   # in cut order
+    labels = top.cut_labels()
     t.levels[-1] = Level(top.n, top.h, top.z, cuts, 1, labels, top.tag, t.elements, t.v_pow)
     bad = tmp_path / "moved.txt"
     bad.write_text(serialize_tower(t))

@@ -269,7 +269,7 @@ def test_engine_matches_brute_force_on_random_towers(case):
         assert (twin.block, twin.reps, twin.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
     # every level as one copy of its cuts (reps == 1), the shape of a file that breaks its recipe
     single = Tower(t.group, t.v)
-    single.levels = [Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, list(lvl.label_indices().values()), lvl.tag,
+    single.levels = [Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, lvl.cut_labels(), lvl.tag,
                            single.elements, single.v_pow) for lvl in t.levels]
     trivial = Character(t.group, (0,) * t.group.rank)
     for n, lo, hi in windows:
