@@ -247,6 +247,8 @@ def cmd_spectra(args) -> int:
     # both calls validate k and d, and refuse past the guards, before any line is printed
     subgroups = all_subgroups_sym(k)
     V = generic_diagonal(d, k)
+    if d < k:
+        raise ConfigError(f"dimension d = {d} is below the power k = {k}: the free spectrum is empty")
     ok = True
     print(f"homogeneous multiplicity table, d = {d}, k = {k}")
     for gamma in subgroups:

@@ -42,14 +42,19 @@ def rung_label_indices(tower: Tower, N: int) -> list[int]:
     arr = [newmass]  # level 0: the single rung carries the identity (index 0)
     for n in range(1, N + 1):
         lvl = tower.level(n)
-        lab = lvl.label_indices()
         # rungs outside the embedded region decompose with all-zero coordinates
-        newmass = add[newmass][lab[0]]
+        newmass = add[newmass][lvl.label_index(0)]
         new = [newmass] * lvl.h
-        for c, g in lab.items():
-            row = add[g]
-            for u, b in enumerate(arr):
-                new[c + u] = row[b]
+        # the rungs over cut c are those of the level below plus the cut's label
+        segments: dict[int, list[int]] = {}
+        stride, width = lvl.z * len(tower.v_pow), len(arr)
+        for c, count, g, _ in lvl.shift_classes(0):
+            if g not in segments:
+                segments[g] = [add[g][b] for b in arr]
+            for start in (c + stride * s for s in range(count)):
+                new[start:start + width] = segments[g]
+        if len(new) != lvl.h:
+            raise IndexError(f"level {n}: a cut's stack leaves [0, h)")
         arr = new
     tower._cache[key] = arr
     return arr
@@ -150,11 +155,6 @@ class TailShift:
     def z_prefix(self, n: int) -> int:
         return sum(self.z[1:n + 1])
 
-    def shifted_cut_set(self, m: int) -> frozenset[int]:
-        """Cuts of level m surviving the z_m-shift: C_m intersect (C_m - z_m)."""
-        lvl = self.tower.level(m)
-        return frozenset(c for c in lvl.cuts if c + self.z[m] in lvl.cut_set)
-
     def apply(self, p: Point) -> Point | None:
         """The shifted point, or None when no admissible level certifies p."""
         t = self.tower
@@ -170,7 +170,7 @@ class TailShift:
             ok = True
             for m in range(n + 1, N + 1):
                 c = coords[m]
-                if c + self.z[m] not in t.level(m).cut_set:
+                if c + self.z[m] not in t.level(m):
                     ok = False
                     break
             if ok:
@@ -209,14 +209,18 @@ class AlignedCutsReport:
         return self.partial_sums[-1] if self.partial_sums else Fraction(0)
 
 
-def aligned_cuts(tower: Tower, n: int) -> frozenset[int]:
-    """Cuts c with c + z_n a cut and label(c + z_n) = v(label(c))."""
+def _aligned_classes(tower: Tower, n: int) -> list[tuple[int, int, int, int]]:
+    """``shift_classes`` of the aligned cuts (every cut on a seed level, where z_n = 0)."""
     lvl = tower.level(n)
     if lvl.tag is None or lvl.z == 0:
-        return frozenset(lvl.cuts)
+        return lvl.shift_classes(0)
     v1 = tower.v.perm
-    lab = lvl.label_indices()
-    return frozenset(c for c, g in lab.items() if lab.get(c + lvl.z) == v1[g])
+    return [cls for cls in lvl.shift_classes(lvl.z) if cls[3] == v1[cls[2]]]
+
+
+def aligned_cuts(tower: Tower, n: int) -> frozenset[int]:
+    """Cuts c with c + z_n a cut and label(c + z_n) = v(label(c))."""
+    return frozenset(tower.level(n).class_cuts(_aligned_classes(tower, n)))
 
 
 def check_coboundary_condition(tower: Tower) -> AlignedCutsReport:
@@ -225,7 +229,7 @@ def check_coboundary_condition(tower: Tower) -> AlignedCutsReport:
     run = Fraction(0)
     for n in range(1, tower.depth + 1):
         lvl = tower.level(n)
-        ac = len(aligned_cuts(tower, n))
+        ac = sum(cls[1] for cls in _aligned_classes(tower, n))
         term = 1 - Fraction(ac, lvl.r)
         run += term
         levels.append(n)

@@ -102,7 +102,7 @@ class _RingStore:
             tops, prods = [0], [1]
             for j in range(base_level + 1, tower.depth + 1):
                 lvl = tower.level(j)
-                tops.append(tops[-1] + lvl.cuts[-1])
+                tops.append(tops[-1] + lvl.cut(-1))
                 prods.append(prods[-1] * lvl.r)
             tables = self._cut_tables[base_level] = (tops, prods)
         return tables
@@ -295,13 +295,12 @@ def count_ge(tower: Tower, base_rungs: tuple[int, ...], base_level: int, N: int,
             return 0
         if i == 0:
             return nb - bisect.bisect_left(base_rungs, t)
-        cuts = tower.level(j).cuts
+        lvl = tower.level(j)
         # cuts >= t contribute fully; cuts <= t - 1 - (largest rung below) contribute nothing
-        full_from = bisect.bisect_left(cuts, t)
-        total = (len(cuts) - full_from) * nb * prods[i - 1]
-        lo = bisect.bisect_right(cuts, t - 1 - top - tops[i - 1])
-        for c in cuts[lo:full_from]:
-            total += rec(j - 1, t - c)
+        full_from = lvl.rank(t)
+        total = (lvl.r - full_from) * nb * prods[i - 1]
+        for k in range(lvl.rank(t - top - tops[i - 1]), full_from):
+            total += rec(j - 1, t - lvl.cut(k))
         return total
 
     return rec(N, threshold)

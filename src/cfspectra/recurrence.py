@@ -6,8 +6,8 @@ offset either stays (cuts returning after 2h) or drops by one (cuts
 returning after 2h+1).  Chaining such levels moves any rung to any lower
 rung with an explicitly certified measure fraction; that is the input the
 product-ergodicity criterion consumes.  Everything here is verified by
-per-level set inclusions and exact rational density counts, with optional
-brute-force rung enumeration at shallow depth.
+per-level set inclusions and exact rational density counts, both taken
+over ``Level.shift_classes`` rather than cut by cut.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .cocycle import rung_label
 from .groups import Element, addition_table, least_period, negation_table
 from .tower import Cylinder, EvenTag, StaggerTag, Tower, embed
 
-_BRUTE_GUARD = 2_000_000
 _INT64_MAX = 2**62
 
 
@@ -31,11 +30,11 @@ _INT64_MAX = 2**62
 
 @dataclass
 class ReturnCuts:
-    """Cuts of one stagger level that survive the two forward shifts."""
+    """Cuts of one stagger level that survive the two forward shifts, as shift classes."""
 
     level: int
-    after_even: tuple[int, ...]   # c with c + 2h a cut
-    after_odd: tuple[int, ...]    # c with c + 2h + 1 a cut
+    even: list   # Level.shift_classes of the cuts c with c + 2h a cut
+    odd: list    # ... with c + 2h + 1 a cut
     density_even: Fraction
     density_odd: Fraction
 
@@ -50,21 +49,13 @@ def return_cuts(tower: Tower, n: int) -> ReturnCuts:
     lvl = tower.level(n + 1)
     if not isinstance(lvl.tag, StaggerTag) or lvl.tag.k != 1:
         raise ValueError(f"step {n} does not carry a ratio-1 stagger level")
-    h = tower.h(n)
-    cs = lvl.cut_set
-    even = tuple(c for c in lvl.cuts if c + 2 * h in cs)
-    odd = tuple(c for c in lvl.cuts if c + 2 * h + 1 in cs)
-    return ReturnCuts(n + 1, even, odd,
-                      Fraction(len(even), lvl.r), Fraction(len(odd), lvl.r))
+    even, odd = _cuts_for_kind(tower, n + 1, "even"), _cuts_for_kind(tower, n + 1, "odd")
+    return ReturnCuts(n + 1, even, odd, Fraction(_size(even), lvl.r), Fraction(_size(odd), lvl.r))
 
 
-def _return_cuts_cached(tower: Tower, level: int) -> ReturnCuts:
-    key = ("return_cuts", level)
-    rc = tower._cache.get(key)
-    if rc is None:
-        rc = return_cuts(tower, level - 1)
-        tower._cache[key] = rc
-    return rc
+def _size(classes) -> int:
+    """The number of cuts a list of ``Level.shift_classes`` entries stands for."""
+    return sum(cls[1] for cls in classes)
 
 
 # -- transport witnesses ----------------------------------------------------------
@@ -92,41 +83,24 @@ class TransportWitness:
     slip: int = 0
     slip_level: int | None = None
 
-    def block_rungs(self, tower: Tower, i: int) -> list[int]:
-        """Explicit rung enumeration of coordinate i (shallow towers only)."""
-        rungs = [self.start[i] if not self.flipped else self.target[i]]
-        size = 1
-        for lvl in range(self.base_level + 1, self.top_level + 1):
-            choice = self._choice_cuts(tower, lvl, i)
-            size *= len(choice)
-            if size > _BRUTE_GUARD:
-                raise MemoryError("explicit block too large; rely on the structural checks")
-            rungs = [f + c for f in rungs for c in choice]
-        if self.flipped:
-            rungs = [f + abs(self.shift) for f in rungs]
-        return rungs
 
-    def _choice_cuts(self, tower: Tower, lvl: int, i: int):
-        return _cuts_for_kind(tower, lvl, self.plan[i].get(lvl, "all"))
+def _kind_step(tower: Tower, lvl: int, kind) -> int:
+    """The step a plan entry's cuts return by: 0 for "all", 2h or 2h + 1, or the slip step."""
+    if isinstance(kind, tuple) and kind[0] == "slip":
+        return kind[1]
+    steps = {"all": 0, "even": 2 * tower.h(lvl - 1), "odd": 2 * tower.h(lvl - 1) + 1}
+    if kind not in steps:
+        raise ValueError(f"unknown plan entry {kind!r}")
+    return steps[kind]
 
 
 def _cuts_for_kind(tower: Tower, lvl: int, kind):
-    if kind == "all":
-        return tower.level(lvl).cuts
-    if kind == "even":
-        return _return_cuts_cached(tower, lvl).after_even
-    if kind == "odd":
-        return _return_cuts_cached(tower, lvl).after_odd
-    if isinstance(kind, tuple) and kind[0] == "slip":
-        _, step = kind
-        key = ("returning_cuts", lvl, step)
-        cached = tower._cache.get(key)
-        if cached is None:
-            cs = tower.level(lvl).cut_set
-            cached = tuple(c for c in tower.level(lvl).cuts if c + step in cs)
-            tower._cache[key] = cached
-        return cached
-    raise ValueError(f"unknown plan entry {kind!r}")
+    """The choice set of a plan entry, the cuts c of level lvl with c + step a cut, as shift classes."""
+    key = ("returning_cuts", lvl, _kind_step(tower, lvl, kind))
+    cached = tower._cache.get(key)
+    if cached is None:
+        cached = tower._cache[key] = tower.level(lvl).shift_classes(key[2])
+    return cached
 
 
 class NoWitness(Exception):
@@ -184,13 +158,8 @@ def _layered_witness(tower, base_level, start, target, flipped):
         entry: dict = {}
         ratio = Fraction(1)
         for j, lvl in enumerate(chosen):
-            rc = _return_cuts_cached(tower, lvl)
-            if j < drops[i]:
-                entry[lvl] = "odd"
-                ratio *= rc.density_odd
-            else:
-                entry[lvl] = "even"
-                ratio *= rc.density_even
+            entry[lvl] = "odd" if j < drops[i] else "even"
+            ratio *= Fraction(_size(_cuts_for_kind(tower, lvl, entry[lvl])), tower.level(lvl).r)
         plan.append(entry)
         ratios.append(ratio)
     shift = 2 * sum(tower.h(l - 1) for l in chosen)
@@ -199,17 +168,6 @@ def _layered_witness(tower, base_level, start, target, flipped):
                                 tuple(plan), tuple(ratios), flipped=True)
     return TransportWitness(p, base_level, top, start, target, shift,
                             tuple(plan), tuple(ratios))
-
-
-def _returning_count(tower, level: int, step: int) -> int:
-    key = ("returning_count", level, step)
-    cnt = tower._cache.get(key)
-    if cnt is None:
-        lvl = tower.level(level)
-        cs = lvl.cut_set
-        cnt = sum(1 for c in lvl.cuts if c + step in cs)
-        tower._cache[key] = cnt
-    return cnt
 
 
 def _slip_witness(tower, base_level, start, target):
@@ -221,8 +179,8 @@ def _slip_witness(tower, base_level, start, target):
         h = tower.h(lvl.n - 1)
         step_a = (2 * h + 1) * delta
         step_b = 2 * h * delta
-        sa = _returning_count(tower, lvl.n, step_a)
-        sb = _returning_count(tower, lvl.n, step_b)
+        sa = _size(_cuts_for_kind(tower, lvl.n, ("slip", step_a)))
+        sb = _size(_cuts_for_kind(tower, lvl.n, ("slip", step_b)))
         if sa and sb:
             shift = (f2 - f) + step_a
             assert shift == (d2 - d) + step_b
@@ -246,12 +204,16 @@ def verify_witness(tower: Tower, w: TransportWitness) -> bool:
     shift = -w.shift if w.flipped else w.shift
 
     def inclusion_ok(lvl: int, kind, step: int) -> bool:
+        # a class c + z*P*s, s < count, lands in the cuts when its two ends do:
+        # both ends then sit over one block cut, and so does every copy between
         key = ("plan_inclusion", lvl, kind)
         verdict = tower._cache.get(key)
         if verdict is None:
-            cuts = tower.level(lvl).cut_set
+            level = tower.level(lvl)
+            stride = level.z * len(tower.v_pow)
             choice = _cuts_for_kind(tower, lvl, kind)
-            verdict = bool(choice) and all(c + step in cuts for c in choice)
+            verdict = bool(choice) and all(c + step in level and c + step + stride * (count - 1) in level
+                                           for c, count, *_ in choice)
             tower._cache[key] = verdict
         return verdict
 
@@ -261,34 +223,13 @@ def verify_witness(tower: Tower, w: TransportWitness) -> bool:
             kind = w.plan[i].get(lvl, "all")
             if kind == "all":
                 continue
-            h = tower.h(lvl - 1)
-            if kind == "even":
-                step = 2 * h
-            elif kind == "odd":
-                step = 2 * h + 1
-            else:
-                step = kind[1]
+            step = _kind_step(tower, lvl, kind)
             if not inclusion_ok(lvl, kind, step):
                 return False
             expected_gain += step
         # the shift splits into cut gains plus the rung-offset move
         if expected_gain + (dst[i] - src[i]) != shift:
             return False
-    return True
-
-
-def brute_force_witness_check(tower: Tower, w: TransportWitness) -> bool:
-    """Independent re-verification by explicit rung enumeration (shallow only)."""
-    top = w.top_level
-    for i in range(w.p):
-        rungs = w.block_rungs(tower, i)
-        target_rungs = set(embed(tower, Cylinder.single(w.base_level, w.target[i]), top).rungs)
-        start_rungs = set(embed(tower, Cylinder.single(w.base_level, w.start[i]), top).rungs)
-        for g in rungs:
-            if g not in start_rungs:
-                return False
-            if g + w.shift not in target_rungs:
-                return False
     return True
 
 
@@ -388,18 +329,20 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
     h = tower.h(k)
     G = tower.group
     add, neg = addition_table(G), negation_table(G)
-    lab, e = lvl.label_indices(), G.element_index(a)
-    cls = tuple(c for c in lvl.cuts
-                if c - 2 * h in lab and add[lab[c]][neg[lab[c - 2 * h]]] == e)
+    e = G.element_index(a)
+    # the class: cuts c + 2h over the pairs (c, c + 2h) whose label increment is a
+    cls = [(c + 2 * h, count) for c, count, g0, g in lvl.shift_classes(2 * h) if add[g][neg[g0]] == e]
+    size = _size(cls)
     m = least_period(tower.v, a)
-    ratio = Fraction(len(cls), lvl.r)
+    ratio = Fraction(size, lvl.r)
     bound = Fraction(1, 2 * m)
     N = lvl.n
     checked = 0
     ok = True
-    mid_cuts = [tower.level(j).cuts for j in range(base_level + 1, k + 1)]
-    top_picks = sorted({cls[0], cls[len(cls) // 2], cls[-1]})
-    for mid in _spread_product(mid_cuts, limit=max(1, samples // (len(top_picks) * p))):
+    stride = lvl.z * len(tower.v_pow)
+    top_picks = sorted({_nth(cls, stride, i) for i in (0, size // 2, size - 1)})
+    mid_levels = [tower.level(j) for j in range(base_level + 1, k + 1)]
+    for mid in _spread_product(mid_levels, limit=max(1, samples // (len(top_picks) * p))):
         for c_top in top_picks:
             for f in rungs:
                 g = f + sum(mid) + c_top
@@ -410,12 +353,21 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
     return LabelWitnessReport(k, -2 * h, ratio, bound, ratio > bound, checked, ok)
 
 
-def _spread_product(cut_lists, limit: int = 16):
+def _nth(classes, stride: int, k: int) -> int:
+    """The k-th smallest cut (from 0) of classes (c, count): the cuts c + stride*s, s < count."""
+    lo, hi = 0, max(c + stride * (count - 1) for c, count in classes)
+    while lo < hi:   # the least x with more than k class cuts <= x
+        x = (lo + hi) // 2
+        if sum(min(count, (x - c) // stride + 1) for c, count in classes if c <= x) > k:
+            hi = x
+        else:
+            lo = x + 1
+    return lo
+
+
+def _spread_product(levels, limit: int = 16):
     """A deterministic spread of cut combinations: ends and middles first."""
-    picks = []
-    for cuts in cut_lists:
-        sel = sorted({cuts[0], cuts[len(cuts) // 2], cuts[-1]})
-        picks.append(sel)
+    picks = [sorted({lvl.cut(0), lvl.cut(lvl.r // 2), lvl.cut(-1)}) for lvl in levels]
     return itertools.islice(itertools.product(*picks), limit)
 
 

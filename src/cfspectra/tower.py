@@ -63,7 +63,7 @@ class GeneratorExhausted(Exception):
 
 
 class Level:
-    """One tower level: height, shift, cuts, and cut labels.
+    """One tower level: height, shift, and its cuts and labels in block form.
 
     Every level has cuts ``block + z * {0..reps-1}`` over a sorted block, and
     labels on the block as element indices in block order; the label of a
@@ -73,7 +73,9 @@ class Level:
     restores that block from the recipe when the file's cuts and labels
     repeat it.  Seed levels, and parsed levels that do not repeat their
     recipe, are the plain case ``reps == 1``, whose cuts are the block
-    itself.  A tagged level n was built at step ``n - 1``.
+    itself.  No cut is stored: membership, rank and the k-th cut use divmod
+    by z and bisect on the block, and pair counts use ``shift_classes``.
+    A tagged level n was built at step ``n - 1``.
     ``elements`` and ``v_pow`` are the owning tower's index tables.
     """
 
@@ -82,8 +84,6 @@ class Level:
         self.h = h
         self.z = z
         self.block = tuple(block)
-        self.cuts = self.block if reps == 1 else tuple([d + z * q for q in range(reps) for d in self.block])
-        self.cut_set = frozenset(self.cuts)
         self.reps = reps
         self.block_labels = tuple(block_labels)
         self.tag = tag
@@ -93,30 +93,77 @@ class Level:
 
     @property
     def r(self) -> int:
-        return len(self.cuts)
+        return len(self.block) * self.reps
+
+    @property
+    def cuts(self) -> tuple[int, ...]:
+        """Every cut in increasing order, built on demand and not kept."""
+        # the block lies in [0, z), so the cuts run copy by copy
+        return tuple([d + self.z * q for q in range(self.reps) for d in self.block])
+
+    def _locate(self, c: int) -> tuple[int, int] | None:
+        """(copy, block index) of cut c, or None when c is not a cut."""
+        q, d = divmod(c, self.z) if self.reps > 1 else (0, c)   # reps == 1 allows z == 0
+        i = bisect.bisect_left(self.block, d)
+        return (q, i) if 0 <= q < self.reps and i < len(self.block) and self.block[i] == d else None
+
+    def __contains__(self, c: int) -> bool:
+        return self._locate(c) is not None
+
+    def rank(self, x: int) -> int:
+        """The number of cuts below x."""
+        q, d = divmod(x, self.z) if self.reps > 1 else (0, x)
+        if q < 0 or q >= self.reps:
+            return 0 if q < 0 else self.r
+        return q * len(self.block) + bisect.bisect_left(self.block, d)
+
+    def cut(self, k: int) -> int:
+        """The k-th cut in increasing order; a negative k counts from the top."""
+        if not -self.r <= k < self.r:
+            raise IndexError(k)
+        q, i = divmod(k % self.r, len(self.block))
+        return self.block[i] + self.z * q
 
     def label_index(self, c: int) -> int:
         """Element index of the label of cut c."""
-        q, d = divmod(c, self.z) if self.reps > 1 else (0, c)   # reps == 1 allows z == 0
-        i = bisect.bisect_left(self.block, d)
-        if i == len(self.block) or self.block[i] != d:
+        loc = self._locate(c)
+        if loc is None:
             raise KeyError(c)
-        return self._v_pow[q % len(self._v_pow)][self.block_labels[i]]
+        return self._v_pow[loc[0] % len(self._v_pow)][self.block_labels[loc[1]]]
 
     def label(self, c: int) -> Element:
         return self._elements[self.label_index(c)]
 
     def cut_labels(self) -> list[int]:
         """Label indices of every cut, in cut order, built on demand and not kept."""
-        if self.reps == 1:
-            return list(self.block_labels)
-        # the block lies in [0, z), so the cuts run copy by copy
         rows = [self._v_pow[q % len(self._v_pow)] for q in range(self.reps)]
         return [row[g] for row in rows for g in self.block_labels]
 
-    def label_indices(self) -> dict[int, int]:
-        """{cut: label index} over every cut in cut order, built on demand and not kept."""
-        return dict(zip(self.cuts, self.cut_labels()))
+    def shift_classes(self, delta: int) -> list[tuple[int, int, int, int]]:
+        """The cuts c with c + delta a cut, by block index and copy residue mod the period P of v.
+
+        The pair (block[i] + z*q, block[j] + z*(q + t)) has labels v^q(g_i), v^(q+t)(g_j), so
+        each entry (c, count, g, g2) stands for the cuts c + z*P*s, s < count, labelled g, whose
+        partners c + delta are labelled g2.  O(|block| * P) work instead of O(r).
+        """
+        block, z, reps, v_pow = self.block, self.z, self.reps, self._v_pow
+        P = len(v_pow)
+        out = []
+        for d, g in zip(block, self.block_labels):
+            t, e = divmod(d + delta, z) if reps > 1 else (0, d + delta)
+            j = bisect.bisect_left(block, e)
+            if j == len(block) or block[j] != e:
+                continue
+            lo, hi = max(0, -t), min(reps, reps - t)
+            for q in range(lo, min(hi, lo + P)):
+                out.append((d + z * q, (hi - 1 - q) // P + 1,
+                            v_pow[q % P][g], v_pow[(q + t) % P][self.block_labels[j]]))
+        return out
+
+    def class_cuts(self, classes) -> list[int]:
+        """The cuts a list of ``shift_classes`` entries stands for, in increasing order."""
+        stride = self.z * len(self._v_pow)
+        return sorted(c + stride * s for c, count, *_ in classes for s in range(count))
 
     def __repr__(self):
         return f"Level(n={self.n}, h={self.h}, r={self.r}, tag={self.tag})"
@@ -206,10 +253,10 @@ class Tower:
     def find_cut(self, n: int, f: int) -> int | None:
         """The unique cut c of level n with f - c in [0, h_{n-1}), or None."""
         lvl = self.level(n)
-        i = bisect.bisect_right(lvl.cuts, f) - 1
+        i = lvl.rank(f + 1) - 1
         if i < 0:
             return None
-        c = lvl.cuts[i]
+        c = lvl.cut(i)
         return c if f - c < self.h(n - 1) else None
 
     def decompose(self, f: int, N: int) -> tuple[int, int, dict[int, int]]:
@@ -335,46 +382,36 @@ def validate_labels(level: Level, tower: Tower) -> Report:
     Verifies shift-equivariance of labels under the z-translation, the
     per-orbit-power increment frequency bands, and (for stagger levels)
     the carry-class frequency band.  All comparisons are exact rational
-    inequalities; every class is counted by a scan over all cuts.
+    inequalities over counts of ``Level.shift_classes``.  Across copies,
+    equivariance is ``v_pow[q + 1] == v o v_pow[q]`` on the block labels.
     """
     rep = Report()
     if level.tag is None:
         rep.add("seed level, no label conditions", level.n, True)
         return rep
-    G, v_pow = tower.group, tower.v_pow
+    G, v_pow, v1 = tower.group, tower.v_pow, tower.v.perm
     add, neg = addition_table(G), negation_table(G)
-    n = level.step
+    n, r = level.step, level.r
     h_prev = tower.h(level.n - 1)
-    r = level.r
-    lab = level.label_indices()
 
-    z, v1 = level.z, tower.v.perm
-    bad, checked = [], 0
-    for c, g in lab.items():
-        g1 = lab.get(c + z)
-        if g1 is not None:
-            checked += 1
-            if g1 != v1[g]:
-                bad.append(c)
+    classes = level.shift_classes(level.z)
+    bad = level.class_cuts([(c, min(count, 3)) for c, count, g, g1 in classes if g1 != v1[g]])
     rep.add("shift-equivariance", level.n, not bad,
-            f"violated at cuts {bad[:3]}" if bad else f"checked {checked} cuts")
+            f"violated at cuts {bad[:3]}" if bad else f"checked {sum(cls[1] for cls in classes)} cuts")
 
     if isinstance(level.tag, EvenTag):
         el, m = level.tag.a, least_period(tower.v, level.tag.a)
         center = Fraction(1, m)
-        width = Fraction(2, n * m)
     else:
         el, m = level.tag.b, least_period(tower.v, level.tag.b)
         center = Fraction(1, (level.tag.k + 1) * m)
-        width = Fraction(2, n * m)
+    width = Fraction(2, n * m)
 
     two_h = 2 * h_prev
-    increments: dict[int, int] = {}   # label(c) - label(c - 2h) -> number of cuts
-    for c, g in lab.items():
-        g0 = lab.get(c - two_h)
-        if g0 is not None:
-            d = add[g][neg[g0]]
-            increments[d] = increments.get(d, 0) + 1
+    increments: dict[int, int] = {}   # label(c + 2h) - label(c) -> number of cuts
+    for _, count, g0, g in level.shift_classes(two_h):
+        d = add[g][neg[g0]]
+        increments[d] = increments.get(d, 0) + count
     e = G.element_index(el)
     for i in range(m):
         size = increments.get(v_pow[i % len(v_pow)][e], 0)
@@ -385,7 +422,7 @@ def validate_labels(level: Level, tower: Tower) -> Report:
 
     if isinstance(level.tag, StaggerTag):
         k = level.tag.k
-        size = sum(1 for c, g in lab.items() if lab.get(c - two_h - 1) == g)
+        size = sum(count for _, count, g0, g in level.shift_classes(two_h + 1) if g0 == g)
         freq = Fraction(size, r)
         ok = abs(freq - Fraction(k, k + 1)) < Fraction(2, n)
         rep.add("carry-class-band", level.n, ok, f"|{freq} - {Fraction(k, k+1)}| vs {Fraction(2, n)}")
@@ -398,14 +435,17 @@ def validate_structure(tower: Tower) -> Report:
     for n in range(1, tower.depth + 1):
         lvl = tower.level(n)
         h_prev = tower.h(n - 1)
-        rep.add("zero cut present", n, 0 in lvl.cut_set)
+        rep.add("zero cut present", n, 0 in lvl)
         rep.add("more than one cut", n, lvl.r > 1)
         r_recipe = lvl.r if lvl.tag is None else recipe(tower, n - 1, lvl.tag).r
         rep.add("cut count matches recipe", n, lvl.r == r_recipe, f"{lvl.r} vs {r_recipe}")
-        rep.add("stack containment", n, max(lvl.cuts) + h_prev <= lvl.h,
-                f"max cut {max(lvl.cuts)} + {h_prev} vs height {lvl.h}")
-        gaps_ok = all(b - a >= h_prev for a, b in zip(lvl.cuts, lvl.cuts[1:]))
-        rep.add("cut disjointness", n, gaps_ok)
+        top, block = lvl.cut(-1), lvl.block
+        rep.add("stack containment", n, top + h_prev <= lvl.h,
+                f"max cut {top} + {h_prev} vs height {lvl.h}")
+        gaps = [b - a for a, b in itertools.pairwise(block)]   # and, between copies, one boundary gap
+        if lvl.reps > 1:
+            gaps.append(lvl.z + block[0] - block[-1])
+        rep.add("cut disjointness", n, all(gap >= h_prev for gap in gaps))
     mus = [tower.mu_level(n) for n in range(tower.depth + 1)]
     for n in range(1, tower.depth + 1):
         rep.add("measure nondecreasing", n, mus[n] >= mus[n - 1], f"{mus[n]} vs {mus[n-1]}")
@@ -486,7 +526,7 @@ class Point:
         if not 0 <= self.f < tower.h(self.level):
             raise ValueError("rung out of range at the point's level")
         for offset, c in enumerate(self.tail):
-            if c not in tower.level(self.level + 1 + offset).cut_set:
+            if c not in tower.level(self.level + 1 + offset):
                 raise ValueError(f"tail coordinate {c} is not a cut of level {self.level + 1 + offset}")
         return self.f + sum(self.tail)
 
@@ -512,9 +552,8 @@ def defect_fraction(tower: Tower, n: int) -> Fraction:
     lvl = tower.level(n)
     if lvl.z == 0:
         return Fraction(0)
-    cuts = lvl.cut_set
-    shifted = frozenset(c - lvl.z for c in cuts)
-    return Fraction(len(cuts.symmetric_difference(shifted)), lvl.r)
+    kept = sum(cls[1] for cls in lvl.shift_classes(lvl.z))   # |cuts & (cuts - z)|
+    return Fraction(2 * (lvl.r - kept), lvl.r)
 
 
 # -- serialization -----------------------------------------------------------
@@ -571,8 +610,9 @@ def serialize_tower(tower: Tower) -> str:
             lines.append(f"tag = stagger {_coords_str(lvl.tag.b)} k={lvl.tag.k}")
         lines.append(f"h = {lvl.h}")
         lines.append(f"z = {lvl.z}")
-        lines.append(f"cuts = {_compress_aps(lvl.cuts)}")
-        lines.append("labels = " + ";".join(f"{c}={text[g]}" for c, g in lvl.label_indices().items()))
+        cuts = lvl.cuts
+        lines.append(f"cuts = {_compress_aps(cuts)}")
+        lines.append("labels = " + ";".join(f"{c}={text[g]}" for c, g in zip(cuts, lvl.cut_labels())))
     return "\n".join(lines) + "\n"
 
 

@@ -157,11 +157,20 @@ def test_spectra_command(capsys):
     assert "expected multiplicity 2: pass" in out
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_spectra_with_d_equal_to_k_passes(capsys, k):
+    assert main(["spectra", "--k", str(k), "--d", str(k)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv,prefix", [
     (["spectra", "--k", "0"], "config error: "),
     (["spectra", "--k", "-1"], "config error: "),
     (["spectra", "--k", "2", "--d", "0"], "config error: "),
     (["spectra", "--k", "2", "--d", "40"], "limit error: "),
+    (["spectra", "--k", "2", "--d", "1"], "config error: "),
+    (["spectra", "--k", "3", "--d", "2"], "config error: "),
+    (["spectra", "--k", "4", "--d", "3"], "config error: "),
 ])
 def test_bad_spectra_input_is_refused_before_any_table_line(capsys, argv, prefix):
     t0 = time.perf_counter()
@@ -228,6 +237,9 @@ def test_config_group_without_a_triple_is_a_config_error(tmp_path, capsys):
     ["build", "--target", "abc"],
     ["groups", "--targets", "0"],
     ["spectra", "--k", "7"],
+    ["spectra", "--k", "2", "--d", "1"],
+    ["spectra", "--k", "3", "--d", "2"],
+    ["spectra", "--k", "4", "--d", "3"],
     ["recur", "--tower", "{tower}", "--kmax", "100000000"],
     ["recur", "--tower", "{tower}", "--depth", "-1"],
     ["recur", "--tower", "{tower}", "--kmax", "0"],
@@ -376,7 +388,7 @@ def test_permuted_labels_parse_to_the_same_tower(built, tmp_path, capsys, permut
     assert bad.read_text() != text
     t, twin = parse_tower(text), parse_tower(bad.read_text())
     for lvl, other in zip(t.levels, twin.levels, strict=True):
-        assert other.cuts == lvl.cuts and other.label_indices() == lvl.label_indices()
+        assert other.cuts == lvl.cuts and other.cut_labels() == lvl.cut_labels()
         assert (other.block, other.reps) == (lvl.block, lvl.reps)
     assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
     clean = capsys.readouterr().out

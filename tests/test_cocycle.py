@@ -39,6 +39,14 @@ def z3_tower():
     return t
 
 
+def shifted_cut_set(tower, m):
+    """Cuts of level m surviving the z_m-shift, C_m intersect (C_m - z_m), by a scan over every cut."""
+    lvl = tower.level(m)
+    z = TailShift(tower).z[m]
+    cuts = set(lvl.cuts)
+    return frozenset(c for c in lvl.cuts if c + z in cuts)
+
+
 def random_points(tower, N, count, seed=0):
     rng = random.Random(seed)
     out = []
@@ -150,9 +158,9 @@ def test_tail_shift_defined_points_shift_coordinates(z3_tower):
     t = z3_tower
     ts = TailShift(t)
     # a point with small rung and all coordinates surviving the shift
-    c3 = sorted(ts.shifted_cut_set(3))[0]
-    c4 = sorted(ts.shifted_cut_set(4))[0]
-    c5 = sorted(ts.shifted_cut_set(5))[0]
+    c3 = sorted(shifted_cut_set(t, 3))[0]
+    c4 = sorted(shifted_cut_set(t, 4))[0]
+    c5 = sorted(shifted_cut_set(t, 5))[0]
     p = Point(2, 0, (c3, c4, c5))
     q = ts.apply(p)
     assert q is not None
@@ -164,7 +172,7 @@ def test_tail_shift_undefined_case(z3_tower):
     ts = TailShift(t)
     N = t.depth
     # a top-region rung: beyond the deepest admissible window, with a broken coordinate
-    bad_c = next(c for c in t.level(N).cuts if c + ts.z[N] not in t.level(N).cut_set)
+    bad_c = next(c for c in t.level(N).cuts if c + ts.z[N] not in t.level(N).cuts)
     p = Point(N - 1, t.h(N - 1) - 1, (bad_c,))
     assert p.rung(t) + ts.z_prefix(N) >= t.h(N) or True
     if ts.apply(p) is not None:
@@ -223,9 +231,8 @@ def test_tail_shift_conjugates_labels(z3_tower):
 
 def test_aligned_cuts_equal_surviving_cuts(z3_tower):
     t = z3_tower
-    ts = TailShift(t)
     for n in range(3, t.depth + 1):
-        assert aligned_cuts(t, n) == ts.shifted_cut_set(n)
+        assert aligned_cuts(t, n) == shifted_cut_set(t, n)
 
 
 def test_coboundary_terms_exact(z3_tower):

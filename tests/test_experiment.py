@@ -109,3 +109,28 @@ def test_build_explicit_group():
     bad = ExperimentConfig(E={1, 2}, group=triple, depth=5)
     with pytest.raises(ConfigError):
         build_tower(bad)
+
+
+def test_deep_build_stays_small_in_memory():
+    """A depth-34 {2} tower (962,949 cuts) builds in well under 60 MB: no level stores its cuts.
+
+    The child reads its peak resident size from VmHWM, not ru_maxrss: Linux folds the
+    resident size of the spawning process into a child's ru_maxrss when it execs, so
+    under a large test runner ru_maxrss would report the runner, not the build.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "from cfspectra.experiment import ExperimentConfig, build_tower\n"
+        "tower, _, _ = build_tower(ExperimentConfig(E=frozenset({2}), depth=34))\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(sum(lvl.r for lvl in tower.levels), int(status.split()[0]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert int(out[0]) == 962_949
+    assert int(out[1]) < 60 * 1024, f"peak RSS {int(out[1]) // 1024} MB"   # VmHWM is in kB

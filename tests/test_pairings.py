@@ -1,3 +1,4 @@
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -5,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfspectra import koopman
-from cfspectra.cocycle import rung_label
+from cfspectra.cocycle import aligned_cuts, check_coboundary_condition, rung_label
 from cfspectra.cyclotomic import Cyclo, abs_upper
 from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
-from cfspectra.tower import (Cylinder, EvenTag, Level, StaggerTag, Tower, embed, measure, parse_tower,
-                             serialize_tower)
+from cfspectra.recurrence import _nth, label_transport_witness, return_cuts
+from cfspectra.tower import (Cylinder, EvenTag, StaggerTag, Tower, defect_fraction, embed, measure,
+                             parse_tower, serialize_tower, validate_labels, validate_structure)
+
+from cut_scans import (aligned_cut_scan, count_ge_scan, defect_scan, find_cut_scan, one_copy_twin,
+                       reference_label_report, reference_structure_report, surviving_cuts)
 
 
 @pytest.fixture(scope="module")
@@ -268,9 +273,7 @@ def test_engine_matches_brute_force_on_random_towers(case):
     for lvl, twin in zip(t.levels, parsed.levels):
         assert (twin.block, twin.reps, twin.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
     # every level as one copy of its cuts (reps == 1), the shape of a file that breaks its recipe
-    single = Tower(t.group, t.v)
-    single.levels = [Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, lvl.cut_labels(), lvl.tag,
-                           single.elements, single.v_pow) for lvl in t.levels]
+    single = one_copy_twin(t)
     trivial = Character(t.group, (0,) * t.group.rank)
     for n, lo, hi in windows:
         want = brute_kernel(t, n, lo, hi)
@@ -291,6 +294,64 @@ def test_engine_matches_brute_force_on_random_towers(case):
             for twin_eng in twin_engs:
                 again = twin_eng.pairing(m, A, B, t.depth)
                 assert again.value == got.value and again.error_bound == got.error_bound
+
+
+@st.composite
+def block_cases(draw):
+    """A random small tower with probe positions, base rungs and thresholds for its cut queries."""
+    t = draw(small_towers())
+    top = t.h(t.depth)
+    probes = draw(st.lists(st.integers(-3, top + 3), min_size=1, max_size=12))
+    base = tuple(sorted(set(draw(st.lists(st.integers(0, t.h(2) - 1), min_size=1, max_size=3)))))
+    thresholds = draw(st.lists(st.integers(-2, top + 2), min_size=1, max_size=4))
+    return t, probes, base, thresholds
+
+
+@given(block_cases())
+def test_block_forms_match_cut_scans_on_random_towers(case):
+    """Every block-form count equals its per-cut scan, on each level and on the level's reps == 1 twin."""
+    t, probes, base, thresholds = case
+    single = one_copy_twin(t)
+    for tower in (t, single):
+        assert validate_structure(tower).render() == reference_structure_report(tower).render()
+        cob = check_coboundary_condition(tower)
+        for n in range(1, tower.depth + 1):
+            lvl = tower.level(n)
+            cuts = lvl.cuts
+            assert validate_labels(lvl, tower).render() == reference_label_report(lvl, tower).render()
+            assert aligned_cuts(tower, n) == aligned_cut_scan(tower, n)
+            assert cob.aligned_counts[n - 1] == len(aligned_cut_scan(tower, n))
+            assert defect_fraction(tower, n) == defect_scan(tower, n)
+            assert [lvl.cut(k) for k in range(-len(cuts), len(cuts))] == list(cuts + cuts)
+            for x in probes + [c + d for c in cuts[:2] + cuts[-2:] for d in (-1, 0, 1)]:
+                assert (x in lvl) == (x in set(cuts))
+                assert lvl.rank(x) == bisect.bisect_left(cuts, x)
+                assert tower.find_cut(n, x) == find_cut_scan(tower, n, x)
+            for delta in (0, lvl.z, 2 * tower.h(n - 1), 2 * tower.h(n - 1) + 1, -lvl.z, 7):
+                classes, want = lvl.shift_classes(delta), surviving_cuts(lvl, delta)
+                assert lvl.class_cuts(classes) == list(want)
+                stride = lvl.z * len(tower.v_pow) or 1   # a seed level's classes are single cuts
+                for k in {0, len(want) // 2, len(want) - 1} if want else ():
+                    assert _nth([(c, count) for c, count, *_ in classes], stride, k) == want[k]
+            if isinstance(lvl.tag, StaggerTag) and lvl.tag.k == 1:
+                rc, h = return_cuts(tower, n - 1), tower.h(n - 1)
+                assert lvl.class_cuts(rc.even) == list(surviving_cuts(lvl, 2 * h))
+                assert lvl.class_cuts(rc.odd) == list(surviving_cuts(lvl, 2 * h + 1))
+                assert rc.density_even == Fraction(len(surviving_cuts(lvl, 2 * h)), len(cuts))
+                assert rc.density_odd == Fraction(len(surviving_cuts(lvl, 2 * h + 1)), len(cuts))
+        for f in probes:
+            if 0 <= f < tower.h(tower.depth):
+                n_min, f0, coords = tower.decompose(f, tower.depth)
+                assert f0 + sum(coords.values()) == f and (n_min == 0 or find_cut_scan(tower, n_min, f0) is None)
+                assert all(find_cut_scan(tower, j, f - sum(coords[i] for i in coords if i > j)) == c
+                           for j, c in coords.items())
+        for threshold in thresholds:
+            assert count_ge(tower, base, 2, tower.depth, threshold) == count_ge_scan(tower, base, 2, tower.depth,
+                                                                                   threshold)
+    even = next((lvl for lvl in t.levels if isinstance(lvl.tag, EvenTag) and lvl.n > 3), None)
+    if even is not None:
+        a = even.tag.a
+        assert label_transport_witness(t, 1, 2, (0,), a) == label_transport_witness(single, 1, 2, (0,), a)
 
 
 def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch):

@@ -8,7 +8,6 @@ from cfspectra.recurrence import (
     NoWitness,
     ReturnCuts,
     all_rung_pairs,
-    brute_force_witness_check,
     ergodicity_sweep,
     geometric_weight,
     geometric_weight_total,
@@ -21,6 +20,8 @@ from cfspectra.recurrence import (
     verify_witness,
 )
 from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower
+
+from cut_scans import brute_force_witness_check
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +58,12 @@ def test_return_cuts_densities(deep_tower):
         assert rc.density_odd >= Fraction(1, 3)
         # sanity on the set definitions
         h = t.h(n)
-        cs = t.level(n + 1).cut_set
-        assert all(c + 2 * h in cs for c in rc.after_even)
-        assert all(c + 2 * h + 1 in cs for c in rc.after_odd)
-        assert len(rc.after_even) + len(rc.after_odd) <= 2 * t.level(n + 1).r
+        lvl = t.level(n + 1)
+        cs = set(lvl.cuts)
+        after_even, after_odd = lvl.class_cuts(rc.even), lvl.class_cuts(rc.odd)
+        assert all(c + 2 * h in cs for c in after_even)
+        assert all(c + 2 * h + 1 in cs for c in after_odd)
+        assert len(after_even) + len(after_odd) <= 2 * lvl.r
 
 
 def test_return_cuts_rejects_even_levels(deep_tower):

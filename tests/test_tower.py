@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cfspectra.groups import Automorphism, FinAbGroup, least_period
+from cfspectra.groups import Automorphism, FinAbGroup
 from cfspectra.tower import (
     Cylinder,
     EvenTag,
     Level,
     Point,
-    Report,
     StaggerTag,
     Tower,
     apply_T,
@@ -27,6 +26,8 @@ from cfspectra.tower import (
     validate_tower,
     TowerParseError,
 )
+
+from cut_scans import reference_label_report, reference_structure_report
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +156,7 @@ def test_label_validation_catches_corruption(z3_system):
     lvl = t.level(3)
     labels = {c: lvl.label(c) for c in lvl.cuts}
     # corrupt one label on a cut participating in the z-translation
-    target = next(c for c in lvl.cuts if c + lvl.z in lvl.cut_set)
+    target = next(c for c in lvl.cuts if c + lvl.z in lvl)
     labels[target + lvl.z] = labels[target + lvl.z] + G.element((1,))
     # the corrupted labels cannot follow the block rule, so the level is one copy
     corrupted = Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1,
@@ -164,40 +165,6 @@ def test_label_validation_catches_corruption(z3_system):
     rep = validate_labels(corrupted, t)
     assert not rep.passed
     assert any("shift-equivariance" in it.name and not it.ok for it in rep.items)
-
-
-def reference_label_report(level, tower):
-    """The three label checks on ``Element`` values, each class counted by its own scan."""
-    rep = Report()
-    if level.tag is None:
-        rep.add("seed level, no label conditions", level.n, True)
-        return rep
-    v, n, r, tag = tower.v, level.step, level.r, level.tag
-    cuts = set(level.cuts)
-    label = {c: level.label(c) for c in level.cuts}
-    shifted = [c for c in level.cuts if c + level.z in cuts]
-    bad = [c for c in shifted if label[c + level.z] != v(label[c])]
-    rep.add("shift-equivariance", level.n, not bad,
-            f"violated at cuts {bad[:3]}" if bad else f"checked {len(shifted)} cuts")
-    el = tag.a if isinstance(tag, EvenTag) else tag.b
-    m = least_period(v, el)
-    center = Fraction(1, m) if isinstance(tag, EvenTag) else Fraction(1, (tag.k + 1) * m)
-    width = Fraction(2, n * m)
-    two_h = 2 * tower.h(level.n - 1)
-    power = el
-    for i in range(m):
-        cls = [c for c in level.cuts if c - two_h in cuts and label[c] - label[c - two_h] == power]
-        freq = Fraction(len(cls), r)
-        rep.add(f"increment-class-band i={i}", level.n, abs(freq - center) < width,
-                f"|{freq} - {center}| vs {width}, class size {len(cls)}")
-        power = v(power)
-    if isinstance(tag, StaggerTag):
-        k = tag.k
-        cls = [c for c in level.cuts if c - two_h - 1 in cuts and label[c] == label[c - two_h - 1]]
-        freq = Fraction(len(cls), r)
-        rep.add("carry-class-band", level.n, abs(freq - Fraction(k, k + 1)) < Fraction(2, n),
-                f"|{freq} - {Fraction(k, k + 1)}| vs {Fraction(2, n)}")
-    return rep
 
 
 SMALL_SYSTEMS = [
@@ -284,6 +251,80 @@ def test_structure_validation_catches_height_tampering(z3_system):
     assert any(it.name == "stack containment" and not it.ok for it in rep.items)
 
 
+# -- seeded faults against the block-form checks ---------------------------------
+
+
+def _relevel(lvl, t, **changes):
+    """A copy of a level with some constructor fields replaced."""
+    fields = dict(n=lvl.n, h=lvl.h, z=lvl.z, block=lvl.block, reps=lvl.reps, block_labels=lvl.block_labels,
+                  tag=lvl.tag, elements=t.elements, v_pow=t.v_pow)
+    fields.update(changes)
+    return Level(**fields)
+
+
+def _failures(rep):
+    return [(it.level, it.name) for it in rep.failures()]
+
+
+def test_corrupted_power_table_row_fails_shift_equivariance(z3_system):
+    t = build_desk_tower(z3_system, depth=5)
+    lvl = t.level(5)
+    rows = [list(row) for row in t.v_pow]
+    g = lvl.block_labels[0]
+    rows[1][g] = (rows[1][g] + 1) % t.group.order   # v^1 of the first block label is now wrong
+    bad = _relevel(lvl, t, v_pow=tuple(map(tuple, rows)))
+    assert bad.reps > 1
+    rep = validate_labels(bad, t)
+    assert rep.render() == reference_label_report(bad, t).render()
+    assert ("shift-equivariance", False) in [(it.name, it.ok) for it in rep.items]
+    assert validate_labels(lvl, t).passed
+
+
+def test_changed_block_labels_fail_the_increment_band(z3_system):
+    t = build_desk_tower(z3_system, depth=5)
+    lvl = t.level(5)
+    # one changed block label still follows v^q from copy to copy and stays inside
+    # the bands, so the seeded fault replaces the whole ramp by the zero label
+    bad = _relevel(lvl, t, block_labels=[0] * len(lvl.block))
+    rep = validate_labels(bad, t)
+    assert rep.render() == reference_label_report(bad, t).render()
+    assert _failures(rep) == [(5, "increment-class-band i=0"), (5, "increment-class-band i=1")]
+
+
+def test_boundary_gap_below_h_prev_fails_cut_disjointness(z3_system):
+    t = build_desk_tower(z3_system, depth=5)
+    lvl = t.level(4)
+    h_prev = t.h(3)
+    # the copies now start h_prev - 1 after the block's last cut; every block gap is unchanged
+    bad = _relevel(lvl, t, z=lvl.block[-1] + h_prev - 1)
+    t2 = Tower(t.group, t.v)
+    t2.levels = t.levels[:3] + [bad] + t.levels[4:]
+    rep = validate_structure(t2)
+    assert rep.render() == reference_structure_report(t2).render()
+    assert (4, "cut disjointness") in _failures(rep)
+    assert min(b - a for a, b in itertools.pairwise(bad.block)) >= h_prev
+
+
+def test_parsed_level_with_a_moved_cut_keeps_one_copy_and_todays_failures(z3_system):
+    from cfspectra.cocycle import check_coboundary_condition
+
+    t = build_desk_tower(z3_system, depth=6)
+    lvl = t.level(5)
+    cuts = list(lvl.cuts)
+    cuts[len(cuts) // 2] += 1   # the middle cut moves up one rung and keeps its label
+    t.levels[4] = Level(5, lvl.h, lvl.z, cuts, 1, lvl.cut_labels(), lvl.tag, t.elements, t.v_pow)
+    parsed = parse_tower(serialize_tower(t))
+    assert parsed.level(5).reps == 1 and parsed.level(5).cuts == tuple(cuts)
+    rep = validate_tower(parsed)
+    want = reference_structure_report(parsed)
+    for level in parsed.levels:
+        want.items.extend(reference_label_report(level, parsed).items)
+    assert rep.render() == want.render() and rep.passed
+    # as before block levels: only the level's coboundary term moves off 1/step^2
+    terms = check_coboundary_condition(parsed).terms
+    assert terms == [0, 0, Fraction(1, 4), Fraction(1, 9), Fraction(5, 64), Fraction(1, 25)]
+
+
 def test_zero_label_map_is_valid_for_identity_element(trivial_system):
     t = seeded(trivial_system)
     lvl = t.extend(EvenTag(t.group.identity()))
@@ -302,7 +343,7 @@ def test_alternating_ramp_under_identity_automorphism():
     # nearly every consecutive pair realizes the increment: the band is tight
     from fractions import Fraction as F
 
-    cls = [c for c in lvl.cuts if c - 24 in lvl.cut_set
+    cls = [c for c in lvl.cuts if c - 24 in lvl
            and lvl.label(c) - lvl.label(c - 24) == G.element((1,))]
     assert abs(F(len(cls), lvl.r) - 1) < F(2, 2)
 
@@ -346,7 +387,7 @@ def test_decompose_round_trip_exhaustive(z3_system):
         n_min, f0, coords = t.decompose(f, N)
         assert f0 + sum(coords.values()) == f
         assert 0 <= f0 < t.h(n_min)
-        assert all(c in t.level(j).cut_set for j, c in coords.items())
+        assert all(c in t.level(j).cuts for j, c in coords.items())
         # minimality: no decomposition into a strictly lower level exists
         if n_min > 0:
             assert t.find_cut(n_min, f0) is None
