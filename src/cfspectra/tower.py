@@ -75,6 +75,9 @@ class Level:
     recipe, are the plain case ``reps == 1``, whose cuts are the block
     itself.  No cut is stored: membership, rank and the k-th cut use divmod
     by z and bisect on the block, and pair counts use ``shift_classes``.
+    The format-1 lines are rendered from the block (``_cuts_text``,
+    ``_labels_text``); ``cuts`` is read only by ``embed`` and by the
+    parser's per-entry reader.
     A tagged level n was built at step ``n - 1``.
     ``elements`` and ``v_pow`` are the owning tower's index tables.
     """
@@ -559,31 +562,64 @@ def defect_fraction(tower: Tower, n: int) -> Fraction:
 # -- serialization -----------------------------------------------------------
 
 
-def _compress_aps(values) -> str:
-    """Greedy run-length compression into start:step:count arithmetic blocks."""
-    vals = list(values)
+def _gap_runs(block, z: int, reps: int) -> list[list[int]]:
+    """The gaps between consecutive cuts of ``block + z*{0..reps-1}`` in copy order, as maximal [gap, count] runs.
+
+    Copies are joined by the boundary gap ``z + block[0] - block[-1]``; O(reps * runs per block) steps.
+    """
+    block_runs = [(gap, len(list(same))) for gap, same in
+                  itertools.groupby(b - a for a, b in itertools.pairwise(block))]
+    runs = []
+    for q in range(reps):
+        for gap, count in [(z + block[0] - block[-1], 1)] * (q > 0) + block_runs:
+            if runs and runs[-1][0] == gap:
+                runs[-1][1] += count
+            else:
+                runs.append([gap, count])
+    return runs
+
+
+def _compress_aps(start: int, runs) -> str:
+    """Greedy start:step:count arithmetic blocks over a sequence given by its first value and ``_gap_runs``.
+
+    Each block takes the rest of the current gap run, and the gap after it is skipped to reach the next
+    block's start; a last lone value is ``v:1:1``.  The text is the greedy per-value scan's.
+    """
     out = []
-    i = 0
-    while i < len(vals):
-        if i + 1 >= len(vals):
-            out.append(f"{vals[i]}:1:1")
+    i, left = 0, runs[0][1] if runs else 0   # left: gaps of run i not yet used
+    while True:
+        if left == 0:
+            if i + 1 >= len(runs):
+                out.append(f"{start}:1:1")
+                break
             i += 1
-            continue
-        step = vals[i + 1] - vals[i]
-        j = i + 1
-        while j + 1 < len(vals) and vals[j + 1] - vals[j] == step:
-            j += 1
-        out.append(f"{vals[i]}:{step}:{j - i + 1}")
-        i = j + 1
+            left = runs[i][1]
+        gap = runs[i][0]
+        out.append(f"{start}:{gap}:{left + 1}")
+        start += gap * left
+        if i + 1 == len(runs):
+            break
+        i += 1
+        start += runs[i][0]
+        left = runs[i][1] - 1
     return ",".join(out)
 
 
-def _expand_aps(text: str) -> list[int]:
-    out = []
-    for blk in text.split(","):
-        start, step, count = (int(x) for x in blk.split(":"))
-        out.extend(start + step * i for i in range(count))
-    return out
+def _cuts_text(lvl: Level) -> str:
+    """A level's ``cuts =`` value, compressed from its block."""
+    return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.z, lvl.reps))
+
+
+def _labels_text(lvl: Level, texts) -> str:
+    """A level's ``labels =`` value, ``cut=coords`` in cut order, one %-format per copy.
+
+    ``texts`` maps a label index to its coordinate text.  The copy q uses the template of the
+    residue q mod P (the period of v), whose block labels are ``v^q`` of the block's.
+    """
+    v_pow, block, z = lvl._v_pow, lvl.block, lvl.z
+    P = len(v_pow)
+    templates = [";".join([f"%d={texts[row[g]]}" for g in lvl.block_labels]) for row in v_pow[:lvl.reps]]
+    return ";".join([templates[q % P] % tuple(map((z * q).__add__, block)) for q in range(lvl.reps)])
 
 
 def _coords_str(el: Element) -> str:
@@ -599,7 +635,7 @@ def serialize_tower(tower: Tower) -> str:
     lines.append(f"group = [{', '.join(map(str, tower.group.invariant_factors))}]")
     lines.append("aut = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in tower.v.matrix) + "]")
     lines.append(f"depth = {tower.depth}")
-    text = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
+    texts = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
     for lvl in tower.levels:
         lines.append(f"level {lvl.n}")
         if lvl.tag is None:
@@ -610,10 +646,10 @@ def serialize_tower(tower: Tower) -> str:
             lines.append(f"tag = stagger {_coords_str(lvl.tag.b)} k={lvl.tag.k}")
         lines.append(f"h = {lvl.h}")
         lines.append(f"z = {lvl.z}")
-        cuts = lvl.cuts
-        lines.append(f"cuts = {_compress_aps(cuts)}")
-        lines.append("labels = " + ";".join(f"{c}={text[g]}" for c, g in zip(cuts, lvl.cut_labels())))
-    return "\n".join(lines) + "\n"
+        lines.append(f"cuts = {_cuts_text(lvl)}")
+        lines.append(f"labels = {_labels_text(lvl, texts)}")
+    lines.append("")   # the closing newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 class TowerParseError(Exception):
@@ -627,6 +663,57 @@ def parse_tower(text: str) -> Tower:
         raise
     except Exception as exc:
         raise TowerParseError(f"malformed tower file: {exc}") from exc
+
+
+def _rendered_level(tower: Tower, n: int, tag: Tag, rec: Recipe, props: dict, index_of: dict, texts) -> Level | None:
+    """The level ``Tower.extend`` builds from ``rec``, when the file's two data lines are its rendering.
+
+    Only the block's label entries are decoded.  A line equal to the writer's output reads back,
+    entry by entry, as exactly this level's cuts and labels, so the tower is the same one.  None
+    when the lines differ; the caller then reads every entry.
+    """
+    cuts_text, labels_text = props["cuts"], props["labels"]
+    head = labels_text.split(";", len(rec.block))[:len(rec.block)]
+    block_labels = [index_of.get(entry.partition("=")[2]) for entry in head]
+    if len(block_labels) < len(rec.block) or None in block_labels:
+        return None
+    lvl = Level(n, rec.h, rec.z, rec.block, rec.reps, block_labels, tag, tower.elements, tower.v_pow)
+    if cuts_text != _cuts_text(lvl) or labels_text != _labels_text(lvl, texts):
+        return None
+    return lvl
+
+
+def _read_entries(n: int, props: dict, group: FinAbGroup, index_of: dict) -> tuple[tuple[int, ...], list[int]]:
+    """Every cut of a level's ``cuts`` line, and the label index of each, whatever the order of the entries."""
+    aps = []
+    for blk in props["cuts"].split(","):
+        start, step, count = (int(x) for x in blk.split(":"))
+        if count < 1:
+            raise TowerParseError(f"level {n}: malformed cut block {blk!r} (count below 1)")
+        aps.append((start, step, count))
+    entries = props["labels"]
+    if sum(ap[2] for ap in aps) != entries.count(";") + 1:   # refused before any cut is expanded
+        raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
+    cuts = tuple(start + step * i for start, step, count in aps for i in range(count))
+    if any(b <= a for a, b in itertools.pairwise(cuts)):
+        raise TowerParseError(f"level {n}: cuts are not strictly increasing")
+    labels = [None] * len(cuts)   # label indices in cut order
+    i = -1
+    for entry in entries.split(";"):
+        cpart, _, coordpart = entry.partition("=")
+        g = index_of.get(coordpart)
+        if g is None:
+            g = index_of[coordpart] = group.element_index(group.element(_coords_from_str(coordpart)))
+        c = int(cpart)
+        i += 1
+        if i == len(cuts) or cuts[i] != c:   # not the next cut: look it up
+            i = bisect.bisect_left(cuts, c)
+        if i == len(cuts) or cuts[i] != c or labels[i] is not None:   # an extra or repeated cut
+            raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
+        labels[i] = g
+    if None in labels:
+        raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
+    return cuts, labels
 
 
 def _parse_tower_inner(text: str) -> Tower:
@@ -644,7 +731,8 @@ def _parse_tower_inner(text: str) -> Tower:
     depth = int(fields["depth"])
     tower = Tower.seeded(group, v)
     seeds, tower.levels = tower.levels, []   # the file's levels 1-2 must equal these
-    index_of = {_coords_str(el): i for i, el in enumerate(tower.elements)}   # coordinate text -> label index
+    texts = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
+    index_of = {s: i for i, s in enumerate(texts)}   # coordinate text -> label index
     while idx < len(lines):
         header = lines[idx]
         if not header.startswith("level"):
@@ -658,25 +746,6 @@ def _parse_tower_inner(text: str) -> Tower:
             idx += 1
         if n != tower.depth + 1:
             raise TowerParseError(f"level {n} out of order")
-        cuts = tuple(_expand_aps(props["cuts"]))
-        if any(b <= a for a, b in itertools.pairwise(cuts)):
-            raise TowerParseError(f"level {n}: cuts are not strictly increasing")
-        labels = [None] * len(cuts)   # label indices in cut order, whatever the order of the entries
-        i = -1
-        for entry in props["labels"].split(";"):
-            cpart, _, coordpart = entry.partition("=")
-            g = index_of.get(coordpart)
-            if g is None:
-                g = index_of[coordpart] = group.element_index(group.element(_coords_from_str(coordpart)))
-            c = int(cpart)
-            i += 1
-            if i == len(cuts) or cuts[i] != c:   # not the next cut: look it up
-                i = bisect.bisect_left(cuts, c)
-            if i == len(cuts) or cuts[i] != c or labels[i] is not None:   # an extra or repeated cut
-                raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
-            labels[i] = g
-        if None in labels:
-            raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
         tag_text = props["tag"]
         if tag_text == "seed":
             tag = None
@@ -692,6 +761,7 @@ def _parse_tower_inner(text: str) -> Tower:
             raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
         h, z = int(props["h"]), int(props["z"])
         if tag is None:
+            cuts, labels = _read_entries(n, props, group, index_of)
             lvl = seeds[n - 1]
             if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, lvl.cut_labels()):
                 raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
@@ -701,11 +771,14 @@ def _parse_tower_inner(text: str) -> Tower:
             if (h, z) != (rec.h, rec.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
                                       f"(h = {rec.h}, z = {rec.z})")
-            # keep the level Tower.extend builds when the file repeats its block by
-            # the v^q rule; any other file gets one copy (reps == 1) of its cuts
-            lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
-            if lvl.cuts != cuts or lvl.cut_labels() != labels:
-                lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)
+            lvl = _rendered_level(tower, n, tag, rec, props, index_of, texts)
+            if lvl is None:
+                # any other valid file: keep the level Tower.extend builds when the file repeats
+                # its block by the v^q rule, else one copy (reps == 1) of its cuts
+                cuts, labels = _read_entries(n, props, group, index_of)
+                lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
+                if lvl.cuts != cuts or lvl.cut_labels() != labels:
+                    lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)
         tower.levels.append(lvl)
     if tower.depth != depth:
         raise TowerParseError(f"declared depth {depth} but parsed {tower.depth} levels")

@@ -1,14 +1,17 @@
 """Per-cut scans over ``Level.cuts``: the test oracles for the block-form counts.
 
 Every function here walks the full cut tuple of a level, as the library did
-before its levels went block-native, so each block-form result can be
-checked against an independent count on every level and on its one-copy
-(``reps == 1``) twin.
+before its levels went block-native, so each block-form result, and each
+format-1 line rendered from the block, can be checked against an independent
+scan on every level and on its one-copy (``reps == 1``) twin.
 """
 
 import bisect
+import contextlib
 from fractions import Fraction
+from unittest.mock import patch
 
+from cfspectra import tower as tower_module
 from cfspectra.groups import least_period
 from cfspectra.tower import Cylinder, EvenTag, Level, Report, StaggerTag, Tower, embed, recipe
 
@@ -19,6 +22,45 @@ def one_copy_twin(t):
     single.levels = [Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, lvl.cut_labels(), lvl.tag,
                            single.elements, single.v_pow) for lvl in t.levels]
     return single
+
+
+def reference_compress_aps(values) -> str:
+    """Greedy start:step:count blocks over a sequence, value by value: the format-1 ``cuts =`` text."""
+    vals = list(values)
+    out = []
+    i = 0
+    while i < len(vals):
+        if i + 1 >= len(vals):
+            out.append(f"{vals[i]}:1:1")
+            i += 1
+            continue
+        step = vals[i + 1] - vals[i]
+        j = i + 1
+        while j + 1 < len(vals) and vals[j + 1] - vals[j] == step:
+            j += 1
+        out.append(f"{vals[i]}:{step}:{j - i + 1}")
+        i = j + 1
+    return ",".join(out)
+
+
+def reference_labels_text(level) -> str:
+    """The format-1 ``labels =`` text, one ``cut=coords`` entry per cut from ``Level.label``."""
+    return ";".join(f"{c}={','.join(map(str, level.label(c).coords)) or '-'}" for c in level.cuts)
+
+
+@contextlib.contextmanager
+def rendered_level_calls():
+    """A list filled, per tagged level that ``parse_tower`` reads, with whether it kept the writer's rendering."""
+    accepted = []
+    rendered_level = tower_module._rendered_level
+
+    def spy(*args):
+        lvl = rendered_level(*args)
+        accepted.append(lvl is not None)
+        return lvl
+
+    with patch.object(tower_module, "_rendered_level", spy):
+        yield accepted
 
 
 def reference_label_report(level, tower):

@@ -413,6 +413,81 @@ def test_labels_that_miss_or_repeat_a_cut_are_a_parse_error(built, tmp_path, cap
     assert err == ["parse error: level 4: labels do not cover the cuts exactly"]
 
 
+def _edit_cuts(text: str, level: str, edit) -> str:
+    """Apply edit(blocks) to the start:step:count blocks of one level's cut line."""
+    lines = text.splitlines()
+    current = None
+    for i, line in enumerate(lines):
+        if line.startswith("level "):
+            current = line
+        if current == level and line.startswith("cuts = "):
+            lines[i] = "cuts = " + ",".join(edit(line[len("cuts = "):].split(",")))
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no cut line for {level}")
+
+
+def _split_first_block(blocks):
+    """0:768:6 -> 0:768:2,1536:768:4: the same cuts in another chunking."""
+    start, step, count = map(int, blocks[0].split(":"))
+    return [f"{start}:{step}:2", f"{start + 2 * step}:{step}:{count - 2}", *blocks[1:]]
+
+
+def test_rechunked_cuts_parse_to_the_same_tower(built, tmp_path, capsys):
+    from cfspectra.tower import parse_tower, serialize_tower
+    from cut_scans import rendered_level_calls
+
+    text = (built / "tower.txt").read_text()
+    bad = tmp_path / "rechunked.txt"
+    bad.write_text(_edit_cuts(text, "level 4", _split_first_block))
+    assert "cuts = 0:768:2,1536:768:4,4609:769:6," in bad.read_text()
+    t = parse_tower(text)
+    with rendered_level_calls() as accepted:
+        twin = parse_tower(bad.read_text())
+    assert accepted == [True, False, True, True]   # level 4 goes through the per-entry reader
+    for lvl, other in zip(t.levels, twin.levels, strict=True):
+        assert (other.block, other.reps, other.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
+    assert serialize_tower(twin) == text
+    assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
+    clean = capsys.readouterr().out
+    assert main(["verify", "--tower", str(bad)]) == 0
+    assert capsys.readouterr().out == clean
+
+
+def test_a_huge_cut_count_is_refused_before_it_is_expanded(tmp_path, capsys):
+    import tracemalloc
+
+    from cfspectra.tower import TowerParseError, parse_tower
+
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    text = _edit_cuts((out / "tower.txt").read_text(), "level 3", lambda blocks: ["0:1:2000000"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TowerParseError, match="^level 3: labels do not cover the cuts exactly$"):
+            parse_tower(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak   # 2M expanded cuts would take about 80 MB
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["parse error: level 3: labels do not cover the cuts exactly"]
+
+
+@pytest.mark.parametrize("block", ["0:1:0", "0:1:-3"])
+def test_a_cut_block_counting_below_one_is_a_parse_error(tmp_path, capsys, block):
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(_edit_cuts((out / "tower.txt").read_text(), "level 3", lambda blocks: blocks + [block]))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"parse error: level 3: malformed cut block '{block}' (count below 1)"]
+
+
 def test_moved_cut_fails_verify(built, tmp_path, capsys):
     from cfspectra.tower import Level, parse_tower, serialize_tower
 

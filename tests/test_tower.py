@@ -1,10 +1,12 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from cfspectra import tower as tower_module
 from cfspectra.groups import Automorphism, FinAbGroup
 from cfspectra.tower import (
     Cylinder,
@@ -25,9 +27,21 @@ from cfspectra.tower import (
     validate_structure,
     validate_tower,
     TowerParseError,
+    _compress_aps,
+    _coords_str,
+    _cuts_text,
+    _gap_runs,
+    _labels_text,
 )
 
-from cut_scans import reference_label_report, reference_structure_report
+from cut_scans import (
+    one_copy_twin,
+    reference_compress_aps,
+    reference_label_report,
+    reference_labels_text,
+    reference_structure_report,
+    rendered_level_calls,
+)
 
 
 @pytest.fixture(scope="module")
@@ -465,3 +479,52 @@ def test_parse_rejects_truncated_file(z3_system):
     text = serialize_tower(t)
     with pytest.raises(TowerParseError):
         parse_tower(text[: len(text) // 2])
+
+
+# -- format-1 lines rendered from the block ---------------------------------------
+
+_gap_pieces = st.one_of(
+    st.lists(st.integers(1, 5), max_size=2),                                    # a few gaps
+    st.tuples(st.integers(1, 5), st.integers(3, 60)).map(lambda p: [p[0]] * p[1]),   # a long equal-step run
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8)).map(lambda p: [p[0], p[1]] * p[2]),
+)
+
+
+@given(st.integers(-50, 10**30), st.lists(_gap_pieces, max_size=5))
+@example(7, [])
+@example(7, [[3]])
+@example(7, [[3, 3]])
+@example(7, [[3, 4]])
+@example(0, [[2, 2, 1, 2, 2]])
+def test_run_compressor_matches_the_per_value_scan(start, pieces):
+    values = list(itertools.accumulate(itertools.chain([start], *pieces)))
+    assert _compress_aps(values[0], _gap_runs(values, 0, 1)) == reference_compress_aps(values)
+
+
+@given(small_towers())
+def test_rendered_lines_match_the_per_cut_references(case):
+    t, _ = case
+    texts = [_coords_str(el) for el in t.elements]
+    twin = one_copy_twin(t)
+    for tower in (t, twin):
+        for lvl in tower.levels:
+            assert _cuts_text(lvl) == reference_compress_aps(lvl.cuts)
+            assert _labels_text(lvl, texts) == reference_labels_text(lvl)
+    assert serialize_tower(twin) == serialize_tower(t)
+
+
+def _level_fields(t):
+    return [(lvl.block, lvl.reps, lvl.block_labels, lvl.h, lvl.z, lvl.tag) for lvl in t.levels]
+
+
+@given(small_towers())
+def test_parse_accepts_the_rendering_and_reads_it_as_the_entry_reader_does(case):
+    t, _ = case
+    text = serialize_tower(t)
+    with rendered_level_calls() as accepted:
+        fast = parse_tower(text)
+    with patch.object(tower_module, "_rendered_level", lambda *args: None):
+        read = parse_tower(text)   # every level through the per-entry reader
+    assert accepted == [True] * (t.depth - 2)
+    assert _level_fields(fast) == _level_fields(read) == _level_fields(t)
+    assert serialize_tower(fast) == text
