@@ -31,9 +31,10 @@ def main(argv=None) -> int:
     p_build = sub.add_parser("build", help="build a tower from a target multiplicity set")
     p_build.add_argument("--config", type=Path, help="config file (key = value lines)")
     p_build.add_argument("--target", help="target set, e.g. 1,2 (alternative to --config)")
-    p_build.add_argument("--depth", type=int, default=8)
-    p_build.add_argument("--bound", type=int, default=40)
-    p_build.add_argument("--out", default="out")
+    # None when not given: they go with --target, and --config refuses them
+    p_build.add_argument("--depth", type=int)
+    p_build.add_argument("--bound", type=int)
+    p_build.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="re-run all validators on a serialized tower")
     p_verify.add_argument("--tower", type=Path, required=True)
@@ -101,13 +102,16 @@ def _load_tower(path: Path):
 
 
 def cmd_build(args) -> int:
+    given = {key: val for key in ("target", "depth", "bound", "out")
+             if (val := getattr(args, key)) is not None}
     if args.config:
+        if given:
+            raise ConfigError("--config cannot be combined with "
+                              + ", ".join(f"--{key}" for key in given))
         config = ExperimentConfig.from_text(args.config.read_text())
     elif args.target:
-        config = ExperimentConfig(
-            E=frozenset(int(x) for x in args.target.split(",")),
-            depth=args.depth, bound=args.bound, out=args.out,
-        )
+        # the ExperimentConfig defaults apply to what is not given
+        config = ExperimentConfig(E=frozenset(int(x) for x in given.pop("target").split(",")), **given)
     else:
         raise ConfigError("build needs --config or --target")
     tower, spec, schedule = build_tower(config)

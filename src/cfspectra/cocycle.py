@@ -113,17 +113,15 @@ class CosetSpace:
             raise ValueError("subgroup of a different group")
         self.group = group
         self.H = H
-        reps = {}
-        for g in sorted(group.elements(), key=lambda e: e.coords):
-            key = frozenset((g + h).coords for h in H.members)
-            reps.setdefault(key, g)
-        self.reps = sorted(reps.values(), key=lambda e: e.coords)
+        add = addition_table(group)
+        self.reps, self._canon = [], {}
+        for r in range(group.order):   # index order: each coset is met first at its least index
+            rep = group.element_from_index(r)
+            if rep not in self._canon:
+                self.reps.append(rep)
+                self._canon.update((group.element_from_index(add[r][h]), rep) for h in H.indices)
         self.size = len(self.reps)
         assert self.size == group.order // H.order
-        self._canon = {}
-        for rep in self.reps:
-            for h in H.members:
-                self._canon[rep + h] = rep
 
     def canonical(self, g: Element) -> Element:
         return self._canon[g]

@@ -45,10 +45,9 @@ class FinAbGroup:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def element(self, coords) -> "Element":
-        cs = tuple(c % d for c, d in zip(coords, self.invariant_factors))
-        if len(cs) != self.rank:
+        if len(coords) != self.rank:
             raise ValueError("coordinate count does not match rank")
-        return Element(self, cs)
+        return Element(self, tuple(c % d for c, d in zip(coords, self.invariant_factors)))
 
     def identity(self) -> "Element":
         return Element(self, (0,) * self.rank)
@@ -196,56 +195,90 @@ def _is_homomorphism(d: tuple[int, ...], matrix) -> bool:
 
 
 class Subgroup:
-    """Subgroup materialized as a frozenset of elements, closed at construction."""
+    """Subgroup held as the bitmask of its element indices, closed at construction."""
 
     def __init__(self, group: FinAbGroup, generators):
         self.group = group
         self.generators = tuple(generators)
-        members = {group.identity()}
-        frontier = list(self.generators)
-        while frontier:
-            g = frontier.pop()
-            if g in members:
-                continue
-            members.update(_cyclic_closure(members, g))
-        self.members = frozenset(members)
-        if group.order % len(self.members) != 0:
+        if any(g.group != group for g in self.generators):
+            raise ValueError("elements of different groups")
+        self.mask = _span(group, [group.element_index(g) for g in self.generators])
+        if group.order % self.order != 0:
             raise AssertionError("subgroup order must divide group order")
 
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """The member element indices, ascending."""
+        return tuple(_bit_indices(self.mask))
+
+    @cached_property
+    def members(self) -> frozenset[Element]:
+        return frozenset(self.elements_sorted())
+
     def __contains__(self, el: Element) -> bool:
-        return el in self.members
+        return el.group == self.group and bool(self.mask >> self.group.element_index(el) & 1)
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def elements_sorted(self):
-        return sorted(self.members, key=lambda e: e.coords)
-
-    def is_stable_under(self, v: Automorphism) -> bool:
-        return all(v(h) in self.members for h in self.members)
+        # index order is coordinate order
+        return [self.group.element_from_index(i) for i in self.indices]
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.group == other.group and self.members == other.members
+        return isinstance(other, Subgroup) and self.group == other.group and self.mask == other.mask
 
     def __hash__(self):
-        return hash((self.group, self.members))
+        return hash((self.group, self.mask))
 
     def __repr__(self):
         gens = ",".join(repr(g) for g in self.generators)
         return f"<{gens}>"
 
 
-def _cyclic_closure(members, g):
-    new = set()
-    for m in list(members):
-        x = m
-        while True:
-            x = x + g
-            if x in members or x in new:
-                break
-            new.add(x)
-    return new
+def _closure(mul, gens) -> int:
+    """Bitmask of the subgroup generated by the element indices ``gens``."""
+    mask, frontier = 1, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = mul[s][x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                frontier.append(y)
+    return mask
+
+
+def _span(group: FinAbGroup, gens) -> int:
+    """``_closure`` over the translation rows of the generators only, never the whole table."""
+    return _closure({s: _translation(group, s) for s in gens}, gens)
+
+
+def subgroup_lattice(mul) -> list[tuple[int, ...]]:
+    """Generator indices of every subgroup of the group with index table ``mul``.
+
+    Breadth-first closure from the trivial subgroup: each subgroup found is
+    extended by every element index outside it, in index order, and keeps
+    the generators it was first found with.  Sorted by (order, member indices).
+    """
+    gens_of = {1: ()}                           # subgroup bitmask -> generator indices
+    frontier = [1]
+    while frontier:
+        mask = frontier.pop()
+        for g in range(len(mul)):
+            if mask >> g & 1:
+                continue
+            gens = gens_of[mask] + (g,)
+            closed = _closure(mul, gens)
+            if closed not in gens_of:
+                gens_of[closed] = gens
+                frontier.append(closed)
+    return [gens_of[m] for m in sorted(gens_of, key=lambda m: (m.bit_count(), _bit_indices(m)))]
+
+
+def _bit_indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -362,12 +395,7 @@ def orbit_count_in_subgroup(v: Automorphism, h: Element, H: Subgroup) -> int:
 
 def multiplicity_set(group: FinAbGroup, H: Subgroup, v: Automorphism) -> frozenset[int]:
     """Orbit-in-subgroup counts over all nonzero elements of H."""
-    return _orbit_counts(_cycle_masks(v.perm), _subgroup_mask(H))
-
-
-def _subgroup_mask(H: Subgroup) -> int:
-    """Bitmask of the indices of the nonzero elements of H."""
-    return sum(1 << H.group.element_index(h) for h in H.members) & ~1
+    return _orbit_counts(_cycle_masks(v.perm), H.mask & ~1)
 
 
 def _orbit_counts(cycles: tuple[int, ...], mask: int) -> frozenset[int]:
@@ -480,22 +508,9 @@ def abelian_group_types(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 def all_subgroups(group: FinAbGroup) -> list[Subgroup]:
-    """Every subgroup, found by breadth-first closure; deterministic order."""
-    seen = {frozenset([group.identity()])}
-    subs = [Subgroup(group, [])]
-    frontier = [subs[0]]
-    while frontier:
-        H = frontier.pop()
-        for g in group.elements():
-            if g in H:
-                continue
-            H2 = Subgroup(group, list(H.generators) + [g])
-            if H2.members not in seen:
-                seen.add(H2.members)
-                subs.append(H2)
-                frontier.append(H2)
-    subs.sort(key=lambda s: (s.order, sorted(e.coords for e in s.members)))
-    return subs
+    """Every subgroup, by ``subgroup_lattice`` over the addition table; deterministic order."""
+    return [Subgroup(group, [group.element_from_index(i) for i in gens])
+            for gens in subgroup_lattice(addition_table(group))]
 
 
 def automorphisms(group: FinAbGroup):
@@ -561,7 +576,7 @@ class _GroupScan:
     def __init__(self, factors: tuple[int, ...]):
         self.group = FinAbGroup(factors)
         self.subgroups = all_subgroups(self.group)
-        self.masks = [_subgroup_mask(H) for H in self.subgroups]
+        self.masks = [H.mask & ~1 for H in self.subgroups]
         self.first: dict[frozenset[int], tuple[Automorphism, Subgroup]] = {}
         self.exhausted = False
         self._auts = automorphisms(self.group)
@@ -633,6 +648,8 @@ def catalog_search(E, bound: int) -> CatalogRecord | None:
     E = frozenset(int(x) for x in E)
     if not E or any(x < 1 for x in E):
         raise ValueError("target must be a nonempty set of positive integers")
+    if bound < 2:
+        raise ValueError(f"order bound must be at least 2 (bound = {bound})")
     for order in range(2, bound + 1):
         for factors in abelian_group_types(order):
             n = _candidate_matrices(factors)
@@ -664,16 +681,17 @@ def format_triple(group: FinAbGroup, H: Subgroup, v: Automorphism) -> str:
     return "\n".join(lines)
 
 
-def _minimal_generators(H: Subgroup):
-    gens: list[Element] = []
-    span = Subgroup(H.group, [])
-    for g in H.elements_sorted():
-        if g not in span:
-            gens.append(g)
-            span = Subgroup(H.group, gens)
-        if span.order == H.order:
+def _minimal_generators(H: Subgroup) -> list[Element]:
+    """Greedy generators in index order: each member outside the span so far joins."""
+    gens: list[int] = []
+    span = 1
+    for i in H.indices:
+        if span == H.mask:
             break
-    return gens if gens else []
+        if not span >> i & 1:
+            gens.append(i)
+            span = _span(H.group, gens)
+    return [H.group.element_from_index(i) for i in gens]
 
 
 def _parse_int_list(text: str) -> list:
@@ -716,6 +734,5 @@ def parse_triple(text: str) -> tuple[FinAbGroup, Subgroup, Automorphism]:
         raise ValueError(f"triple is missing {', '.join(missing)}")
     group = FinAbGroup(tuple(_parse_int_list(fields["group"])))
     gens = [group.element(tuple(c)) for c in _parse_int_list(fields["subgroup_gens"])]
-    H = Subgroup(group, gens)
-    aut = Automorphism(group, _parse_int_list(fields["aut"]))
-    return group, H, aut
+    aut = Automorphism(group, _parse_int_list(fields["aut"]))   # refuses a group past _ENUMERATION_LIMIT
+    return group, Subgroup(group, gens), aut

@@ -37,6 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .groups import subgroup_lattice
 from .tower import Report
 
 _CLUSTER_TOL = 1e-9
@@ -201,38 +202,12 @@ def all_subgroups_sym(k: int) -> tuple[PermGroup, ...]:
 
 @lru_cache(maxsize=4)
 def _subgroup_lattice(k: int) -> tuple[PermGroup, ...]:
-    """Close subgroups as bitmasks over the index multiplication table of S_k."""
+    """``subgroup_lattice`` over the index multiplication table of S_k."""
     perms = PermGroup.symmetric(k).elements     # sorted: index 0 is the identity
     index = {p: i for i, p in enumerate(perms)}
     mul = [[index[tuple(s[g[i]] for i in range(k))] for g in perms] for s in perms]
-    gens_of = {1: ()}                           # subgroup bitmask -> generator indices
-    frontier = [1]
-    while frontier:
-        mask = frontier.pop()
-        for g in range(len(perms)):
-            if mask >> g & 1:
-                continue
-            gens = gens_of[mask] + (g,)
-            closed = _closure(mul, gens)
-            if closed not in gens_of:
-                gens_of[closed] = gens
-                frontier.append(closed)
-    out = [PermGroup(k, [perms[i] for i in gens]) for gens in gens_of.values()]
-    out.sort(key=lambda h: (h.order, h.elements))
-    return tuple(out)
-
-
-def _closure(mul, gens) -> int:
-    """Bitmask of the subgroup generated by the element indices ``gens``."""
-    mask, frontier = 1, [0]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = mul[s][x]
-            if not mask >> y & 1:
-                mask |= 1 << y
-                frontier.append(y)
-    return mask
+    # perms are sorted, so index order is element order and the sort matches (order, elements)
+    return tuple(PermGroup(k, [perms[i] for i in gens]) for gens in subgroup_lattice(mul))
 
 
 def orbit_count_burnside(gamma: PermGroup, d: int) -> int:

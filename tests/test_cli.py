@@ -236,6 +236,8 @@ def test_config_group_without_a_triple_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["build", "--target", "abc"],
     ["groups", "--targets", "0"],
+    ["groups", "--targets", "2", "--bound", "1"],
+    ["groups", "--targets", "2", "--bound", "-3"],
     ["spectra", "--k", "7"],
     ["spectra", "--k", "2", "--d", "1"],
     ["spectra", "--k", "3", "--d", "2"],
@@ -306,6 +308,40 @@ def test_unsorted_cuts_are_a_parse_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("parse error:"), err
     assert "not strictly increasing" in err[0]
+
+
+@pytest.mark.parametrize("config,options", [
+    ("E = 2\nschedule = even 1,1\n", []),          # the label group Z3 has rank 1
+    ("E = 1\nschedule = even 5\n", []),            # the trivial label group has rank 0
+    ("E = 2\n", ["--out", "o5"]),
+    ("E = 2\n", ["--target", "2"]),
+    ("E = 2\n", ["--depth", "5", "--bound", "10"]),
+], ids=["schedule-rank-1", "schedule-rank-0", "out", "target", "depth-bound"])
+def test_bad_build_config_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, config, options):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(config)
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg), *options]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
+
+
+@pytest.mark.parametrize("old,new", [("3840=1;", "3840=1,7;"), ("tag = even 1\n", "tag = even 1,2\n")],
+                         ids=["label", "tag"])
+def test_extra_coordinates_are_a_parse_error(tmp_path, capsys, old, new):
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    text = (out / "tower.txt").read_text()
+    assert old in text
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.splitlines() == ["parse error: malformed tower file: coordinate count does not match rank"]
+    assert out_text == ""
 
 
 def _add_to_level_field(text: str, level: str, key: str, delta: int) -> str:

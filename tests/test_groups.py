@@ -235,7 +235,7 @@ def test_annihilator_closed_under_dual_when_subgroup_stable():
     K = FinAbGroup((2, 4))
     for v in automorphisms(K):
         for H in all_subgroups(K):
-            if not H.is_stable_under(v):
+            if not all(v(h) in H.members for h in H.members):   # H is not v-stable
                 continue
             ann = {c.coords for c in annihilator(K, H)}
             for chi in annihilator(K, H):
@@ -267,6 +267,71 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(FinAbGroup((4,)))) == 3
     assert len(all_subgroups(FinAbGroup((2, 2)))) == 5
     assert len(all_subgroups(FinAbGroup((2, 4)))) == 8
+
+
+def _cyclic_closure(members, g):
+    new = set()
+    for m in list(members):
+        x = m
+        while True:
+            x = x + g
+            if x in members or x in new:
+                break
+            new.add(x)
+    return new
+
+
+def _element_closure(group, generators):
+    """The members of the subgroup generated by ``generators``, closed by Element addition."""
+    members = {group.identity()}
+    frontier = list(generators)
+    while frontier:
+        g = frontier.pop()
+        if g in members:
+            continue
+        members.update(_cyclic_closure(members, g))
+    return frozenset(members)
+
+
+def reference_all_subgroups(group):
+    """(generators, members) of every subgroup, by breadth-first Element closure, in all_subgroups order."""
+    seen = {frozenset([group.identity()])}
+    subs = [((), frozenset([group.identity()]))]
+    frontier = [subs[0]]
+    while frontier:
+        gens, members = frontier.pop()
+        for g in group.elements():
+            if g in members:
+                continue
+            closed = _element_closure(group, gens + (g,))
+            if closed not in seen:
+                seen.add(closed)
+                subs.append((gens + (g,), closed))
+                frontier.append(subs[-1])
+    subs.sort(key=lambda s: (len(s[1]), sorted(e.coords for e in s[1])))
+    return subs
+
+
+@pytest.mark.parametrize("order", range(1, 25))
+def test_all_subgroups_match_the_element_closure_reference(order):
+    for factors in abelian_group_types(order):
+        G = FinAbGroup(factors)
+        got = [(H.generators, H.members, H.order) for H in all_subgroups(G)]
+        assert got == [(gens, members, len(members)) for gens, members in reference_all_subgroups(G)], factors
+        for H in all_subgroups(G):
+            assert H.mask == sum(1 << G.element_index(h) for h in H.members)
+            assert H.elements_sorted() == sorted(H.members, key=lambda e: e.coords)
+            assert all((g in H) == (g in H.members) for g in G.elements())
+
+
+def test_subgroup_refuses_a_generator_of_another_group():
+    G = z(4)
+    with pytest.raises(ValueError, match="^elements of different groups$"):
+        Subgroup(G, [z(2).element((1,))])
+    with pytest.raises(ValueError, match="^elements of different groups$"):
+        Subgroup(G, [G.element((1,)), z(8).identity()])
+    H = Subgroup(G, [G.element((2,))])
+    assert z(2).element((0,)) not in H and G.element((0,)) in H
 
 
 def test_automorphism_counts():
@@ -334,6 +399,36 @@ def test_checked_automorphism_of_a_large_group_builds_no_addition_table():
     v = Automorphism(FinAbGroup((3000,)), [[7]])   # a table would hold 9M entries
     assert groups.addition_table.cache_info().misses == before
     assert v.perm[:4] == (0, 7, 14, 21) and least_period(v, v.group.element((1,))) == 20
+
+
+@pytest.mark.parametrize("gens", ["[[1, 7]]", "[[1], [2, 0]]"])
+def test_triple_generator_with_extra_coordinates_is_refused(gens):
+    with pytest.raises(ValueError, match="^coordinate count does not match rank$"):
+        parse_triple(f"group = [3]\nsubgroup_gens = {gens}\naut = [[2]]")
+    with pytest.raises(ValueError, match="^coordinate count does not match rank$"):
+        FinAbGroup(()).element((5,))
+
+
+def test_triple_past_the_enumeration_limit_is_refused_before_any_closure():
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="^group too large for the bijectivity check$"):
+            parse_triple("group = [1000, 1000]\nsubgroup_gens = [[1, 0], [0, 1]]\naut = [[1, 0], [0, 1]]")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1_000_000, peak   # a translation row of the 10^6 elements alone is 8 MB
+
+
+def test_catalog_search_refuses_a_bound_below_two():
+    for bound in (1, 0, -3):
+        with pytest.raises(ValueError, match="order bound must be at least 2"):
+            catalog_search({2}, bound)
 
 
 def test_non_homomorphism_is_rejected_before_bijectivity():
