@@ -17,6 +17,7 @@ from .groups import CatalogGuardExceeded
 from .koopman import GridGuardExceeded
 from .pairings import StateGuardExceeded
 from .spectra import SpectraGuardExceeded
+from .tower import TowerParseError, parse_tower
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -73,6 +74,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except TowerParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def _dispatch(args) -> int:
@@ -84,21 +88,6 @@ def _dispatch(args) -> int:
         "spectra": cmd_spectra,
         "recur": cmd_recur,
     }[args.command](args)
-
-
-def _load_tower(path: Path):
-    from .tower import TowerParseError, parse_tower
-
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return None
-    try:
-        return parse_tower(text)
-    except TowerParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return None
 
 
 def cmd_build(args) -> int:
@@ -130,9 +119,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tower = _load_tower(args.tower)
-    if tower is None:
-        return EXIT_CONFIG
+    tower = parse_tower(args.tower.read_text())
     import random
 
     from .cocycle import Cocycle, TailShift, check_coboundary_condition, commutes_with_shift
@@ -187,9 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_weaklimits(args) -> int:
-    tower = _load_tower(args.tower)
-    if tower is None:
-        return EXIT_CONFIG
+    tower = parse_tower(args.tower.read_text())
     from .groups import all_characters
     from .koopman import check_grid_size, cylinder_family, residual_csv, residual_grid
 
@@ -273,9 +258,7 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_recur(args) -> int:
-    tower = _load_tower(args.tower)
-    if tower is None:
-        return EXIT_CONFIG
+    tower = parse_tower(args.tower.read_text())
     from .recurrence import multiple_recurrence_search, return_cuts
     from .tower import Cylinder
 

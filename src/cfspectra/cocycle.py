@@ -92,21 +92,12 @@ class Cocycle:
                 total = add[add[total][lvl.label_index(cx[j - 1])]][neg[lvl.label_index(cy[j - 1])]]
         return t.elements[total]
 
-    def along_orbit(self, p: Point, m: int) -> Element | None:
-        """Cocycle value between the m-shifted point and p; None off the stack."""
-        t = self.tower
-        N = p.truncation
-        r = p.rung(t)
-        if not 0 <= r + m < t.h(N):
-            return None
-        return rung_label(t, r + m, N) - rung_label(t, r, N)
-
 
 # -- coset fibers of the skew product ----------------------------------------
 
 
 class CosetSpace:
-    """The finite fiber K/H with uniform weights."""
+    """The finite fiber K/H with uniform weights; each coset is named by its least element index."""
 
     def __init__(self, group: FinAbGroup, H: Subgroup):
         if H.group != group:
@@ -114,17 +105,26 @@ class CosetSpace:
         self.group = group
         self.H = H
         add = addition_table(group)
-        self.reps, self._canon = [], {}
+        self.rep_indices: list[int] = []
+        seen = 0   # bitmask of the element indices in the cosets met so far
         for r in range(group.order):   # index order: each coset is met first at its least index
-            rep = group.element_from_index(r)
-            if rep not in self._canon:
-                self.reps.append(rep)
-                self._canon.update((group.element_from_index(add[r][h]), rep) for h in H.indices)
-        self.size = len(self.reps)
+            if not seen >> r & 1:
+                self.rep_indices.append(r)
+                for i in H.indices:
+                    seen |= 1 << add[r][i]
+        self.size = len(self.rep_indices)
         assert self.size == group.order // H.order
 
+    @property
+    def reps(self) -> list[Element]:
+        return [self.group.element_from_index(r) for r in self.rep_indices]
+
     def canonical(self, g: Element) -> Element:
-        return self._canon[g]
+        """The least element of the coset g + H."""
+        if g.group != self.group:
+            raise ValueError("element of a different group")
+        row = addition_table(self.group)[self.group.element_index(g)]
+        return self.group.element_from_index(min(row[i] for i in self.H.indices))
 
     @property
     def weight(self) -> Fraction:
@@ -214,11 +214,6 @@ def _aligned_classes(tower: Tower, n: int) -> list[tuple[int, int, int, int]]:
         return lvl.shift_classes(0)
     v1 = tower.v.perm
     return [cls for cls in lvl.shift_classes(lvl.z) if cls[3] == v1[cls[2]]]
-
-
-def aligned_cuts(tower: Tower, n: int) -> frozenset[int]:
-    """Cuts c with c + z_n a cut and label(c + z_n) = v(label(c))."""
-    return frozenset(tower.level(n).class_cuts(_aligned_classes(tower, n)))
 
 
 def check_coboundary_condition(tower: Tower) -> AlignedCutsReport:

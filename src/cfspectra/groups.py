@@ -92,9 +92,6 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
-    def times(self, k: int) -> "Element":
-        return Element(self.group, tuple((a * k) % d for a, d in zip(self.coords, self.group.invariant_factors)))
-
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -309,9 +306,6 @@ class Character:
 
     def __mul__(self, other: "Character") -> "Character":
         return Character(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def inverse(self) -> "Character":
-        return Character(self.group, tuple(-a for a in self.coords))
 
     def __repr__(self):
         return "chi" + repr(self.coords)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 
-from .cocycle import CosetSpace, rung_label_indices
+from .cocycle import CosetSpace, TailShift, rung_label_indices
 from .cyclotomic import Cyclo, abs_lower, abs_upper
 from .groups import (
     Character,
@@ -122,8 +123,6 @@ def tail_shift_residual(tower: Tower, A: Cylinder, B: Cylinder, n: int,
     tail-shift map acts on the certified domain as the rung shift by Z_N, so
     its pairing is the Z_N-shift pairing and carries the top-window error mass.
     """
-    from .cocycle import TailShift
-
     N = tower.depth if N is None else N
     ts = TailShift(tower)
     trivial = Character(tower.group, (0,) * tower.group.rank)
@@ -170,7 +169,8 @@ class LevelOperator:
     """The weighted m-shift on depth-N rung functions, stored explicitly.
 
     A partial permutation: rung f maps to f+m when in range, with phase
-    chi(rung_label(f+m) - rung_label(f)) tracked as a root-of-unity exponent.
+    chi(rung_label(f+m) - rung_label(f)) tracked as a root-of-unity exponent;
+    the phase exponent is None exactly off the stack.
     """
 
     def __init__(self, tower: Tower, chi: Character, m: int, N: int):
@@ -179,19 +179,18 @@ class LevelOperator:
         self.m = m
         self.N = N
         self.L = chi.root_order
-        labels = rung_label_indices(tower, N)
         exp_of = exponent_table(chi)
+        ex = [exp_of[i] for i in rung_label_indices(tower, N)]
         h = tower.h(N)
-        self.defined = [0 <= f + m < h for f in range(h)]
-        self.phase_exponent = [
-            (exp_of[labels[f + m]] - exp_of[labels[f]]) % self.L if self.defined[f] else None
-            for f in range(h)
-        ]
-        self.undefined_count = h - sum(self.defined)
+        lo = min(h, max(0, -m))   # the rungs [lo, hi) stay on the stack under the m-shift
+        hi = max(lo, min(h, h - m))
+        self.phase_exponent = ([None] * lo + [(b - a) % self.L for a, b in zip(ex[lo:hi], ex[lo + m:hi + m])]
+                               + [None] * (h - hi))
+        self.undefined_count = self.phase_exponent.count(None)
         self.error_mass = Fraction(self.undefined_count, tower.cut_product(N))
 
     def target(self, f: int) -> int | None:
-        return f + self.m if self.defined[f] else None
+        return None if self.phase_exponent[f] is None else f + self.m
 
 
 def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Report:
@@ -199,10 +198,11 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
 
     The skew shift on (rung, coset) pairs advances the rung by m and translates
     the coset by the rung-label increment a_f.  Conjugating by the character
-    transform of the fiber must give, per character chi of the fiber, exactly
-    the weighted LevelOperator block; off-diagonal character pairs must vanish.
-    All checks are exact root-of-unity identities, grouped by the finitely many
-    values of a_f.
+    transform of the fiber must give, per character chi of the fiber, the
+    diagonal entry chi(a_f) on each rung and zero between distinct characters;
+    the LevelOperator blocks must carry exactly those diagonal phases.  All
+    checks are exact root-of-unity identities on element indices, grouped by
+    the finitely many values of a_f.
     """
     rep = Report()
     G = tower.group
@@ -211,53 +211,48 @@ def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Repor
     L = G.exponent
     labels = rung_label_indices(tower, N)
     h = tower.h(N)
-    defined = [0 <= f + m < h for f in range(h)]
     add, neg = addition_table(G), negation_table(G)
+    # the increment a_f = l(f+m) - l(f) of every rung, as an element index; None off the stack
+    inc = [add[labels[f + m]][neg[labels[f]]] if 0 <= f + m < h else None for f in range(h)]
     # index order is coordinate order, so the increments come out sorted by coords
-    increments = [G.element_from_index(i) for i in sorted({
-        add[labels[f + m]][neg[labels[f]]] for f in range(max(0, -m), min(h, h - m))
-    })]
-    undefined_count = h - sum(defined)
-
-    blocks = {chi.coords: LevelOperator(tower, chi, m, N) for chi in chars}
+    increments = sorted(set(inc) - {None})
+    undefined_count = inc.count(None)
+    exps = {chi.coords: exponent_table(chi) for chi in chars}
 
     for chi in chars:
+        e_chi = exps[chi.coords]
         for xi in chars:
+            e_xi = exps[xi.coords]
             ok = True
             detail = ""
             for a in increments:
                 # conjugated matrix entry between (f, chi) and (f+m, xi):
                 # (1/#cosets) * sum over coset reps of xi(a + kappa) * conj(chi(kappa))
                 counts: dict[int, int] = {}
-                for kappa in cosets.reps:
-                    e = (xi.exponent(a + kappa) - chi.exponent(kappa)) % L
+                row = add[a]
+                for k in cosets.rep_indices:
+                    e = (e_xi[row[k]] - e_chi[k]) % L
                     counts[e] = counts.get(e, 0) + 1
                 entry = Cyclo.from_exponent_counts(L, counts, cosets.size)
                 if chi.coords == xi.coords:
-                    expected = Cyclo.root_of_unity(L, chi.exponent(a))
+                    expected = Cyclo.root_of_unity(L, e_chi[a])
                 else:
                     expected = Cyclo.zero(L)
                 if entry != expected:
                     ok = False
-                    detail = f"increment {a.coords}: entry {entry} != {expected}"
+                    detail = f"increment {G.element_from_index(a).coords}: entry {entry} != {expected}"
                     break
             name = (f"fiber block chi={chi.coords}" if chi.coords == xi.coords
                     else f"off-diagonal chi={chi.coords}, xi={xi.coords}")
             rep.add(name, N, ok, detail)
 
-    # the diagonal blocks must be the weighted operators rung for rung
+    # each weighted operator must carry, rung for rung, the diagonal entry chi(a_f)
+    # just certified, and be undefined exactly off the stack
     for chi in chars:
-        block = blocks[chi.coords]
-        exp_of = exponent_table(chi)
-        mism = 0
-        for f in range(h):
-            if not defined[f]:
-                if block.defined[f]:
-                    mism += 1
-                continue
-            want = (exp_of[labels[f + m]] - exp_of[labels[f]]) % L
-            if block.phase_exponent[f] != want or block.target(f) != f + m:
-                mism += 1
+        block = LevelOperator(tower, chi, m, N)
+        e_chi = exps[chi.coords]
+        want = [None if a is None else e_chi[a] for a in inc]
+        mism = sum(map(ne, block.phase_exponent, want))
         rep.add(f"block phases chi={chi.coords}", N, mism == 0, f"{mism} mismatches")
         rep.add(f"error mass chi={chi.coords}", N,
                 block.error_mass == Fraction(undefined_count, tower.cut_product(N)))

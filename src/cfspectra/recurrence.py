@@ -259,7 +259,10 @@ def all_rung_pairs(tower: Tower, base_level: int, p: int):
 
 
 def geometric_weight(p: int):
-    """delta(g) = (1/8) * 4^(-sum |g_i|); total over all of Z^p is (5/3)^p / 8 < 1/2."""
+    """delta(g) = (1/8) * 4^(-sum |g_i|).
+
+    Its total over all of Z^p is (5/3)^p / 8, which is below 1/2 only for p <= 2.
+    """
 
     def delta(diffs):
         return Fraction(1, 8) * Fraction(1, 4) ** sum(abs(d) for d in diffs)
@@ -279,9 +282,10 @@ def transport_density_audit(tower: Tower, p: int, base_level: int, tuples,
     measure exceeding delta(differences) times the product cylinder measure;
     the audit certifies the exact inequality witness by witness.
     """
-    delta = geometric_weight(p) if delta is None else delta
-    if geometric_weight_total(p) >= Fraction(1, 2) and delta is geometric_weight(p):
-        raise ValueError("weight function must sum below 1/2")
+    if delta is None:
+        if geometric_weight_total(p) >= Fraction(1, 2):
+            raise ValueError("weight function must sum below 1/2")
+        delta = geometric_weight(p)
     results = []
     for start, target in tuples:
         w = transport_witness(tower, base_level, start, target)

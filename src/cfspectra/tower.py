@@ -230,25 +230,24 @@ class Tower:
             raise ValueError("seed levels 1..2 must exist before extension")
         rec = recipe(self, n, tag)
         el = tag.a if isinstance(tag, EvenTag) else tag.b
-        for offset in range(least_period(self.v, el)):
-            labels = self._ramp_labels(len(rec.block), el, rec.ramp_len, offset)
-            lvl = Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag, self.elements, self.v_pow)
-            if validate_labels(lvl, self).passed:
-                break
-        else:
+        # one pattern: starting the ramp at v^o(el) relabels every cut by v^o,
+        # which leaves every count of validate_labels unchanged
+        labels = self._ramp_labels(len(rec.block), el, rec.ramp_len)
+        lvl = Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag, self.elements, self.v_pow)
+        if not validate_labels(lvl, self).passed:
             raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
         self.levels.append(lvl)
         self._cache.clear()
         return lvl
 
-    def _ramp_labels(self, length: int, a: Element, ramp_len: int, offset: int) -> list[int]:
+    def _ramp_labels(self, length: int, a: Element, ramp_len: int) -> list[int]:
         """Label indices along the block chain: orbit-stepping ramp, then constant."""
         add = addition_table(self.group)
         steps = [row[self.group.element_index(a)] for row in self.v_pow]
         labels = [0]
         for t in range(1, length):
             cur = labels[-1]
-            labels.append(add[cur][steps[(t - 1 + offset) % len(steps)]] if t < ramp_len else cur)
+            labels.append(add[cur][steps[(t - 1) % len(steps)]] if t < ramp_len else cur)
         return labels
 
     # -- decomposition ----------------------------------------------------

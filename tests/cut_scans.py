@@ -12,6 +12,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 from cfspectra import tower as tower_module
+from cfspectra.cocycle import _aligned_classes
 from cfspectra.groups import least_period
 from cfspectra.tower import Cylinder, EvenTag, Level, Report, StaggerTag, Tower, embed, recipe
 
@@ -134,6 +135,11 @@ def aligned_cut_scan(tower, n):
     lab = dict(zip(lvl.cuts, lvl.cut_labels()))
     v1 = tower.v.perm
     return frozenset(c for c, g in lab.items() if lab.get(c + lvl.z) == v1[g])
+
+
+def aligned_cuts(tower, n):
+    """The aligned cuts of level n in block form, read off the classes ``check_coboundary_condition`` counts."""
+    return frozenset(tower.level(n).class_cuts(_aligned_classes(tower, n)))
 
 
 def defect_scan(tower, n):

@@ -297,7 +297,7 @@ def _swap_first_cut_blocks(text: str, level: str) -> str:
     raise AssertionError(f"no cut line for {level}")
 
 
-@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"]])
+@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"], ["recur"]])
 def test_unsorted_cuts_are_a_parse_error(tmp_path, capsys, command):
     out = tmp_path / "t5"
     assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
@@ -308,6 +308,15 @@ def test_unsorted_cuts_are_a_parse_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("parse error:"), err
     assert "not strictly increasing" in err[0]
+
+
+@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"], ["recur"]])
+def test_missing_tower_file_is_a_one_line_io_error(tmp_path, capsys, command):
+    capsys.readouterr()
+    assert main([command[0], "--tower", str(tmp_path / "missing.txt"), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("io error: "), err
+    assert out == ""
 
 
 @pytest.mark.parametrize("config,options", [

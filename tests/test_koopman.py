@@ -185,6 +185,22 @@ def test_level_operator_basics(z3_tower):
     assert op0.error_mass == 0
 
 
+def test_level_operator_matches_the_per_rung_formula_at_every_shift(z3_tower):
+    """Phases, targets and the undefined count equal a rung-by-rung recount, shifts past the stack included."""
+    t = z3_tower
+    N = 3
+    h = t.h(N)
+    labels = [rung_label(t, f, N) for f in range(h)]
+    for chi in chars(t):
+        for m in (-h - 1, -h, -h + 1, -5, -1, 0, 1, 5, h - 1, h, h + 1):
+            op = LevelOperator(t, chi, m, N)
+            want = [(chi.exponent(labels[f + m]) - chi.exponent(labels[f])) % 3 if 0 <= f + m < h else None
+                    for f in range(h)]
+            assert op.phase_exponent == want
+            assert [op.target(f) for f in range(h)] == [None if w is None else f + m for f, w in enumerate(want)]
+            assert op.undefined_count == want.count(None) == min(h, abs(m))
+
+
 @pytest.mark.parametrize("m", [0, 1, -1])
 def test_skew_decomposition_small(z3_tower, m):
     t = z3_tower

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfspectra import koopman
-from cfspectra.cocycle import aligned_cuts, check_coboundary_condition, rung_label
+from cfspectra.cocycle import check_coboundary_condition, rung_label
 from cfspectra.cyclotomic import Cyclo, abs_upper
 from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
@@ -14,7 +14,7 @@ from cfspectra.recurrence import _nth, label_transport_witness, return_cuts
 from cfspectra.tower import (Cylinder, EvenTag, StaggerTag, Tower, defect_fraction, embed, measure,
                              parse_tower, serialize_tower, validate_labels, validate_structure)
 
-from cut_scans import (aligned_cut_scan, count_ge_scan, defect_scan, find_cut_scan, one_copy_twin,
+from cut_scans import (aligned_cut_scan, aligned_cuts, count_ge_scan, defect_scan, find_cut_scan, one_copy_twin,
                        reference_label_report, reference_structure_report, surviving_cuts)
 
 

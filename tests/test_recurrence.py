@@ -157,6 +157,13 @@ def test_geometric_weight_sums_below_half():
     assert delta((1, -2)) == Fraction(1, 8) / 64
 
 
+def test_transport_density_audit_refuses_the_default_weight_past_p_two(deep_tower):
+    """(5/3)^3 / 8 = 125/216 is not below 1/2, so the default weight is not summable enough at p = 3."""
+    assert geometric_weight_total(3) == Fraction(125, 216)
+    with pytest.raises(ValueError, match="below 1/2"):
+        transport_density_audit(deep_tower, 3, 2, [])
+
+
 def test_transport_density_audit(deep_tower):
     t = deep_tower
     tuples = [((f,), (g,)) for f in range(4) for g in range(4)]

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cfspectra import tower as tower_module
-from cfspectra.groups import Automorphism, FinAbGroup
+from cfspectra.groups import Automorphism, FinAbGroup, addition_table, least_period
 from cfspectra.tower import (
     Cylinder,
     EvenTag,
+    GeneratorExhausted,
     Level,
     Point,
     StaggerTag,
@@ -528,3 +529,48 @@ def test_parse_accepts_the_rendering_and_reads_it_as_the_entry_reader_does(case)
     assert accepted == [True] * (t.depth - 2)
     assert _level_fields(fast) == _level_fields(read) == _level_fields(t)
     assert serialize_tower(fast) == text
+
+
+RAMP_SYSTEMS = [
+    ((3,), [[-1]]),
+    ((4,), [[1]]),
+    ((5,), [[2]]),
+    ((7,), [[3]]),
+    ((2, 2), [[0, 1], [1, 1]]),
+    ((3, 3), [[0, 1], [1, 0]]),
+]
+
+
+def offset_ramp_labels(tower, length, a, ramp_len, offset):
+    """A ramp whose orbit steps start at v^offset(a): the offset-0 ramp relabelled by v^offset."""
+    add = addition_table(tower.group)
+    steps = [row[tower.group.element_index(a)] for row in tower.v_pow]
+    labels = [0]
+    for t in range(1, length):
+        labels.append(add[labels[-1]][steps[(t - 1 + offset) % len(steps)]] if t < ramp_len else labels[-1])
+    return labels
+
+
+@given(st.sampled_from(RAMP_SYSTEMS), st.data())
+def test_ramp_offsets_pass_or_fail_label_validation_together(system, data):
+    """No count of ``validate_labels`` sees a relabelling by a power of v, so every ramp
+    offset passes or none does, and ``extend`` builds the offset-0 ramp or raises."""
+    factors, matrix = system
+    G = FinAbGroup(factors)
+    t = Tower.seeded(G, Automorphism(G, matrix))
+    elements = list(G.elements())
+    for _ in range(data.draw(st.integers(1, 3))):
+        el = data.draw(st.sampled_from(elements))
+        tag = EvenTag(el) if data.draw(st.booleans()) else StaggerTag(el, data.draw(st.integers(1, 2)))
+        n = t.depth
+        rec = recipe(t, n, tag)
+        ramps = [offset_ramp_labels(t, len(rec.block), el, rec.ramp_len, o)
+                 for o in range(least_period(t.v, el))]
+        passed = [validate_labels(Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag,
+                                        t.elements, t.v_pow), t).passed for labels in ramps]
+        assert all(passed) or not any(passed), (tag, passed)
+        if not passed[0]:
+            with pytest.raises(GeneratorExhausted):
+                t.extend(tag)
+            return
+        assert list(t.extend(tag).block_labels) == ramps[0]
