@@ -115,10 +115,6 @@ class CosetSpace:
         self.size = len(self.rep_indices)
         assert self.size == group.order // H.order
 
-    @property
-    def reps(self) -> list[Element]:
-        return [self.group.element_from_index(r) for r in self.rep_indices]
-
     def canonical(self, g: Element) -> Element:
         """The least element of the coset g + H."""
         if g.group != self.group:

@@ -140,11 +140,11 @@ def resolve_system(config: ExperimentConfig) -> SystemSpec:
             raise ConfigError("supplied triple does not realize the target set")
     # dual system: same invariant factors; the label automorphism dualizes back
     K = FinAbGroup(G.invariant_factors)
-    label_aut = dual_automorphism(Automorphism(K, v.matrix))
-    fiber_kernel = annihilator_subgroup(K, Subgroup(K, [K.element(h.coords) for h in H.members]))
+    label_aut = dual_automorphism(v)
+    fiber_kernel = annihilator_subgroup(K, H)
     # double annihilator must recover the subgroup: the dual bookkeeping is exact
     back = annihilator_subgroup(K, fiber_kernel)
-    if {e.coords for e in back.members} != {e.coords for e in H.members}:
+    if back != H:
         raise AssertionError("double annihilator failed to recover the subgroup")
     chars = annihilator(K, fiber_kernel)
     return SystemSpec(config.E, G, H, v, K, label_aut, fiber_kernel, chars)

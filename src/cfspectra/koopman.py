@@ -189,9 +189,6 @@ class LevelOperator:
         self.undefined_count = self.phase_exponent.count(None)
         self.error_mass = Fraction(self.undefined_count, tower.cut_product(N))
 
-    def target(self, f: int) -> int | None:
-        return None if self.phase_exponent[f] is None else f + self.m
-
 
 def skew_decomposition_check(tower: Tower, H: Subgroup, N: int, m: int) -> Report:
     """Verify that the fiberwise character transform block-diagonalizes the skew shift.

@@ -16,13 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cocycle import rung_label
 from .groups import Element, addition_table, least_period, negation_table
 from .tower import Cylinder, EvenTag, StaggerTag, Tower, embed
-
-_INT64_MAX = 2**62
 
 
 # -- return cuts ---------------------------------------------------------------
@@ -49,13 +45,21 @@ def return_cuts(tower: Tower, n: int) -> ReturnCuts:
     lvl = tower.level(n + 1)
     if not isinstance(lvl.tag, StaggerTag) or lvl.tag.k != 1:
         raise ValueError(f"step {n} does not carry a ratio-1 stagger level")
-    even, odd = _cuts_for_kind(tower, n + 1, "even"), _cuts_for_kind(tower, n + 1, "odd")
-    return ReturnCuts(n + 1, even, odd, Fraction(_size(even), lvl.r), Fraction(_size(odd), lvl.r))
+    h = tower.h(n)
+    even, density_even = _returning(tower, n + 1, 2 * h)
+    odd, density_odd = _returning(tower, n + 1, 2 * h + 1)
+    return ReturnCuts(n + 1, even, odd, density_even, density_odd)
 
 
-def _size(classes) -> int:
-    """The number of cuts a list of ``Level.shift_classes`` entries stands for."""
-    return sum(cls[1] for cls in classes)
+def _returning(tower: Tower, lvl: int, step: int) -> tuple[list, Fraction]:
+    """The cuts c of level lvl with c + step a cut, as ``Level.shift_classes``, and their share of the level."""
+    key = ("returning", lvl, step)
+    cached = tower._cache.get(key)
+    if cached is None:
+        level = tower.level(lvl)
+        classes = level.shift_classes(step)
+        cached = tower._cache[key] = (classes, Fraction(sum(cls[1] for cls in classes), level.r))
+    return cached
 
 
 # -- transport witnesses ----------------------------------------------------------
@@ -66,8 +70,10 @@ class TransportWitness:
     """A product block transported between rung tuples by one integer shift.
 
     Per coordinate i the block is f_i plus a choice set at every level in
-    (base, top]; ``plan[i][level]`` names the choice: "all" cuts, cuts
-    returning "even" (rung offset kept), or returning "odd" (offset drops).
+    (base, top]: ``plan[i][level] = s`` chooses the cuts c with c + s a cut,
+    and a level missing from the plan keeps all its cuts.  A layered witness
+    steps by s = 2h (rung offset kept) or s = 2h + 1 (offset drops), h the
+    height of the level below; a slip witness steps by multiples of them.
     A negative shift transports the block built for the reversed tuple.
     """
 
@@ -82,25 +88,6 @@ class TransportWitness:
     flipped: bool = False
     slip: int = 0
     slip_level: int | None = None
-
-
-def _kind_step(tower: Tower, lvl: int, kind) -> int:
-    """The step a plan entry's cuts return by: 0 for "all", 2h or 2h + 1, or the slip step."""
-    if isinstance(kind, tuple) and kind[0] == "slip":
-        return kind[1]
-    steps = {"all": 0, "even": 2 * tower.h(lvl - 1), "odd": 2 * tower.h(lvl - 1) + 1}
-    if kind not in steps:
-        raise ValueError(f"unknown plan entry {kind!r}")
-    return steps[kind]
-
-
-def _cuts_for_kind(tower: Tower, lvl: int, kind):
-    """The choice set of a plan entry, the cuts c of level lvl with c + step a cut, as shift classes."""
-    key = ("returning_cuts", lvl, _kind_step(tower, lvl, kind))
-    cached = tower._cache.get(key)
-    if cached is None:
-        cached = tower._cache[key] = tower.level(lvl).shift_classes(key[2])
-    return cached
 
 
 class NoWitness(Exception):
@@ -152,17 +139,18 @@ def _layered_witness(tower, base_level, start, target, flipped):
         )
     chosen = levels[:s]
     top = max(chosen) if chosen else base_level
+    evens = [2 * tower.h(lvl - 1) for lvl in chosen]
     plan = []
     ratios = []
     for i in range(p):
         entry: dict = {}
         ratio = Fraction(1)
-        for j, lvl in enumerate(chosen):
-            entry[lvl] = "odd" if j < drops[i] else "even"
-            ratio *= Fraction(_size(_cuts_for_kind(tower, lvl, entry[lvl])), tower.level(lvl).r)
+        for j, (lvl, even) in enumerate(zip(chosen, evens)):
+            entry[lvl] = even + (j < drops[i])
+            ratio *= _returning(tower, lvl, entry[lvl])[1]
         plan.append(entry)
         ratios.append(ratio)
-    shift = 2 * sum(tower.h(l - 1) for l in chosen)
+    shift = sum(evens)
     if flipped:
         return TransportWitness(p, base_level, top, target, start, -shift,
                                 tuple(plan), tuple(ratios), flipped=True)
@@ -179,15 +167,12 @@ def _slip_witness(tower, base_level, start, target):
         h = tower.h(lvl.n - 1)
         step_a = (2 * h + 1) * delta
         step_b = 2 * h * delta
-        sa = _size(_cuts_for_kind(tower, lvl.n, ("slip", step_a)))
-        sb = _size(_cuts_for_kind(tower, lvl.n, ("slip", step_b)))
-        if sa and sb:
+        ratios = (_returning(tower, lvl.n, step_a)[1], _returning(tower, lvl.n, step_b)[1])
+        if all(ratios):
             shift = (f2 - f) + step_a
             assert shift == (d2 - d) + step_b
-            plan = ({lvl.n: ("slip", step_a)}, {lvl.n: ("slip", step_b)})
-            ratios = (Fraction(sa, lvl.r), Fraction(sb, lvl.r))
             return TransportWitness(2, base_level, lvl.n, start, target, shift,
-                                    plan, ratios, slip=delta, slip_level=lvl.n)
+                                    ({lvl.n: step_a}, {lvl.n: step_b}), ratios, slip=delta, slip_level=lvl.n)
     raise NoWitness(f"no stagger level can absorb a slip of {delta}")
 
 
@@ -203,15 +188,15 @@ def verify_witness(tower: Tower, w: TransportWitness) -> bool:
     dst = w.start if w.flipped else w.target
     shift = -w.shift if w.flipped else w.shift
 
-    def inclusion_ok(lvl: int, kind, step: int) -> bool:
+    def inclusion_ok(lvl: int, step: int) -> bool:
         # a class c + z*P*s, s < count, lands in the cuts when its two ends do:
         # both ends then sit over one block cut, and so does every copy between
-        key = ("plan_inclusion", lvl, kind)
+        key = ("plan_inclusion", lvl, step)
         verdict = tower._cache.get(key)
         if verdict is None:
             level = tower.level(lvl)
             stride = level.z * len(tower.v_pow)
-            choice = _cuts_for_kind(tower, lvl, kind)
+            choice = _returning(tower, lvl, step)[0]
             verdict = bool(choice) and all(c + step in level and c + step + stride * (count - 1) in level
                                            for c, count, *_ in choice)
             tower._cache[key] = verdict
@@ -220,11 +205,8 @@ def verify_witness(tower: Tower, w: TransportWitness) -> bool:
     for i in range(w.p):
         expected_gain = 0
         for lvl in range(w.base_level + 1, w.top_level + 1):
-            kind = w.plan[i].get(lvl, "all")
-            if kind == "all":
-                continue
-            step = _kind_step(tower, lvl, kind)
-            if not inclusion_ok(lvl, kind, step):
+            step = w.plan[i].get(lvl, 0)
+            if step and not inclusion_ok(lvl, step):
                 return False
             expected_gain += step
         # the shift splits into cut gains plus the rung-offset move
@@ -335,8 +317,9 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
     add, neg = addition_table(G), negation_table(G)
     e = G.element_index(a)
     # the class: cuts c + 2h over the pairs (c, c + 2h) whose label increment is a
-    cls = [(c + 2 * h, count) for c, count, g0, g in lvl.shift_classes(2 * h) if add[g][neg[g0]] == e]
-    size = _size(cls)
+    classes = _returning(tower, lvl.n, 2 * h)[0]
+    cls = [(c + 2 * h, count) for c, count, g0, g in classes if add[g][neg[g0]] == e]
+    size = sum(count for _, count in cls)
     m = least_period(tower.v, a)
     ratio = Fraction(size, lvl.r)
     bound = Fraction(1, 2 * m)
@@ -387,16 +370,12 @@ def multiple_recurrence_search(tower: Tower, A: Cylinder, p: int, k_max: int,
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, not {k_max}")
-    if not 0 <= N <= tower.depth:
-        raise ValueError(f"depth {N} is outside 0..{tower.depth}")
+    _check_depth(tower, N)
     if k_max * p >= tower.h(N):
         raise ValueError("search range exceeds the depth height")
-    rung_set = set(embed(tower, A, N).rungs)
+    rungs = set(embed(tower, A, N).rungs)
     for k in range(1, k_max + 1):
-        hits = 0
-        for f in rung_set:
-            if all((f + j * k) in rung_set for j in range(1, p + 1)):
-                hits += 1
+        hits = sum(1 for _ in _k_step_hits(rungs, p, k))
         if hits:
             return k, Fraction(hits, tower.cut_product(N))
     return None
@@ -404,15 +383,15 @@ def multiple_recurrence_search(tower: Tower, A: Cylinder, p: int, k_max: int,
 
 def recurrence_holds_at(tower: Tower, A: Cylinder, p: int, k: int, N: int) -> bool:
     """Does the k-step (p+1)-fold intersection have positive mass at depth N?"""
-    rungs = embed(tower, A, N).rungs
-    if tower.h(N) >= _INT64_MAX:
-        rung_set = set(rungs)
-        return any(all(f + j * k in rung_set for j in range(1, p + 1)) for f in rungs)
-    arr = np.array(rungs, dtype=np.int64)
-    mask = np.ones(len(arr), dtype=bool)
-    for j in range(1, p + 1):
-        shifted = arr + j * k
-        mask &= np.isin(shifted, arr, assume_unique=True)
-        if not mask.any():
-            return False
-    return bool(mask.any())
+    _check_depth(tower, N)
+    return next(_k_step_hits(set(embed(tower, A, N).rungs), p, k), None) is not None
+
+
+def _check_depth(tower: Tower, N: int) -> None:
+    if not 0 <= N <= tower.depth:
+        raise ValueError(f"depth {N} is outside 0..{tower.depth}")
+
+
+def _k_step_hits(rungs: set[int], p: int, k: int):
+    """The rungs f whose steps f + k, ..., f + p*k all stay in the set."""
+    return (f for f in rungs if all(f + j * k in rungs for j in range(1, p + 1)))

@@ -172,9 +172,7 @@ def witness_block_rungs(tower, w, i):
     """Every rung of coordinate i of a transport witness's block, its choice sets scanned cut by cut."""
     rungs = [w.target[i] if w.flipped else w.start[i]]
     for lvl in range(w.base_level + 1, w.top_level + 1):
-        kind, h = w.plan[i].get(lvl, "all"), tower.h(lvl - 1)
-        step = kind[1] if isinstance(kind, tuple) else {"all": 0, "even": 2 * h, "odd": 2 * h + 1}[kind]
-        rungs = [f + c for f in rungs for c in surviving_cuts(tower.level(lvl), step)]
+        rungs = [f + c for f in rungs for c in surviving_cuts(tower.level(lvl), w.plan[i].get(lvl, 0))]
     return [f + abs(w.shift) for f in rungs] if w.flipped else rungs
 
 

@@ -175,10 +175,9 @@ def test_level_operator_basics(z3_tower):
     assert op.undefined_count == 5
     assert op.error_mass == Fraction(5, t.cut_product(N))
     for f in (0, 7, h - 6):
-        assert op.target(f) == f + 5
         want = (chi.exponent(rung_label(t, f + 5, N)) - chi.exponent(rung_label(t, f, N))) % 3
         assert op.phase_exponent[f] == want
-    assert op.target(h - 1) is None
+    assert op.phase_exponent[h - 1] is None
     # zero shift: identity phases on every rung
     op0 = LevelOperator(t, chi, 0, N)
     assert all(e == 0 for e in op0.phase_exponent)
@@ -197,7 +196,6 @@ def test_level_operator_matches_the_per_rung_formula_at_every_shift(z3_tower):
             want = [(chi.exponent(labels[f + m]) - chi.exponent(labels[f])) % 3 if 0 <= f + m < h else None
                     for f in range(h)]
             assert op.phase_exponent == want
-            assert [op.target(f) for f in range(h)] == [None if w is None else f + m for f, w in enumerate(want)]
             assert op.undefined_count == want.count(None) == min(h, abs(m))
 
 

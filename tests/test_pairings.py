@@ -41,11 +41,12 @@ def brute_histogram(tower, m, A, B, N):
     """
     EA = set(embed(tower, A, N).rungs)
     EB = embed(tower, B, N).rungs
+    h = tower.h(N)
     increments = {}
     outside = 0
     for f in EB:
         g = f + m
-        if not 0 <= g < tower.h(N):
+        if not 0 <= g < h:
             outside += 1
             continue
         if g in EA:

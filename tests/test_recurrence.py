@@ -19,7 +19,7 @@ from cfspectra.recurrence import (
     transport_witness,
     verify_witness,
 )
-from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower
+from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower, embed
 
 from cut_scans import brute_force_witness_check
 
@@ -112,6 +112,42 @@ def test_transport_witness_mixed_orientation(deep_tower):
     assert w.slip != 0
     assert verify_witness(t, w)
     assert all(r > 0 for r in w.measure_ratios)
+
+
+def test_slip_witnesses_match_brute_force(stagger_tower):
+    """One slip witness per (top level, slip) on the all-stagger tower, re-verified by rung enumeration."""
+    t = stagger_tower
+    witnesses = {}
+    for f, d, f2, d2 in itertools.product((0, 1, 2, 5, 8, 11), repeat=4):
+        if (f - f2) * (d - d2) >= 0:
+            continue
+        try:
+            w = transport_witness(t, 2, (f, d), (f2, d2))
+        except NoWitness:
+            continue
+        if w.top_level <= 4:   # level 5 blocks are too many rungs to enumerate
+            witnesses.setdefault((w.top_level, w.slip), w)
+    assert {top for top, _ in witnesses} == {3, 4}
+    for w in witnesses.values():
+        assert w.plan == ({w.slip_level: w.shift - (w.target[0] - w.start[0])},
+                          {w.slip_level: w.shift - (w.target[1] - w.start[1])})
+        assert verify_witness(t, w) and brute_force_witness_check(t, w)
+
+
+def test_layered_plans_step_by_2h_or_2h_plus_one(deep_tower):
+    """Coordinate i takes exactly drops[i] odd steps 2h + 1; its other steps are 2h."""
+    t = deep_tower
+    singles = ergodicity_sweep(t, 1, 2, all_rung_pairs(t, 2, 1))
+    pairs = ergodicity_sweep(t, 2, 2, [((f, d), (f2, d2)) for f, d, f2, d2 in itertools.product((0, 1, 7), repeat=4)
+                                       if (f - f2) * (d - d2) >= 0])
+    for w in singles + pairs:
+        levels = sorted(w.plan[0])
+        assert w.shift == (-1 if w.flipped else 1) * sum(2 * t.h(lvl - 1) for lvl in levels)
+        for i, entry in enumerate(w.plan):
+            assert sorted(entry) == levels
+            odd = [lvl for lvl, s in entry.items() if s == 2 * t.h(lvl - 1) + 1]
+            assert all(entry[lvl] == 2 * t.h(lvl - 1) for lvl in levels if lvl not in odd)
+            assert len(odd) == abs(w.start[i] - w.target[i])
 
 
 def test_witness_depth_requirement_reported():
@@ -218,3 +254,28 @@ def test_recurrence_monotone_smallest_k(deep_tower):
         k, _ = found
         for N in (4, 5):
             assert recurrence_holds_at(t, A, 1, k, N)
+
+
+def test_recurrence_past_the_depth_is_refused(deep_tower):
+    t = deep_tower
+    A = Cylinder(1, (0,))
+    for N in (t.depth + 1, -1):
+        with pytest.raises(ValueError, match="outside"):
+            recurrence_holds_at(t, A, 1, 1, N)
+        with pytest.raises(ValueError, match="outside"):
+            multiple_recurrence_search(t, A, 1, 1, N)
+
+
+def test_recurrence_holds_exactly_from_the_search_hit(deep_tower):
+    """The k-step check fails below the search's least k and holds at it; its mass is a set recount."""
+    t = deep_tower
+    for A, p, k_max, N in [(Cylinder(1, (0,)), 2, 2 * t.h(3), 4), (Cylinder(1, (0, 1)), 1, 50, 3),
+                           (Cylinder(4, (t.h(4) - 1,)), 1, 1, 4)]:
+        found = multiple_recurrence_search(t, A, p, k_max, N)
+        least = found[0] if found else k_max + 1
+        ks = range(1, min(least, k_max) + 1)
+        assert [recurrence_holds_at(t, A, p, k, N) for k in ks] == [k == least for k in ks]
+        if found:
+            rungs = set(embed(t, A, N).rungs)
+            hits = rungs.intersection(*({f - j * least for f in rungs} for j in range(1, p + 1)))
+            assert found[1] == Fraction(len(hits), t.cut_product(N)) > 0
