@@ -17,7 +17,7 @@ from .groups import CatalogGuardExceeded
 from .koopman import GridGuardExceeded
 from .pairings import StateGuardExceeded
 from .spectra import SpectraGuardExceeded
-from .tower import TowerParseError, parse_tower
+from .tower import EmbedGuardExceeded, TowerParseError, parse_tower
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StateGuardExceeded, CatalogGuardExceeded, GridGuardExceeded,
-            SpectraGuardExceeded) as exc:
+            SpectraGuardExceeded, EmbedGuardExceeded) as exc:
         print(f"limit error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -140,22 +140,34 @@ def _layered_witness(tower, base_level, start, target, flipped):
     chosen = levels[:s]
     top = max(chosen) if chosen else base_level
     evens = [2 * tower.h(lvl - 1) for lvl in chosen]
-    plan = []
-    ratios = []
-    for i in range(p):
-        entry: dict = {}
-        ratio = Fraction(1)
-        for j, (lvl, even) in enumerate(zip(chosen, evens)):
-            entry[lvl] = even + (j < drops[i])
-            ratio *= _returning(tower, lvl, entry[lvl])[1]
-        plan.append(entry)
-        ratios.append(ratio)
+    plan = tuple({lvl: even + (j < drop) for j, (lvl, even) in enumerate(zip(chosen, evens))}
+                 for drop in drops)
+    by_drop = _drop_ratios(tower, base_level, chosen, evens)
+    ratios = tuple(by_drop[drop] for drop in drops)
     shift = sum(evens)
     if flipped:
-        return TransportWitness(p, base_level, top, target, start, -shift,
-                                tuple(plan), tuple(ratios), flipped=True)
-    return TransportWitness(p, base_level, top, start, target, shift,
-                            tuple(plan), tuple(ratios))
+        return TransportWitness(p, base_level, top, target, start, -shift, plan, ratios, flipped=True)
+    return TransportWitness(p, base_level, top, start, target, shift, plan, ratios)
+
+
+def _drop_ratios(tower: Tower, base_level: int, chosen: list[int], evens: list[int]) -> list[Fraction]:
+    """The measure ratio of a layered coordinate by its drop, for drops 0..len(chosen).
+
+    A coordinate dropping by ``drop`` takes the 2h + 1 step below level
+    index ``drop`` and the 2h step from it on, so its ratio is a prefix
+    product of odd-step shares times a suffix product of even-step shares.
+    """
+    key = ("drop_ratios", base_level, len(chosen))
+    cached = tower._cache.get(key)
+    if cached is None:
+        odd = [Fraction(1)]
+        for lvl, even in zip(chosen, evens):
+            odd.append(odd[-1] * _returning(tower, lvl, even + 1)[1])
+        even_from = [Fraction(1)]
+        for lvl, even in zip(reversed(chosen), reversed(evens)):
+            even_from.append(even_from[-1] * _returning(tower, lvl, even)[1])
+        cached = tower._cache[key] = [o * e for o, e in zip(odd, reversed(even_from))]
+    return cached
 
 
 def _slip_witness(tower, base_level, start, target):

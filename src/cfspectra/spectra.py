@@ -12,6 +12,15 @@ power is a sum of numerators mod q and the checks add and count ints.
 Fractions are built only at the public boundary: ``FiniteUnitary.turns``,
 ``RestrictedPower.eigen_turns`` and the keys of ``multiplicity_function``.
 
+A restriction picks the least tuple of each permutation orbit through value
+patterns: a tuple is least in its orbit exactly when its order-preserving
+relabelling onto 0..m-1 is.  One cached table per (d, k) lists every tuple
+in code order with its pattern and content, and one cached set per (group,
+d, k) holds the least patterns, so a restriction is a single filter pass.
+The exact mode is pure Python; numpy is imported only inside the float-mode
+functions (``FiniteUnitary(matrix=...)``, ``to_matrix``, the float branch of
+``multiplicity_function`` and ``float_cluster_check``).
+
 Continuity of spectrum has no finite-dimensional counterpart; its working
 shadow here is relation-freeness of the angles, which makes the permutation
 action on index tuples with distinct entries behave exactly like the action
@@ -34,8 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import NamedTuple
 
 from .groups import subgroup_lattice
 from .tower import Report
@@ -77,6 +85,8 @@ class FiniteUnitary:
             self.matrix = None
             self.dim = len(self.turns)
         else:
+            import numpy as np
+
             m = np.asarray(matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("matrix must be square")
@@ -90,9 +100,12 @@ class FiniteUnitary:
     def exact(self) -> bool:
         return self.turns is not None
 
-    def to_matrix(self) -> np.ndarray:
+    def to_matrix(self):
+        """The unitary as a complex numpy matrix."""
         if self.matrix is not None:
             return self.matrix
+        import numpy as np
+
         return np.diag(np.exp(2j * np.pi * np.array([float(t) for t in self.turns])))
 
     def eigen_turns(self) -> tuple[Fraction, ...]:
@@ -255,11 +268,15 @@ class RestrictedPower:
 def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> RestrictedPower:
     """V^(tensor k) restricted to the gamma-invariant subspace (exact diagonal mode).
 
-    A permutation sigma moves the entry at position i to position sigma(i).
-    Index tuples are coded as base-d integers in lexicographic order; each
-    orbit is represented by its least code, the running minimum over the
-    group of the permuted codes.  Reading the digits through sigma applies
-    sigma^-1, which ranges over the same group.
+    Index tuples are listed in code order (base-d, lexicographic) and each
+    orbit is represented by its least tuple.  A tuple r is ``vals o p``: vals
+    the increasing list of its values and p its value pattern, the
+    order-preserving relabelling onto 0..m-1.  Permuting positions permutes
+    r and p alike and vals is increasing, so r is least in its orbit exactly
+    when p is least in the orbit of p; the restriction is one pass over the
+    (d, k) table keeping the tuples whose pattern is least.  The eigen-turn
+    of a tuple depends only on its content (sorted multiset), and each
+    content's numerator is summed once.
     """
     if not V.exact:
         raise ValueError("exact restriction requires a diagonal-turn unitary")
@@ -267,20 +284,75 @@ def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> Restric
         raise ValueError("permutation group degree must equal the power")
     d = V.dim
     _guard(d**k, f"restriction of a dimension-{d} unitary to power {k}")
-    digits = np.indices((d,) * k).reshape(k, d**k).T     # row c: the digits of code c
-    weights = d ** np.arange(k - 1, -1, -1)
-    codes = np.arange(d**k)
-    least = codes.copy()
-    for sigma in gamma.elements:
-        np.minimum(least, digits[:, list(sigma)] @ weights, out=least)
-    reps = [tuple(r) for r in digits[least == codes].tolist()]
+    table = _tuple_table(d, k)
+    least = _least_patterns(tuple(gamma.elements), d, k)
+    keep = [i for i, p in enumerate(table.pattern_ids) if p in least]
     nums, q = V.nums, V.q
-    eigen = tuple(sum(nums[i] for i in r) % q for r in reps)
-    contents = tuple(tuple(sorted(r)) for r in reps)
-    rp = RestrictedPower(len(reps), k, gamma.order, tuple(reps), q, eigen, contents)
+    content_nums = [sum(nums[i] for i in c) % q for c in table.contents]
+    cids = [table.content_ids[i] for i in keep]
+    rp = RestrictedPower(len(keep), k, gamma.order, tuple(table.tuples[i] for i in keep), q,
+                         tuple(content_nums[c] for c in cids),
+                         tuple(table.contents[c] for c in cids))
     if rp.dim != orbit_count_burnside(gamma, d):
         raise AssertionError("orbit count disagrees with the Burnside average")
     return rp
+
+
+class _TupleTable(NamedTuple):
+    """Every index tuple of a (d, k) power in code order, with its pattern and content ids."""
+
+    tuples: tuple[tuple[int, ...], ...]
+    pattern_ids: list[int]
+    patterns: dict[tuple[int, ...], int]     # pattern -> id; ids, and dict order, lexicographic
+    content_ids: list[int]
+    contents: list[tuple[int, ...]]          # sorted index multisets, by id
+
+
+@lru_cache(maxsize=4)
+def _tuple_table(d: int, k: int) -> _TupleTable:
+    """The (d, k) tuple table.
+
+    A pattern p is a code, and every tuple with pattern p is at least p entry
+    by entry, so p is first met at its own code: pattern ids come in
+    lexicographic order, and the tuple itself serves as the pattern's key.
+    """
+    tuples = tuple(itertools.product(range(d), repeat=k))
+    patterns: dict = {}
+    by_content: dict = {}        # content -> (content id, value -> rank)
+    pattern_ids = []
+    content_ids = []
+    for r in tuples:
+        content = tuple(sorted(r))
+        entry = by_content.get(content)
+        if entry is None:
+            entry = by_content[content] = (len(by_content), {v: i for i, v in enumerate(sorted(set(r)))})
+        cid, rank = entry
+        pid = patterns.get(tuple(map(rank.__getitem__, r)))
+        if pid is None:
+            pid = patterns[r] = len(patterns)
+        pattern_ids.append(pid)
+        content_ids.append(cid)
+    return _TupleTable(tuples, pattern_ids, patterns, content_ids, list(by_content))
+
+
+@lru_cache(maxsize=64)
+def _least_patterns(elements: tuple, d: int, k: int) -> frozenset[int]:
+    """Ids of the (d, k) patterns that are least in their orbit under the permutations.
+
+    Reading a pattern through sigma applies sigma^-1, which ranges over the
+    same group.  Walking the patterns in lexicographic order, the first one
+    met of each orbit is its least; the rest of the orbit is marked seen.
+    The elements are sorted, so the identity, which needs no mark, is first.
+    """
+    patterns = _tuple_table(d, k).patterns
+    seen = bytearray(len(patterns))
+    least = []
+    for p, pid in patterns.items():
+        if not seen[pid]:
+            least.append(pid)
+            for sigma in elements[1:]:
+                seen[patterns[tuple(map(p.__getitem__, sigma))]] = 1
+    return frozenset(least)
 
 
 def symmetric_power(V: FiniteUnitary, k: int) -> RestrictedPower:
@@ -313,6 +385,8 @@ def multiplicity_function(U) -> MultiplicityFunction:
         return MultiplicityFunction({Fraction(n, U.q): c for n, c in counts.items()}, "exact")
     if isinstance(U, FiniteUnitary) and U.exact:
         return MultiplicityFunction(dict(Counter(U.turns)), "exact")
+    import numpy as np
+
     m = U.to_matrix() if isinstance(U, FiniteUnitary) else np.asarray(U, dtype=complex)
     if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12):
         raise ValueError("input is not unitary within 1e-12")
@@ -323,6 +397,8 @@ def multiplicity_function(U) -> MultiplicityFunction:
 
 
 def _cluster(eigs, tol):
+    import numpy as np
+
     order = np.argsort(np.angle(eigs))
     eigs = eigs[order]
     groups: list[list[complex]] = []
@@ -383,6 +459,8 @@ def homogeneous_multiplicity_check(V: FiniteUnitary, k: int, gamma: PermGroup) -
 
 def float_cluster_check(V: FiniteUnitary, k: int, gamma: PermGroup) -> Report:
     """Floating cross-check of the free-spectrum multiplicities via clustering."""
+    import numpy as np
+
     rep = Report()
     rest = invariant_restriction(V, k, gamma)
     eigs = np.exp(2j * np.pi * np.array([n / rest.q for n in rest.eigen_nums]))

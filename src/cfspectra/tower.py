@@ -36,6 +36,10 @@ from .groups import Automorphism, Element, FinAbGroup, addition_table, least_per
 _EMBED_GUARD = 5_000_000
 
 
+class EmbedGuardExceeded(MemoryError):
+    """An explicit embedding would list more than ``_EMBED_GUARD`` rungs."""
+
+
 @dataclass(frozen=True)
 class EvenTag:
     """Recipe tag for a uniformly spaced level stepping the label by a."""
@@ -507,7 +511,9 @@ def embed(tower: Tower, cyl: Cylinder, target_level: int) -> Cylinder:
     for j in range(cyl.level + 1, target_level + 1):
         cj = tower.level(j).cuts
         if len(rungs) * len(cj) > _EMBED_GUARD:
-            raise MemoryError("explicit embedding would be too large; use the pairing engine")
+            raise EmbedGuardExceeded(f"explicit embedding to level {target_level} would list "
+                                     f"{len(rungs) * len(cj):,} rungs at level {j} "
+                                     f"(guard {_EMBED_GUARD:,}); lower the depth")
         rungs = [f + c for f in rungs for c in cj]
     return Cylinder(target_level, tuple(rungs))
 

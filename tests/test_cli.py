@@ -282,6 +282,58 @@ def test_catalog_guard_is_a_one_line_limit_error(capsys, monkeypatch):
     assert out == ""
 
 
+def test_embed_guard_is_a_one_line_limit_error(tmp_path, capsys):
+    from cfspectra.tower import EmbedGuardExceeded
+
+    out = tmp_path / "t12"
+    assert main(["build", "--target", "1,2", "--depth", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["recur", "--tower", str(out / "tower.txt"), "--depth", "6"]) == 2
+    out_text, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("limit error: "), err
+    assert "guard 5,000,000" in err and "Traceback" not in err
+    assert out_text == ""
+    assert issubclass(EmbedGuardExceeded, MemoryError)
+
+
+def test_numpy_is_loaded_only_by_float_mode(tmp_path):
+    """Every subcommand runs without importing numpy; a float-mode call still imports it."""
+    import subprocess
+    import sys
+
+    out, tower = tmp_path / "out", tmp_path / "out" / "tower.txt"
+    runs = [
+        ["build", "--target", "2", "--depth", "6", "--out", str(out)],
+        ["verify", "--tower", str(tower)],
+        ["weaklimits", "--tower", str(tower), "--out", str(tmp_path / "grid.csv")],
+        ["groups", "--targets", "1,2", "--bound", "8", "--out", str(tmp_path / "catalog.txt")],
+        ["recur", "--tower", str(tower)],
+        ["spectra", "--k", "3", "--d", "4"],
+    ]
+    code = (
+        "import sys\n"
+        "def check(step):\n"
+        "    print(step, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "import cfspectra\n"
+        "check('import cfspectra')\n"
+        "import cfspectra.cli\n"
+        "check('import cfspectra.cli')\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cfspectra.cli.main(argv) == 0, argv\n"
+        "    check(argv[0])\n"
+        "from cfspectra.spectra import multiplicity_function\n"
+        "mf = multiplicity_function([[0, 1], [1, 0]])\n"
+        "assert mf.mode == 'float' and sorted(mf.values().items()) == [(1, 2)]\n"
+        "check('float mode')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    loaded = [line.rsplit(" ", 1) for line in proc.stderr.splitlines()]
+    assert loaded == [["import cfspectra", "False"], ["import cfspectra.cli", "False"]] + [
+        [argv[0], "False"] for argv in runs] + [["float mode", "True"]]
+
+
 def _swap_first_cut_blocks(text: str, level: str) -> str:
     """Swap the first two arithmetic blocks of one level's cut line; the cut set is unchanged."""
     lines = text.splitlines()

@@ -21,7 +21,7 @@ from cfspectra.recurrence import (
 )
 from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower, embed
 
-from cut_scans import brute_force_witness_check
+from cut_scans import brute_force_witness_check, surviving_cuts
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,25 @@ def test_transport_witness_single_drop(deep_tower):
     assert verify_witness(t, w)
     assert w.measure_ratios[0] >= Fraction(1, 3)
     assert brute_force_witness_check(t, w)
+
+
+def test_measure_ratios_are_products_of_per_cut_shares(deep_tower):
+    """Each coordinate's ratio is the product, over its plan, of the share of cuts that return."""
+    t = deep_tower
+    share = {}
+
+    def ratio(entry):
+        out = Fraction(1)
+        for lvl, step in entry.items():
+            if (lvl, step) not in share:
+                level = t.level(lvl)
+                share[lvl, step] = Fraction(len(surviving_cuts(level, step)), level.r)
+            out *= share[lvl, step]
+        return out
+
+    for start, target in all_rung_pairs(t, 2, 1) + all_rung_pairs(t, 2, 2)[::41]:
+        w = transport_witness(t, 2, start, target)
+        assert w.measure_ratios == tuple(map(ratio, w.plan)), (start, target)
 
 
 def test_transport_witness_rise_uses_negative_shift(deep_tower, stagger_tower):

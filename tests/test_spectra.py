@@ -232,19 +232,49 @@ def reference_restriction(V, k, gamma):
     return tuple(reps), turns, tuple(tuple(sorted(rep)) for rep in reps)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_integer_restriction_matches_fraction_reference(k):
+def _restriction_cases(k):
+    if k == 8:
+        cyclic = PermGroup(k, [tuple(range(1, k)) + (0,)])
+        return [(generic_diagonal(2, k), gamma) for gamma in (PermGroup.trivial(k), cyclic)]
     mixed = FiniteUnitary(turns=[Fraction(1, 3), Fraction(3, 4), Fraction(5, 6), Fraction(7, 10)])
     assert mixed.q == 60 and mixed.nums == (20, 45, 50, 42)
-    for V in [generic_diagonal(d, k) for d in range(1, 6)] + [mixed]:
-        for gamma in all_subgroups_sym(k):
-            rest = invariant_restriction(V, k, gamma)
-            reps, turns, contents = reference_restriction(V, k, gamma)
-            assert rest.orbit_reps == reps, (V.dim, gamma)
-            assert rest.eigen_turns == turns, (V.dim, gamma)
-            assert rest.contents == contents, (V.dim, gamma)
-            assert all(type(t) is Fraction for t in rest.eigen_turns)
-            assert all(type(t) is Fraction for t in multiplicity_function(rest).clusters)
+    tied = FiniteUnitary(turns=[0, 0, Fraction(1, 2)])
+    assert tied.q == 2 and tied.nums == (0, 0, 1)
+    return [(V, gamma) for V in [generic_diagonal(d, k) for d in range(1, 8)] + [mixed, tied]
+            for gamma in all_subgroups_sym(k)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_integer_restriction_matches_fraction_reference(k):
+    for V, gamma in _restriction_cases(k):
+        rest = invariant_restriction(V, k, gamma)
+        reps, turns, contents = reference_restriction(V, k, gamma)
+        assert rest.orbit_reps == reps, (V.dim, gamma)
+        assert rest.eigen_turns == turns, (V.dim, gamma)
+        assert rest.contents == contents, (V.dim, gamma)
+        assert all(type(t) is Fraction for t in rest.eigen_turns)
+        assert all(type(t) is Fraction for t in multiplicity_function(rest).clusters)
+
+
+def test_restriction_at_the_guard_edge():
+    """d = 2 admits k = 16 under the guard: each restriction stays under a second."""
+    import time
+
+    k = 16
+    V = FiniteUnitary(turns=[Fraction(1, 3), Fraction(1, 7)])
+
+    def timed(gamma):
+        t0 = time.perf_counter()
+        rest = invariant_restriction(V, k, gamma)
+        assert time.perf_counter() - t0 < 1
+        assert rest.eigen_nums == tuple(sum(V.nums[i] for i in r) % V.q for r in rest.orbit_reps)
+        return rest
+
+    every = timed(PermGroup.trivial(k))
+    assert every.orbit_reps == tuple(itertools.product(range(2), repeat=k))
+    necklaces = timed(PermGroup(k, [tuple(range(1, k)) + (0,)]))
+    assert necklaces.dim == 4116            # binary necklaces of length 16
+    assert all(r == min(r[i:] + r[:i] for i in range(k)) for r in necklaces.orbit_reps)
 
 
 def test_subgroup_lattice_matches_generator_closure():
