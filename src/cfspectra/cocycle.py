@@ -18,17 +18,12 @@ from .tower import Point, Tower, apply_T
 
 def rung_label(tower: Tower, f: int, N: int) -> Element:
     """Sum of cut labels along the depth-N canonical decomposition of rung f."""
-    key = ("rung_label", N, f)
-    cached = tower._cache.get(key)
-    if cached is not None:
-        return cached
     n_min, _, coords = tower.decompose(f, N)
     add = addition_table(tower.group)
     total = 0
     for j in range(1, N + 1):
         total = add[total][tower.level(j).label_index(coords.get(j, 0))]
-    el = tower._cache[key] = tower.elements[total]
-    return el
+    return tower.elements[total]
 
 
 def rung_label_indices(tower: Tower, N: int) -> list[int]:

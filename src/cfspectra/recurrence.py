@@ -13,12 +13,14 @@ over ``Level.shift_classes`` rather than cut by cut.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import pairings
 from .cocycle import rung_label
 from .groups import Element, addition_table, least_period, negation_table
-from .tower import Cylinder, EvenTag, StaggerTag, Tower, embed
+from .tower import Cylinder, EvenTag, StaggerTag, Tower
 
 
 # -- return cuts ---------------------------------------------------------------
@@ -382,12 +384,11 @@ def multiple_recurrence_search(tower: Tower, A: Cylinder, p: int, k_max: int,
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, not {k_max}")
-    _check_depth(tower, N)
+    _check_query(tower, A, N)
     if k_max * p >= tower.h(N):
         raise ValueError("search range exceeds the depth height")
-    rungs = set(embed(tower, A, N).rungs)
     for k in range(1, k_max + 1):
-        hits = sum(1 for _ in _k_step_hits(rungs, p, k))
+        hits = _return_count(tower, A, p, k, N)
         if hits:
             return k, Fraction(hits, tower.cut_product(N))
     return None
@@ -395,15 +396,55 @@ def multiple_recurrence_search(tower: Tower, A: Cylinder, p: int, k_max: int,
 
 def recurrence_holds_at(tower: Tower, A: Cylinder, p: int, k: int, N: int) -> bool:
     """Does the k-step (p+1)-fold intersection have positive mass at depth N?"""
-    _check_depth(tower, N)
-    return next(_k_step_hits(set(embed(tower, A, N).rungs), p, k), None) is not None
+    _check_query(tower, A, N)
+    return _return_count(tower, A, p, k, N) > 0
 
 
-def _check_depth(tower: Tower, N: int) -> None:
+def _check_query(tower: Tower, A: Cylinder, N: int) -> None:
     if not 0 <= N <= tower.depth:
         raise ValueError(f"depth {N} is outside 0..{tower.depth}")
+    if A.level > N:
+        raise ValueError(f"cylinder level {A.level} lies above depth {N}")
+    if not 0 <= A.rungs[0] <= A.rungs[-1] < tower.h(A.level):
+        raise ValueError(f"cylinder rungs outside 0..{tower.h(A.level) - 1}")
 
 
-def _k_step_hits(rungs: set[int], p: int, k: int):
-    """The rungs f whose steps f + k, ..., f + p*k all stay in the set."""
-    return (f for f in rungs if all(f + j * k in rungs for j in range(1, p + 1)))
+def _return_count(tower: Tower, A: Cylinder, p: int, k: int, N: int) -> int:
+    """#{f in E_A(N) : f + k, ..., f + p*k in E_A(N)}, counted top down over the levels.
+
+    A depth-j rung is a level-(j-1) rung plus a level-j cut, so f = y + c and
+    f + d_i = y_i + c_i leave the residual shift y_i - y = d_i - (c_i - c),
+    below h_{j-1} in modulus.  A state is the tuple of residual shifts with the
+    number of cut tuples reaching it: the label-free p-shift form of
+    ``PairingEngine.propagate``.  The cut b + z*q of a level has the partners
+    b' + z*(q + t), so one block cut with one partner choice (b'_i, t_i) per
+    coordinate stands for every copy q with q and each q + t_i in 0..reps-1.
+    The states left at the cylinder's level are counted against its rungs.
+    """
+    states = {tuple(k * i for i in range(1, p + 1)): 1}
+    for j in range(N, A.level, -1):
+        lvl, h = tower.level(j), tower.h(j - 1)
+        block, z, reps = lvl.block, lvl.z, lvl.reps
+        new: dict[tuple[int, ...], int] = {}
+        for ds, mult in states.items():
+            for b in block:
+                partners = []   # per coordinate: (t, c_i - c) for b' + z*t within h of b + d
+                for d in ds:
+                    lo, hi = b + d - h + 1, b + d + h - 1
+                    ts = range(max(lo // z, 1 - reps), min(hi // z, reps - 1) + 1) if reps > 1 else (0,)
+                    partners.append([(t, e + z * t - b) for t in ts
+                                     for e in block[bisect_left(block, lo - z * t):
+                                                    bisect_right(block, hi - z * t)]])
+                for choice in itertools.product(*partners):
+                    ts = [0] + [t for t, _ in choice]
+                    copies = reps - max(ts) + min(ts)
+                    if copies > 0:
+                        key = tuple(d - delta for d, (_, delta) in zip(ds, choice))
+                        new[key] = new.get(key, 0) + mult * copies
+        states = new
+        if len(states) > pairings._STATE_GUARD:
+            raise pairings.StateGuardExceeded(f"recurrence count exceeded {pairings._STATE_GUARD} states "
+                                              f"at level {j}; lower the depth or the step")
+    rungs = set(A.rungs)
+    return sum(mult * sum(all(f + d in rungs for d in ds) for f in A.rungs)
+               for ds, mult in states.items())

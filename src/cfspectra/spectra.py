@@ -662,11 +662,10 @@ def vandermonde_extraction_check(ratios) -> Report:
         raise ValueError("ratios must be pairwise distinct")
     rows = [[r**l for l in range(k + 1)] for r in ratios]
     rows.append([Fraction(0)] * k + [Fraction(1)])
-    det = _rational_det([row[:] for row in rows])
+    det, inv = _rational_det_inverse(rows)
     rep.add("system determinant nonzero", k, det != 0, f"det = {det}")
     if det == 0:
         return rep
-    inv = _rational_inverse([row[:] for row in rows])
     n = k + 1
     prod_ok = all(
         sum(inv[i][t] * rows[t][j] for t in range(n)) == (1 if i == j else 0)
@@ -676,35 +675,23 @@ def vandermonde_extraction_check(ratios) -> Report:
     return rep
 
 
-def _rational_det(rows) -> Fraction:
+def _rational_det_inverse(rows) -> tuple[Fraction, list | None]:
+    """One Gauss-Jordan pass: the determinant (pivot product, sign per swap) and the inverse, or (0, None)."""
     n = len(rows)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
     det = Fraction(1)
     for col in range(n):
-        sel = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        sel = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if sel is None:
-            return Fraction(0)
+            return Fraction(0), None
         if sel != col:
-            rows[col], rows[sel] = rows[sel], rows[col]
+            aug[col], aug[sel] = aug[sel], aug[col]
             det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-def _rational_inverse(rows):
-    n = len(rows)
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        sel = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[sel] = aug[sel], aug[col]
         pv = aug[col][col]
+        det *= pv
         aug[col] = [a / pv for a in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return det, [row[n:] for row in aug]

@@ -8,6 +8,7 @@ scan on every level and on its one-copy (``reps == 1``) twin.
 
 import bisect
 import contextlib
+import itertools
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -184,3 +185,43 @@ def brute_force_witness_check(tower, w):
         if any(g not in start or g + w.shift not in target for g in witness_block_rungs(tower, w, i)):
             return False
     return True
+
+
+def k_step_hits_scan(tower, A, p, k, N):
+    """#{f in E_A(N) : f + k, ..., f + p*k in E_A(N)}, read off the embedded depth-N rung set."""
+    return _k_step_hits(set(embed(tower, A, N).rungs), p, k)
+
+
+def recurrence_search_scan(tower, A, p, k_max, N):
+    """The least k <= k_max with a k-step hit at depth N and its mass, or None, by rung-set scans."""
+    rungs = set(embed(tower, A, N).rungs)
+    for k in range(1, k_max + 1):
+        hits = _k_step_hits(rungs, p, k)
+        if hits:
+            return k, Fraction(hits, tower.cut_product(N))
+    return None
+
+
+def _k_step_hits(rungs, p, k):
+    return len(rungs.intersection(*({f - j * k for f in rungs} for j in range(1, p + 1))))
+
+
+def return_state_counts_scan(tower, A, p, k, N):
+    """Per level from N down, the number of residual-shift tuples the top-down count keeps.
+
+    A tuple (d_1, ..., d_p) moves to (d_i - (c_i - c)) over every cut c of the
+    level and cuts c_i with |d_i - (c_i - c)| below the height of the level under it.
+    """
+    states = {tuple(k * i for i in range(1, p + 1))}
+    sizes = []
+    for j in range(N, A.level, -1):
+        cuts, h = tower.level(j).cuts, tower.h(j - 1)
+        states = {tuple(d - (ci - c) for d, ci in zip(ds, choice))
+                  for ds in states for c in cuts
+                  for choice in itertools.product(*(
+                      cuts[bisect.bisect_left(cuts, c + d - h + 1):bisect.bisect_right(cuts, c + d + h - 1)]
+                      for d in ds))}
+        if not states:
+            break
+        sizes.append(len(states))
+    return sizes

@@ -283,17 +283,43 @@ def test_catalog_guard_is_a_one_line_limit_error(capsys, monkeypatch):
 
 
 def test_embed_guard_is_a_one_line_limit_error(tmp_path, capsys):
-    from cfspectra.tower import EmbedGuardExceeded
+    """``recur`` past the old embedding bound now answers; ``embed`` itself still refuses it."""
+    from cfspectra.tower import Cylinder, EmbedGuardExceeded, embed, parse_tower
 
     out = tmp_path / "t12"
     assert main(["build", "--target", "1,2", "--depth", "8", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["recur", "--tower", str(out / "tower.txt"), "--depth", "6"]) == 2
+    assert main(["recur", "--tower", str(out / "tower.txt"), "--depth", "6"]) == 0
     out_text, err = capsys.readouterr()
-    assert len(err.splitlines()) == 1 and err.startswith("limit error: "), err
-    assert "guard 5,000,000" in err and "Traceback" not in err
-    assert out_text == ""
+    assert out_text.splitlines()[-1] == "triple recurrence at depth 6: k = 3, mass = 1/6"
+    assert err == ""
+    t = parse_tower((out / "tower.txt").read_text())
+    with pytest.raises(EmbedGuardExceeded, match="guard 5,000,000"):
+        embed(t, Cylinder(1, (0,)), 6)
     assert issubclass(EmbedGuardExceeded, MemoryError)
+
+
+def test_recurrence_state_guard_is_a_one_line_limit_error(built, capsys, monkeypatch):
+    from cfspectra import pairings
+
+    monkeypatch.setattr(pairings, "_STATE_GUARD", 0)
+    capsys.readouterr()
+    assert main(["recur", "--tower", str(built / "tower.txt")]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("limit error: recurrence count exceeded 0 states")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_recur_answers_at_the_full_depth(tmp_path, capsys):
+    out = tmp_path / "t12"
+    assert main(["build", "--target", "1,2", "--depth", "8", "--out", str(out)]) == 0
+    for depth in (7, 8):
+        capsys.readouterr()
+        assert main(["recur", "--tower", str(out / "tower.txt"), "--depth", str(depth)]) == 0
+        out_text, err = capsys.readouterr()
+        assert out_text.splitlines()[-1] == f"triple recurrence at depth {depth}: k = 3, mass = 1/6"
+        assert err == ""
 
 
 def test_numpy_is_loaded_only_by_float_mode(tmp_path):

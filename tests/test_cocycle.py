@@ -75,6 +75,14 @@ def test_rung_label_array_matches_pointwise(z3_tower):
         assert t.group.element_from_index(arr[f]) == rung_label(t, f, N)
 
 
+def test_rung_label_leaves_nothing_in_the_tower_cache(z3_tower):
+    """Pointwise rung labels are recomputed, not kept one cache entry per rung."""
+    t = z3_tower
+    for f in range(0, t.h(3), 5):
+        rung_label(t, f, 3)
+    assert not [key for key in t._cache if isinstance(key, tuple) and key[0] == "rung_label"]
+
+
 def test_cocycle_antisymmetry_and_identity(z3_tower):
     t = z3_tower
     coc = Cocycle(t)

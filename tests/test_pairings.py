@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,18 @@ def characters(tower):
     return [Character(tower.group, (c,)) for c in range(3)]
 
 
+_RUNG_LABELS = weakref.WeakKeyDictionary()   # tower -> {(N, f): rung_label(tower, f, N)}
+
+
+def memo_rung_label(tower, f, N):
+    """``rung_label`` remembered per tower across calls: a depth-N rung label never changes."""
+    memo = _RUNG_LABELS.setdefault(tower, {})
+    el = memo.get((N, f))
+    if el is None:
+        el = memo[(N, f)] = rung_label(tower, f, N)
+    return el
+
+
 def brute_histogram(tower, m, A, B, N):
     """Direct rung enumeration; only usable at shallow depth.
 
@@ -50,7 +63,7 @@ def brute_histogram(tower, m, A, B, N):
             outside += 1
             continue
         if g in EA:
-            inc = rung_label(tower, g, N) - rung_label(tower, f, N)
+            inc = memo_rung_label(tower, g, N) - memo_rung_label(tower, f, N)
             increments[inc] = increments.get(inc, 0) + 1
     return increments, outside
 

@@ -2,11 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cfspectra import pairings
 from cfspectra.groups import Automorphism, FinAbGroup
 from cfspectra.recurrence import (
     NoWitness,
     ReturnCuts,
+    _return_count,
     all_rung_pairs,
     ergodicity_sweep,
     geometric_weight,
@@ -21,7 +24,9 @@ from cfspectra.recurrence import (
 )
 from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower, embed
 
-from cut_scans import brute_force_witness_check, surviving_cuts
+from cut_scans import (brute_force_witness_check, k_step_hits_scan, one_copy_twin, recurrence_search_scan,
+                       return_state_counts_scan, surviving_cuts)
+from test_pairings import cylinders, small_towers
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +303,55 @@ def test_recurrence_holds_exactly_from_the_search_hit(deep_tower):
             rungs = set(embed(t, A, N).rungs)
             hits = rungs.intersection(*({f - j * least for f in rungs} for j in range(1, p + 1)))
             assert found[1] == Fraction(len(hits), t.cut_product(N)) > 0
+
+
+def test_late_hit_is_found_by_the_block_count(deep_tower):
+    """A search that misses for 767 steps: each step is one count over the level-4 block."""
+    t = deep_tower
+    A = Cylinder(3, (t.h(3) - 1,))
+    found = multiple_recurrence_search(t, A, 2, 800, 4)
+    assert found == (768, Fraction(11, 2592)) == recurrence_search_scan(t, A, 2, 800, 4)
+
+
+def test_cylinder_above_the_depth_or_out_of_range_is_refused(deep_tower):
+    t = deep_tower
+    for A, match in [(Cylinder(3, (0,)), "level 3 lies above depth 2"),
+                     (Cylinder(1, (0, t.h(1))), "rungs outside"), (Cylinder(1, (-1,)), "rungs outside")]:
+        with pytest.raises(ValueError, match=match):
+            recurrence_holds_at(t, A, 1, 1, 2)
+        with pytest.raises(ValueError, match=match):
+            multiple_recurrence_search(t, A, 1, 1, 2)
+
+
+@pytest.mark.parametrize("A, p, k, N", [(Cylinder(1, (0,)), 2, 3, 5), (Cylinder(2, (0, 5, 11)), 1, 780, 4),
+                                        (Cylinder(1, (0, 1)), 2, 1152, 4)])
+def test_state_guard_counts_the_tuples_a_per_cut_scan_keeps(deep_tower, monkeypatch, A, p, k, N):
+    """The count keeps exactly the residual tuples within the partner window, level by level."""
+    t = deep_tower
+    most = max(return_state_counts_scan(t, A, p, k, N))
+    monkeypatch.setattr(pairings, "_STATE_GUARD", most)
+    recurrence_holds_at(t, A, p, k, N)
+    monkeypatch.setattr(pairings, "_STATE_GUARD", most - 1)
+    with pytest.raises(pairings.StateGuardExceeded, match=f"exceeded {most - 1} states"):
+        recurrence_holds_at(t, A, p, k, N)
+
+
+@st.composite
+def recurrence_cases(draw):
+    t = draw(small_towers())
+    return t, draw(cylinders(t)), draw(st.sampled_from([1, 2])), draw(st.integers(1, 40)), draw(st.integers(-40, 40))
+
+
+@settings(max_examples=200)
+@given(recurrence_cases())
+def test_recurrence_matches_the_rung_set_scan_at_every_depth(case):
+    """The top-down count agrees with the embedded rung-set scan, on the block form and its one-copy twin."""
+    t, A, p, k_max, k = case
+    twin = one_copy_twin(t)
+    for N in range(A.level, t.depth + 1):
+        assert _return_count(t, A, p, k, N) == _return_count(twin, A, p, k, N) == k_step_hits_scan(t, A, p, k, N)
+        bound = min(k_max, (t.h(N) - 1) // p)
+        if bound >= 1:
+            want = recurrence_search_scan(t, A, p, bound, N)
+            assert multiple_recurrence_search(t, A, p, bound, N) == want
+            assert recurrence_holds_at(t, A, p, bound, N) == (k_step_hits_scan(t, A, p, bound, N) > 0)

@@ -168,6 +168,19 @@ def test_vandermonde_extraction():
     assert rep1.passed
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_vandermonde_determinant_matches_sympy(m):
+    """The reported determinant is the exact determinant of the power-sum system."""
+    import sympy
+
+    ratios = ratios_from_identity_mix(m)
+    rows = [[sympy.Rational(r.numerator, r.denominator) ** l for l in range(m + 1)] for r in ratios]
+    rows.append([0] * m + [1])
+    det = vandermonde_extraction_check(ratios).items[0]
+    assert (det.name, det.ok) == ("system determinant nonzero", True)
+    assert det.detail == f"det = {sympy.Matrix(rows).det()}"
+
+
 # -- oracles for the integer-turn path -------------------------------------------
 
 
