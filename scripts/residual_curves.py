@@ -20,7 +20,6 @@ from cfspectra.koopman import (
     weak_limit_residual_even,
     weak_limit_residual_stagger,
 )
-from cfspectra.tower import EvenTag
 
 
 def main():
@@ -36,14 +35,14 @@ def main():
     for lvl in tower.levels:
         if lvl.step is None:
             continue
-        n = lvl.step
-        if isinstance(lvl.tag, EvenTag):
+        n, tag = lvl.step, lvl.tag
+        if tag.k == 0:
             worst = grid_max(lambda A, B: max(
-                weak_limit_residual_even(tower, chi, lvl.tag.a, A, B, n) for chi in chars))
+                weak_limit_residual_even(tower, chi, tag.el, A, B, n) for chi in chars))
             kind = "even   "
         else:
             worst = grid_max(lambda A, B: max(
-                weak_limit_residual_stagger(tower, chi, lvl.tag.b, lvl.tag.k, A, B, n)
+                weak_limit_residual_stagger(tower, chi, tag.el, tag.k, A, B, n)
                 for chi in chars))
             kind = "stagger"
         tail = grid_max(lambda A, B: tail_shift_residual(tower, A, B, n))

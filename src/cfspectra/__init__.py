@@ -14,7 +14,7 @@ from .groups import (
     orbit,
     separation_witness,
 )
-from .tower import Cylinder, EvenTag, Point, StaggerTag, Tower, defect_fraction, measure
+from .tower import Cylinder, Point, Tag, Tower, defect_fraction, measure
 from .cocycle import Cocycle, CosetSpace, TailShift, check_coboundary_condition
 from .pairings import LevelPairing, PairingEngine
 from .koopman import (

@@ -8,20 +8,42 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .experiment import ConfigError, ExperimentConfig, build_tower, write_artifacts
-from .groups import CatalogGuardExceeded
-from .koopman import GridGuardExceeded
+from .cocycle import Cocycle, TailShift, check_coboundary_condition, commutes_with_shift
+from .experiment import (ConfigError, ExperimentConfig, build_tower, resolve_system, tag_schedule,
+                         write_artifacts)
+from .groups import (CatalogGuardExceeded, Subgroup, all_characters, catalog_search, format_triple,
+                     multiplicity_set_naive)
+from .koopman import (GridGuardExceeded, check_grid_size, cylinder_family, residual_csv, residual_grid,
+                      skew_decomposition_check)
 from .pairings import StateGuardExceeded
-from .spectra import SpectraGuardExceeded
-from .tower import EmbedGuardExceeded, TowerParseError, parse_tower
+from .recurrence import multiple_recurrence_search, return_cuts
+from .spectra import (
+    SpectraGuardExceeded,
+    all_subgroups_sym,
+    generic_diagonal,
+    homogeneous_multiplicity_check,
+    product_power_multiplicity_check,
+    ratios_from_identity_mix,
+    symmetric_generation_check,
+    vandermonde_extraction_check,
+)
+from .tower import (Cylinder, EmbedGuardExceeded, TowerParseError, canonical_point, parse_tower,
+                    recipe_cut_count, validate_tower)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
+
+# The most recipe cuts one `build` may write.  A tower file takes about 110-140
+# bytes a cut: 962,949 cuts ({2} at depth 34) make a 107 MB file, and 3,215,486
+# ({3} at depth 40) a 460 MB file that takes about 1 GB to write.  The count is
+# summed from the recipe before any level past the seeds is built.
+_BUILD_GUARD = 1_000_000
 
 
 def main(argv=None) -> int:
@@ -103,9 +125,16 @@ def cmd_build(args) -> int:
         config = ExperimentConfig(E=frozenset(int(x) for x in given.pop("target").split(",")), **given)
     else:
         raise ConfigError("build needs --config or --target")
-    tower, spec, schedule = build_tower(config)
-    from .tower import validate_tower
-
+    spec = resolve_system(config)
+    schedule = tag_schedule(config, spec)
+    cuts = 0
+    for n in range(2, config.depth):   # level n + 1 is built at step n
+        cuts += recipe_cut_count(spec.label_aut, n, schedule[(n - 2) % len(schedule)])
+        if cuts > _BUILD_GUARD:
+            print(f"limit error: a depth-{config.depth} build would write more than {_BUILD_GUARD:,} "
+                  f"recipe cuts (passed at level {n + 1}); lower the depth", file=sys.stderr)
+            return EXIT_CONFIG
+    tower, spec, schedule = build_tower(config, spec)
     report = validate_tower(tower)
     if not report.passed:
         print(report.render(), file=sys.stderr)
@@ -120,13 +149,6 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     tower = parse_tower(args.tower.read_text())
-    import random
-
-    from .cocycle import Cocycle, TailShift, check_coboundary_condition, commutes_with_shift
-    from .groups import Subgroup
-    from .koopman import skew_decomposition_check
-    from .tower import canonical_point, validate_tower
-
     report = validate_tower(tower)
 
     coc = Cocycle(tower)
@@ -143,7 +165,7 @@ def cmd_verify(args) -> int:
     comm_ok = True
     for _ in range(500):
         p = canonical_point(tower, rng.randrange(tower.h(N)), N)
-        res = commutes_with_shift(ts, coc, p)
+        res = commutes_with_shift(ts, p)
         if res is False:
             comm_ok = False
     report.add("tail-shift commutation sampling", N, comm_ok)
@@ -175,9 +197,6 @@ def cmd_verify(args) -> int:
 
 def cmd_weaklimits(args) -> int:
     tower = parse_tower(args.tower.read_text())
-    from .groups import all_characters
-    from .koopman import check_grid_size, cylinder_family, residual_csv, residual_grid
-
     chars = list(all_characters(tower.group))
     check_grid_size(tower, len(chars), args.max_level)
     fam = cylinder_family(tower, max_level=args.max_level)
@@ -193,8 +212,6 @@ def cmd_weaklimits(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    from .groups import catalog_search, format_triple, multiplicity_set_naive
-
     records = []
     for chunk in args.targets.split(";"):
         target = frozenset(int(x) for x in chunk.split(","))
@@ -222,16 +239,6 @@ def cmd_groups(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    from .spectra import (
-        all_subgroups_sym,
-        generic_diagonal,
-        homogeneous_multiplicity_check,
-        product_power_multiplicity_check,
-        ratios_from_identity_mix,
-        symmetric_generation_check,
-        vandermonde_extraction_check,
-    )
-
     k, d = args.k, args.d
     # both calls validate k and d, and refuse past the guards, before any line is printed
     subgroups = all_subgroups_sym(k)
@@ -259,9 +266,6 @@ def cmd_spectra(args) -> int:
 
 def cmd_recur(args) -> int:
     tower = parse_tower(args.tower.read_text())
-    from .recurrence import multiple_recurrence_search, return_cuts
-    from .tower import Cylinder
-
     depth = min(args.depth, tower.depth)
     found = multiple_recurrence_search(tower, Cylinder(1, (0,)), 2, args.kmax, depth)
     ok = True

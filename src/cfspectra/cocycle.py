@@ -168,7 +168,7 @@ class TailShift:
                 return Point(n, new_rung, tail)
         return None
 
-def commutes_with_shift(ts: TailShift, cocycle: Cocycle, p: Point) -> bool | None:
+def commutes_with_shift(ts: TailShift, p: Point) -> bool | None:
     """Exact check of T(S(p)) == S(T(p)) where both sides are defined."""
     t = ts.tower
     tp = apply_T(t, p, 1)

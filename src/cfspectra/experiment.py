@@ -31,7 +31,7 @@ from .groups import (
     same_dual_orbit,
     separation_witness,
 )
-from .tower import EvenTag, StaggerTag, Tower
+from .tower import Tag, Tower, serialize_tower
 
 
 class ConfigError(Exception):
@@ -153,11 +153,12 @@ def resolve_system(config: ExperimentConfig) -> SystemSpec:
 def derive_schedule(spec: SystemSpec, m: int) -> list:
     """A deterministic tag cycle covering all witnesses and mix ratios needed.
 
-    Even tags: one per separation witness over dual-orbit-distinct pairs of
-    fiber characters.  Stagger tags: for each mix ratio up to m, an element
-    whose orbit average separates every nontrivial fiber character from one.
-    Both lists are padded with the identity element when empty so that each
-    level kind recurs.
+    Tags with k = 0 (even levels): one per separation witness over
+    dual-orbit-distinct pairs of fiber characters.  Tags with k = 1..m
+    (stagger levels): for each k, an element whose orbit average separates
+    every nontrivial fiber character from one.  Both lists are padded with
+    the identity element when empty, and the cycle alternates them, so both
+    k = 0 and k >= 1 levels recur.
     """
     K = spec.label_group
     v = spec.label_aut
@@ -186,8 +187,8 @@ def derive_schedule(spec: SystemSpec, m: int) -> list:
         witnesses = [K.identity()]
     if not mix_elements:
         mix_elements = [K.identity()]
-    evens = [EvenTag(a) for a in sorted(witnesses, key=lambda e: e.coords)]
-    staggers = [StaggerTag(b, k) for k in range(1, max(1, m) + 1)
+    evens = [Tag(a, 0) for a in sorted(witnesses, key=lambda e: e.coords)]
+    staggers = [Tag(b, k) for k in range(1, max(1, m) + 1)
                 for b in sorted(mix_elements, key=lambda e: e.coords)]
     # interleave so both kinds recur at alternating steps
     cycle = []
@@ -198,7 +199,10 @@ def derive_schedule(spec: SystemSpec, m: int) -> list:
 
 
 def parse_schedule(text: str, group: FinAbGroup) -> list:
-    """Explicit tag cycle: entries 'even c1,c2' or 'stagger c1,c2 k', pipe-separated."""
+    """Explicit tag cycle: entries 'even c1,c2' or 'stagger c1,c2 k', pipe-separated.
+
+    'even c' is ``Tag(c, 0)`` and 'stagger c k' is ``Tag(c, k)`` for k >= 1 only.
+    """
     cycle = []
     for entry in text.split("|"):
         parts = entry.strip().split()
@@ -206,9 +210,12 @@ def parse_schedule(text: str, group: FinAbGroup) -> list:
             coords = () if parts[1] == "-" else tuple(int(x) for x in parts[1].split(","))
             el = group.element(coords)
             if parts[0] == "even":
-                cycle.append(EvenTag(el))
+                cycle.append(Tag(el, 0))
             elif parts[0] == "stagger":
-                cycle.append(StaggerTag(el, int(parts[2])))
+                k = int(parts[2])
+                if k < 1:   # k = 0 is written "even"
+                    raise ValueError("mix ratio k must be >= 1")
+                cycle.append(Tag(el, k))
             else:
                 raise ValueError(parts[0])
         except (IndexError, ValueError) as exc:
@@ -218,13 +225,17 @@ def parse_schedule(text: str, group: FinAbGroup) -> list:
     return cycle
 
 
+def tag_schedule(config: ExperimentConfig, spec: SystemSpec) -> list:
+    """The configured tag cycle: derived from the system, or parsed from the config."""
+    if config.schedule == "auto":
+        return derive_schedule(spec, config.m)
+    return parse_schedule(config.schedule, spec.label_group)
+
+
 def build_tower(config: ExperimentConfig, spec: SystemSpec | None = None) -> tuple[Tower, SystemSpec, list]:
     """Seed and extend the tower to the configured depth along the tag cycle."""
     spec = resolve_system(config) if spec is None else spec
-    if config.schedule == "auto":
-        schedule = derive_schedule(spec, config.m)
-    else:
-        schedule = parse_schedule(config.schedule, spec.label_group)
+    schedule = tag_schedule(config, spec)
     tower = Tower.seeded(spec.label_group, spec.label_aut)
     step = 0
     while tower.depth < config.depth:
@@ -240,8 +251,6 @@ def output_dir(config: ExperimentConfig) -> Path:
 
 def write_artifacts(config: ExperimentConfig, tower: Tower, spec: SystemSpec) -> dict[str, Path]:
     """Write the tower, the group triple, and the config echo; deterministic bytes."""
-    from .tower import serialize_tower
-
     out = output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}

@@ -25,7 +25,7 @@ from .groups import (
     same_dual_orbit,
 )
 from .pairings import LevelPairing, PairingEngine
-from .tower import Cylinder, EvenTag, Report, StaggerTag, Tower
+from .tower import Cylinder, Report, Tag, Tower
 
 _BITS = 128
 
@@ -65,14 +65,9 @@ def pairing(tower: Tower, chi: Character, m: int, A: Cylinder, B: Cylinder,
     return _engine(tower, chi).pairing(m, A, B, N)
 
 
-def _require_tag(tower: Tower, n: int, kind, **attrs):
-    lvl = tower.level(n + 1)
-    if not isinstance(lvl.tag, kind):
-        raise ValueError(f"step {n} does not carry a {kind.__name__} recipe level")
-    for name, val in attrs.items():
-        if getattr(lvl.tag, name) != val:
-            raise ValueError(f"step {n} tag has {name}={getattr(lvl.tag, name)}, expected {val}")
-    return lvl
+def _require_tag(tower: Tower, n: int, tag: Tag) -> None:
+    if tower.level(n + 1).tag != tag:
+        raise ValueError(f"step {n} carries {tower.level(n + 1).tag}, not {tag}")
 
 
 def weak_limit_residual_even(tower: Tower, chi: Character, a, A: Cylinder, B: Cylinder,
@@ -80,18 +75,10 @@ def weak_limit_residual_even(tower: Tower, chi: Character, a, A: Cylinder, B: Cy
     """Certified bound on |<U^{2h_n} 1_A, 1_B> - l * <1_A, 1_B>|.
 
     Here l is the orbit average of chi at the step element a; the step n must
-    carry the even recipe with that element.
+    carry the k = 0 (even) recipe with that element.
     """
-    _require_tag(tower, n, EvenTag, a=a)
-    return _residual_even(tower, chi, a, A, B, n, N)[0]
-
-
-def _residual_even(tower, chi, a, A, B, n, N) -> tuple[Fraction, LevelPairing]:
-    """The even-step residual and the 2h_n-shift pairing it was taken from."""
-    p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
-    inner = pairing(tower, chi, 0, A, B, N)
-    target = _orbit_average(tower, chi, a) * inner.value
-    return abs_upper(p.value - target, _BITS) + p.error_bound, p
+    _require_tag(tower, n, Tag(a, 0))
+    return _residual(tower, chi, a, 0, A, B, n, N)[0]
 
 
 def weak_limit_residual_stagger(tower: Tower, chi: Character, b, k: int, A: Cylinder,
@@ -99,20 +86,29 @@ def weak_limit_residual_stagger(tower: Tower, chi: Character, b, k: int, A: Cyli
     """Certified bound on the stagger-step limit deviation.
 
     The target mixes the identity (weighted by the orbit average over k+1)
-    with the one-step-back pairing weighted by k/(k+1).
+    with the one-step-back pairing weighted by k/(k+1); the step n must carry
+    the recipe for b with this k >= 1.
     """
-    _require_tag(tower, n, StaggerTag, b=b, k=k)
-    return _residual_stagger(tower, chi, b, k, A, B, n, N)[0]
+    if k < 1:
+        raise ValueError(f"stagger mix ratio k = {k} is below 1")
+    _require_tag(tower, n, Tag(b, k))
+    return _residual(tower, chi, b, k, A, B, n, N)[0]
 
 
-def _residual_stagger(tower, chi, b, k, A, B, n, N) -> tuple[Fraction, LevelPairing]:
-    """The stagger-step residual and the 2h_n-shift pairing it was taken from."""
+def _residual(tower, chi, el, k, A, B, n, N) -> tuple[Fraction, LevelPairing]:
+    """The step-n residual and the 2h_n-shift pairing it was taken from.
+
+    The target is (l * <1_A, 1_B> + k * <U^-1 1_A, 1_B>) / (k+1), l the orbit
+    average of chi at el; at k = 0 it has no adjoint term.
+    """
     p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
-    back = pairing(tower, chi, -1, A, B, N)
-    l = _orbit_average(tower, chi, b)
-    target = l * pairing(tower, chi, 0, A, B, N).value / (k + 1) + back.value * Fraction(k, k + 1)
-    dev = abs_upper(p.value - target, _BITS)
-    return dev + p.error_bound + Fraction(k, k + 1) * back.error_bound, p
+    target = _orbit_average(tower, chi, el) * pairing(tower, chi, 0, A, B, N).value
+    bound = p.error_bound
+    if k >= 1:
+        back = pairing(tower, chi, -1, A, B, N)
+        target = target / (k + 1) + back.value * Fraction(k, k + 1)
+        bound += Fraction(k, k + 1) * back.error_bound
+    return abs_upper(p.value - target, _BITS) + bound, p
 
 
 def tail_shift_residual(tower: Tower, A: Cylinder, B: Cylinder, n: int,
@@ -305,17 +301,12 @@ def residual_grid(tower: Tower, chars: list[Character], family=None) -> list[Res
         if lvl.tag is None:
             continue
         n, tg = lvl.step, lvl.tag
-        if isinstance(tg, EvenTag):
-            tag = f"even:{'+'.join(map(str, tg.a.coords))}"
-        else:
-            tag = f"stagger:{'+'.join(map(str, tg.b.coords))}:k={tg.k}"
+        coords = "+".join(map(str, tg.el.coords))
+        tag = f"stagger:{coords}:k={tg.k}" if tg.k else f"even:{coords}"
         for chi in chars:
             for a_id, A in family:
                 for b_id, B in family:
-                    if isinstance(tg, EvenTag):
-                        res, p = _residual_even(tower, chi, tg.a, A, B, n, None)
-                    else:
-                        res, p = _residual_stagger(tower, chi, tg.b, tg.k, A, B, n, None)
+                    res, p = _residual(tower, chi, tg.el, tg.k, A, B, n, None)
                     rows.append(ResidualRow(n, tag, chi.coords, a_id, b_id, res, p.error_bound))
     rows.sort(key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))
     return rows

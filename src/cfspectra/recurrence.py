@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import pairings
 from .cocycle import rung_label
 from .groups import Element, addition_table, least_period, negation_table
-from .tower import Cylinder, EvenTag, StaggerTag, Tower
+from .tower import Cylinder, Tag, Tower
 
 
 # -- return cuts ---------------------------------------------------------------
@@ -45,7 +45,7 @@ class ReturnCuts:
 def return_cuts(tower: Tower, n: int) -> ReturnCuts:
     """The two return-cut families of the level built at step n (stagger, ratio 1)."""
     lvl = tower.level(n + 1)
-    if not isinstance(lvl.tag, StaggerTag) or lvl.tag.k != 1:
+    if lvl.tag is None or lvl.tag.k != 1:
         raise ValueError(f"step {n} does not carry a ratio-1 stagger level")
     h = tower.h(n)
     even, density_even = _returning(tower, n + 1, 2 * h)
@@ -100,11 +100,6 @@ class NoWitness(Exception):
         self.required_depth = required_depth
 
 
-def _stagger_one_levels(tower: Tower, above: int) -> list[int]:
-    return [lvl.n for lvl in tower.levels
-            if isinstance(lvl.tag, StaggerTag) and lvl.tag.k == 1 and lvl.n > above]
-
-
 def transport_witness(tower: Tower, base_level: int, start, target) -> TransportWitness:
     """A witness moving the product cylinder over ``start`` onto ``target``.
 
@@ -133,7 +128,7 @@ def _layered_witness(tower, base_level, start, target, flipped):
     p = len(start)
     drops = tuple(f - g for f, g in zip(start, target))
     s = max(drops)
-    levels = _stagger_one_levels(tower, base_level)
+    levels = [n + 1 for n in tower.stagger_steps(k=1) if n >= base_level]
     if len(levels) < s:
         raise NoWitness(
             f"need {s} ratio-1 stagger levels above {base_level}, found {len(levels)}",
@@ -176,7 +171,7 @@ def _slip_witness(tower, base_level, start, target):
     (f, d), (f2, d2) = start, target
     delta = (d2 - d) - (f2 - f)
     for lvl in tower.levels:
-        if not isinstance(lvl.tag, StaggerTag) or lvl.n <= base_level:
+        if lvl.tag is None or lvl.tag.k == 0 or lvl.n <= base_level:
             continue
         h = tower.h(lvl.n - 1)
         step_a = (2 * h + 1) * delta
@@ -322,7 +317,7 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
     if len(rungs) != p:
         raise ValueError("one start rung per coordinate")
     lvl = next((l for l in tower.levels
-                if isinstance(l.tag, EvenTag) and l.tag.a == a and l.n > base_level + 1), None)
+                if l.tag == Tag(a, 0) and l.n > base_level + 1), None)
     if lvl is None:
         raise NoWitness(f"no even level for {a} above level {base_level + 1}")
     k = lvl.n - 1  # the step whose height drives the shift

@@ -11,12 +11,12 @@ Labels are stored and checked as element indices 0..|K|-1 through index
 tables of the group law and of the powers of v; ``Level.label`` hands a
 label out as an ``Element``.
 
-Levels come in two recipe flavours, named for their cut spacing:
-
-* even: cuts uniformly spaced 2*h apart, labels stepping through the
-  automorphism orbit of a fixed element ``a``;
-* stagger: cuts mixing gaps of 2*h and 2*h+1 with mix ratio ``k``,
-  labels stepping on the 2*h gaps and constant on the 2*h+1 gaps.
+A recipe level is tagged ``Tag(el, k)``: a stepping element ``el`` and a
+mix ratio ``k >= 0``.  Its cuts mix gaps of 2*h and 2*h+1 in the ratio
+1 : k, with labels stepping through the automorphism orbit of ``el`` on the
+2*h gaps and constant on the 2*h+1 gaps.  The k = 0 level has only 2*h
+gaps; tower files, schedules and residual CSVs call it ``even`` and the
+k >= 1 levels ``stagger``.
 
 Two hand-seeded levels start the induction; recipe extension begins at
 step 2 (level 3).
@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .groups import Automorphism, Element, FinAbGroup, addition_table, least_period, negation_table
+from .groups import (Automorphism, Element, FinAbGroup, _parse_int_list, addition_table, least_period,
+                     negation_table)
 
 _EMBED_GUARD = 5_000_000
 
@@ -41,25 +42,15 @@ class EmbedGuardExceeded(MemoryError):
 
 
 @dataclass(frozen=True)
-class EvenTag:
-    """Recipe tag for a uniformly spaced level stepping the label by a."""
+class Tag:
+    """Recipe tag: stepping element el and mix ratio k; k = 0 is the even level."""
 
-    a: Element
-
-
-@dataclass(frozen=True)
-class StaggerTag:
-    """Recipe tag for a mixed-gap level with stepping element b and mix ratio k."""
-
-    b: Element
+    el: Element
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("mix ratio k must be >= 1")
-
-
-Tag = EvenTag | StaggerTag
+        if self.k < 0:
+            raise ValueError("mix ratio k must be >= 0")
 
 
 class GeneratorExhausted(Exception):
@@ -233,10 +224,9 @@ class Tower:
         if n < 2:
             raise ValueError("seed levels 1..2 must exist before extension")
         rec = recipe(self, n, tag)
-        el = tag.a if isinstance(tag, EvenTag) else tag.b
         # one pattern: starting the ramp at v^o(el) relabels every cut by v^o,
         # which leaves every count of validate_labels unchanged
-        labels = self._ramp_labels(len(rec.block), el, rec.ramp_len)
+        labels = self._ramp_labels(len(rec.block), tag.el, rec.ramp_len)
         lvl = Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag, self.elements, self.v_pow)
         if not validate_labels(lvl, self).passed:
             raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
@@ -294,12 +284,10 @@ class Tower:
         return [lvl.step for lvl in self.levels if lvl.step is not None and predicate(lvl.tag)]
 
     def even_steps(self, a: Element | None = None) -> list[int]:
-        return self.steps_tagged(lambda t: isinstance(t, EvenTag) and (a is None or t.a == a))
+        return self.steps_tagged(lambda t: t.k == 0 and (a is None or t.el == a))
 
     def stagger_steps(self, b: Element | None = None, k: int | None = None) -> list[int]:
-        return self.steps_tagged(
-            lambda t: isinstance(t, StaggerTag) and (b is None or t.b == b) and (k is None or t.k == k)
-        )
+        return self.steps_tagged(lambda t: t.k >= 1 and (b is None or t.el == b) and (k is None or t.k == k))
 
 
 def _power_tables(v: Automorphism) -> tuple[tuple[int, ...], ...]:
@@ -322,28 +310,24 @@ class Recipe(NamedTuple):
 def recipe(tower: Tower, n: int, tag: Tag) -> Recipe:
     """The recipe for level n + 1 of ``tower`` at step n, read from h_n and the tag.
 
-    Even: r = n^3 m, z = 2 h n m, h' = 2 r h; the block is n m cuts 2h apart,
-    all on the label ramp.  Stagger: r = n^3 (k+1) m, z = m n (2h(k+1) + k),
-    h' = 2 r h + k r/(k+1); the block is n m cuts 2h apart on the ramp, then
-    n k m cuts 2h+1 apart with a constant label.  m is the period of the
-    tag's element under v; both blocks lie in [0, z) and repeat n^2 times.
+    r = n^3 (k+1) m, z = m n (2h(k+1) + k), h' = 2 r h + k r/(k+1); the block
+    is n m cuts 2h apart on the label ramp, then n k m cuts 2h+1 apart with a
+    constant label.  m is the period of the tag's element under v; the block
+    lies in [0, z) and repeats n^2 times.  At k = 0 (the even level) this is
+    r = n^3 m, z = 2 h n m, h' = 2 r h, with every cut on the ramp.
     """
-    h = tower.h(n)
-    if isinstance(tag, EvenTag):
-        m = least_period(tower.v, tag.a)
-        r, z, mix = n**3 * m, 2 * h * n * m, 0
-        block = tuple(2 * h * t for t in range(n * m))
-        ramp_len = len(block)
-    elif isinstance(tag, StaggerTag):
-        m, k = least_period(tower.v, tag.b), tag.k
-        r, z = n**3 * (k + 1) * m, m * n * (2 * h * (k + 1) + k)
-        mix = k * r // (k + 1)   # exact: k + 1 divides r
-        block = (tuple(2 * h * t for t in range(n * m))
-                 + tuple(2 * h * (n * m - 1) + (2 * h + 1) * j for j in range(1, n * k * m + 1)))
-        ramp_len = n * m
-    else:
-        raise TypeError(f"unknown tag {tag!r}")
-    return Recipe(2 * r * h + mix, z, r, block, n * n, ramp_len)
+    h, k = tower.h(n), tag.k
+    m = least_period(tower.v, tag.el)
+    r = recipe_cut_count(tower.v, n, tag)
+    block = (tuple(2 * h * t for t in range(n * m))
+             + tuple(2 * h * (n * m - 1) + (2 * h + 1) * j for j in range(1, n * k * m + 1)))
+    # k * r // (k + 1) is exact: k + 1 divides r
+    return Recipe(2 * r * h + k * r // (k + 1), m * n * (2 * h * (k + 1) + k), r, block, n * n, n * m)
+
+
+def recipe_cut_count(v: Automorphism, n: int, tag: Tag) -> int:
+    """The cut count r = n^3 (k+1) m of the recipe level built at step n; it needs no height."""
+    return n**3 * (tag.k + 1) * least_period(v, tag.el)
 
 
 # -- validation ------------------------------------------------------------
@@ -386,8 +370,8 @@ def validate_labels(level: Level, tower: Tower) -> Report:
     """Exact checks of the label conditions on one level.
 
     Verifies shift-equivariance of labels under the z-translation, the
-    per-orbit-power increment frequency bands, and (for stagger levels)
-    the carry-class frequency band.  All comparisons are exact rational
+    per-orbit-power increment frequency bands, and (for k >= 1) the
+    carry-class frequency band.  All comparisons are exact rational
     inequalities over counts of ``Level.shift_classes``.  Across copies,
     equivariance is ``v_pow[q + 1] == v o v_pow[q]`` on the block labels.
     """
@@ -405,13 +389,9 @@ def validate_labels(level: Level, tower: Tower) -> Report:
     rep.add("shift-equivariance", level.n, not bad,
             f"violated at cuts {bad[:3]}" if bad else f"checked {sum(cls[1] for cls in classes)} cuts")
 
-    if isinstance(level.tag, EvenTag):
-        el, m = level.tag.a, least_period(tower.v, level.tag.a)
-        center = Fraction(1, m)
-    else:
-        el, m = level.tag.b, least_period(tower.v, level.tag.b)
-        center = Fraction(1, (level.tag.k + 1) * m)
-    width = Fraction(2, n * m)
+    el, k = level.tag.el, level.tag.k
+    m = least_period(tower.v, el)
+    center, width = Fraction(1, (k + 1) * m), Fraction(2, n * m)
 
     two_h = 2 * h_prev
     increments: dict[int, int] = {}   # label(c + 2h) - label(c) -> number of cuts
@@ -426,8 +406,7 @@ def validate_labels(level: Level, tower: Tower) -> Report:
         rep.add(f"increment-class-band i={i}", level.n, ok,
                 f"|{freq} - {center}| vs {width}, class size {size}")
 
-    if isinstance(level.tag, StaggerTag):
-        k = level.tag.k
+    if k >= 1:   # only a level with 2h+1 gaps has a carry class
         size = sum(count for _, count, g0, g in level.shift_classes(two_h + 1) if g0 == g)
         freq = Fraction(size, r)
         ok = abs(freq - Fraction(k, k + 1)) < Fraction(2, n)
@@ -645,10 +624,10 @@ def serialize_tower(tower: Tower) -> str:
         lines.append(f"level {lvl.n}")
         if lvl.tag is None:
             lines.append("tag = seed")
-        elif isinstance(lvl.tag, EvenTag):
-            lines.append(f"tag = even {_coords_str(lvl.tag.a)}")
+        elif lvl.tag.k == 0:
+            lines.append(f"tag = even {_coords_str(lvl.tag.el)}")
         else:
-            lines.append(f"tag = stagger {_coords_str(lvl.tag.b)} k={lvl.tag.k}")
+            lines.append(f"tag = stagger {_coords_str(lvl.tag.el)} k={lvl.tag.k}")
         lines.append(f"h = {lvl.h}")
         lines.append(f"z = {lvl.z}")
         lines.append(f"cuts = {_cuts_text(lvl)}")
@@ -722,8 +701,6 @@ def _read_entries(n: int, props: dict, group: FinAbGroup, index_of: dict) -> tup
 
 
 def _parse_tower_inner(text: str) -> Tower:
-    from .groups import _parse_int_list
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     fields = {}
     idx = 0
@@ -755,11 +732,13 @@ def _parse_tower_inner(text: str) -> Tower:
         if tag_text == "seed":
             tag = None
         elif tag_text.startswith("even"):
-            tag = EvenTag(group.element(_coords_from_str(tag_text.split()[1])))
+            tag = Tag(group.element(_coords_from_str(tag_text.split()[1])), 0)
         elif tag_text.startswith("stagger"):
             parts = tag_text.split()
             k = int(parts[2].split("=")[1])
-            tag = StaggerTag(group.element(_coords_from_str(parts[1])), k)
+            if k < 1:
+                raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
+            tag = Tag(group.element(_coords_from_str(parts[1])), k)
         else:
             raise TowerParseError(f"unknown tag {tag_text!r}")
         if (tag is None) != (n <= 2):   # every tower grows by recipe from Tower.seeded

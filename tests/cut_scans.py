@@ -15,7 +15,7 @@ from unittest.mock import patch
 from cfspectra import tower as tower_module
 from cfspectra.cocycle import _aligned_classes
 from cfspectra.groups import least_period
-from cfspectra.tower import Cylinder, EvenTag, Level, Report, StaggerTag, Tower, embed, recipe
+from cfspectra.tower import Cylinder, Level, Recipe, Report, Tower, embed, recipe
 
 
 def one_copy_twin(t):
@@ -24,6 +24,24 @@ def one_copy_twin(t):
     single.levels = [Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, lvl.cut_labels(), lvl.tag,
                            single.elements, single.v_pow) for lvl in t.levels]
     return single
+
+
+def reference_recipe(tower, n, tag) -> Recipe:
+    """The recipe as two branches, even (k = 0) and stagger (k >= 1): the oracle for ``tower.recipe``."""
+    h = tower.h(n)
+    m = least_period(tower.v, tag.el)
+    if tag.k == 0:
+        r, z, mix = n**3 * m, 2 * h * n * m, 0
+        block = tuple(2 * h * t for t in range(n * m))
+        ramp_len = len(block)
+    else:
+        k = tag.k
+        r, z = n**3 * (k + 1) * m, m * n * (2 * h * (k + 1) + k)
+        mix = k * r // (k + 1)   # exact: k + 1 divides r
+        block = (tuple(2 * h * t for t in range(n * m))
+                 + tuple(2 * h * (n * m - 1) + (2 * h + 1) * j for j in range(1, n * k * m + 1)))
+        ramp_len = n * m
+    return Recipe(2 * r * h + mix, z, r, block, n * n, ramp_len)
 
 
 def reference_compress_aps(values) -> str:
@@ -78,9 +96,9 @@ def reference_label_report(level, tower):
     bad = [c for c in shifted if label[c + level.z] != v(label[c])]
     rep.add("shift-equivariance", level.n, not bad,
             f"violated at cuts {bad[:3]}" if bad else f"checked {len(shifted)} cuts")
-    el = tag.a if isinstance(tag, EvenTag) else tag.b
+    el = tag.el
     m = least_period(v, el)
-    center = Fraction(1, m) if isinstance(tag, EvenTag) else Fraction(1, (tag.k + 1) * m)
+    center = Fraction(1, m) if tag.k == 0 else Fraction(1, (tag.k + 1) * m)
     width = Fraction(2, n * m)
     two_h = 2 * tower.h(level.n - 1)
     power = el
@@ -90,7 +108,7 @@ def reference_label_report(level, tower):
         rep.add(f"increment-class-band i={i}", level.n, abs(freq - center) < width,
                 f"|{freq} - {center}| vs {width}, class size {len(cls)}")
         power = v(power)
-    if isinstance(tag, StaggerTag):
+    if tag.k >= 1:
         k = tag.k
         cls = [c for c in level.cuts if c - two_h - 1 in cuts and label[c] == label[c - two_h - 1]]
         freq = Fraction(len(cls), r)

@@ -48,8 +48,6 @@ from cfspectra.spectra import (
 )
 from cfspectra.tower import (
     Cylinder,
-    EvenTag,
-    StaggerTag,
     defect_fraction,
     validate_labels,
     validate_structure,
@@ -149,7 +147,7 @@ def test_criterion_4_structural_suite(tower_12):
         details.append("structure FAIL")
     for lvl in recipe_levels:
         n = lvl.step
-        if isinstance(lvl.tag, EvenTag):
+        if lvl.tag.k == 0:
             expected_r = n**3 * 2  # the schedule element has period 2
         else:
             expected_r = n**3 * (lvl.tag.k + 1) * 2
@@ -193,7 +191,7 @@ def test_criterion_5_cocycle_suite(tower_12):
     comm_ok = True
     while checked < 10_000:
         p = canonical_point(tower, rng.randrange(h), N)
-        res = commutes_with_shift(ts, coc, p)
+        res = commutes_with_shift(ts, p)
         if res is None:
             continue
         checked += 1
@@ -217,10 +215,10 @@ def _grid_max(tower, kind, chars, family, n, tag):
         for _, B in family:
             if kind == "even":
                 for chi in chars:
-                    worst = max(worst, weak_limit_residual_even(tower, chi, tag.a, A, B, n))
+                    worst = max(worst, weak_limit_residual_even(tower, chi, tag.el, A, B, n))
             elif kind == "stagger":
                 for chi in chars:
-                    worst = max(worst, weak_limit_residual_stagger(tower, chi, tag.b, tag.k, A, B, n))
+                    worst = max(worst, weak_limit_residual_stagger(tower, chi, tag.el, tag.k, A, B, n))
             else:
                 worst = max(worst, tail_shift_residual(tower, A, B, n))
     return worst
@@ -314,7 +312,7 @@ def test_criterion_9_ergodicity_inputs(tower_12):
     ok &= all(verify_witness(tower, w) for w in pairs)
     details.append(f"{len(singles)} single and {len(pairs)} pair transports verified")
 
-    a = next(l.tag.a for l in tower.levels if isinstance(l.tag, EvenTag))
+    a = next(l.tag.el for l in tower.levels if l.tag is not None and l.tag.k == 0)
     period = 2
     for p in (1, 2):
         rep = label_transport_witness(tower, p, 2, (0,) * p, a)

@@ -403,7 +403,8 @@ def test_missing_tower_file_is_a_one_line_io_error(tmp_path, capsys, command):
     ("E = 2\n", ["--out", "o5"]),
     ("E = 2\n", ["--target", "2"]),
     ("E = 2\n", ["--depth", "5", "--bound", "10"]),
-], ids=["schedule-rank-1", "schedule-rank-0", "out", "target", "depth-bound"])
+    ("E = 2\nschedule = even 1|stagger 1 0\n", []),   # k = 0 is written "even"
+], ids=["schedule-rank-1", "schedule-rank-0", "out", "target", "depth-bound", "schedule-stagger-k0"])
 def test_bad_build_config_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, config, options):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "c.txt"
@@ -429,6 +430,40 @@ def test_extra_coordinates_are_a_parse_error(tmp_path, capsys, old, new):
     out_text, err = capsys.readouterr()
     assert err.splitlines() == ["parse error: malformed tower file: coordinate count does not match rank"]
     assert out_text == ""
+
+
+def test_stagger_tag_with_k_zero_is_a_parse_error(tmp_path, capsys):
+    """k = 0 is the even level; a file that calls it stagger is refused, not read back as even."""
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    text = (out / "tower.txt").read_text()
+    assert "level 3\ntag = even 1\n" in text
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(text.replace("level 3\ntag = even 1\n", "level 3\ntag = stagger 1 k=0\n"))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.splitlines() == ["parse error: level 3: stagger mix ratio k=0 is below 1 (k = 0 is written even)"]
+    assert out_text == ""
+
+
+@pytest.mark.parametrize("depth", ["40", "100000"])
+def test_oversized_build_is_a_one_line_limit_error(tmp_path, capsys, depth):
+    """The recipe cut count is summed before any level is built, so the refusal is immediate."""
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["build", "--target", "3", "--depth", depth, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("limit error: ") and "1,000,000" in err, err
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_build_under_the_cut_guard_succeeds(tmp_path):
+    """{1,2} at depth 24 (235,009 cuts, the deep-build workload) stays below the guard."""
+    out = tmp_path / "o"
+    assert main(["build", "--target", "1,2", "--depth", "24", "--out", str(out)]) == 0
+    assert "depth = 24\n" in (out / "tower.txt").read_text()
 
 
 def _add_to_level_field(text: str, level: str, key: str, delta: int) -> str:

@@ -18,9 +18,8 @@ from cfspectra.cocycle import (
 from cfspectra.groups import Automorphism, FinAbGroup, Subgroup
 from cfspectra.tower import (
     Cylinder,
-    EvenTag,
     Point,
-    StaggerTag,
+    Tag,
     Tower,
     apply_T,
     canonical_point,
@@ -35,7 +34,7 @@ def z3_tower():
     v = Automorphism(G, [[-1]])
     t = Tower.seeded(G, v)
     a = G.element((1,))
-    for tag in [EvenTag(a), StaggerTag(a, 1), EvenTag(a)]:
+    for tag in [Tag(a, 0), Tag(a, 1), Tag(a, 0)]:
         t.extend(tag)
     return t
 
@@ -232,10 +231,9 @@ def test_tail_shift_graph_inside_orbit_relation(z3_tower):
 def test_tail_shift_commutes_with_T(z3_tower):
     t = z3_tower
     ts = TailShift(t)
-    coc = Cocycle(t)
     checked = 0
     for p in random_points(t, t.depth, 400, seed=11):
-        res = commutes_with_shift(ts, coc, p)
+        res = commutes_with_shift(ts, p)
         if res is not None:
             assert res
             checked += 1

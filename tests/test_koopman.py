@@ -17,7 +17,7 @@ from cfspectra.koopman import (
     weak_limit_residual_even,
     weak_limit_residual_stagger,
 )
-from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower
+from cfspectra.tower import Cylinder, Tag, Tower
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def z3_tower():
     v = Automorphism(G, [[-1]])
     t = Tower.seeded(G, v)
     a = G.element((1,))
-    tags = [EvenTag(a), StaggerTag(a, 1)] * 3
+    tags = [Tag(a, 0), Tag(a, 1)] * 3
     for tag in tags[:5]:  # steps 2..6, depth 7
         t.extend(tag)
     return t

@@ -12,7 +12,7 @@ from cfspectra.cyclotomic import Cyclo, abs_upper
 from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
 from cfspectra.recurrence import _nth, label_transport_witness, return_cuts
-from cfspectra.tower import (Cylinder, EvenTag, StaggerTag, Tower, defect_fraction, embed, measure,
+from cfspectra.tower import (Cylinder, Tag, Tower, defect_fraction, embed, measure,
                              parse_tower, serialize_tower, validate_labels, validate_structure)
 
 from cut_scans import (aligned_cut_scan, aligned_cuts, count_ge_scan, defect_scan, find_cut_scan, one_copy_twin,
@@ -25,7 +25,7 @@ def z3_tower():
     v = Automorphism(G, [[-1]])
     t = Tower.seeded(G, v)
     a = G.element((1,))
-    for tag in [EvenTag(a), StaggerTag(a, 1), EvenTag(a)]:
+    for tag in [Tag(a, 0), Tag(a, 1), Tag(a, 0)]:
         t.extend(tag)
     return t
 
@@ -238,7 +238,7 @@ def small_towers(draw):
     elements = list(G.elements())
     for _ in range(draw(st.integers(1, 2))):
         el = draw(st.sampled_from(elements))
-        t.extend(EvenTag(el) if draw(st.booleans()) else StaggerTag(el, 1))
+        t.extend(Tag(el, 0) if draw(st.booleans()) else Tag(el, 1))
     return t
 
 
@@ -347,7 +347,7 @@ def test_block_forms_match_cut_scans_on_random_towers(case):
                 stride = lvl.z * len(tower.v_pow) or 1   # a seed level's classes are single cuts
                 for k in {0, len(want) // 2, len(want) - 1} if want else ():
                     assert _nth([(c, count) for c, count, *_ in classes], stride, k) == want[k]
-            if isinstance(lvl.tag, StaggerTag) and lvl.tag.k == 1:
+            if lvl.tag is not None and lvl.tag.k == 1:
                 rc, h = return_cuts(tower, n - 1), tower.h(n - 1)
                 assert lvl.class_cuts(rc.even) == list(surviving_cuts(lvl, 2 * h))
                 assert lvl.class_cuts(rc.odd) == list(surviving_cuts(lvl, 2 * h + 1))
@@ -362,9 +362,9 @@ def test_block_forms_match_cut_scans_on_random_towers(case):
         for threshold in thresholds:
             assert count_ge(tower, base, 2, tower.depth, threshold) == count_ge_scan(tower, base, 2, tower.depth,
                                                                                    threshold)
-    even = next((lvl for lvl in t.levels if isinstance(lvl.tag, EvenTag) and lvl.n > 3), None)
+    even = next((lvl for lvl in t.levels if lvl.tag is not None and lvl.tag.k == 0 and lvl.n > 3), None)
     if even is not None:
-        a = even.tag.a
+        a = even.tag.el
         assert label_transport_witness(t, 1, 2, (0,), a) == label_transport_witness(single, 1, 2, (0,), a)
 
 

@@ -22,7 +22,7 @@ from cfspectra.recurrence import (
     transport_witness,
     verify_witness,
 )
-from cfspectra.tower import Cylinder, EvenTag, StaggerTag, Tower, embed
+from cfspectra.tower import Cylinder, Tag, Tower, embed
 
 from cut_scans import (brute_force_witness_check, k_step_hits_scan, one_copy_twin, recurrence_search_scan,
                        return_state_counts_scan, surviving_cuts)
@@ -36,7 +36,7 @@ def deep_tower():
     v = Automorphism(G, [[-1]])
     t = Tower.seeded(G, v)
     a = G.element((1,))
-    tags = [EvenTag(a), StaggerTag(a, 1)] * 12
+    tags = [Tag(a, 0), Tag(a, 1)] * 12
     for tag in tags[:22]:  # steps 2..23, depth 24; 11 stagger levels
         t.extend(tag)
     return t
@@ -50,7 +50,7 @@ def stagger_tower():
     t = Tower.seeded(G, v)
     a = G.element((1,))
     for _ in range(3):  # steps 2..4, depth 5
-        t.extend(StaggerTag(a, 1))
+        t.extend(Tag(a, 1))
     return t
 
 
@@ -179,7 +179,7 @@ def test_witness_depth_requirement_reported():
     v = Automorphism(G, [[-1]])
     t = Tower.seeded(G, v)
     a = G.element((1,))
-    for tag in [EvenTag(a), StaggerTag(a, 1), EvenTag(a)]:
+    for tag in [Tag(a, 0), Tag(a, 1), Tag(a, 0)]:
         t.extend(tag)
     with pytest.raises(NoWitness) as err:
         transport_witness(t, 2, (11,), (0,))

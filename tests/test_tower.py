@@ -10,11 +10,10 @@ from cfspectra import tower as tower_module
 from cfspectra.groups import Automorphism, FinAbGroup, addition_table, least_period
 from cfspectra.tower import (
     Cylinder,
-    EvenTag,
     GeneratorExhausted,
     Level,
     Point,
-    StaggerTag,
+    Tag,
     Tower,
     apply_T,
     canonical_point,
@@ -40,6 +39,7 @@ from cut_scans import (
     reference_compress_aps,
     reference_label_report,
     reference_labels_text,
+    reference_recipe,
     reference_structure_report,
     rendered_level_calls,
 )
@@ -72,7 +72,7 @@ def test_seed_structure(trivial_system):
 def test_even_extension_matches_formulas(trivial_system):
     G, v = trivial_system
     t = seeded(trivial_system)
-    lvl = t.extend(EvenTag(G.identity()))  # period 1 element
+    lvl = t.extend(Tag(G.identity(), 0))  # period 1 element
     assert lvl.z == 48
     assert lvl.r == 8
     assert lvl.cuts == tuple(24 * i for i in range(8))
@@ -83,7 +83,7 @@ def test_even_extension_matches_formulas(trivial_system):
 def test_stagger_extension_matches_formulas(trivial_system):
     G, v = trivial_system
     t = seeded(trivial_system)
-    lvl = t.extend(StaggerTag(G.identity(), 1))  # period-1 element, mix ratio 1
+    lvl = t.extend(Tag(G.identity(), 1))  # period-1 element, mix ratio 1
     assert lvl.z == 98
     assert lvl.r == 16
     assert lvl.block == (0, 24, 49, 74)
@@ -96,14 +96,30 @@ def test_cut_count_equals_recipe_both_cases(z3_system):
     G, v = z3_system
     t = seeded(z3_system)
     a = G.element((1,))  # period 2 under negation
-    for n, tag in [(2, EvenTag(a)), (3, StaggerTag(a, 1)), (4, EvenTag(a)), (5, StaggerTag(a, 2))]:
+    for n, tag in [(2, Tag(a, 0)), (3, Tag(a, 1)), (4, Tag(a, 0)), (5, Tag(a, 2))]:
         lvl = t.extend(tag)
         m = 2
-        if isinstance(tag, EvenTag):
+        if tag.k == 0:
             assert lvl.r == n**3 * m
         else:
             assert lvl.r == n**3 * (tag.k + 1) * m
         assert lvl.r == recipe(t, n, tag).r == len(lvl.cuts)
+
+
+@pytest.mark.parametrize("factors,matrix", [((3,), [[2]]), ((2, 2), [[0, 1], [1, 1]]), ((3, 3), [[0, 2], [1, 0]])],
+                         ids=["Z3", "Z2xZ2", "Z3xZ3"])
+def test_recipe_matches_the_two_branch_reference(factors, matrix):
+    """One formula for every k equals the even branch at k = 0 and the stagger branch at k >= 1."""
+    G = FinAbGroup(factors)
+    t = Tower.seeded(G, Automorphism(G, matrix))
+    gen = G.element((1,) + (0,) * (G.rank - 1))
+    tags = itertools.cycle([Tag(gen, 0), Tag(gen, 1)])
+    while t.depth < 12:
+        t.extend(next(tags))
+    for n in range(2, 13):
+        for el in G.elements():
+            for k in (0, 1, 2):
+                assert recipe(t, n, Tag(el, k)) == reference_recipe(t, n, Tag(el, k)), (n, el, k)
 
 
 def build_desk_tower(system, depth=6):
@@ -111,7 +127,7 @@ def build_desk_tower(system, depth=6):
     G, v = system
     t = seeded(system)
     a = G.element((1,)) if G.rank else G.identity()
-    tags = itertools.cycle([EvenTag(a), StaggerTag(a, 1)])
+    tags = itertools.cycle([Tag(a, 0), Tag(a, 1)])
     while t.depth < depth:
         t.extend(next(tags))
     return t
@@ -129,7 +145,7 @@ def test_cut_product_prefix_table_follows_extend(z3_system):
     G, _ = z3_system
     t = seeded(z3_system)
     a = G.element((1,))
-    for tag in (EvenTag(a), StaggerTag(a, 1), EvenTag(a), None):
+    for tag in (Tag(a, 0), Tag(a, 1), Tag(a, 0), None):
         assert [t.cut_product(n) for n in range(t.depth + 1)] == [
             math.prod(t.level(j).r for j in range(1, n + 1)) for n in range(t.depth + 1)]
         with pytest.raises(IndexError):
@@ -200,7 +216,7 @@ def small_towers(draw):
     tags = []
     for _ in range(draw(st.integers(1, 3))):
         el = draw(st.sampled_from(elements))
-        tags.append(EvenTag(el) if draw(st.booleans()) else StaggerTag(el, draw(st.integers(1, 2))))
+        tags.append(Tag(el, 0) if draw(st.booleans()) else Tag(el, draw(st.integers(1, 2))))
         t.extend(tags[-1])
     return t, tags
 
@@ -237,11 +253,11 @@ def test_extension_matches_recipe_formulas(case):
     t, tags = case
     for n, tag in enumerate(tags, start=2):
         lvl, h = t.level(n + 1), t.h(n)
-        el = tag.a if isinstance(tag, EvenTag) else tag.b
+        el = tag.el
         m, g = 1, t.v(el)   # the period of el under v, walked on Elements
         while g != el:
             m, g = m + 1, t.v(g)
-        if isinstance(tag, EvenTag):
+        if tag.k == 0:
             r, z = n**3 * m, 2 * h * n * m
             assert lvl.h == 2 * r * h
             assert lvl.cuts == tuple(2 * h * i for i in range(r))
@@ -342,7 +358,7 @@ def test_parsed_level_with_a_moved_cut_keeps_one_copy_and_todays_failures(z3_sys
 
 def test_zero_label_map_is_valid_for_identity_element(trivial_system):
     t = seeded(trivial_system)
-    lvl = t.extend(EvenTag(t.group.identity()))
+    lvl = t.extend(Tag(t.group.identity(), 0))
     assert all(lvl.label(c).is_identity() for c in lvl.cuts)
     assert validate_labels(lvl, t).passed
 
@@ -351,7 +367,7 @@ def test_alternating_ramp_under_identity_automorphism():
     """Period-one element with a nontrivial value: labels alternate along the cuts."""
     G = FinAbGroup((2,))
     t = Tower.seeded(G, Automorphism.identity(G))
-    lvl = t.extend(EvenTag(G.element((1,))))
+    lvl = t.extend(Tag(G.element((1,)), 0))
     assert validate_labels(lvl, t).passed
     values = [lvl.label(c).coords[0] for c in lvl.cuts]
     assert all(v == i % 2 for i, v in enumerate(values))
@@ -454,7 +470,7 @@ def test_decompose_round_trip_random_rungs(f):
     v = Automorphism(G, [[-1]])
     t = Tower.seeded(G, v)
     a = G.element((1,))
-    for tag in [EvenTag(a), StaggerTag(a, 1), EvenTag(a)]:
+    for tag in [Tag(a, 0), Tag(a, 1), Tag(a, 0)]:
         t.extend(tag)
     N = t.depth
     f = f % t.h(N)
@@ -561,7 +577,7 @@ def test_ramp_offsets_pass_or_fail_label_validation_together(system, data):
     elements = list(G.elements())
     for _ in range(data.draw(st.integers(1, 3))):
         el = data.draw(st.sampled_from(elements))
-        tag = EvenTag(el) if data.draw(st.booleans()) else StaggerTag(el, data.draw(st.integers(1, 2)))
+        tag = Tag(el, 0) if data.draw(st.booleans()) else Tag(el, data.draw(st.integers(1, 2)))
         n = t.depth
         rec = recipe(t, n, tag)
         ramps = [offset_ramp_labels(t, len(rec.block), el, rec.ramp_len, o)
