@@ -5,10 +5,10 @@ cyclotomic polynomial, so equality is literal coefficient equality.
 Each value keeps integer numerators over one positive denominator that
 shares no factor with all of them, so sums and products of integer
 counts run on ints alone; the rational coefficients are read through
-``Cyclo.coeffs``.  Nothing here touches floats except the rendering
-helpers.  The module also provides certified rational enclosures
-(directed-rounding Taylor series against hard-coded pi bounds) so moduli
-of cyclotomic numbers can be bounded above/below by exact fractions.
+``Cyclo.coeffs``.  Nothing here touches floats at all.  The module also
+provides certified rational enclosures (directed-rounding Taylor series
+against hard-coded pi bounds) so moduli of cyclotomic numbers can be
+bounded above/below by exact fractions.
 """
 
 from __future__ import annotations
@@ -242,9 +242,6 @@ class Cyclo:
 
     # -- predicates ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
@@ -269,13 +266,6 @@ class Cyclo:
         return hash(Fraction(sum(w * x for w, x in zip(weights, self.nums)), scale * self.den))
 
     # -- rendering and enclosures ---------------------------------------
-
-    def to_complex(self) -> complex:
-        n = self.order
-        return sum(
-            (x / self.den) * complex(math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
-            for j, x in enumerate(self.nums)
-        )
 
     def real_bounds(self, bits: int = 96) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure of the value, which must be real (self-conjugate)."""

@@ -9,7 +9,6 @@ Outputs are deterministic for a fixed config.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,14 +243,9 @@ def build_tower(config: ExperimentConfig, spec: SystemSpec | None = None) -> tup
     return tower, spec, schedule
 
 
-def output_dir(config: ExperimentConfig) -> Path:
-    override = os.environ.get("CFSPECTRA_OUT")
-    return Path(override) if override else Path(config.out)
-
-
 def write_artifacts(config: ExperimentConfig, tower: Tower, spec: SystemSpec) -> dict[str, Path]:
     """Write the tower, the group triple, and the config echo; deterministic bytes."""
-    out = output_dir(config)
+    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     paths["config"] = out / "config.txt"

@@ -380,13 +380,6 @@ def least_period(v: Automorphism, g: Element) -> int:
     return len(_orbit_indices(v, g))
 
 
-def orbit_count_in_subgroup(v: Automorphism, h: Element, H: Subgroup) -> int:
-    """Number of points of the v-orbit of h lying in H.  Requires h in H."""
-    if h not in H:
-        raise ValueError("element is not in the subgroup")
-    return sum(1 for x in orbit(v, h) if x in H)
-
-
 def multiplicity_set(group: FinAbGroup, H: Subgroup, v: Automorphism) -> frozenset[int]:
     """Orbit-in-subgroup counts over all nonzero elements of H."""
     return _orbit_counts(_cycle_masks(v.perm), H.mask & ~1)

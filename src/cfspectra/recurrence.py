@@ -16,6 +16,8 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from . import pairings
 from .cocycle import rung_label
@@ -127,19 +129,10 @@ def transport_witness(tower: Tower, base_level: int, start, target) -> Transport
 def _layered_witness(tower, base_level, start, target, flipped):
     p = len(start)
     drops = tuple(f - g for f, g in zip(start, target))
-    s = max(drops)
-    levels = [n + 1 for n in tower.stagger_steps(k=1) if n >= base_level]
-    if len(levels) < s:
-        raise NoWitness(
-            f"need {s} ratio-1 stagger levels above {base_level}, found {len(levels)}",
-            required_depth=s,
-        )
-    chosen = levels[:s]
+    chosen, evens, by_drop = _layers(tower, base_level, max(drops))
     top = max(chosen) if chosen else base_level
-    evens = [2 * tower.h(lvl - 1) for lvl in chosen]
     plan = tuple({lvl: even + (j < drop) for j, (lvl, even) in enumerate(zip(chosen, evens))}
                  for drop in drops)
-    by_drop = _drop_ratios(tower, base_level, chosen, evens)
     ratios = tuple(by_drop[drop] for drop in drops)
     shift = sum(evens)
     if flipped:
@@ -147,23 +140,32 @@ def _layered_witness(tower, base_level, start, target, flipped):
     return TransportWitness(p, base_level, top, start, target, shift, plan, ratios)
 
 
-def _drop_ratios(tower: Tower, base_level: int, chosen: list[int], evens: list[int]) -> list[Fraction]:
-    """The measure ratio of a layered coordinate by its drop, for drops 0..len(chosen).
+def _layers(tower: Tower, base_level: int, s: int) -> tuple[list[int], list[int], list[Fraction]]:
+    """The first s ratio-1 stagger levels above the base, their even steps 2h, and the ratios by drop.
 
-    A coordinate dropping by ``drop`` takes the 2h + 1 step below level
-    index ``drop`` and the 2h step from it on, so its ratio is a prefix
-    product of odd-step shares times a suffix product of even-step shares.
+    A coordinate dropping by ``drop`` (0..s) takes the 2h + 1 step below
+    level index ``drop`` and the 2h step from it on, so its measure ratio is
+    a prefix product of odd-step shares times a suffix product of even-step
+    shares.
     """
-    key = ("drop_ratios", base_level, len(chosen))
+    key = ("layers", base_level, s)
     cached = tower._cache.get(key)
     if cached is None:
+        levels = [n + 1 for n in tower.stagger_steps(k=1) if n >= base_level]
+        if len(levels) < s:
+            raise NoWitness(
+                f"need {s} ratio-1 stagger levels above {base_level}, found {len(levels)}",
+                required_depth=s,
+            )
+        chosen = levels[:s]
+        evens = [2 * tower.h(lvl - 1) for lvl in chosen]
         odd = [Fraction(1)]
         for lvl, even in zip(chosen, evens):
             odd.append(odd[-1] * _returning(tower, lvl, even + 1)[1])
         even_from = [Fraction(1)]
         for lvl, even in zip(reversed(chosen), reversed(evens)):
             even_from.append(even_from[-1] * _returning(tower, lvl, even)[1])
-        cached = tower._cache[key] = [o * e for o, e in zip(odd, reversed(even_from))]
+        cached = tower._cache[key] = (chosen, evens, [o * e for o, e in zip(odd, reversed(even_from))])
     return cached
 
 
@@ -224,29 +226,39 @@ def verify_witness(tower: Tower, w: TransportWitness) -> bool:
     return True
 
 
-def ergodicity_sweep(tower: Tower, p: int, base_level: int, tuples) -> list[TransportWitness]:
-    """Transport witnesses for every requested (start, target) rung tuple."""
+def ergodicity_sweep(tower: Tower, p: int, base_level: int) -> list[tuple[TransportWitness, Fraction, Fraction]]:
+    """The ergodicity certificate for the p-th Cartesian power, one entry per witness.
+
+    Every ordered pair (start, target) of base-level rung p-tuples, in
+    ``itertools.product`` order, gets one transport witness, verified once; a
+    failed check raises ``AssertionError``.  An entry is ``(witness, ratio,
+    bound)``: the product of the witness's measure ratios and the summable
+    weight ``geometric_weight(p)`` of the rung differences.  The criterion
+    needs ratio > bound for every entry: a transported block of product
+    measure above the weight times the product cylinder's measure.
+    """
+    total = geometric_weight_total(p)
+    if total >= Fraction(1, 2):
+        raise ValueError(f"the weight total {total} at p = {p} is not below 1/2")
     if p not in (1, 2):
         raise ValueError("desk-scale sweep supports p in {1, 2}")
+    delta = geometric_weight(p)
+    bounds = {}   # the weight depends only on the sum of the |differences|
+    rung_tuples = itertools.product(range(tower.h(base_level)), repeat=p)
     out = []
-    for start, target in tuples:
+    for start, target in itertools.product(rung_tuples, repeat=2):
         w = transport_witness(tower, base_level, start, target)
         if not verify_witness(tower, w):
             raise AssertionError(f"witness failed structural verification: {start}->{target}")
-        out.append(w)
+        diffs = tuple(f - g for f, g in zip(start, target))
+        size = sum(map(abs, diffs))
+        if size not in bounds:
+            bounds[size] = delta(diffs)
+        out.append((w, reduce(mul, w.measure_ratios), bounds[size]))
     return out
 
 
-def all_rung_pairs(tower: Tower, base_level: int, p: int):
-    """Every ordered (start, target) tuple of base-level rungs, p coordinates."""
-    rungs = range(tower.h(base_level))
-    singles = [((f,), (g,)) for f in rungs for g in rungs]
-    if p == 1:
-        return singles
-    return [((f, d), (f2, d2)) for f in rungs for f2 in rungs for d in rungs for d2 in rungs]
-
-
-# -- the summable-weight audit ------------------------------------------------------
+# -- the summable weight ------------------------------------------------------------
 
 
 def geometric_weight(p: int):
@@ -263,31 +275,6 @@ def geometric_weight(p: int):
 
 def geometric_weight_total(p: int) -> Fraction:
     return Fraction(1, 8) * Fraction(5, 3) ** p
-
-
-def transport_density_audit(tower: Tower, p: int, base_level: int, tuples,
-                            delta=None) -> list[tuple]:
-    """Check each witness carries more mass than the summable weight demands.
-
-    The criterion needs, for every rung tuple, a transported block of product
-    measure exceeding delta(differences) times the product cylinder measure;
-    the audit certifies the exact inequality witness by witness.
-    """
-    if delta is None:
-        if geometric_weight_total(p) >= Fraction(1, 2):
-            raise ValueError("weight function must sum below 1/2")
-        delta = geometric_weight(p)
-    results = []
-    for start, target in tuples:
-        w = transport_witness(tower, base_level, start, target)
-        if not verify_witness(tower, w):
-            raise AssertionError("witness failed verification")
-        ratio = Fraction(1)
-        for r in w.measure_ratios:
-            ratio *= r
-        bound = delta(tuple(f - g for f, g in zip(start, target)))
-        results.append((start, target, ratio, bound, ratio > bound))
-    return results
 
 
 # -- label-value witnesses -----------------------------------------------------------

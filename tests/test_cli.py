@@ -28,14 +28,6 @@ def test_build_deterministic_bytes(built, tmp_path):
     assert (built / "group.txt").read_bytes() == (out2 / "group.txt").read_bytes()
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    override = tmp_path / "elsewhere"
-    monkeypatch.setenv("CFSPECTRA_OUT", str(override))
-    assert main(["build", "--target", "2", "--depth", "5", "--out", str(tmp_path / "ignored")]) == 0
-    assert (override / "tower.txt").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_verify_fresh_tower_passes(built, capsys):
     assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
     out = capsys.readouterr().out

@@ -29,12 +29,18 @@ from cfspectra.groups import (
     multiplicity_set,
     multiplicity_set_naive,
     orbit,
-    orbit_count_in_subgroup,
     parse_triple,
     separation_witness,
 )
 from cfspectra.pairings import _RingStore
 from cfspectra.tower import Tower
+
+
+def orbit_count_in_subgroup(v: Automorphism, h: Element, H: Subgroup) -> int:
+    """Number of points of the v-orbit of h lying in H.  Requires h in H."""
+    if h not in H:
+        raise ValueError("element is not in the subgroup")
+    return sum(1 for x in orbit(v, h) if x in H)
 
 
 def z(n):

@@ -1,16 +1,17 @@
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfspectra import pairings
+from cfspectra import pairings, recurrence
 from cfspectra.groups import Automorphism, FinAbGroup
 from cfspectra.recurrence import (
     NoWitness,
     ReturnCuts,
     _return_count,
-    all_rung_pairs,
     ergodicity_sweep,
     geometric_weight,
     geometric_weight_total,
@@ -18,7 +19,6 @@ from cfspectra.recurrence import (
     multiple_recurrence_search,
     recurrence_holds_at,
     return_cuts,
-    transport_density_audit,
     transport_witness,
     verify_witness,
 )
@@ -104,7 +104,10 @@ def test_measure_ratios_are_products_of_per_cut_shares(deep_tower):
             out *= share[lvl, step]
         return out
 
-    for start, target in all_rung_pairs(t, 2, 1) + all_rung_pairs(t, 2, 2)[::41]:
+    rungs = range(t.h(2))
+    singles = [((f,), (g,)) for f, g in itertools.product(rungs, repeat=2)]
+    pairs = [((f, d), (f2, d2)) for f, f2, d, d2 in itertools.product(rungs, repeat=4)]
+    for start, target in singles + pairs[::41]:
         w = transport_witness(t, 2, start, target)
         assert w.measure_ratios == tuple(map(ratio, w.plan)), (start, target)
 
@@ -161,9 +164,10 @@ def test_slip_witnesses_match_brute_force(stagger_tower):
 def test_layered_plans_step_by_2h_or_2h_plus_one(deep_tower):
     """Coordinate i takes exactly drops[i] odd steps 2h + 1; its other steps are 2h."""
     t = deep_tower
-    singles = ergodicity_sweep(t, 1, 2, all_rung_pairs(t, 2, 1))
-    pairs = ergodicity_sweep(t, 2, 2, [((f, d), (f2, d2)) for f, d, f2, d2 in itertools.product((0, 1, 7), repeat=4)
-                                       if (f - f2) * (d - d2) >= 0])
+    singles = [w for w, *_ in ergodicity_sweep(t, 1, 2)]
+    pairs = [transport_witness(t, 2, (f, d), (f2, d2)) for f, d, f2, d2 in itertools.product((0, 1, 7), repeat=4)
+             if (f - f2) * (d - d2) >= 0]
+    assert all(verify_witness(t, w) for w in pairs)
     for w in singles + pairs:
         levels = sorted(w.plan[0])
         assert w.shift == (-1 if w.flipped else 1) * sum(2 * t.h(lvl - 1) for lvl in levels)
@@ -188,10 +192,8 @@ def test_witness_depth_requirement_reported():
 
 def test_sweep_all_single_pairs_at_level_two(deep_tower):
     t = deep_tower
-    pairs = all_rung_pairs(t, 2, 1)
-    assert len(pairs) == 144
-    witnesses = ergodicity_sweep(t, 1, 2, pairs)
-    assert len(witnesses) == len(pairs)
+    witnesses = [w for w, *_ in ergodicity_sweep(t, 1, 2)]
+    assert len(witnesses) == 144
     # independent brute-force re-verification on the shallow ones
     checked = 0
     for w in witnesses:
@@ -205,8 +207,36 @@ def test_sweep_pair_tuples_spot(deep_tower):
     t = deep_tower
     tuples = [((f, d), (f2, d2))
               for f, d, f2, d2 in itertools.product((0, 1, 7), repeat=2 * 2)]
-    witnesses = ergodicity_sweep(t, 2, 2, tuples)
+    witnesses = [transport_witness(t, 2, start, target) for start, target in tuples]
+    assert all(verify_witness(t, w) for w in witnesses)
     assert len(witnesses) == len(tuples)
+
+
+def test_sweep_entries_are_the_ratio_product_and_the_weight_of_the_differences(deep_tower):
+    """Every ordered pair of rung tuples in product order; a stride of the p = 2 entries is rechecked."""
+    t = deep_tower
+    rungs = range(t.h(2))
+    for p, stride in ((1, 1), (2, 97)):
+        entries = ergodicity_sweep(t, p, 2)
+        assert [(w.start, w.target) for w, *_ in entries] == list(
+            itertools.product(itertools.product(rungs, repeat=p), repeat=2))
+        delta = geometric_weight(p)
+        for w, ratio, bound in entries[::stride]:
+            assert ratio == math.prod(w.measure_ratios)
+            assert bound == delta(tuple(f - g for f, g in zip(w.start, w.target)))
+            assert ratio > bound
+
+
+def test_sweep_refuses_a_witness_that_fails_verification(deep_tower, monkeypatch):
+    """A plan step moved off 2h / 2h + 1 breaks the shift bookkeeping; the sweep must raise, not weigh it."""
+
+    def corrupted(tower, base_level, start, target):
+        w = transport_witness(tower, base_level, start, target)
+        return dataclasses.replace(w, plan=tuple({lvl: s + 2 for lvl, s in entry.items()} for entry in w.plan))
+
+    monkeypatch.setattr(recurrence, "transport_witness", corrupted)
+    with pytest.raises(AssertionError, match="structural verification"):
+        ergodicity_sweep(deep_tower, 1, 2)
 
 
 def test_geometric_weight_sums_below_half():
@@ -221,18 +251,22 @@ def test_transport_density_audit_refuses_the_default_weight_past_p_two(deep_towe
     """(5/3)^3 / 8 = 125/216 is not below 1/2, so the default weight is not summable enough at p = 3."""
     assert geometric_weight_total(3) == Fraction(125, 216)
     with pytest.raises(ValueError, match="below 1/2"):
-        transport_density_audit(deep_tower, 3, 2, [])
+        ergodicity_sweep(deep_tower, 3, 2)
+    with pytest.raises(ValueError, match="p in"):
+        ergodicity_sweep(deep_tower, 0, 2)
 
 
 def test_transport_density_audit(deep_tower):
     t = deep_tower
     tuples = [((f,), (g,)) for f in range(4) for g in range(4)]
-    res = transport_density_audit(t, 1, 2, tuples)
-    assert all(ok for *_, ok in res)
     pair_tuples = [((f, d), (f2, d2))
                    for f, d, f2, d2 in itertools.product((0, 1, 2), repeat=4)]
-    res2 = transport_density_audit(t, 2, 2, pair_tuples)
-    assert all(ok for *_, ok in res2)
+    for p, group in ((1, tuples), (2, pair_tuples)):
+        delta = geometric_weight(p)
+        for start, target in group:
+            w = transport_witness(t, 2, start, target)
+            assert verify_witness(t, w)
+            assert math.prod(w.measure_ratios) > delta(tuple(f - g for f, g in zip(start, target)))
 
 
 def test_label_transport_witness(deep_tower):
