@@ -11,6 +11,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .cocycle import Cocycle, TailShift, check_coboundary_condition, commutes_with_shift
@@ -46,7 +47,9 @@ EXIT_CONFIG = 2
 _BUILD_GUARD = 1_000_000
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(prog="cfspectra",
                                      description="exact desk lab for labelled tower spectra")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,8 +85,11 @@ def main(argv=None) -> int:
     p_recur.add_argument("--tower", type=Path, required=True)
     p_recur.add_argument("--kmax", type=int, default=800)
     p_recur.add_argument("--depth", type=int, default=4)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ConfigError, ValueError) as exc:

@@ -135,6 +135,7 @@ class Automorphism:
     def perm(self) -> tuple[int, ...]:
         """v as a permutation of element indices: perm[i] indexes v(element i)."""
         group = self.group
+        rows = _translations(group)   # one lookup per perm, not one per column
         images = [0]
         # indices run with the last coordinate fastest, so build from the last column out:
         # each column's multiples translate the whole block built so far
@@ -142,7 +143,7 @@ class Automorphism:
             col = 0   # the index of column j, whose entries are already reduced
             for row, d in zip(self.matrix, group.invariant_factors):
                 col = col * d + row[j]
-            shift, block = _translation(group, col), images
+            shift, block = rows[col], images
             images = list(block)
             for _ in range(group.invariant_factors[j] - 1):
                 block = [shift[x] for x in block]
@@ -249,7 +250,7 @@ def _closure(mul, gens) -> int:
 
 def _span(group: FinAbGroup, gens) -> int:
     """``_closure`` over the translation rows of the generators only, never the whole table."""
-    return _closure({s: _translation(group, s) for s in gens}, gens)
+    return _closure(_translations(group), gens)
 
 
 def subgroup_lattice(mul) -> list[tuple[int, ...]]:
@@ -315,17 +316,25 @@ class Character:
 # Hot loops carry elements as their indices 0..order-1 (``element_index``).
 
 
-@lru_cache(maxsize=None)
-def _translation(group: FinAbGroup, c: int) -> tuple[int, ...]:
-    """Element-index translation by element c: row[i] indexes element i + element c."""
-    g = group.element_from_index(c)
-    return tuple(group.element_index(x + g) for x in group.elements())
+class _Translations(dict):
+    """A group's element-index translation rows, each built when first asked for: [c][i] indexes element i + c."""
+
+    def __init__(self, group: FinAbGroup):
+        self.group = group
+
+    def __missing__(self, c: int) -> tuple[int, ...]:
+        g = self.group.element_from_index(c)
+        row = self[c] = tuple(self.group.element_index(x + g) for x in self.group.elements())
+        return row
+
+
+_translations = lru_cache(maxsize=None)(_Translations)
 
 
 @lru_cache(maxsize=None)
 def addition_table(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
     """Element-index addition: add[i][j] indexes element i + element j."""
-    return tuple(_translation(group, i) for i in range(group.order))
+    return tuple(map(_translations(group).__getitem__, range(group.order)))
 
 
 @lru_cache(maxsize=None)

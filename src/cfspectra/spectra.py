@@ -15,8 +15,8 @@ Fractions are built only at the public boundary: ``FiniteUnitary.turns``,
 A restriction picks the least tuple of each permutation orbit through value
 patterns: a tuple is least in its orbit exactly when its order-preserving
 relabelling onto 0..m-1 is.  One cached table per (d, k) lists every tuple
-in code order with its pattern and content, and one cached set per (group,
-d, k) holds the least patterns, so a restriction is a single filter pass.
+in code order with its pattern and content, and one cached tuple per (group,
+d, k) holds the indices of the tuples whose pattern is least.
 The exact mode is pure Python; numpy is imported only inside the float-mode
 functions (``FiniteUnitary(matrix=...)``, ``to_matrix``, the float branch of
 ``multiplicity_function`` and ``float_cluster_check``).
@@ -273,10 +273,10 @@ def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> Restric
     the increasing list of its values and p its value pattern, the
     order-preserving relabelling onto 0..m-1.  Permuting positions permutes
     r and p alike and vals is increasing, so r is least in its orbit exactly
-    when p is least in the orbit of p; the restriction is one pass over the
-    (d, k) table keeping the tuples whose pattern is least.  The eigen-turn
-    of a tuple depends only on its content (sorted multiset), and each
-    content's numerator is summed once.
+    when p is least in the orbit of p; the tuples whose pattern is least are
+    found once per (group, d, k).  The eigen-turn of a tuple depends only on
+    its content (sorted multiset), and each content's numerator is summed
+    once per unitary.
     """
     if not V.exact:
         raise ValueError("exact restriction requires a diagonal-turn unitary")
@@ -285,12 +285,10 @@ def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> Restric
     d = V.dim
     _guard(d**k, f"restriction of a dimension-{d} unitary to power {k}")
     table = _tuple_table(d, k)
-    least = _least_patterns(tuple(gamma.elements), d, k)
-    keep = [i for i, p in enumerate(table.pattern_ids) if p in least]
-    nums, q = V.nums, V.q
-    content_nums = [sum(nums[i] for i in c) % q for c in table.contents]
+    keep = _least_patterns(tuple(gamma.elements), d, k)
+    content_nums = _content_nums(V.nums, V.q, d, k)
     cids = [table.content_ids[i] for i in keep]
-    rp = RestrictedPower(len(keep), k, gamma.order, tuple(table.tuples[i] for i in keep), q,
+    rp = RestrictedPower(len(keep), k, gamma.order, tuple(table.tuples[i] for i in keep), V.q,
                          tuple(content_nums[c] for c in cids),
                          tuple(table.contents[c] for c in cids))
     if rp.dim != orbit_count_burnside(gamma, d):
@@ -336,23 +334,30 @@ def _tuple_table(d: int, k: int) -> _TupleTable:
 
 
 @lru_cache(maxsize=64)
-def _least_patterns(elements: tuple, d: int, k: int) -> frozenset[int]:
-    """Ids of the (d, k) patterns that are least in their orbit under the permutations.
+def _least_patterns(elements: tuple, d: int, k: int) -> tuple[int, ...]:
+    """Indices of the (d, k) tuples whose pattern is least in its orbit under the permutations.
 
     Reading a pattern through sigma applies sigma^-1, which ranges over the
     same group.  Walking the patterns in lexicographic order, the first one
     met of each orbit is its least; the rest of the orbit is marked seen.
     The elements are sorted, so the identity, which needs no mark, is first.
     """
-    patterns = _tuple_table(d, k).patterns
+    table = _tuple_table(d, k)
+    patterns = table.patterns
     seen = bytearray(len(patterns))
-    least = []
+    least = bytearray(len(patterns))
     for p, pid in patterns.items():
         if not seen[pid]:
-            least.append(pid)
+            least[pid] = 1
             for sigma in elements[1:]:
                 seen[patterns[tuple(map(p.__getitem__, sigma))]] = 1
-    return frozenset(least)
+    return tuple(i for i, pid in enumerate(table.pattern_ids) if least[pid])
+
+
+@lru_cache(maxsize=16)
+def _content_nums(nums: tuple[int, ...], q: int, d: int, k: int) -> tuple[int, ...]:
+    """The eigen-turn numerator mod q of each (d, k) content, by content id."""
+    return tuple(sum(nums[i] for i in c) % q for c in _tuple_table(d, k).contents)
 
 
 def symmetric_power(V: FiniteUnitary, k: int) -> RestrictedPower:
@@ -416,9 +421,10 @@ def _cluster(eigs, tol):
 # -- the homogeneous-multiplicity checks ----------------------------------------
 
 
-def _power_hypothesis_ok(V: FiniteUnitary, k: int) -> bool:
+@lru_cache(maxsize=16)
+def _power_hypothesis_ok(nums: tuple[int, ...], q: int, k: int) -> bool:
     """The k-fold symmetric power has simple spectrum: all multiset sums distinct."""
-    sums = [sum(c) % V.q for c in itertools.combinations_with_replacement(V.nums, k)]
+    sums = [sum(c) % q for c in itertools.combinations_with_replacement(nums, k)]
     return len(set(sums)) == len(sums)
 
 
@@ -432,7 +438,7 @@ def homogeneous_multiplicity_check(V: FiniteUnitary, k: int, gamma: PermGroup) -
     are counted and reported but carry no constancy claim.
     """
     rep = Report()
-    if len(set(V.nums)) != V.dim or not _power_hypothesis_ok(V, k):
+    if len(set(V.nums)) != V.dim or not _power_hypothesis_ok(V.nums, V.q, k):
         rep.add("hypothesis: simple symmetric power", k, False, "HypothesisFail")
         return rep
     rep.add("hypothesis: simple symmetric power", k, True)
@@ -486,7 +492,7 @@ def product_power_multiplicity_check(V: FiniteUnitary, k: int) -> Report:
         mf = multiplicity_function(V)
         rep.add("constant multiplicity 1", k, mf.is_constant(1))
         return rep
-    if not _power_hypothesis_ok(V, k):
+    if not _power_hypothesis_ok(V.nums, V.q, k):
         rep.add("hypothesis: simple symmetric power", k, False, "HypothesisFail")
         return rep
     rep.add("hypothesis: simple symmetric power", k, True)
@@ -531,28 +537,6 @@ def product_power_multiplicity_check(V: FiniteUnitary, k: int) -> Report:
 # -- symmetric polynomial generation and extraction -------------------------------
 
 
-def _elementary_symmetric(k: int, i: int) -> dict[tuple[int, ...], int]:
-    """e_i in k variables as a dict over exponent vectors."""
-    out = {}
-    for comb in itertools.combinations(range(k), i):
-        mono = [0] * k
-        for j in comb:
-            mono[j] = 1
-        out[tuple(mono)] = 1
-    return out
-
-
-def _poly_mul(a, b, cap):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            if sum(m) > cap:
-                continue
-            out[m] = out.get(m, 0) + ca * cb
-    return {m: c for m, c in out.items() if c}
-
-
 def _partitions_at_most(total_max: int, parts: int):
     """All partitions (weakly decreasing tuples) with at most `parts` parts, size <= total_max."""
     out = [()]
@@ -567,44 +551,54 @@ def _partitions_at_most(total_max: int, parts: int):
 
 
 def _generation_products(k: int, degree_cap: int) -> list[dict[tuple[int, ...], int]]:
-    """Every monomial in e_1..e_k of weighted degree <= cap, as an integer polynomial."""
-    es = {i: _elementary_symmetric(k, i) for i in range(k + 1)}
-    products = []
+    """Every monomial in e_1..e_k of weighted degree <= cap, as an integer polynomial.
+
+    In product order over the exponents, each product is an earlier one (its
+    last nonzero exponent lowered by one) times that e_i.  A monomial is keyed
+    by its exponents as a base-(cap+1) int, so adding keys multiplies
+    monomials; every e_i is homogeneous, so no term passes the cap, and the
+    coefficients are positive, so none cancels.
+    """
+    base = degree_cap + 1
+    es = [[sum(base ** (k - 1 - j) for j in comb) for comb in itertools.combinations(range(k), i)]
+          for i in range(k + 1)]
+    products = {(0,) * k: {0: 1}} if degree_cap >= 0 else {}    # the empty product comes first
     for exps in itertools.product(*(range(degree_cap // i + 1) for i in range(1, k + 1))):
-        if sum(i * e for i, e in zip(range(1, k + 1), exps)) > degree_cap:
+        if not 0 < sum(i * e for i, e in zip(range(1, k + 1), exps)) <= degree_cap:
             continue
-        poly = {(0,) * k: 1}
-        for i, e in zip(range(1, k + 1), exps):
-            for _ in range(e):
-                poly = _poly_mul(poly, es[i], degree_cap)
-        products.append(poly)
-    return products
+        i = max(i for i, e in enumerate(exps, 1) if e)
+        poly: dict[int, int] = {}
+        for m, c in products[exps[:i - 1] + (exps[i - 1] - 1,) + exps[i:]].items():
+            for e in es[i]:
+                poly[m + e] = poly.get(m + e, 0) + c
+        products[exps] = poly
+    monomial = {m: tuple(m // base**j % base for j in reversed(range(k)))
+                for m in set().union(*products.values())}
+    return [{monomial[m]: c for m, c in p.items()} for p in products.values()]
 
 
-def _coefficient_rows(products) -> list[list[int]]:
-    """One row per polynomial over the sorted union of their monomials."""
-    monomials = sorted({m for p in products for m in p})
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for p in products:
-        row = [0] * len(monomials)
-        for m, c in p.items():
-            row[index[m]] = c
-        rows.append(row)
-    return rows
+def _coefficient_rows(products, partitions_only: bool = False) -> list[list[int]]:
+    """One row per polynomial over the sorted union of their monomials, or of those that are partitions."""
+    monomials = sorted({m for p in products for m in p
+                        if not partitions_only or m == tuple(sorted(m, reverse=True))})
+    return [[p.get(m, 0) for m in monomials] for p in products]
 
 
 def symmetric_generation_check(k: int, degree_cap: int) -> Report:
     """Products of the elementary symmetric polynomials span all symmetric ones.
 
     Verified by exact integer rank computation against the partition count
-    up to the degree cap.
+    up to the degree cap.  The rank is taken first on the partition columns:
+    a column submatrix's rank bounds the rank below and the row count bounds
+    it above, so a full row rank there is the rank; otherwise all columns.
     """
     rep = Report()
     if k > 4 or degree_cap > 6:
         raise ValueError("desk-scale parameters only: k <= 4, degree cap <= 6")
     products = _generation_products(k, degree_cap)
-    rank = _integer_rank(_coefficient_rows(products))
+    rank = _integer_rank(_coefficient_rows(products, partitions_only=True))
+    if rank < len(products):
+        rank = _integer_rank(_coefficient_rows(products))
     target = len(_partitions_at_most(degree_cap, k))
     rep.add("span dimension equals partition count", k, rank == target,
             f"rank {rank} vs partitions {target}")

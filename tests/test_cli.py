@@ -352,6 +352,26 @@ def test_numpy_is_loaded_only_by_float_mode(tmp_path):
         [argv[0], "False"] for argv in runs] + [["float mode", "True"]]
 
 
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    """Calls in one process, through the one parser, each give a fresh process's output and exit code."""
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    codes = []
+    for argv in (["spectra", "--k", "3"], ["spectra"], ["groups"], ["spectra", "--k", "2"]):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:      # argparse refuses the bad call
+            rc = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "cfspectra.cli", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(rc)
+    assert codes == [0, 0, 2, 0] and "d = 5, k = 2" in out
+
+
 def _swap_first_cut_blocks(text: str, level: str) -> str:
     """Swap the first two arithmetic blocks of one level's cut line; the cut set is unchanged."""
     lines = text.splitlines()

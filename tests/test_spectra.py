@@ -158,6 +158,102 @@ def test_symmetric_generation(k, cap):
     assert rep.passed, rep.render()
 
 
+def _elementary_symmetric(k: int, i: int) -> dict[tuple[int, ...], int]:
+    """e_i in k variables as a dict over exponent vectors."""
+    out = {}
+    for comb in itertools.combinations(range(k), i):
+        mono = [0] * k
+        for j in comb:
+            mono[j] = 1
+        out[tuple(mono)] = 1
+    return out
+
+
+def _poly_mul(a, b, cap):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) > cap:
+                continue
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _repeated_multiplication_products(k: int, cap: int) -> list[dict[tuple[int, ...], int]]:
+    """Oracle for ``_generation_products``: each monomial in e_1..e_k multiplied out from 1."""
+    es = {i: _elementary_symmetric(k, i) for i in range(k + 1)}
+    products = []
+    for exps in itertools.product(*(range(cap // i + 1) for i in range(1, k + 1))):
+        if sum(i * e for i, e in zip(range(1, k + 1), exps)) > cap:
+            continue
+        poly = {(0,) * k: 1}
+        for i, e in zip(range(1, k + 1), exps):
+            for _ in range(e):
+                poly = _poly_mul(poly, es[i], cap)
+        products.append(poly)
+    return products
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_generation_products_match_repeated_multiplication(k):
+    for cap in range(7):
+        got, want = _generation_products(k, cap), _repeated_multiplication_products(k, cap)
+        assert got == want, (k, cap)
+        assert [list(p.items()) for p in got] == [list(p.items()) for p in want], (k, cap)
+
+
+def test_generation_rank_falls_back_to_all_columns(monkeypatch):
+    """A product equal to another on the partition columns still counts in the full rank."""
+    from cfspectra import spectra
+
+    generation_products = spectra._generation_products
+
+    def faulty(k, cap):
+        products = generation_products(k, cap)
+        return products[:-1] + [{**products[0], (0, 1, 0, 0): 1}]
+
+    monkeypatch.setattr(spectra, "_generation_products", faulty)
+    assert symmetric_generation_check(4, 6).render().splitlines() == [
+        "  [ok] level 4: span dimension equals partition count (rank 27 vs partitions 27)",
+        "  [FAIL] level 4: products are symmetric",
+    ]
+
+
+def _table_results(turns) -> str:
+    """Every k = 4 table report and restriction of one unitary, as text; self-contained, so a
+    fresh process can run its source."""
+    from cfspectra.spectra import (FiniteUnitary, all_subgroups_sym, homogeneous_multiplicity_check,
+                                   invariant_restriction, product_power_multiplicity_check)
+
+    V = FiniteUnitary(turns=turns)
+    out = [product_power_multiplicity_check(V, 4).render()]
+    for gamma in all_subgroups_sym(4):
+        out += [homogeneous_multiplicity_check(V, 4, gamma).render(),
+                repr(invariant_restriction(V, 4, gamma).eigen_turns)]
+    return repr(out)
+
+
+def test_table_caches_are_keyed_on_the_unitary():
+    """Two unitaries of the same (d, k) in one process each give what a fresh process gives."""
+    import inspect
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    generic = [str(t) for t in generic_diagonal(5, 4).turns]
+    repeated = ["1/7", "2/7", "2/7", "3/11", "5/13"]    # the hypothesis fails
+    in_process = [_table_results(turns) for turns in (generic, repeated)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for turns, got in zip((generic, repeated), in_process):
+        code = inspect.getsource(_table_results) + f"print(_table_results({turns!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert got == proc.stdout.rstrip("\n")
+    assert "HypothesisFail" in in_process[1] and "HypothesisFail" not in in_process[0]
+
+
 def test_vandermonde_extraction():
     rep = vandermonde_extraction_check(ratios_from_identity_mix(3))
     assert rep.passed
@@ -321,8 +417,10 @@ def _deficient_matrix(rng, rows, cols, rank):
 def test_integer_rank_matches_sympy():
     import sympy
     for k, cap in [(1, 4), (2, 4), (2, 6), (3, 5), (3, 6), (4, 6)]:
-        rows = _coefficient_rows(_generation_products(k, cap))
-        assert _integer_rank(rows) == sympy.Matrix(rows).rank(), (k, cap)
+        products = _generation_products(k, cap)
+        rows = _coefficient_rows(products)
+        partition_rank = _integer_rank(_coefficient_rows(products, partitions_only=True))
+        assert partition_rank == _integer_rank(rows) == sympy.Matrix(rows).rank(), (k, cap)
     rng = random.Random("rank")
     for _ in range(60):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
