@@ -261,7 +261,7 @@ def cmd_spectra(args) -> int:
     rep = product_power_multiplicity_check(V, k)
     ok &= rep.passed
     print(f"product-power constancy k = {k}: {'pass' if rep.passed else 'FAIL'}")
-    rep = symmetric_generation_check(min(k, 4), min(k + 2, 6))
+    rep = symmetric_generation_check(k, k + 2)
     ok &= rep.passed
     print(f"symmetric generation: {'pass' if rep.passed else 'FAIL'}")
     rep = vandermonde_extraction_check(ratios_from_identity_mix(max(1, k - 1)))

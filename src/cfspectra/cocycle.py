@@ -110,17 +110,6 @@ class CosetSpace:
         self.size = len(self.rep_indices)
         assert self.size == group.order // H.order
 
-    def canonical(self, g: Element) -> Element:
-        """The least element of the coset g + H."""
-        if g.group != self.group:
-            raise ValueError("element of a different group")
-        row = addition_table(self.group)[self.group.element_index(g)]
-        return self.group.element_from_index(min(row[i] for i in self.H.indices))
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.size)
-
 
 # -- the tail-shift commuting map ---------------------------------------------
 

@@ -1,25 +1,20 @@
 """Finite unitary models: tensor/symmetric powers and eigenvalue multiplicities.
 
-The exact mode works with diagonal unitaries whose angles are rational turns
-p/q chosen free of small integer relations; eigenvalues of restricted tensor
-powers are then exact fractions mod 1 and multiplicity counting is literal.
-The floating mode takes arbitrary unitary matrices and clusters eigenvalues
-with a stability audit.
+A unitary here is diagonal, with rational turns p/q chosen free of small
+integer relations; eigenvalues of restricted tensor powers are then exact
+fractions mod 1 and multiplicity counting is literal.
 
-Exact turns are held as integer numerators over one common denominator q
-(the lcm of the turn denominators), so every eigen-turn of a restricted
-power is a sum of numerators mod q and the checks add and count ints.
-Fractions are built only at the public boundary: ``FiniteUnitary.turns``,
-``RestrictedPower.eigen_turns`` and the keys of ``multiplicity_function``.
+Turns are held as integer numerators over one common denominator q (the lcm
+of the turn denominators), so every eigen-turn of a restricted power is a
+sum of numerators mod q and the checks add and count ints.  Eigen-turns are
+Fractions only in ``FiniteUnitary.turns`` and in the keys of
+``multiplicity_function``.
 
 A restriction picks the least tuple of each permutation orbit through value
 patterns: a tuple is least in its orbit exactly when its order-preserving
 relabelling onto 0..m-1 is.  One cached table per (d, k) lists every tuple
 in code order with its pattern and content, and one cached tuple per (group,
 d, k) holds the indices of the tuples whose pattern is least.
-The exact mode is pure Python; numpy is imported only inside the float-mode
-functions (``FiniteUnitary(matrix=...)``, ``to_matrix``, the float branch of
-``multiplicity_function`` and ``float_cluster_check``).
 
 Continuity of spectrum has no finite-dimensional counterpart; its working
 shadow here is relation-freeness of the angles, which makes the permutation
@@ -48,8 +43,6 @@ from typing import NamedTuple
 from .groups import subgroup_lattice
 from .tower import Report
 
-_CLUSTER_TOL = 1e-9
-
 # The most relation sums or index tuples one spectra table may enumerate:
 # d <= 10 at k = 3, 4 and d <= 14 at k = 2, each well under a second.
 _SPECTRA_GUARD = 100_000
@@ -69,49 +62,16 @@ def _guard(size: int, what: str) -> None:
 
 
 class FiniteUnitary:
-    """A unitary in exact-diagonal form (rational turns) or as a float matrix.
+    """A diagonal unitary given by its eigen-turns, ``turns[i] == Fraction(nums[i], q)``.
 
-    In exact form ``turns[i] == Fraction(nums[i], q)`` with ``q`` the lcm of
-    the turn denominators.
+    ``q`` is the lcm of the turn denominators.
     """
 
-    def __init__(self, turns=None, matrix=None):
-        if (turns is None) == (matrix is None):
-            raise ValueError("give exactly one of turns or matrix")
-        if turns is not None:
-            self.turns = tuple(Fraction(t) % 1 for t in turns)
-            self.q = math.lcm(*(t.denominator for t in self.turns))
-            self.nums = tuple(t.numerator * (self.q // t.denominator) for t in self.turns)
-            self.matrix = None
-            self.dim = len(self.turns)
-        else:
-            import numpy as np
-
-            m = np.asarray(matrix, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("matrix must be square")
-            if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12):
-                raise ValueError("matrix is not unitary within 1e-12")
-            self.turns = self.q = self.nums = None
-            self.matrix = m
-            self.dim = m.shape[0]
-
-    @property
-    def exact(self) -> bool:
-        return self.turns is not None
-
-    def to_matrix(self):
-        """The unitary as a complex numpy matrix."""
-        if self.matrix is not None:
-            return self.matrix
-        import numpy as np
-
-        return np.diag(np.exp(2j * np.pi * np.array([float(t) for t in self.turns])))
-
-    def eigen_turns(self) -> tuple[Fraction, ...]:
-        if not self.exact:
-            raise ValueError("exact eigenvalues require diagonal-turn form")
-        return self.turns
+    def __init__(self, turns):
+        self.turns = tuple(Fraction(t) % 1 for t in turns)
+        self.q = math.lcm(*(t.denominator for t in self.turns))
+        self.nums = tuple(t.numerator * (self.q // t.denominator) for t in self.turns)
+        self.dim = len(self.turns)
 
 
 @lru_cache(maxsize=32)
@@ -260,13 +220,9 @@ class RestrictedPower:
     eigen_nums: tuple[int, ...]              # eigen-turn numerators mod q
     contents: tuple[tuple[int, ...], ...]  # sorted index multiset per basis vector
 
-    @property
-    def eigen_turns(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.q) for n in self.eigen_nums)
-
 
 def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> RestrictedPower:
-    """V^(tensor k) restricted to the gamma-invariant subspace (exact diagonal mode).
+    """V^(tensor k) restricted to the gamma-invariant subspace.
 
     Index tuples are listed in code order (base-d, lexicographic) and each
     orbit is represented by its least tuple.  A tuple r is ``vals o p``: vals
@@ -278,8 +234,6 @@ def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> Restric
     its content (sorted multiset), and each content's numerator is summed
     once per unitary.
     """
-    if not V.exact:
-        raise ValueError("exact restriction requires a diagonal-turn unitary")
     if gamma.k != k:
         raise ValueError("permutation group degree must equal the power")
     d = V.dim
@@ -367,55 +321,14 @@ def symmetric_power(V: FiniteUnitary, k: int) -> RestrictedPower:
 # -- multiplicity functions --------------------------------------------------------
 
 
-@dataclass
-class MultiplicityFunction:
-    clusters: dict
-    mode: str
-    stable: bool = True
-
-    def values(self) -> Counter:
-        return Counter(self.clusters.values())
-
-    def multiplicity_set(self) -> frozenset[int]:
-        return frozenset(self.clusters.values())
-
-    def is_constant(self, value: int) -> bool:
-        return set(self.clusters.values()) == {value}
-
-
-def multiplicity_function(U) -> MultiplicityFunction:
-    """Eigenvalue multiplicities: exact for turn-diagonal input, clustered for float."""
+def multiplicity_function(U) -> dict[Fraction, int]:
+    """The multiplicity of each eigen-turn of a ``FiniteUnitary`` or a ``RestrictedPower``."""
     if isinstance(U, RestrictedPower):
-        counts = Counter(U.eigen_nums)
-        return MultiplicityFunction({Fraction(n, U.q): c for n, c in counts.items()}, "exact")
-    if isinstance(U, FiniteUnitary) and U.exact:
-        return MultiplicityFunction(dict(Counter(U.turns)), "exact")
-    import numpy as np
-
-    m = U.to_matrix() if isinstance(U, FiniteUnitary) else np.asarray(U, dtype=complex)
-    if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12):
-        raise ValueError("input is not unitary within 1e-12")
-    eigs = np.linalg.eigvals(m)
-    clusters = _cluster(eigs, _CLUSTER_TOL)
-    stable = len(clusters) == len(_cluster(eigs, _CLUSTER_TOL / 2))
-    return MultiplicityFunction(clusters, "float", stable)
-
-
-def _cluster(eigs, tol):
-    import numpy as np
-
-    order = np.argsort(np.angle(eigs))
-    eigs = eigs[order]
-    groups: list[list[complex]] = []
-    for e in eigs:
-        if groups and abs(e - groups[-1][-1]) < tol:
-            groups[-1].append(e)
-        else:
-            groups.append([e])
-    # the circle wraps: merge the last group into the first when adjacent
-    if len(groups) > 1 and abs(groups[0][0] - groups[-1][-1]) < tol:
-        groups[0].extend(groups.pop())
-    return {g[0]: len(g) for g in groups}
+        return {Fraction(n, U.q): c for n, c in Counter(U.eigen_nums).items()}
+    if isinstance(U, FiniteUnitary):
+        return dict(Counter(U.turns))
+    raise TypeError(f"multiplicities are counted for a FiniteUnitary or a RestrictedPower, "
+                    f"not a {type(U).__name__}")
 
 
 # -- the homogeneous-multiplicity checks ----------------------------------------
@@ -463,21 +376,6 @@ def homogeneous_multiplicity_check(V: FiniteUnitary, k: int, gamma: PermGroup) -
     return rep
 
 
-def float_cluster_check(V: FiniteUnitary, k: int, gamma: PermGroup) -> Report:
-    """Floating cross-check of the free-spectrum multiplicities via clustering."""
-    import numpy as np
-
-    rep = Report()
-    rest = invariant_restriction(V, k, gamma)
-    eigs = np.exp(2j * np.pi * np.array([n / rest.q for n in rest.eigen_nums]))
-    clusters = _cluster(eigs, _CLUSTER_TOL)
-    stable = len(clusters) == len(_cluster(eigs, _CLUSTER_TOL / 2))
-    rep.add("cluster stability under tolerance halving", k, stable)
-    exact = multiplicity_function(rest)
-    rep.add("cluster count matches exact count", k, len(clusters) == len(exact.clusters))
-    return rep
-
-
 def product_power_multiplicity_check(V: FiniteUnitary, k: int) -> Report:
     """The (k-1)-fold symmetric power tensored with V has constant multiplicity k.
 
@@ -489,8 +387,7 @@ def product_power_multiplicity_check(V: FiniteUnitary, k: int) -> Report:
     if k < 1:
         raise ValueError("power must be positive")
     if k == 1:
-        mf = multiplicity_function(V)
-        rep.add("constant multiplicity 1", k, mf.is_constant(1))
+        rep.add("constant multiplicity 1", k, set(multiplicity_function(V).values()) == {1})
         return rep
     if not _power_hypothesis_ok(V.nums, V.q, k):
         rep.add("hypothesis: simple symmetric power", k, False, "HypothesisFail")

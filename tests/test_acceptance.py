@@ -39,7 +39,6 @@ from cfspectra.recurrence import (
 )
 from cfspectra.spectra import (
     all_subgroups_sym,
-    float_cluster_check,
     generic_diagonal,
     homogeneous_multiplicity_check,
     product_power_multiplicity_check,
@@ -50,6 +49,7 @@ from cfspectra.tower import (
     validate_labels,
     validate_structure,
 )
+from float_oracle import float_cluster_check
 
 RESIDUAL_THRESHOLD = Fraction(1, 10)
 # frozen from the oracle run: stagger residuals on the desk tower stay under 1/n

@@ -314,8 +314,8 @@ def test_recur_answers_at_the_full_depth(tmp_path, capsys):
         assert err == ""
 
 
-def test_numpy_is_loaded_only_by_float_mode(tmp_path):
-    """Every subcommand runs without importing numpy; a float-mode call still imports it."""
+def test_every_subcommand_runs_with_numpy_blocked(tmp_path):
+    """With ``import numpy`` failing, all six subcommands and the exact spectra API run to the end."""
     import subprocess
     import sys
 
@@ -330,26 +330,49 @@ def test_numpy_is_loaded_only_by_float_mode(tmp_path):
     ]
     code = (
         "import sys\n"
-        "def check(step):\n"
-        "    print(step, 'numpy' in sys.modules, file=sys.stderr)\n"
-        "import cfspectra\n"
-        "check('import cfspectra')\n"
+        "class BlockNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockNumpy())\n"
+        "try:\n"
+        "    import numpy\n"
+        "    sys.exit('numpy was not blocked')\n"
+        "except ImportError:\n"
+        "    pass\n"
         "import cfspectra.cli\n"
-        "check('import cfspectra.cli')\n"
         f"for argv in {runs!r}:\n"
         "    assert cfspectra.cli.main(argv) == 0, argv\n"
-        "    check(argv[0])\n"
-        "from cfspectra.spectra import multiplicity_function\n"
-        "mf = multiplicity_function([[0, 1], [1, 0]])\n"
-        "assert mf.mode == 'float' and sorted(mf.values().items()) == [(1, 2)]\n"
-        "check('float mode')\n"
+        "from cfspectra.spectra import (all_subgroups_sym, generic_diagonal, homogeneous_multiplicity_check,\n"
+        "                               invariant_restriction, multiplicity_function)\n"
+        "V = generic_diagonal(5, 3)\n"
+        "for gamma in all_subgroups_sym(3):\n"
+        "    rest = invariant_restriction(V, 3, gamma)\n"
+        "    assert sum(multiplicity_function(rest).values()) == rest.dim\n"
+        "    assert homogeneous_multiplicity_check(V, 3, gamma).passed\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
-    loaded = [line.rsplit(" ", 1) for line in proc.stderr.splitlines()]
-    assert loaded == [["import cfspectra", "False"], ["import cfspectra.cli", "False"]] + [
-        [argv[0], "False"] for argv in runs] + [["float mode", "True"]]
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_spectra_checks_generation_at_its_own_power(monkeypatch, capsys):
+    """``spectra --k k`` asks the generation certificate for (k, k + 2): its own bound is the only cap."""
+    from cfspectra import cli
+
+    calls = []
+    real = cli.symmetric_generation_check
+
+    def spy(k, cap):
+        calls.append((k, cap))
+        return real(k, cap)
+
+    monkeypatch.setattr(cli, "symmetric_generation_check", spy)
+    for k in range(1, 5):
+        assert main(["spectra", "--k", str(k), "--d", "5"]) == 0
+    assert calls == [(k, k + 2) for k in range(1, 5)]
 
 
 def test_reused_parser_carries_nothing_between_calls(capsys):

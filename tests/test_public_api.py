@@ -1,12 +1,13 @@
 """No public API that only tests call.
 
-Every module-level function and class in ``src/cfspectra`` must be referenced
-by name somewhere outside the tests: in ``src/`` outside its own definition
-(the exports of ``cfspectra/__init__.py`` included), in ``scripts/`` or in
+Every module-level function and class in ``src/cfspectra``, and every method
+and property in a class body (dunders excluded), must be referenced by name
+somewhere outside the tests: in ``src/`` outside its own definition (the
+exports of ``cfspectra/__init__.py`` included), in ``scripts/`` or in
 ``perfbench/``.  A reference is a ``Name``, an ``Attribute`` or an import
 alias; docstrings and other string text do not count.  The only exceptions
-are the certificates that the acceptance suite runs, each listed with its
-criterion.
+are the names that only the acceptance suite calls, each listed with the
+criteria that call it.
 """
 
 import ast
@@ -16,27 +17,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cfspectra"
 
-# name -> the acceptance criterion that runs it
+# name -> the acceptance criteria that call it
 ACCEPTANCE_CERTIFICATES = {
-    "ergodicity_sweep": 9,
-    "label_transport_witness": 9,
-    "recurrence_holds_at": 10,
-    "float_cluster_check": 2,
+    "ergodicity_sweep": (9,),
+    "label_transport_witness": (9,),
+    "recurrence_holds_at": (10,),
+    "even_steps": (6, 7),
 }
 
 
-def _referenced(tree: ast.AST) -> set[str]:
-    """The names a tree refers to."""
-    names = set()
+def _references(tree: ast.AST) -> Counter:
+    """How often a tree refers to each name."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
             if node.asname:
-                names.add(node.asname)
+                names[node.asname] += 1
     return names
 
 
@@ -45,24 +46,33 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _definitions(tree: ast.Module) -> list:
-    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    """The module's functions and classes, and the non-dunder methods and properties in its class bodies."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append(node)
+        if isinstance(node, ast.ClassDef):
+            defs += [m for m in node.body if isinstance(m, ast.FunctionDef)
+                     and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return defs
 
 
 def _unreferenced(allowed) -> dict[str, str]:
     """Definitions outside ``allowed`` with no reference outside the tests, as name -> module."""
-    uses = Counter()   # per name, the top-level src statements and outside files that refer to it
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in _parse(path).body:
-            uses.update(_referenced(stmt))
+    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    refs = {stem: _references(tree) for stem, tree in trees.items()}
+    outside = set()
     for folder in ("scripts", "perfbench"):
         for path in sorted((ROOT / folder).glob("*.py")):
-            uses.update(_referenced(_parse(path)))
+            outside.update(_references(_parse(path)))
     missing = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in _definitions(_parse(path)):
-            own = node.name in _referenced(node)   # a recursive call is no caller
-            if uses[node.name] - own == 0 and node.name not in allowed:
-                missing[node.name] = path.stem
+    for stem, tree in trees.items():
+        elsewhere = outside.union(*(r for other, r in refs.items() if other != stem))
+        for node in _definitions(tree):
+            # a recursive call is no caller: references inside the definition itself do not count
+            in_module = refs[stem][node.name] - _references(node)[node.name]
+            if node.name not in elsewhere and not in_module and node.name not in allowed:
+                missing[node.name] = stem
     return missing
 
 

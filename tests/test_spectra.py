@@ -8,7 +8,6 @@ import pytest
 
 from cfspectra.spectra import (
     FiniteUnitary,
-    MultiplicityFunction,
     PermGroup,
     SpectraGuardExceeded,
     _coefficient_rows,
@@ -16,7 +15,6 @@ from cfspectra.spectra import (
     _has_relation,
     _integer_rank,
     all_subgroups_sym,
-    float_cluster_check,
     generic_diagonal,
     homogeneous_multiplicity_check,
     invariant_restriction,
@@ -29,6 +27,7 @@ from cfspectra.spectra import (
     symmetric_power,
     vandermonde_extraction_check,
 )
+from float_oracle import float_cluster_check, float_multiplicities, to_matrix
 
 
 def test_relation_free_turns_have_no_small_relations():
@@ -43,14 +42,17 @@ def test_relation_free_turns_have_no_small_relations():
 
 
 def test_unitary_modes():
+    """The exact turns, and their matrix in the float oracle: unitary, with the same spectrum."""
     V = generic_diagonal(4, 2)
-    assert V.exact and V.dim == 4
-    m = V.to_matrix()
+    assert V.dim == 4 and V.turns == relation_free_turns(4, 2)
+    assert V.turns == tuple(Fraction(n, V.q) for n in V.nums)
+    m = to_matrix(V)
     assert np.allclose(m @ m.conj().T, np.eye(4))
-    W = FiniteUnitary(matrix=np.eye(3))
-    assert not W.exact
+    clusters, stable = float_multiplicities(m)
+    assert stable and sorted(clusters.values()) == sorted(multiplicity_function(V).values())
+    assert sorted(float_multiplicities(np.eye(3))[0].values()) == [3]
     with pytest.raises(ValueError):
-        FiniteUnitary(matrix=np.ones((2, 2)))
+        float_multiplicities(np.ones((2, 2)))
 
 
 def test_perm_group_enumeration():
@@ -86,21 +88,28 @@ def test_burnside_matches_direct_orbit_count():
 
 def test_multiplicity_function_examples():
     mf = multiplicity_function(FiniteUnitary(turns=[0, 0, 0]))
-    assert mf.clusters == {Fraction(0): 3}
+    assert mf == {Fraction(0): 3}
     mf2 = multiplicity_function(FiniteUnitary(turns=[Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]))
-    assert mf2.is_constant(1)
+    assert set(mf2.values()) == {1}
     mf3 = multiplicity_function(FiniteUnitary(turns=[Fraction(1, 3), Fraction(1, 3), Fraction(1, 5)]))
-    assert sorted(mf3.clusters.values()) == [1, 2]
+    assert sorted(mf3.values()) == [1, 2]
+
+
+def test_multiplicity_function_refuses_a_matrix():
+    """Multiplicities are counted exactly only; a matrix goes to the float oracle."""
+    with pytest.raises(TypeError, match="FiniteUnitary or a RestrictedPower"):
+        multiplicity_function([[0, 1], [1, 0]])
 
 
 def test_multiplicity_function_float_mode():
+    """The float oracle clusters a matrix spectrum, and refuses a matrix that is not unitary."""
     angles = [0.1, 0.1, 0.4]
     m = np.diag(np.exp(2j * np.pi * np.array(angles)))
-    mf = multiplicity_function(m)
-    assert mf.mode == "float" and mf.stable
-    assert sorted(mf.clusters.values()) == [1, 2]
+    clusters, stable = float_multiplicities(m)
+    assert stable
+    assert sorted(clusters.values()) == [1, 2]
     with pytest.raises(ValueError):
-        multiplicity_function(np.ones((2, 2)))
+        float_multiplicities(np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -223,14 +232,17 @@ def test_generation_rank_falls_back_to_all_columns(monkeypatch):
 def _table_results(turns) -> str:
     """Every k = 4 table report and restriction of one unitary, as text; self-contained, so a
     fresh process can run its source."""
+    from fractions import Fraction
+
     from cfspectra.spectra import (FiniteUnitary, all_subgroups_sym, homogeneous_multiplicity_check,
                                    invariant_restriction, product_power_multiplicity_check)
 
     V = FiniteUnitary(turns=turns)
     out = [product_power_multiplicity_check(V, 4).render()]
     for gamma in all_subgroups_sym(4):
+        rest = invariant_restriction(V, 4, gamma)
         out += [homogeneous_multiplicity_check(V, 4, gamma).render(),
-                repr(invariant_restriction(V, 4, gamma).eigen_turns)]
+                repr(tuple(Fraction(n, rest.q) for n in rest.eigen_nums))]
     return repr(out)
 
 
@@ -359,10 +371,9 @@ def test_integer_restriction_matches_fraction_reference(k):
         rest = invariant_restriction(V, k, gamma)
         reps, turns, contents = reference_restriction(V, k, gamma)
         assert rest.orbit_reps == reps, (V.dim, gamma)
-        assert rest.eigen_turns == turns, (V.dim, gamma)
+        assert tuple(Fraction(n, rest.q) for n in rest.eigen_nums) == turns, (V.dim, gamma)
         assert rest.contents == contents, (V.dim, gamma)
-        assert all(type(t) is Fraction for t in rest.eigen_turns)
-        assert all(type(t) is Fraction for t in multiplicity_function(rest).clusters)
+        assert all(type(t) is Fraction for t in multiplicity_function(rest))
 
 
 def test_restriction_at_the_guard_edge():
