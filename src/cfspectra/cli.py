@@ -17,14 +17,11 @@ from pathlib import Path
 from .cocycle import Cocycle, TailShift, check_coboundary_condition, commutes_with_shift
 from .experiment import (ConfigError, ExperimentConfig, build_tower, resolve_system, tag_schedule,
                          write_artifacts)
-from .groups import (CatalogGuardExceeded, Subgroup, all_characters, catalog_search, format_triple,
+from .groups import (LimitExceeded, Subgroup, all_characters, catalog_search, format_triple,
                      multiplicity_set_naive)
-from .koopman import (GridGuardExceeded, check_grid_size, cylinder_family, residual_csv, residual_grid,
-                      skew_decomposition_check)
-from .pairings import StateGuardExceeded
+from .koopman import check_grid_size, cylinder_family, residual_csv, residual_grid, skew_decomposition_check
 from .recurrence import multiple_recurrence_search, return_cuts
 from .spectra import (
-    SpectraGuardExceeded,
     all_subgroups_sym,
     generic_diagonal,
     homogeneous_multiplicity_check,
@@ -33,8 +30,7 @@ from .spectra import (
     symmetric_generation_check,
     vandermonde_extraction_check,
 )
-from .tower import (Cylinder, EmbedGuardExceeded, TowerParseError, canonical_point, parse_tower,
-                    recipe_cut_count, validate_tower)
+from .tower import Cylinder, TowerParseError, canonical_point, parse_tower, recipe_cut_count, validate_tower
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -95,8 +91,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StateGuardExceeded, CatalogGuardExceeded, GridGuardExceeded,
-            SpectraGuardExceeded, EmbedGuardExceeded) as exc:
+    except LimitExceeded as exc:
         print(f"limit error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -137,9 +132,8 @@ def cmd_build(args) -> int:
     for n in range(2, config.depth):   # level n + 1 is built at step n
         cuts += recipe_cut_count(spec.label_aut, n, schedule[(n - 2) % len(schedule)])
         if cuts > _BUILD_GUARD:
-            print(f"limit error: a depth-{config.depth} build would write more than {_BUILD_GUARD:,} "
-                  f"recipe cuts (passed at level {n + 1}); lower the depth", file=sys.stderr)
-            return EXIT_CONFIG
+            raise LimitExceeded(f"a depth-{config.depth} build would write more than {_BUILD_GUARD:,} "
+                                f"recipe cuts (passed at level {n + 1}); lower the depth")
     tower, spec, schedule = build_tower(config, spec)
     report = validate_tower(tower)
     if not report.passed:

@@ -97,8 +97,6 @@ class CosetSpace:
     def __init__(self, group: FinAbGroup, H: Subgroup):
         if H.group != group:
             raise ValueError("subgroup of a different group")
-        self.group = group
-        self.H = H
         add = addition_table(group)
         self.rep_indices: list[int] = []
         seen = 0   # bitmask of the element indices in the cosets met so far
@@ -178,7 +176,6 @@ def commutes_with_shift(ts: TailShift, p: Point) -> bool | None:
 class AlignedCutsReport:
     levels: list[int]
     aligned_counts: list[int]
-    cut_counts: list[int]
     terms: list[Fraction]
     partial_sums: list[Fraction]
 
@@ -198,7 +195,7 @@ def _aligned_classes(tower: Tower, n: int) -> list[tuple[int, int, int, int]]:
 
 def check_coboundary_condition(tower: Tower) -> AlignedCutsReport:
     """Per-level aligned-cut deficits 1 - #aligned/#cuts and their partial sums."""
-    levels, acounts, ccounts, terms, partials = [], [], [], [], []
+    levels, acounts, terms, partials = [], [], [], []
     run = Fraction(0)
     for n in range(1, tower.depth + 1):
         lvl = tower.level(n)
@@ -207,7 +204,6 @@ def check_coboundary_condition(tower: Tower) -> AlignedCutsReport:
         run += term
         levels.append(n)
         acounts.append(ac)
-        ccounts.append(lvl.r)
         terms.append(term)
         partials.append(run)
-    return AlignedCutsReport(levels, acounts, ccounts, terms, partials)
+    return AlignedCutsReport(levels, acounts, terms, partials)

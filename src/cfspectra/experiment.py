@@ -108,13 +108,11 @@ class ExperimentConfig:
 class SystemSpec:
     """The primal triple realizing the target set, and its dual label system."""
 
-    E: frozenset[int]
     primal_group: FinAbGroup
     primal_subgroup: Subgroup
     primal_aut: Automorphism
     label_group: FinAbGroup         # the dual group the cocycle maps into
     label_aut: Automorphism         # automorphism whose dual is the primal one
-    fiber_kernel: Subgroup          # subgroup of the label group defining the fiber
     fiber_characters: list[Character]
 
     def nontrivial_characters(self) -> list[Character]:
@@ -127,7 +125,7 @@ def resolve_system(config: ExperimentConfig) -> SystemSpec:
         K = FinAbGroup(())
         ident = Automorphism(K, [], check=False)
         H = Subgroup(K, [])
-        return SystemSpec(config.E, K, H, ident, K, ident, H, list(all_characters(K)))
+        return SystemSpec(K, H, ident, K, ident, list(all_characters(K)))
     if config.group == "auto":
         rec = catalog_search(config.E, config.bound)
         if rec is None:
@@ -146,7 +144,7 @@ def resolve_system(config: ExperimentConfig) -> SystemSpec:
     if back != H:
         raise AssertionError("double annihilator failed to recover the subgroup")
     chars = annihilator(K, fiber_kernel)
-    return SystemSpec(config.E, G, H, v, K, label_aut, fiber_kernel, chars)
+    return SystemSpec(G, H, v, K, label_aut, chars)
 
 
 def derive_schedule(spec: SystemSpec, m: int) -> list:

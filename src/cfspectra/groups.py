@@ -18,6 +18,10 @@ from .cyclotomic import Cyclo
 _ENUMERATION_LIMIT = 100_000
 
 
+class LimitExceeded(RuntimeError):
+    """A workload past a documented bound, refused before its work starts."""
+
+
 @dataclass(frozen=True)
 class FinAbGroup:
     invariant_factors: tuple[int, ...]
@@ -544,10 +548,6 @@ class CatalogRecord:
 _AUT_GUARD = 10**6
 
 
-class CatalogGuardExceeded(RuntimeError):
-    """The catalog search reached a group whose automorphisms are too many to enumerate."""
-
-
 @lru_cache(maxsize=None)
 def _candidate_matrices(factors: tuple[int, ...]) -> int:
     """The matrices ``automorphisms`` tests: exact-order images per generator, multiplied."""
@@ -638,7 +638,7 @@ def catalog_search(E, bound: int) -> CatalogRecord | None:
     Returns the first hit in a deterministic enumeration order, re-verified
     with the independent naive recount, or None when the bound is too small.
     Each group's enumeration is kept for the life of the process and resumed
-    by later queries.  Raises CatalogGuardExceeded on reaching a group with
+    by later queries.  Raises LimitExceeded on reaching a group with
     more than ``_AUT_GUARD`` candidate automorphism matrices.
     """
     E = frozenset(int(x) for x in E)
@@ -650,7 +650,7 @@ def catalog_search(E, bound: int) -> CatalogRecord | None:
         for factors in abelian_group_types(order):
             n = _candidate_matrices(factors)
             if n > _AUT_GUARD:
-                raise CatalogGuardExceeded(
+                raise LimitExceeded(
                     f"catalog search for {sorted(E)} reached {FinAbGroup(factors)!r}, whose "
                     f"automorphism enumeration would test {n:,} matrices (guard {_AUT_GUARD:,}); "
                     f"use a bound below {order}")

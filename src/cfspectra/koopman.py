@@ -16,6 +16,7 @@ from .cocycle import CosetSpace, TailShift, rung_label_indices
 from .cyclotomic import Cyclo, abs_lower, abs_upper
 from .groups import (
     Character,
+    LimitExceeded,
     Subgroup,
     addition_table,
     annihilator,
@@ -33,10 +34,6 @@ _BITS = 128
 # may certify.  A cell takes about half a millisecond on depth 8-12 towers,
 # so this is about a minute of work; larger grids are refused up front.
 _GRID_GUARD = 100_000
-
-
-class GridGuardExceeded(RuntimeError):
-    """A residual grid would certify more than ``_GRID_GUARD`` cells."""
 
 
 def _engine(tower: Tower, chi: Character) -> PairingEngine:
@@ -173,7 +170,6 @@ class LevelOperator:
         self.tower = tower
         self.chi = chi
         self.m = m
-        self.N = N
         self.L = chi.root_order
         exp_of = exponent_table(chi)
         ex = [exp_of[i] for i in rung_label_indices(tower, N)]
@@ -267,7 +263,7 @@ def check_grid_size(tower: Tower, n_chars: int, max_level: int) -> None:
     family = 1 + sum(tower.h(n) for n in range(1, max_level + 1))
     cells = steps * n_chars * family**2
     if cells > _GRID_GUARD:
-        raise GridGuardExceeded(
+        raise LimitExceeded(
             f"residual grid to max level {max_level} would certify {cells:,} cells "
             f"({steps} steps x {n_chars} characters x {family:,}^2 cylinder pairs; "
             f"guard {_GRID_GUARD:,}); lower --max-level")

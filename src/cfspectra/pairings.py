@@ -44,17 +44,13 @@ from fractions import Fraction
 
 from .cocycle import rung_label
 from .cyclotomic import Cyclo
-from .groups import Character, addition_table, exponent_table, negation_table
+from .groups import Character, LimitExceeded, addition_table, exponent_table, negation_table
 from .tower import Cylinder, Tower, embed
 
 _STATE_GUARD = 4000
 
 # a Z[K] vector: element index -> integer count (absent indices count zero)
 _Ring = dict[int, int]
-
-
-class StateGuardExceeded(RuntimeError):
-    """Propagation reached more than ``_STATE_GUARD`` shift states at one level."""
 
 
 @dataclass
@@ -208,7 +204,7 @@ class PairingEngine:
             if not states:
                 return {}
             if len(states) > _STATE_GUARD:
-                raise StateGuardExceeded(
+                raise LimitExceeded(
                     f"pairing propagation exceeded {_STATE_GUARD} states at level {j}; "
                     "this shift pattern is outside the supported desk workloads"
                 )

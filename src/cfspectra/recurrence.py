@@ -21,7 +21,7 @@ from operator import mul
 
 from . import pairings
 from .cocycle import rung_label
-from .groups import Element, addition_table, least_period, negation_table
+from .groups import Element, LimitExceeded, addition_table, least_period, negation_table
 from .tower import Cylinder, Tag, Tower
 
 
@@ -285,7 +285,6 @@ class LabelWitnessReport:
     step: int
     shift: int
     ratio: Fraction
-    ratio_bound: Fraction
     ratio_ok: bool
     samples_checked: int
     label_ok: bool
@@ -333,7 +332,7 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
                 checked += 1
                 if val != a:
                     ok = False
-    return LabelWitnessReport(k, -2 * h, ratio, bound, ratio > bound, checked, ok)
+    return LabelWitnessReport(k, -2 * h, ratio, ratio > bound, checked, ok)
 
 
 def _nth(classes, stride: int, k: int) -> int:
@@ -425,8 +424,8 @@ def _return_count(tower: Tower, A: Cylinder, p: int, k: int, N: int) -> int:
                         new[key] = new.get(key, 0) + mult * copies
         states = new
         if len(states) > pairings._STATE_GUARD:
-            raise pairings.StateGuardExceeded(f"recurrence count exceeded {pairings._STATE_GUARD} states "
-                                              f"at level {j}; lower the depth or the step")
+            raise LimitExceeded(f"recurrence count exceeded {pairings._STATE_GUARD} states "
+                                f"at level {j}; lower the depth or the step")
     rungs = set(A.rungs)
     return sum(mult * sum(all(f + d in rungs for d in ds) for f in A.rungs)
                for ds, mult in states.items())

@@ -25,7 +25,7 @@ separately as the vanishing-proportion degenerate part.
 
 A (d, k) table enumerates a (2k+1)^ceil(d/2) half-box of relation sums and
 d^k index tuples per restriction.  Past ``_SPECTRA_GUARD`` either count is
-refused up front with ``SpectraGuardExceeded``, which ``cfspectra spectra``
+refused up front with ``groups.LimitExceeded``, which ``cfspectra spectra``
 reports as one ``limit error:`` line and exit 2; a non-positive d or k is a
 ``config error:`` line and exit 2, both before any table line is printed.
 """
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .groups import subgroup_lattice
+from .groups import LimitExceeded, subgroup_lattice
 from .tower import Report
 
 # The most relation sums or index tuples one spectra table may enumerate:
@@ -48,14 +48,10 @@ from .tower import Report
 _SPECTRA_GUARD = 100_000
 
 
-class SpectraGuardExceeded(RuntimeError):
-    """A spectra table would enumerate more than ``_SPECTRA_GUARD`` sums or tuples."""
-
-
 def _guard(size: int, what: str) -> None:
     if size > _SPECTRA_GUARD:
-        raise SpectraGuardExceeded(f"{what} would enumerate {size:,} "
-                                   f"(guard {_SPECTRA_GUARD:,}); lower d or k")
+        raise LimitExceeded(f"{what} would enumerate {size:,} "
+                            f"(guard {_SPECTRA_GUARD:,}); lower d or k")
 
 
 # -- unitaries ---------------------------------------------------------------
@@ -214,7 +210,6 @@ class RestrictedPower:
 
     dim: int
     k: int
-    gamma_order: int
     orbit_reps: tuple[tuple[int, ...], ...]
     q: int
     eigen_nums: tuple[int, ...]              # eigen-turn numerators mod q
@@ -242,7 +237,7 @@ def invariant_restriction(V: FiniteUnitary, k: int, gamma: PermGroup) -> Restric
     keep = _least_patterns(tuple(gamma.elements), d, k)
     content_nums = _content_nums(V.nums, V.q, d, k)
     cids = [table.content_ids[i] for i in keep]
-    rp = RestrictedPower(len(keep), k, gamma.order, tuple(table.tuples[i] for i in keep), V.q,
+    rp = RestrictedPower(len(keep), k, tuple(table.tuples[i] for i in keep), V.q,
                          tuple(content_nums[c] for c in cids),
                          tuple(table.contents[c] for c in cids))
     if rp.dim != orbit_count_burnside(gamma, d):

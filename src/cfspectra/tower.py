@@ -31,14 +31,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .groups import (Automorphism, Element, FinAbGroup, _parse_int_list, addition_table, least_period,
-                     negation_table)
+from .groups import (Automorphism, Element, FinAbGroup, LimitExceeded, _parse_int_list, addition_table,
+                     least_period, negation_table)
 
 _EMBED_GUARD = 5_000_000
-
-
-class EmbedGuardExceeded(MemoryError):
-    """An explicit embedding would list more than ``_EMBED_GUARD`` rungs."""
 
 
 @dataclass(frozen=True)
@@ -490,9 +486,9 @@ def embed(tower: Tower, cyl: Cylinder, target_level: int) -> Cylinder:
     for j in range(cyl.level + 1, target_level + 1):
         cj = tower.level(j).cuts
         if len(rungs) * len(cj) > _EMBED_GUARD:
-            raise EmbedGuardExceeded(f"explicit embedding to level {target_level} would list "
-                                     f"{len(rungs) * len(cj):,} rungs at level {j} "
-                                     f"(guard {_EMBED_GUARD:,}); lower the depth")
+            raise LimitExceeded(f"explicit embedding to level {target_level} would list "
+                                f"{len(rungs) * len(cj):,} rungs at level {j} "
+                                f"(guard {_EMBED_GUARD:,}); lower the depth")
         rungs = [f + c for f in rungs for c in cj]
     return Cylinder(target_level, tuple(rungs))
 

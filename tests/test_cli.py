@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from cfspectra.cli import main
+from cfspectra.groups import LimitExceeded
 
 
 @pytest.fixture
@@ -215,6 +216,44 @@ def test_build_bad_config_exit_code(tmp_path):
     assert main(["build", "--target", "4", "--bound", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["build"], None, "build needs --config or --target"),
+    (["build", "--config", "{cfg}"], "E = 2\nbogus line\n", "malformed config line: 'bogus line'"),
+    (["build", "--target", "2", "--depth", "1", "--out", "{out}"], None,
+     "depth must be at least the two seed levels"),
+], ids=["no-config-or-target", "line-without-equals", "depth-below-seeds"])
+def test_build_input_errors_are_one_config_error_line(tmp_path, capsys, argv, config, message):
+    cfg, out = tmp_path / "c.txt", tmp_path / "o"
+    if config is not None:
+        cfg.write_text(config)
+    capsys.readouterr()
+    assert main([a.format(cfg=cfg, out=out) for a in argv]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.splitlines() == [f"config error: {message}"]
+    assert out_text == "" and not out.exists()
+
+
+def test_recur_without_a_hit_ends_with_the_truncation_statement(tmp_path, capsys):
+    out = tmp_path / "t12"
+    assert main(["build", "--target", "1,2", "--depth", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["recur", "--tower", str(out / "tower.txt"), "--kmax", "2"]) == 0
+    out_text, err = capsys.readouterr()
+    assert out_text.splitlines()[-1] == "triple recurrence at depth 4: not found up to 2 (truncation statement)"
+    assert err == ""
+
+
+def test_groups_without_out_writes_the_catalog_to_stdout(tmp_path, capsys):
+    argv = ["groups", "--targets", "1,2", "--bound", "8"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out_text, err = capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "catalog.txt")]) == 0
+    assert capsys.readouterr().out == f"wrote 1 records to {tmp_path / 'catalog.txt'}\n"
+    assert out_text == (tmp_path / "catalog.txt").read_text() and err == ""
+    assert out_text.startswith("# cfspectra catalog format 1\n")
+
+
 def test_config_group_without_a_triple_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "custom.txt"
     cfg.write_text("E = 1,2\ngroup = custom\n")
@@ -259,7 +298,7 @@ def test_state_guard_is_a_one_line_limit_error(built, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("limit error: ")
     assert "exceeded 0 states" in err and "Traceback" not in err
     assert out == ""
-    assert issubclass(pairings.StateGuardExceeded, RuntimeError)
+    assert issubclass(LimitExceeded, RuntimeError)
 
 
 def test_catalog_guard_is_a_one_line_limit_error(capsys, monkeypatch):
@@ -276,7 +315,7 @@ def test_catalog_guard_is_a_one_line_limit_error(capsys, monkeypatch):
 
 def test_embed_guard_is_a_one_line_limit_error(tmp_path, capsys):
     """``recur`` past the old embedding bound now answers; ``embed`` itself still refuses it."""
-    from cfspectra.tower import Cylinder, EmbedGuardExceeded, embed, parse_tower
+    from cfspectra.tower import Cylinder, embed, parse_tower
 
     out = tmp_path / "t12"
     assert main(["build", "--target", "1,2", "--depth", "8", "--out", str(out)]) == 0
@@ -286,9 +325,9 @@ def test_embed_guard_is_a_one_line_limit_error(tmp_path, capsys):
     assert out_text.splitlines()[-1] == "triple recurrence at depth 6: k = 3, mass = 1/6"
     assert err == ""
     t = parse_tower((out / "tower.txt").read_text())
-    with pytest.raises(EmbedGuardExceeded, match="guard 5,000,000"):
+    with pytest.raises(LimitExceeded, match="guard 5,000,000"):
         embed(t, Cylinder(1, (0,)), 6)
-    assert issubclass(EmbedGuardExceeded, MemoryError)
+    assert issubclass(LimitExceeded, RuntimeError)
 
 
 def test_recurrence_state_guard_is_a_one_line_limit_error(built, capsys, monkeypatch):
@@ -482,6 +521,25 @@ def test_stagger_tag_with_k_zero_is_a_parse_error(tmp_path, capsys):
     assert out_text == ""
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("level 4\n", "level 5\n", "level 5 out of order"),
+    ("level 4\ntag = stagger 1 k=1\n", "level 4\ntag = sideways\n", "unknown tag 'sideways'"),
+    ("depth = 5\n", "depth = 7\n", "declared depth 7 but parsed 5 levels"),
+], ids=["level-order", "tag", "depth"])
+def test_malformed_level_structure_is_a_parse_error(tmp_path, capsys, old, new, message):
+    out = tmp_path / "t5"
+    assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
+    text = (out / "tower.txt").read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.splitlines() == [f"parse error: {message}"]
+    assert out_text == ""
+
+
 @pytest.mark.parametrize("depth", ["40", "100000"])
 def test_oversized_build_is_a_one_line_limit_error(tmp_path, capsys, depth):
     """The recipe cut count is summed before any level is built, so the refusal is immediate."""
@@ -595,7 +653,8 @@ def test_permuted_labels_parse_to_the_same_tower(built, tmp_path, capsys, permut
     lambda e: e + [f"{int(e[-1].split('=')[0]) + 1}=0"],   # an entry for a cut that is not there
     lambda e: e[:4] + e[3:],                           # a middle entry twice
     lambda e: e + [e[0]],                              # the first entry again at the end
-], ids=["missing-last", "missing-middle", "extra", "duplicated-middle", "duplicated-first"])
+    lambda e: e[:4] + e[3:4] + e[5:],                  # an entry replaced by the one before, count kept
+], ids=["missing-last", "missing-middle", "extra", "duplicated-middle", "duplicated-first", "repeated-in-place"])
 def test_labels_that_miss_or_repeat_a_cut_are_a_parse_error(built, tmp_path, capsys, edit):
     text = (built / "tower.txt").read_text()
     bad = tmp_path / "tampered.txt"

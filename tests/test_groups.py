@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 from cfspectra import groups
 from cfspectra.cyclotomic import Cyclo, zeta
 from cfspectra.groups import (
-    CatalogGuardExceeded,
     Automorphism,
     CatalogRecord,
     Character,
     Element,
     FinAbGroup,
+    LimitExceeded,
     SameOrbit,
     Subgroup,
     abelian_group_types,
@@ -557,7 +557,7 @@ def test_interrupted_group_scan_resumes_without_gaps(monkeypatch):
 
 def test_catalog_guard_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(groups, "_AUT_GUARD", 100)   # Z2^3 has 7^3 = 343 candidate matrices
-    with pytest.raises(CatalogGuardExceeded, match="343"):
+    with pytest.raises(LimitExceeded, match="343"):
         catalog_search({23}, bound=8)
     assert catalog_search({1, 2}, bound=8).group.order == 4   # hits before order 8
-    assert issubclass(CatalogGuardExceeded, RuntimeError)
+    assert issubclass(LimitExceeded, RuntimeError)

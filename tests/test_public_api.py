@@ -8,6 +8,9 @@ exports of ``cfspectra/__init__.py`` included), in ``scripts/`` or in
 alias; docstrings and other string text do not count.  The only exceptions
 are the names that only the acceptance suite calls, each listed with the
 criteria that call it.
+
+No field that nothing reads: every field a class stores must be read as an
+attribute somewhere, the tests included.
 """
 
 import ast
@@ -83,3 +86,38 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_each_acceptance_certificate_is_defined_and_called_by_no_code():
     """The allowlist holds exactly the definitions that would be flagged without it."""
     assert set(_unreferenced({})) == set(ACCEPTANCE_CERTIFICATES)
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """The names a tree reads as attributes: ``x.name`` in ``Load`` context."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """A class's annotated class-body fields and the names it assigns as ``self.<name> = ...``."""
+    names = {st.target.id for st in cls.body if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)}
+    names.update(node.attr for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                 and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return names
+
+
+def test_every_attribute_is_read():
+    """Every field a ``src/cfspectra`` class stores is read as an attribute somewhere.
+
+    A read is an ``ast.Attribute`` in ``Load`` context anywhere in ``src/``,
+    ``tests/``, ``scripts/`` or ``perfbench/``.  The scan goes by name alone,
+    so it cannot see a field whose name another class also reads: ``group``
+    on a coset space or ``E`` on a system spec would pass it unread.
+    """
+    reads = set()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            reads |= _attribute_reads(_parse(path))
+    unread = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if isinstance(cls, ast.ClassDef):
+                unread.update((f"{cls.name}.{name}", path.stem) for name in _fields(cls) - reads)
+    assert unread == {}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfspectra import pairings, recurrence
-from cfspectra.groups import Automorphism, FinAbGroup
+from cfspectra.groups import Automorphism, FinAbGroup, LimitExceeded
 from cfspectra.recurrence import (
     NoWitness,
     ReturnCuts,
@@ -366,7 +366,7 @@ def test_state_guard_counts_the_tuples_a_per_cut_scan_keeps(deep_tower, monkeypa
     monkeypatch.setattr(pairings, "_STATE_GUARD", most)
     recurrence_holds_at(t, A, p, k, N)
     monkeypatch.setattr(pairings, "_STATE_GUARD", most - 1)
-    with pytest.raises(pairings.StateGuardExceeded, match=f"exceeded {most - 1} states"):
+    with pytest.raises(LimitExceeded, match=f"exceeded {most - 1} states"):
         recurrence_holds_at(t, A, p, k, N)
 
 

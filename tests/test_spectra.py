@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cfspectra.groups import LimitExceeded
 from cfspectra.spectra import (
     FiniteUnitary,
     PermGroup,
-    SpectraGuardExceeded,
     _coefficient_rows,
     _generation_products,
     _has_relation,
@@ -442,14 +442,14 @@ def test_integer_rank_matches_sympy():
 def test_spectra_guard_refuses_before_enumerating(monkeypatch):
     from cfspectra import spectra
 
-    with pytest.raises(SpectraGuardExceeded, match="95,367,431,640,625"):
+    with pytest.raises(LimitExceeded, match="95,367,431,640,625"):
         relation_free_turns(40, 2)
     monkeypatch.setattr(spectra, "_SPECTRA_GUARD", 1000)
     relation_free_turns.cache_clear()
     assert len(relation_free_turns(6, 3)) == 6          # 7^3 sums and 6^3 tuples
-    with pytest.raises(SpectraGuardExceeded, match="1,296"):
+    with pytest.raises(LimitExceeded, match="1,296"):
         relation_free_turns(6, 4)                       # 9^3 sums but 6^4 tuples
-    with pytest.raises(SpectraGuardExceeded, match="3,125"):
+    with pytest.raises(LimitExceeded, match="3,125"):
         invariant_restriction(FiniteUnitary(turns=[Fraction(j, 11) for j in range(5)]), 5,
                               PermGroup.trivial(5))
     for d, k in [(0, 2), (3, 0), (3, -1)]:
