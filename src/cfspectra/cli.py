@@ -37,8 +37,9 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 
 # The most recipe cuts one `build` may write.  A tower file takes about 110-140
-# bytes a cut: 962,949 cuts ({2} at depth 34) make a 107 MB file, and 3,215,486
-# ({3} at depth 40) a 460 MB file that takes about 1 GB to write.  The count is
+# bytes a cut: 962,949 cuts ({2} at depth 34) make a 107 MB file, which `build`
+# writes at a 249 MB peak RSS (its line list and its joined text), and 3,215,486
+# ({3} at depth 40) a 460 MB file, about 1 GB at that rate.  The count is
 # summed from the recipe before any level past the seeds is built.
 _BUILD_GUARD = 1_000_000
 

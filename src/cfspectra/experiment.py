@@ -249,7 +249,10 @@ def write_artifacts(config: ExperimentConfig, tower: Tower, spec: SystemSpec) ->
     paths["config"] = out / "config.txt"
     paths["config"].write_text(config.to_text())
     paths["tower"] = out / "tower.txt"
-    paths["tower"].write_text(serialize_tower(tower))
+    text = serialize_tower(tower)
+    with paths["tower"].open("w") as f:   # 1 MiB at a time: write_text would encode the whole text at once
+        for i in range(0, len(text), 1 << 20):
+            f.write(text[i:i + (1 << 20)])
     if not config.rank_one_only:
         paths["group"] = out / "group.txt"
         paths["group"].write_text(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -67,7 +68,7 @@ class Level:
     itself.  No cut is stored: membership, rank and the k-th cut use divmod
     by z and bisect on the block, and pair counts use ``shift_classes``.
     The format-1 lines are rendered from the block (``_cuts_text``,
-    ``_labels_text``); ``cuts`` is read only by ``embed`` and by the
+    ``_label_copies``); ``cuts`` is read only by ``embed`` and by the
     parser's per-entry reader.
     A tagged level n was built at step ``n - 1``.
     ``elements`` and ``v_pow`` are the owning tower's index tables.
@@ -244,12 +245,25 @@ class Tower:
 
     def find_cut(self, n: int, f: int) -> int | None:
         """The unique cut c of level n with f - c in [0, h_{n-1}), or None."""
-        lvl = self.level(n)
-        i = lvl.rank(f + 1) - 1
-        if i < 0:
+        # a row (block, z, reps, h_{n-1}) per built level, rebuilt when a level is added
+        rows = self._cache.get("cut_rows")
+        if rows is None or len(rows) != len(self.levels) + 1:
+            rows = [None] + [(lvl.block, lvl.z, lvl.reps, self.h(lvl.n - 1)) for lvl in self.levels]
+            self._cache["cut_rows"] = rows
+        if not 0 < n < len(rows):
+            raise IndexError(f"level {n} not built (depth {self.depth})")
+        block, z, reps, h_prev = rows[n]
+        if f < 0:
             return None
-        c = lvl.cut(i)
-        return c if f - c < self.h(n - 1) else None
+        q = min(f // z, reps - 1) if reps > 1 else 0   # the copy holding the last cut <= f, or the one after it
+        i = bisect.bisect_right(block, f - z * q) - 1
+        if i >= 0:
+            c = block[i] + z * q
+        elif q > 0:   # below the copy's first cut: the last cut of the copy before
+            c = block[-1] + z * (q - 1)
+        else:
+            return None
+        return c if f - c < h_prev else None
 
     def decompose(self, f: int, N: int) -> tuple[int, int, dict[int, int]]:
         """Unique decomposition of rung f at depth N.
@@ -590,8 +604,8 @@ def _cuts_text(lvl: Level) -> str:
     return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.z, lvl.reps))
 
 
-def _labels_text(lvl: Level, texts) -> str:
-    """A level's ``labels =`` value, ``cut=coords`` in cut order, one %-format per copy.
+def _label_copies(lvl: Level, texts):
+    """A level's ``labels =`` value copy by copy, to be joined by ``;``: each copy's ``cut=coords`` entries.
 
     ``texts`` maps a label index to its coordinate text.  The copy q uses the template of the
     residue q mod P (the period of v), whose block labels are ``v^q`` of the block's.
@@ -599,7 +613,7 @@ def _labels_text(lvl: Level, texts) -> str:
     v_pow, block, z = lvl._v_pow, lvl.block, lvl.z
     P = len(v_pow)
     templates = [";".join([f"%d={texts[row[g]]}" for g in lvl.block_labels]) for row in v_pow[:lvl.reps]]
-    return ";".join([templates[q % P] % tuple(map((z * q).__add__, block)) for q in range(lvl.reps)])
+    return (templates[q % P] % tuple(map((z * q).__add__, block)) for q in range(lvl.reps))
 
 
 def _coords_str(el: Element) -> str:
@@ -627,7 +641,7 @@ def serialize_tower(tower: Tower) -> str:
         lines.append(f"h = {lvl.h}")
         lines.append(f"z = {lvl.z}")
         lines.append(f"cuts = {_cuts_text(lvl)}")
-        lines.append(f"labels = {_labels_text(lvl, texts)}")
+        lines.append("labels = " + ";".join(_label_copies(lvl, texts)))
     lines.append("")   # the closing newline, without copying the joined text again
     return "\n".join(lines)
 
@@ -645,33 +659,95 @@ def parse_tower(text: str) -> Tower:
         raise TowerParseError(f"malformed tower file: {exc}") from exc
 
 
-def _rendered_level(tower: Tower, n: int, tag: Tag, rec: Recipe, props: dict, index_of: dict, texts) -> Level | None:
-    """The level ``Tower.extend`` builds from ``rec``, when the file's two data lines are its rendering.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"   # every character str.splitlines breaks at
+_SPACE = re.compile(r"\s*")   # \s is str.isspace, what str.strip removes
 
-    Only the block's label entries are decoded.  A line equal to the writer's output reads back,
-    entry by entry, as exactly this level's cuts and labels, so the tower is the same one.  None
-    when the lines differ; the caller then reads every entry.
+
+def _content_lines(text: str):
+    """The (start, end) offsets of each line of ``text.splitlines()``, stripped, that is neither blank nor a comment.
+
+    Each break character's next offset is looked up once per occurrence, so the walk is linear in the text.
+    A ``\\r\\n`` ends a line and then an empty one, which is skipped.
     """
-    cuts_text, labels_text = props["cuts"], props["labels"]
-    head = labels_text.split(";", len(rec.block))[:len(rec.block)]
-    block_labels = [index_of.get(entry.partition("=")[2]) for entry in head]
-    if len(block_labels) < len(rec.block) or None in block_labels:
-        return None
+    ahead = dict.fromkeys(_LINE_BREAKS, -1)   # break character -> its next offset at or after pos
+    pos = 0
+    while pos < len(text):
+        for ch, at in ahead.items():
+            if at < pos:
+                at = text.find(ch, pos)
+                ahead[ch] = len(text) if at < 0 else at
+        stop = min(ahead.values())
+        start, end = _SPACE.match(text, pos, stop).end(), stop
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        if start < end and text[start] != "#":
+            yield start, end
+        pos = stop + 1
+
+
+def _sections(text: str):
+    """The content lines by level: (header line, {key: (start, end) of its stripped value}), the preamble
+    first with header None.  Values stay offsets into ``text``; a later line with the same key wins."""
+    header, props = None, {}
+    for start, end in _content_lines(text):
+        if text.startswith("level", start, end):
+            yield header, props
+            header, props = text[start:end], {}
+            continue
+        eq = text.find("=", start, end)
+        if eq < 0:
+            props[text[start:end]] = (end, end)
+        else:
+            props[text[start:eq].strip()] = (_SPACE.match(text, eq + 1, end).end(), end)
+    yield header, props
+
+
+def _rendered_level(tower: Tower, n: int, tag: Tag, rec: Recipe, cuts_text: str, text: str, span,
+                    index_of: dict, texts) -> Level | None:
+    """The level ``Tower.extend`` builds from ``rec``, when the file's ``cuts =`` value and its ``labels =``
+    value ``text[span[0]:span[1]]`` are its rendering.
+
+    Only the block's label entries are decoded, and the labels value is compared in place, one copy at a
+    time, so no copy of the line is made.  A value equal to the writer's output reads back, entry by entry,
+    as exactly this level's cuts and labels, so the tower is the same one.  None when a value differs; the
+    caller then reads every entry.
+    """
+    pos, end = span
+    block_labels = []
+    for _ in rec.block:
+        stop = text.find(";", pos, end)
+        stop = end if stop < 0 else stop
+        eq = text.find("=", pos, stop)
+        g = index_of.get(text[eq + 1:stop]) if eq >= 0 else None
+        if g is None:
+            return None
+        block_labels.append(g)
+        pos = stop + 1
     lvl = Level(n, rec.h, rec.z, rec.block, rec.reps, block_labels, tag, tower.elements, tower.v_pow)
-    if cuts_text != _cuts_text(lvl) or labels_text != _labels_text(lvl, texts):
+    if cuts_text != _cuts_text(lvl):
         return None
-    return lvl
+    pos = span[0]
+    for q, copy in enumerate(_label_copies(lvl, texts)):
+        if q:   # one ";" between copies
+            if not text.startswith(";", pos, end):
+                return None
+            pos += 1
+        if not text.startswith(copy, pos, end):
+            return None
+        pos += len(copy)
+    return lvl if pos == end else None
 
 
-def _read_entries(n: int, props: dict, group: FinAbGroup, index_of: dict) -> tuple[tuple[int, ...], list[int]]:
-    """Every cut of a level's ``cuts`` line, and the label index of each, whatever the order of the entries."""
+def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
+                  index_of: dict) -> tuple[tuple[int, ...], list[int]]:
+    """Every cut of a level's ``cuts`` value, and the label index of each from its ``labels`` value,
+    whatever the order of the entries."""
     aps = []
-    for blk in props["cuts"].split(","):
+    for blk in cuts_text.split(","):
         start, step, count = (int(x) for x in blk.split(":"))
         if count < 1:
             raise TowerParseError(f"level {n}: malformed cut block {blk!r} (count below 1)")
         aps.append((start, step, count))
-    entries = props["labels"]
     if sum(ap[2] for ap in aps) != entries.count(";") + 1:   # refused before any cut is expanded
         raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
     cuts = tuple(start + step * i for start, step, count in aps for i in range(count))
@@ -697,34 +773,24 @@ def _read_entries(n: int, props: dict, group: FinAbGroup, index_of: dict) -> tup
 
 
 def _parse_tower_inner(text: str) -> Tower:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    fields = {}
-    idx = 0
-    while idx < len(lines) and not lines[idx].startswith("level"):
-        key, _, val = lines[idx].partition("=")
-        fields[key.strip()] = val.strip()
-        idx += 1
-    group = FinAbGroup(tuple(_parse_int_list(fields["group"])))
-    v = Automorphism(group, _parse_int_list(fields["aut"]))
-    depth = int(fields["depth"])
+    def value(props, key):
+        start, end = props[key]
+        return text[start:end]
+
+    sections = _sections(text)
+    _, fields = next(sections)
+    group = FinAbGroup(tuple(_parse_int_list(value(fields, "group"))))
+    v = Automorphism(group, _parse_int_list(value(fields, "aut")))
+    depth = int(value(fields, "depth"))
     tower = Tower.seeded(group, v)
     seeds, tower.levels = tower.levels, []   # the file's levels 1-2 must equal these
     texts = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
     index_of = {s: i for i, s in enumerate(texts)}   # coordinate text -> label index
-    while idx < len(lines):
-        header = lines[idx]
-        if not header.startswith("level"):
-            raise TowerParseError(f"expected level header, got {header!r}")
+    for header, props in sections:
         n = int(header.split()[1])
-        props = {}
-        idx += 1
-        while idx < len(lines) and not lines[idx].startswith("level"):
-            key, _, val = lines[idx].partition("=")
-            props[key.strip()] = val.strip()
-            idx += 1
         if n != tower.depth + 1:
             raise TowerParseError(f"level {n} out of order")
-        tag_text = props["tag"]
+        tag_text = value(props, "tag")
         if tag_text == "seed":
             tag = None
         elif tag_text.startswith("even"):
@@ -739,9 +805,9 @@ def _parse_tower_inner(text: str) -> Tower:
             raise TowerParseError(f"unknown tag {tag_text!r}")
         if (tag is None) != (n <= 2):   # every tower grows by recipe from Tower.seeded
             raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
-        h, z = int(props["h"]), int(props["z"])
+        h, z = int(value(props, "h")), int(value(props, "z"))
         if tag is None:
-            cuts, labels = _read_entries(n, props, group, index_of)
+            cuts, labels = _read_entries(n, value(props, "cuts"), value(props, "labels"), group, index_of)
             lvl = seeds[n - 1]
             if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, lvl.cut_labels()):
                 raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
@@ -751,11 +817,11 @@ def _parse_tower_inner(text: str) -> Tower:
             if (h, z) != (rec.h, rec.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
                                       f"(h = {rec.h}, z = {rec.z})")
-            lvl = _rendered_level(tower, n, tag, rec, props, index_of, texts)
+            lvl = _rendered_level(tower, n, tag, rec, value(props, "cuts"), text, props["labels"], index_of, texts)
             if lvl is None:
                 # any other valid file: keep the level Tower.extend builds when the file repeats
                 # its block by the v^q rule, else one copy (reps == 1) of its cuts
-                cuts, labels = _read_entries(n, props, group, index_of)
+                cuts, labels = _read_entries(n, value(props, "cuts"), value(props, "labels"), group, index_of)
                 lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
                 if lvl.cuts != cuts or lvl.cut_labels() != labels:
                     lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)

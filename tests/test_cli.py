@@ -665,6 +665,55 @@ def test_labels_that_miss_or_repeat_a_cut_are_a_parse_error(built, tmp_path, cap
     assert err == ["parse error: level 4: labels do not cover the cuts exactly"]
 
 
+def _bumped_cut(entry: str) -> str:
+    """The entry with the last digit of its cut changed."""
+    cut, _, coords = entry.partition("=")
+    return f"{cut[:-1]}{(int(cut[-1]) + 1) % 10}={coords}"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda e, nb: e[:-1] + [_bumped_cut(e[-1])],                           # a digit changed in the last copy
+    lambda e, nb: e[:-nb - 1] + [e[-nb - 1] + e[-nb]] + e[1 - nb:],        # no ";" before the last copy
+    lambda e, nb: e[:-nb - 1] + [e[-nb - 1] + "," + e[-nb]] + e[1 - nb:],  # a "," in its place
+    lambda e, nb: e + [f"{int(e[-1].split('=')[0]) + 1}=0"],               # one entry after the last copy
+], ids=["changed-digit", "missing-separator", "replaced-separator", "extra-after-last-copy"])
+def test_labels_tampered_past_the_block_fail_the_in_place_check(built, edit):
+    from cfspectra.tower import TowerParseError, parse_tower
+    from cut_scans import rendered_level_calls
+
+    text = (built / "tower.txt").read_text()
+    nb = len(parse_tower(text).level(6).block)
+    bad = _edit_labels(text, lambda level, entries: edit(entries, nb) if level == "level 6" else entries)
+    with rendered_level_calls() as accepted, pytest.raises(TowerParseError) as err:
+        parse_tower(bad)
+    assert accepted == [True, True, True, False]   # the largest level leaves the in-place check
+    assert str(err.value) == "level 6: labels do not cover the cuts exactly"
+
+
+def test_labels_read_past_the_in_place_check_as_the_entry_reader_does(built, tmp_path, capsys):
+    from cfspectra.tower import parse_tower, serialize_tower
+    from cut_scans import rendered_level_calls
+
+    text = (built / "tower.txt").read_text()
+    labels = text.rstrip("\n").rsplit("\n", 1)[1]   # the largest level's, last in the file
+    spaced = text.replace(labels, labels + "  \t")
+    with rendered_level_calls() as accepted:
+        assert serialize_tower(parse_tower(spaced)) == text
+    assert accepted == [True] * 4   # the value is stripped before the check
+    changed = text.replace(labels, labels[:-1] + str((int(labels[-1]) + 1) % 3))   # the last label
+    with rendered_level_calls() as accepted:
+        t = parse_tower(changed)
+    assert accepted == [True, True, True, False]
+    assert t.level(6).reps == 1 and serialize_tower(t) == changed
+    bad = tmp_path / "tampered.txt"
+    bad.write_text(changed)
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 1
+    assert [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")] == [
+        "[FAIL] level 6: shift-equivariance (violated at cuts [20355093744])",
+        "[FAIL] level 6: coboundary term exact (21/500 vs 1/5^2)"]
+
+
 def _edit_cuts(text: str, level: str, edit) -> str:
     """Apply edit(blocks) to the start:step:count blocks of one level's cut line."""
     lines = text.splitlines()

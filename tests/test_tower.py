@@ -28,13 +28,15 @@ from cfspectra.tower import (
     validate_tower,
     TowerParseError,
     _compress_aps,
+    _content_lines,
     _coords_str,
     _cuts_text,
     _gap_runs,
-    _labels_text,
+    _label_copies,
 )
 
 from cut_scans import (
+    find_cut_scan,
     one_copy_twin,
     reference_compress_aps,
     reference_label_report,
@@ -158,6 +160,33 @@ def test_cut_product_prefix_table_follows_extend(z3_system):
     bare.levels.extend(t.levels)
     assert [bare.cut_product(n) for n in range(t.depth + 1)] == [
         t.cut_product(n) for n in range(t.depth + 1)]
+
+
+def test_find_cut_row_table_follows_levels_and_keeps_its_contracts(z3_system):
+    t = build_desk_tower(z3_system, depth=5)
+    bare = Tower(*z3_system)
+    bare.levels.extend(t.levels[:3])
+    assert bare.find_cut(3, 0) == 0
+    bare.levels.extend(t.levels[3:])   # appended outside extend, as parse_tower does
+    for n in range(1, t.depth + 1):
+        cuts = t.level(n).cuts
+        above = [t.h(n) - 1, t.h(n), cuts[-1] + 2 * t.level(n).z + 1]   # past the last copy
+        for f in [-5, -1] + above + [c + d for c in cuts[:3] + cuts[-3:] for d in (-1, 0, 1, t.h(n - 1))]:
+            assert bare.find_cut(n, f) == find_cut_scan(t, n, f)
+        assert bare.find_cut(n, -1) is None
+    lvl = t.level(3)   # a block that starts above 0: a rung below it may take the copy before's last cut
+    shift = lvl.z - lvl.block[-1] - 4
+    bare.levels[2:] = [Level(3, lvl.h, lvl.z, [d + shift for d in lvl.block], lvl.reps, lvl.block_labels,
+                             lvl.tag, t.elements, t.v_pow)]
+    assert [bare.find_cut(3, f) for f in range(-1, lvl.h + 1)] == [
+        find_cut_scan(bare, 3, f) for f in range(-1, lvl.h + 1)]
+    for n in (0, -1, t.depth + 1):
+        with pytest.raises(IndexError, match=f"^level {n} not built \\(depth 5\\)$"):
+            t.find_cut(n, 0)
+    with pytest.raises(ValueError, match="outside"):
+        t.decompose(t.h(4), 4)
+    with pytest.raises(ValueError, match="outside"):
+        t.decompose(-1, 4)
 
 
 def test_measure_doubling_exact_on_even_levels(z3_system):
@@ -498,6 +527,45 @@ def test_parse_rejects_truncated_file(z3_system):
         parse_tower(text[: len(text) // 2])
 
 
+# every character str.splitlines breaks at, with whitespace that is not a break and the line syntax
+_line_chars = st.sampled_from(list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 \t\x1f\xa0\u3000#=;a1"))
+
+
+@given(st.text(_line_chars, max_size=40))
+@example("a\r\nb\r\n")
+@example(" # c\n\x85a = 1 \u2028\n")
+def test_content_lines_are_the_stripped_splitlines(text):
+    want = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    assert [text[start:end] for start, end in _content_lines(text)] == want
+
+
+def test_any_line_break_reads_like_a_newline(z3_system):
+    text = serialize_tower(build_desk_tower(z3_system, depth=6))
+    for sep in ("\r\n", "\r", "\x0c", "\u2028", "\x85", " \t\n", "\n\n# note\n"):
+        assert serialize_tower(parse_tower(text.replace("\n", sep))) == text, repr(sep)
+    labels = text.rstrip("\n").rsplit("\n", 1)[1]
+    for sep in ("\x0c", "\u2028", "\r"):   # a break inside the largest labels value cuts the value short
+        cut = labels[:len(labels) // 2] + sep + labels[len(labels) // 2:]
+        with pytest.raises(TowerParseError, match="^level 6: labels do not cover the cuts exactly$"):
+            parse_tower(text.replace(labels, cut))
+
+
+def test_parse_holds_no_copy_of_the_text():
+    import tracemalloc
+
+    from cfspectra.experiment import ExperimentConfig, build_tower
+
+    text = serialize_tower(build_tower(ExperimentConfig(E=frozenset({1, 2}), depth=16))[0])
+    assert len(text) == 2_031_277
+    tracemalloc.start()
+    try:
+        parse_tower(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * len(text), peak   # a list of lines alone would take about 1.1 times the text
+
+
 # -- format-1 lines rendered from the block ---------------------------------------
 
 _gap_pieces = st.one_of(
@@ -526,7 +594,7 @@ def test_rendered_lines_match_the_per_cut_references(case):
     for tower in (t, twin):
         for lvl in tower.levels:
             assert _cuts_text(lvl) == reference_compress_aps(lvl.cuts)
-            assert _labels_text(lvl, texts) == reference_labels_text(lvl)
+            assert ";".join(_label_copies(lvl, texts)) == reference_labels_text(lvl)
     assert serialize_tower(twin) == serialize_tower(t)
 
 
