@@ -27,11 +27,12 @@ def rung_label(tower: Tower, f: int, N: int) -> Element:
 
 
 def rung_label_indices(tower: Tower, N: int) -> list[int]:
+    """Rung labels for all of [0, h_N), as element indices; kept by ``Tower.cached``."""
+    return tower.cached(("rung_label_indices", N), _rung_label_table, tower, N)
+
+
+def _rung_label_table(tower: Tower, N: int) -> list[int]:
     """Rung labels for all of [0, h_N), as element indices; built level by level."""
-    key = ("rung_label_indices", N)
-    cached = tower._cache.get(key)
-    if cached is not None:
-        return cached
     add = addition_table(tower.group)
     newmass = 0
     arr = [newmass]  # level 0: the single rung carries the identity (index 0)
@@ -51,7 +52,6 @@ def rung_label_indices(tower: Tower, N: int) -> list[int]:
         if len(new) != lvl.h:
             raise IndexError(f"level {n}: a cut's stack leaves [0, h)")
         arr = new
-    tower._cache[key] = arr
     return arr
 
 
@@ -70,22 +70,16 @@ class Cocycle:
 
         Points truncated at a common depth share their implicit tail, so any
         two of them are equivalent and the value is the finite sum of label
-        differences along the canonical coordinates.  Distinct truncations
-        leave the implicit tails incomparable and are rejected.
+        differences along the canonical coordinates: the difference of the
+        two rung labels at that depth.  Distinct truncations leave the
+        implicit tails incomparable and are rejected.
         """
         t = self.tower
         if x.truncation != y.truncation:
             raise NotEquivalent("points have different truncation depths")
-        N = x.truncation
-        cx = t.gamma_coords(x.rung(t), N)
-        cy = t.gamma_coords(y.rung(t), N)
-        add, neg = addition_table(t.group), negation_table(t.group)
-        total = 0
-        for j in range(1, N + 1):
-            if cx[j - 1] != cy[j - 1]:
-                lvl = t.level(j)
-                total = add[add[total][lvl.label_index(cx[j - 1])]][neg[lvl.label_index(cy[j - 1])]]
-        return t.elements[total]
+        G, N = t.group, x.truncation
+        lx, ly = (G.element_index(rung_label(t, p.rung(t), N)) for p in (x, y))
+        return t.elements[addition_table(G)[lx][negation_table(G)[ly]]]
 
 
 # -- coset fibers of the skew product ----------------------------------------

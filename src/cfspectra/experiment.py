@@ -66,10 +66,12 @@ class ExperimentConfig:
         return self.E == {1}
 
     def to_text(self) -> str:
+        # an explicit triple goes on its one line with its fields joined by "; ", as parse_triple reads them
+        group = "; ".join(filter(None, (line.split("#", 1)[0].strip() for line in self.group.splitlines())))
         lines = [
             "E = " + ",".join(map(str, sorted(self.E))),
             f"m = {self.m}",
-            f"group = {self.group}",
+            f"group = {group}",
             f"bound = {self.bound}",
             f"depth = {self.depth}",
             f"schedule = {self.schedule}",

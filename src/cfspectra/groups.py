@@ -718,8 +718,9 @@ def _parse_int_list(text: str) -> list:
 
 
 def parse_triple(text: str) -> tuple[FinAbGroup, Subgroup, Automorphism]:
+    """The triple written as ``key = value`` fields, one per line or separated by ``;``."""
     fields = {}
-    for line in text.splitlines():
+    for line in text.replace(";", "\n").splitlines():
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue

@@ -37,22 +37,16 @@ _GRID_GUARD = 100_000
 
 
 def _engine(tower: Tower, chi: Character) -> PairingEngine:
-    key = ("engine", chi.coords)
-    eng = tower._cache.get(key)
-    if eng is None:
-        eng = PairingEngine(tower, chi)
-        tower._cache[key] = eng
-    return eng
+    return tower.cached(("engine", chi.coords), PairingEngine, tower, chi)
 
 
 def _orbit_average(tower: Tower, chi: Character, a) -> Cyclo:
     """``character_orbit_average(chi, a, tower.v)``, kept per tower for each (chi, a)."""
-    cache = tower._cache.setdefault("orbit_averages", {})
+    averages = tower.cached("orbit_averages", dict)
     key = (chi.coords, a.coords)
-    avg = cache.get(key)
-    if avg is None:
-        avg = cache[key] = character_orbit_average(chi, a, tower.v)
-    return avg
+    if key not in averages:
+        averages[key] = character_orbit_average(chi, a, tower.v)
+    return averages[key]
 
 
 def pairing(tower: Tower, chi: Character, m: int, A: Cylinder, B: Cylinder,

@@ -66,7 +66,7 @@ class LevelPairing:
 class _RingStore:
     """Everything a pairing computes that no character enters, for one tower.
 
-    Lives in ``tower._cache``, which ``Tower.extend`` clears, and is shared by
+    Kept by ``Tower.cached`` until the tower's levels change, and shared by
     the engines of all characters of the tower.
     """
 
@@ -105,10 +105,7 @@ class _RingStore:
 
 
 def _store(tower: Tower) -> _RingStore:
-    store = tower._cache.get("pairing_store")
-    if store is None:
-        store = tower._cache["pairing_store"] = _RingStore(tower)
-    return store
+    return tower.cached("pairing_store", _RingStore, tower)
 
 
 def _mul_into(acc: _Ring, x: _Ring, y: _Ring, add: tuple[tuple[int, ...], ...]) -> None:

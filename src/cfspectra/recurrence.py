@@ -57,13 +57,13 @@ def return_cuts(tower: Tower, n: int) -> ReturnCuts:
 
 def _returning(tower: Tower, lvl: int, step: int) -> tuple[list, Fraction]:
     """The cuts c of level lvl with c + step a cut, as ``Level.shift_classes``, and their share of the level."""
-    key = ("returning", lvl, step)
-    cached = tower._cache.get(key)
-    if cached is None:
-        level = tower.level(lvl)
-        classes = level.shift_classes(step)
-        cached = tower._cache[key] = (classes, Fraction(sum(cls[1] for cls in classes), level.r))
-    return cached
+    return tower.cached(("returning", lvl, step), _returning_classes, tower, lvl, step)
+
+
+def _returning_classes(tower: Tower, lvl: int, step: int) -> tuple[list, Fraction]:
+    level = tower.level(lvl)
+    classes = level.shift_classes(step)
+    return classes, Fraction(sum(cls[1] for cls in classes), level.r)
 
 
 # -- transport witnesses ----------------------------------------------------------
@@ -129,7 +129,8 @@ def transport_witness(tower: Tower, base_level: int, start, target) -> Transport
 def _layered_witness(tower, base_level, start, target, flipped):
     p = len(start)
     drops = tuple(f - g for f, g in zip(start, target))
-    chosen, evens, by_drop = _layers(tower, base_level, max(drops))
+    s = max(drops)
+    chosen, evens, by_drop = tower.cached(("layers", base_level, s), _layers, tower, base_level, s)
     top = max(chosen) if chosen else base_level
     plan = tuple({lvl: even + (j < drop) for j, (lvl, even) in enumerate(zip(chosen, evens))}
                  for drop in drops)
@@ -148,25 +149,21 @@ def _layers(tower: Tower, base_level: int, s: int) -> tuple[list[int], list[int]
     a prefix product of odd-step shares times a suffix product of even-step
     shares.
     """
-    key = ("layers", base_level, s)
-    cached = tower._cache.get(key)
-    if cached is None:
-        levels = [n + 1 for n in tower.stagger_steps(k=1) if n >= base_level]
-        if len(levels) < s:
-            raise NoWitness(
-                f"need {s} ratio-1 stagger levels above {base_level}, found {len(levels)}",
-                required_depth=s,
-            )
-        chosen = levels[:s]
-        evens = [2 * tower.h(lvl - 1) for lvl in chosen]
-        odd = [Fraction(1)]
-        for lvl, even in zip(chosen, evens):
-            odd.append(odd[-1] * _returning(tower, lvl, even + 1)[1])
-        even_from = [Fraction(1)]
-        for lvl, even in zip(reversed(chosen), reversed(evens)):
-            even_from.append(even_from[-1] * _returning(tower, lvl, even)[1])
-        cached = tower._cache[key] = (chosen, evens, [o * e for o, e in zip(odd, reversed(even_from))])
-    return cached
+    levels = [n + 1 for n in tower.stagger_steps(k=1) if n >= base_level]
+    if len(levels) < s:
+        raise NoWitness(
+            f"need {s} ratio-1 stagger levels above {base_level}, found {len(levels)}",
+            required_depth=s,
+        )
+    chosen = levels[:s]
+    evens = [2 * tower.h(lvl - 1) for lvl in chosen]
+    odd = [Fraction(1)]
+    for lvl, even in zip(chosen, evens):
+        odd.append(odd[-1] * _returning(tower, lvl, even + 1)[1])
+    even_from = [Fraction(1)]
+    for lvl, even in zip(reversed(chosen), reversed(evens)):
+        even_from.append(even_from[-1] * _returning(tower, lvl, even)[1])
+    return chosen, evens, [o * e for o, e in zip(odd, reversed(even_from))]
 
 
 def _slip_witness(tower, base_level, start, target):
@@ -199,31 +196,28 @@ def verify_witness(tower: Tower, w: TransportWitness) -> bool:
     dst = w.start if w.flipped else w.target
     shift = -w.shift if w.flipped else w.shift
 
-    def inclusion_ok(lvl: int, step: int) -> bool:
-        # a class c + z*P*s, s < count, lands in the cuts when its two ends do:
-        # both ends then sit over one block cut, and so does every copy between
-        key = ("plan_inclusion", lvl, step)
-        verdict = tower._cache.get(key)
-        if verdict is None:
-            level = tower.level(lvl)
-            stride = level.z * len(tower.v_pow)
-            choice = _returning(tower, lvl, step)[0]
-            verdict = bool(choice) and all(c + step in level and c + step + stride * (count - 1) in level
-                                           for c, count, *_ in choice)
-            tower._cache[key] = verdict
-        return verdict
-
     for i in range(w.p):
         expected_gain = 0
         for lvl in range(w.base_level + 1, w.top_level + 1):
             step = w.plan[i].get(lvl, 0)
-            if step and not inclusion_ok(lvl, step):
+            if step and not tower.cached(("plan_inclusion", lvl, step), _inclusion_ok, tower, lvl, step):
                 return False
             expected_gain += step
         # the shift splits into cut gains plus the rung-offset move
         if expected_gain + (dst[i] - src[i]) != shift:
             return False
     return True
+
+
+def _inclusion_ok(tower: Tower, lvl: int, step: int) -> bool:
+    """Whether the cuts c of level lvl with c + step a cut form a nonempty set that step maps into the cuts."""
+    # a class c + z*P*s, s < count, lands in the cuts when its two ends do:
+    # both ends then sit over one block cut, and so does every copy between
+    level = tower.level(lvl)
+    stride = level.z * len(tower.v_pow)
+    choice = _returning(tower, lvl, step)[0]
+    return bool(choice) and all(c + step in level and c + step + stride * (count - 1) in level
+                                for c, count, *_ in choice)
 
 
 def ergodicity_sweep(tower: Tower, p: int, base_level: int) -> list[tuple[TransportWitness, Fraction, Fraction]]:

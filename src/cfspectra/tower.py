@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,7 +166,10 @@ class Level:
 
 
 class Tower:
-    """A finite stack of levels over a label group (K, v)."""
+    """A finite stack of levels over a label group (K, v).
+
+    ``levels`` is a tuple, changed only by assigning a new one, which clears every table ``cached`` keeps.
+    """
 
     def __init__(self, group: FinAbGroup, v: Automorphism):
         if v.group != group:
@@ -174,8 +178,8 @@ class Tower:
         self.v = v
         self.elements = tuple(group.elements())   # index -> Element
         self.v_pow = _power_tables(v)
-        self.levels: list[Level] = []
         self._cache: dict = {}
+        self._levels: tuple[Level, ...] = ()
 
     # -- seeding and extension ------------------------------------------
 
@@ -184,32 +188,42 @@ class Tower:
         """The default hand-seeded tower: levels 1 and 2 with zero labels."""
         t = Tower(group, v)
         # index 0 is the identity
-        t.levels.append(Level(1, 3, 0, (0, 1), 1, (0, 0), None, t.elements, t.v_pow))
-        t.levels.append(Level(2, 12, 0, (0, 3, 6), 1, (0, 0, 0), None, t.elements, t.v_pow))
+        t.levels = (Level(1, 3, 0, (0, 1), 1, (0, 0), None, t.elements, t.v_pow),
+                    Level(2, 12, 0, (0, 3, 6), 1, (0, 0, 0), None, t.elements, t.v_pow))
         return t
 
     @property
+    def levels(self) -> tuple[Level, ...]:
+        return self._levels
+
+    @levels.setter
+    def levels(self, levels) -> None:
+        self._levels = tuple(levels)
+        self._cache.clear()
+
+    def cached(self, key, build, *args):
+        """The table ``_cache[key]``, built as ``build(*args)`` (never None) on first use and kept
+        until the levels change; the key holds only strings, ints and coordinate tuples."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build(*args)
+        return value
+
+    @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self._levels)
 
     def level(self, n: int) -> Level:
         if not 1 <= n <= self.depth:
             raise IndexError(f"level {n} not built (depth {self.depth})")
-        return self.levels[n - 1]
+        return self._levels[n - 1]
 
     def h(self, n: int) -> int:
         return 1 if n == 0 else self.level(n).h
 
     def cut_product(self, n: int) -> int:
         """Product of cut counts over levels 1..n."""
-        # prefix products over the built levels, rebuilt when a level is added
-        prods = self._cache.get("cut_products")
-        if prods is None or len(prods) != self.depth + 1:
-            prods = [1]
-            for lvl in self.levels:
-                prods.append(prods[-1] * lvl.r)
-            self._cache["cut_products"] = prods
-        return prods[max(n, 0)]
+        return self.cached("cut_products", _cut_products, self)[max(n, 0)]
 
     def mu_level(self, n: int) -> Fraction:
         """Measure of the level-n stack (height over cut product)."""
@@ -227,8 +241,7 @@ class Tower:
         lvl = Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag, self.elements, self.v_pow)
         if not validate_labels(lvl, self).passed:
             raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
-        self.levels.append(lvl)
-        self._cache.clear()
+        self.levels = (*self._levels, lvl)
         return lvl
 
     def _ramp_labels(self, length: int, a: Element, ramp_len: int) -> list[int]:
@@ -245,11 +258,7 @@ class Tower:
 
     def find_cut(self, n: int, f: int) -> int | None:
         """The unique cut c of level n with f - c in [0, h_{n-1}), or None."""
-        # a row (block, z, reps, h_{n-1}) per built level, rebuilt when a level is added
-        rows = self._cache.get("cut_rows")
-        if rows is None or len(rows) != len(self.levels) + 1:
-            rows = [None] + [(lvl.block, lvl.z, lvl.reps, self.h(lvl.n - 1)) for lvl in self.levels]
-            self._cache["cut_rows"] = rows
+        rows = self.cached("cut_rows", _cut_rows, self)
         if not 0 < n < len(rows):
             raise IndexError(f"level {n} not built (depth {self.depth})")
         block, z, reps, h_prev = rows[n]
@@ -283,11 +292,6 @@ class Tower:
             f -= c
         return 0, f, coords
 
-    def gamma_coords(self, f: int, N: int) -> list[int]:
-        """Cut coordinates of the canonical base-level representative, zeros below n_min."""
-        n_min, _, coords = self.decompose(f, N)
-        return [coords.get(j, 0) for j in range(1, N + 1)]
-
     # -- tag bookkeeping ---------------------------------------------------
 
     def steps_tagged(self, predicate) -> list[int]:
@@ -298,6 +302,16 @@ class Tower:
 
     def stagger_steps(self, b: Element | None = None, k: int | None = None) -> list[int]:
         return self.steps_tagged(lambda t: t.k >= 1 and (b is None or t.el == b) and (k is None or t.k == k))
+
+
+def _cut_products(tower: Tower) -> list[int]:
+    """Prefix products of the cut counts: entry n is the product over levels 1..n."""
+    return list(itertools.accumulate((lvl.r for lvl in tower.levels), operator.mul, initial=1))
+
+
+def _cut_rows(tower: Tower) -> list:
+    """A row (block, z, reps, h_{n-1}) per built level n, after a None for level 0."""
+    return [None] + [(lvl.block, lvl.z, lvl.reps, tower.h(lvl.n - 1)) for lvl in tower.levels]
 
 
 def _power_tables(v: Automorphism) -> tuple[tuple[int, ...], ...]:
@@ -783,7 +797,7 @@ def _parse_tower_inner(text: str) -> Tower:
     v = Automorphism(group, _parse_int_list(value(fields, "aut")))
     depth = int(value(fields, "depth"))
     tower = Tower.seeded(group, v)
-    seeds, tower.levels = tower.levels, []   # the file's levels 1-2 must equal these
+    seeds, tower.levels = tower.levels, ()   # the file's levels 1-2 must equal these
     texts = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
     index_of = {s: i for i, s in enumerate(texts)}   # coordinate text -> label index
     for header, props in sections:
@@ -825,7 +839,7 @@ def _parse_tower_inner(text: str) -> Tower:
                 lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
                 if lvl.cuts != cuts or lvl.cut_labels() != labels:
                     lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)
-        tower.levels.append(lvl)
+        tower.levels = (*tower.levels, lvl)
     if tower.depth != depth:
         raise TowerParseError(f"declared depth {depth} but parsed {tower.depth} levels")
     return tower

@@ -254,6 +254,17 @@ def test_groups_without_out_writes_the_catalog_to_stdout(tmp_path, capsys):
     assert out_text.startswith("# cfspectra catalog format 1\n")
 
 
+def test_build_config_takes_a_one_line_triple(tmp_path):
+    from cfspectra.experiment import ExperimentConfig, build_tower
+    from cfspectra.tower import serialize_tower
+
+    cfg, out = tmp_path / "triple.txt", tmp_path / "o"
+    cfg.write_text(f"E = 2\ngroup = group = [3]; subgroup_gens = [[1]]; aut = [[2]]\ndepth = 5\nout = {out}\n")
+    assert main(["build", "--config", str(cfg)]) == 0
+    tower, _, _ = build_tower(ExperimentConfig(E={2}, group="group = [3]\nsubgroup_gens = [[1]]\naut = [[2]]", depth=5))
+    assert (out / "tower.txt").read_text() == serialize_tower(tower)
+
+
 def test_config_group_without_a_triple_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "custom.txt"
     cfg.write_text("E = 1,2\ngroup = custom\n")
@@ -797,7 +808,7 @@ def test_moved_cut_fails_verify(built, tmp_path, capsys):
     # the last cut moves up one rung and keeps its label; the cut line stays sorted
     cuts = top.cuts[:-1] + (top.cuts[-1] + 1,)
     labels = top.cut_labels()
-    t.levels[-1] = Level(top.n, top.h, top.z, cuts, 1, labels, top.tag, t.elements, t.v_pow)
+    t.levels = t.levels[:-1] + (Level(top.n, top.h, top.z, cuts, 1, labels, top.tag, t.elements, t.v_pow),)
     bad = tmp_path / "moved.txt"
     bad.write_text(serialize_tower(t))
     capsys.readouterr()

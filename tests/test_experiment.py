@@ -22,6 +22,15 @@ def test_config_round_trip():
     assert old.to_text() == text
 
 
+def test_config_with_an_explicit_triple_round_trips():
+    cfg = ExperimentConfig(E={2}, group="group = [3]\nsubgroup_gens = [[1]]\naut = [[2]]")
+    text = cfg.to_text()
+    assert "group = group = [3]; subgroup_gens = [[1]]; aut = [[2]]\n" in text
+    back = ExperimentConfig.from_text(text)
+    assert resolve_system(back) == resolve_system(cfg)
+    assert back.to_text() == text
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(E=set())

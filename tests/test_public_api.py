@@ -121,3 +121,18 @@ def test_every_attribute_is_read():
             if isinstance(cls, ast.ClassDef):
                 unread.update((f"{cls.name}.{name}", path.stem) for name in _fields(cls) - reads)
     assert unread == {}
+
+
+def test_only_tower_touches_its_cache():
+    """Every per-tower table goes through ``Tower.cached``: no ``_cache`` access in ``src/`` outside ``Tower``.
+
+    ``Tower`` clears the cache whenever its levels change, so a table read anywhere else could outlive them.
+    """
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        inside = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Tower"
+                  for node in ast.walk(cls)}
+        outside += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "_cache" and id(node) not in inside]
+    assert outside == []

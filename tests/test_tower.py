@@ -154,10 +154,10 @@ def test_cut_product_prefix_table_follows_extend(z3_system):
             t.cut_product(t.depth + 1)
         if tag is not None:
             t.extend(tag)
-    # levels appended outside extend (as seeded and parse_tower do) also renew the table
+    # levels assigned outside extend (as seeded and parse_tower do) also renew the table
     bare = Tower(*z3_system)
     assert bare.cut_product(0) == 1
-    bare.levels.extend(t.levels)
+    bare.levels += t.levels
     assert [bare.cut_product(n) for n in range(t.depth + 1)] == [
         t.cut_product(n) for n in range(t.depth + 1)]
 
@@ -165,9 +165,9 @@ def test_cut_product_prefix_table_follows_extend(z3_system):
 def test_find_cut_row_table_follows_levels_and_keeps_its_contracts(z3_system):
     t = build_desk_tower(z3_system, depth=5)
     bare = Tower(*z3_system)
-    bare.levels.extend(t.levels[:3])
+    bare.levels += t.levels[:3]
     assert bare.find_cut(3, 0) == 0
-    bare.levels.extend(t.levels[3:])   # appended outside extend, as parse_tower does
+    bare.levels += t.levels[3:]   # assigned outside extend, as parse_tower does
     for n in range(1, t.depth + 1):
         cuts = t.level(n).cuts
         above = [t.h(n) - 1, t.h(n), cuts[-1] + 2 * t.level(n).z + 1]   # past the last copy
@@ -176,8 +176,8 @@ def test_find_cut_row_table_follows_levels_and_keeps_its_contracts(z3_system):
         assert bare.find_cut(n, -1) is None
     lvl = t.level(3)   # a block that starts above 0: a rung below it may take the copy before's last cut
     shift = lvl.z - lvl.block[-1] - 4
-    bare.levels[2:] = [Level(3, lvl.h, lvl.z, [d + shift for d in lvl.block], lvl.reps, lvl.block_labels,
-                             lvl.tag, t.elements, t.v_pow)]
+    bare.levels = bare.levels[:2] + (Level(3, lvl.h, lvl.z, [d + shift for d in lvl.block], lvl.reps,
+                                           lvl.block_labels, lvl.tag, t.elements, t.v_pow),)
     assert [bare.find_cut(3, f) for f in range(-1, lvl.h + 1)] == [
         find_cut_scan(bare, 3, f) for f in range(-1, lvl.h + 1)]
     for n in (0, -1, t.depth + 1):
@@ -187,6 +187,41 @@ def test_find_cut_row_table_follows_levels_and_keeps_its_contracts(z3_system):
         t.decompose(t.h(4), 4)
     with pytest.raises(ValueError, match="outside"):
         t.decompose(-1, 4)
+
+
+def test_replacing_a_level_renews_every_cached_table():
+    """Tables read before the top level is replaced answer as those of a fresh tower given the same levels.
+
+    The top level of the depth-4 {2} tower is its ratio-1 stagger level, so every table reads it; at
+    depth 5 the rung label table alone would hold h_5 = 21,247,488 entries.
+    """
+    from cfspectra.cocycle import rung_label_indices
+    from cfspectra.experiment import ExperimentConfig, build_tower
+    from cfspectra.groups import all_characters
+    from cfspectra.koopman import pairing
+    from cfspectra.recurrence import return_cuts
+
+    t, _, _ = build_tower(ExperimentConfig(E={2}, depth=4))
+    assert t.stagger_steps(k=1) == [3]
+    chi = next(c for c in all_characters(t.group) if not c.is_trivial())
+    A = Cylinder(2, (0, 1, 2, 3))
+    top = t.level(4)
+    cuts, labels = list(top.cuts), top.cut_labels()
+    i = len(cuts) // 2
+    fs = [cuts[1], cuts[i] - 1, cuts[i], cuts[i] + 1, cuts[i + 1] - 1, cuts[-1]]
+
+    def values(tower):
+        return (tower.cut_product(4), [tower.find_cut(4, f) for f in fs], rung_label_indices(tower, 4),
+                pairing(tower, chi, 2 * tower.h(3), A, A, 4), return_cuts(tower, 3))
+
+    before = values(t)
+    del cuts[i], labels[i]   # one copy of the level's cuts, with a middle cut dropped
+    t.levels = t.levels[:3] + (Level(4, top.h, top.z, cuts, 1, labels, top.tag, t.elements, t.v_pow),)
+    fresh = Tower(t.group, t.v)
+    fresh.levels = t.levels
+    after = values(t)
+    assert after == values(fresh)
+    assert all(a != b for a, b in zip(after, before))
 
 
 def test_measure_doubling_exact_on_even_levels(z3_system):
@@ -358,7 +393,7 @@ def test_boundary_gap_below_h_prev_fails_cut_disjointness(z3_system):
     # the copies now start h_prev - 1 after the block's last cut; every block gap is unchanged
     bad = _relevel(lvl, t, z=lvl.block[-1] + h_prev - 1)
     t2 = Tower(t.group, t.v)
-    t2.levels = t.levels[:3] + [bad] + t.levels[4:]
+    t2.levels = t.levels[:3] + (bad,) + t.levels[4:]
     rep = validate_structure(t2)
     assert rep.render() == reference_structure_report(t2).render()
     assert (4, "cut disjointness") in _failures(rep)
@@ -372,7 +407,8 @@ def test_parsed_level_with_a_moved_cut_keeps_one_copy_and_todays_failures(z3_sys
     lvl = t.level(5)
     cuts = list(lvl.cuts)
     cuts[len(cuts) // 2] += 1   # the middle cut moves up one rung and keeps its label
-    t.levels[4] = Level(5, lvl.h, lvl.z, cuts, 1, lvl.cut_labels(), lvl.tag, t.elements, t.v_pow)
+    t.levels = (*t.levels[:4], Level(5, lvl.h, lvl.z, cuts, 1, lvl.cut_labels(), lvl.tag, t.elements, t.v_pow),
+                *t.levels[5:])
     parsed = parse_tower(serialize_tower(t))
     assert parsed.level(5).reps == 1 and parsed.level(5).cuts == tuple(cuts)
     rep = validate_tower(parsed)
