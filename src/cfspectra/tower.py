@@ -68,7 +68,7 @@ class Level:
     recipe, are the plain case ``reps == 1``, whose cuts are the block
     itself.  No cut is stored: membership, rank and the k-th cut use divmod
     by z and bisect on the block, and pair counts use ``shift_classes``.
-    The format-1 lines are rendered from the block (``_cuts_text``,
+    The format-1 lines are rendered from the block (``_cut_blocks``,
     ``_label_copies``); ``cuts`` is read only by ``embed`` and by the
     parser's per-entry reader.
     A tagged level n was built at step ``n - 1``.
@@ -587,47 +587,51 @@ def _gap_runs(block, z: int, reps: int) -> list[list[int]]:
     return runs
 
 
-def _compress_aps(start: int, runs) -> str:
-    """Greedy start:step:count arithmetic blocks over a sequence given by its first value and ``_gap_runs``.
+def _compress_aps(start: int, runs):
+    """Greedy start:step:count arithmetic blocks over a sequence given by its first value and ``_gap_runs``,
+    one block at a time, each after the first with its leading ``,``: the pieces concatenate to the text.
 
     Each block takes the rest of the current gap run, and the gap after it is skipped to reach the next
     block's start; a last lone value is ``v:1:1``.  The text is the greedy per-value scan's.
     """
-    out = []
+    sep = ""
     i, left = 0, runs[0][1] if runs else 0   # left: gaps of run i not yet used
     while True:
         if left == 0:
             if i + 1 >= len(runs):
-                out.append(f"{start}:1:1")
-                break
+                yield f"{sep}{start}:1:1"
+                return
             i += 1
             left = runs[i][1]
         gap = runs[i][0]
-        out.append(f"{start}:{gap}:{left + 1}")
+        yield f"{sep}{start}:{gap}:{left + 1}"
+        sep = ","
         start += gap * left
         if i + 1 == len(runs):
-            break
+            return
         i += 1
         start += runs[i][0]
         left = runs[i][1] - 1
-    return ",".join(out)
 
 
-def _cuts_text(lvl: Level) -> str:
-    """A level's ``cuts =`` value, compressed from its block."""
+def _cut_blocks(lvl: Level):
+    """A level's ``cuts =`` value block by block, compressed from its block."""
     return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.z, lvl.reps))
 
 
 def _label_copies(lvl: Level, texts):
-    """A level's ``labels =`` value copy by copy, to be joined by ``;``: each copy's ``cut=coords`` entries.
+    """A level's ``labels =`` value copy by copy: each copy's ``cut=coords`` entries, after a ``;`` from the
+    second copy on, so the pieces concatenate to the value.
 
     ``texts`` maps a label index to its coordinate text.  The copy q uses the template of the
     residue q mod P (the period of v), whose block labels are ``v^q`` of the block's.
     """
     v_pow, block, z = lvl._v_pow, lvl.block, lvl.z
     P = len(v_pow)
-    templates = [";".join([f"%d={texts[row[g]]}" for g in lvl.block_labels]) for row in v_pow[:lvl.reps]]
-    return (templates[q % P] % tuple(map((z * q).__add__, block)) for q in range(lvl.reps))
+    templates = [";" + ";".join([f"%d={texts[row[g]]}" for g in lvl.block_labels]) for row in v_pow[:lvl.reps]]
+    copies = (templates[q % P] % tuple(map((z * q).__add__, block)) for q in range(lvl.reps))
+    yield next(copies)[1:]
+    yield from copies
 
 
 def _coords_str(el: Element) -> str:
@@ -638,118 +642,136 @@ def _coords_from_str(text: str) -> tuple[int, ...]:
     return () if text in ("", "-") else tuple(int(x) for x in text.split(","))
 
 
-def serialize_tower(tower: Tower) -> str:
-    lines = ["# cfspectra tower format 1"]
-    lines.append(f"group = [{', '.join(map(str, tower.group.invariant_factors))}]")
-    lines.append("aut = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in tower.v.matrix) + "]")
-    lines.append(f"depth = {tower.depth}")
+def serialize_tower(tower: Tower, out) -> None:
+    """Write the tower as format-1 text to the text stream ``out``: the ``cuts =`` and ``labels =`` values
+    one block or copy at a time, so no line of the text is ever held whole."""
+    out.write("# cfspectra tower format 1\n")
+    out.write(f"group = [{', '.join(map(str, tower.group.invariant_factors))}]\n")
+    out.write("aut = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in tower.v.matrix) + "]\n")
+    out.write(f"depth = {tower.depth}\n")
     texts = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
     for lvl in tower.levels:
-        lines.append(f"level {lvl.n}")
         if lvl.tag is None:
-            lines.append("tag = seed")
+            tag = "seed"
         elif lvl.tag.k == 0:
-            lines.append(f"tag = even {_coords_str(lvl.tag.el)}")
+            tag = f"even {_coords_str(lvl.tag.el)}"
         else:
-            lines.append(f"tag = stagger {_coords_str(lvl.tag.el)} k={lvl.tag.k}")
-        lines.append(f"h = {lvl.h}")
-        lines.append(f"z = {lvl.z}")
-        lines.append(f"cuts = {_cuts_text(lvl)}")
-        lines.append("labels = " + ";".join(_label_copies(lvl, texts)))
-    lines.append("")   # the closing newline, without copying the joined text again
-    return "\n".join(lines)
+            tag = f"stagger {_coords_str(lvl.tag.el)} k={lvl.tag.k}"
+        out.write(f"level {lvl.n}\ntag = {tag}\nh = {lvl.h}\nz = {lvl.z}\ncuts = ")
+        out.writelines(_cut_blocks(lvl))
+        out.write("\nlabels = ")
+        out.writelines(_label_copies(lvl, texts))
+        out.write("\n")
 
 
 class TowerParseError(Exception):
     pass
 
 
-def parse_tower(text: str) -> Tower:
+def parse_tower(stream) -> Tower:
+    """The tower written in format 1 on the text stream ``stream`` (an open file, or ``io.StringIO``),
+    read one level at a time."""
     try:
-        return _parse_tower_inner(text)
-    except TowerParseError:
+        return _parse_tower_inner(stream)
+    except (TowerParseError, OSError, UnicodeDecodeError):   # a failed read is not a malformed file
         raise
     except Exception as exc:
         raise TowerParseError(f"malformed tower file: {exc}") from exc
 
 
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"   # every character str.splitlines breaks at
+_READ_CHUNK = 8192   # the fewest characters a readline call asks for
+_READ_CAP = 1 << 16   # the most: larger pieces pass malloc's mmap threshold, which cost deep-build 5 MB of peak RSS
 _SPACE = re.compile(r"\s*")   # \s is str.isspace, what str.strip removes
 
 
-def _content_lines(text: str):
-    """The (start, end) offsets of each line of ``text.splitlines()``, stripped, that is neither blank nor a comment.
+def _physical_lines(stream):
+    """Each line of the stream without its closing newline.
 
-    Each break character's next offset is looked up once per occurrence, so the walk is linear in the text.
-    A ``\\r\\n`` ends a line and then an empty one, which is skipped.
+    A long line is read in pieces of a 32nd of what is already read, within ``_READ_CHUNK`` and
+    ``_READ_CAP`` characters, and grown by ``+=``, which resizes a str that nothing else holds in place:
+    iterating the stream would join each line from its pieces and hold the longest line twice.  Where the
+    interpreter copies instead (under a tracer), the growing pieces keep the copying down.
     """
-    ahead = dict.fromkeys(_LINE_BREAKS, -1)   # break character -> its next offset at or after pos
-    pos = 0
-    while pos < len(text):
-        for ch, at in ahead.items():
-            if at < pos:
-                at = text.find(ch, pos)
-                ahead[ch] = len(text) if at < 0 else at
-        stop = min(ahead.values())
-        start, end = _SPACE.match(text, pos, stop).end(), stop
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        if start < end and text[start] != "#":
-            yield start, end
-        pos = stop + 1
-
-
-def _sections(text: str):
-    """The content lines by level: (header line, {key: (start, end) of its stripped value}), the preamble
-    first with header None.  Values stay offsets into ``text``; a later line with the same key wins."""
-    header, props = None, {}
-    for start, end in _content_lines(text):
-        if text.startswith("level", start, end):
-            yield header, props
-            header, props = text[start:end], {}
-            continue
-        eq = text.find("=", start, end)
-        if eq < 0:
-            props[text[start:end]] = (end, end)
+    line = ""
+    while piece := stream.readline(min(_READ_CAP, max(_READ_CHUNK, len(line) >> 5))):
+        if piece[-1] == "\n":
+            line += piece[:-1]
+            yield line
+            line = ""
         else:
-            props[text[start:eq].strip()] = (_SPACE.match(text, eq + 1, end).end(), end)
+            line += piece
+    if line:
+        yield line
+
+
+def _content_lines(stream):
+    """Each line of ``str.splitlines()`` over the stream's text, stripped, that is neither blank nor a comment.
+
+    A line with no other break and no surrounding blanks is the physical line itself, not a copy.
+    """
+    for physical in _physical_lines(stream):
+        for line in physical.splitlines():
+            line = line.strip()
+            if line and line[0] != "#":
+                yield line
+
+
+def _sections(stream):
+    """The content lines by level: (header line, {key: (line, start of its stripped value)}), the preamble
+    first with header None.  A value is ``line[start:]``, left unsliced so a long one is held once; a later
+    line with the same key wins.  A level's dict is emptied when the caller asks for the next level, so
+    no two levels' lines are held at once.
+    """
+    header, props = None, {}
+    for line in _content_lines(stream):
+        if line.startswith("level"):
+            yield header, props
+            header = line
+            props.clear()
+            continue
+        eq = line.find("=")
+        if eq < 0:
+            props[line] = ("", 0)
+        else:
+            props[line[:eq].strip()] = (line, _SPACE.match(line, eq + 1).end())
     yield header, props
 
 
-def _rendered_level(tower: Tower, n: int, tag: Tag, rec: Recipe, cuts_text: str, text: str, span,
-                    index_of: dict, texts) -> Level | None:
-    """The level ``Tower.extend`` builds from ``rec``, when the file's ``cuts =`` value and its ``labels =``
-    value ``text[span[0]:span[1]]`` are its rendering.
+def _rendered_level(tower: Tower, n: int, tag: Tag, rec: Recipe, cuts, labels, index_of: dict,
+                    texts) -> Level | None:
+    """The level ``Tower.extend`` builds from ``rec``, when the file's ``cuts =`` and ``labels =`` values,
+    each a ``(line, start)`` pair from ``_sections``, are its rendering.
 
-    Only the block's label entries are decoded, and the labels value is compared in place, one copy at a
-    time, so no copy of the line is made.  A value equal to the writer's output reads back, entry by entry,
-    as exactly this level's cuts and labels, so the tower is the same one.  None when a value differs; the
-    caller then reads every entry.
+    Only the block's label entries are decoded, and both values are compared in place, one block or copy
+    at a time, so no copy of a line is made.  A value equal to the writer's output reads back, entry by
+    entry, as exactly this level's cuts and labels, so the tower is the same one.  None when a value
+    differs; the caller then reads every entry.
     """
-    pos, end = span
+    line, pos = labels
+    end = len(line)
     block_labels = []
     for _ in rec.block:
-        stop = text.find(";", pos, end)
+        stop = line.find(";", pos, end)
         stop = end if stop < 0 else stop
-        eq = text.find("=", pos, stop)
-        g = index_of.get(text[eq + 1:stop]) if eq >= 0 else None
+        eq = line.find("=", pos, stop)
+        g = index_of.get(line[eq + 1:stop]) if eq >= 0 else None
         if g is None:
             return None
         block_labels.append(g)
         pos = stop + 1
     lvl = Level(n, rec.h, rec.z, rec.block, rec.reps, block_labels, tag, tower.elements, tower.v_pow)
-    if cuts_text != _cuts_text(lvl):
-        return None
-    pos = span[0]
-    for q, copy in enumerate(_label_copies(lvl, texts)):
-        if q:   # one ";" between copies
-            if not text.startswith(";", pos, end):
-                return None
-            pos += 1
-        if not text.startswith(copy, pos, end):
-            return None
-        pos += len(copy)
-    return lvl if pos == end else None
+    if _renders(*cuts, _cut_blocks(lvl)) and _renders(*labels, _label_copies(lvl, texts)):
+        return lvl
+    return None
+
+
+def _renders(line: str, pos: int, pieces) -> bool:
+    """Whether ``line[pos:]`` is the concatenation of ``pieces``, compared in place one piece at a time."""
+    for piece in pieces:
+        if not line.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(line)
 
 
 def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
@@ -786,12 +808,12 @@ def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
     return cuts, labels
 
 
-def _parse_tower_inner(text: str) -> Tower:
+def _parse_tower_inner(stream) -> Tower:
     def value(props, key):
-        start, end = props[key]
-        return text[start:end]
+        line, start = props[key]
+        return line[start:]
 
-    sections = _sections(text)
+    sections = _sections(stream)
     _, fields = next(sections)
     group = FinAbGroup(tuple(_parse_int_list(value(fields, "group"))))
     v = Automorphism(group, _parse_int_list(value(fields, "aut")))
@@ -831,7 +853,7 @@ def _parse_tower_inner(text: str) -> Tower:
             if (h, z) != (rec.h, rec.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
                                       f"(h = {rec.h}, z = {rec.z})")
-            lvl = _rendered_level(tower, n, tag, rec, value(props, "cuts"), text, props["labels"], index_of, texts)
+            lvl = _rendered_level(tower, n, tag, rec, props["cuts"], props["labels"], index_of, texts)
             if lvl is None:
                 # any other valid file: keep the level Tower.extend builds when the file repeats
                 # its block by the v^q rule, else one copy (reps == 1) of its cuts

@@ -3,11 +3,13 @@
 Every function here walks the full cut tuple of a level, as the library did
 before its levels went block-native, so each block-form result, and each
 format-1 line rendered from the block, can be checked against an independent
-scan on every level and on its one-copy (``reps == 1``) twin.
+scan on every level and on its one-copy (``reps == 1``) twin.  ``tower_text``
+gives a tower's format-1 text as a string.
 """
 
 import bisect
 import contextlib
+import io
 import itertools
 from fractions import Fraction
 from unittest.mock import patch
@@ -15,7 +17,7 @@ from unittest.mock import patch
 from cfspectra import tower as tower_module
 from cfspectra.cocycle import _aligned_classes
 from cfspectra.groups import least_period
-from cfspectra.tower import Cylinder, Level, Recipe, Report, Tower, embed, recipe
+from cfspectra.tower import Cylinder, Level, Recipe, Report, Tower, embed, recipe, serialize_tower
 
 
 def one_copy_twin(t):
@@ -24,6 +26,13 @@ def one_copy_twin(t):
     single.levels = [Level(lvl.n, lvl.h, lvl.z, lvl.cuts, 1, lvl.cut_labels(), lvl.tag,
                            single.elements, single.v_pow) for lvl in t.levels]
     return single
+
+
+def tower_text(tower) -> str:
+    """The tower's format-1 text, as ``serialize_tower`` writes it to a stream."""
+    out = io.StringIO()
+    serialize_tower(tower, out)
+    return out.getvalue()
 
 
 def reference_recipe(tower, n, tag) -> Recipe:

@@ -1,3 +1,4 @@
+import io
 import os
 import time
 from pathlib import Path
@@ -109,7 +110,7 @@ def test_weaklimits_csv(built, tmp_path, capsys):
     from cfspectra.koopman import cylinder_family, residual_grid
     from cfspectra.groups import all_characters
 
-    tower = parse_tower((built / "tower.txt").read_text())
+    tower = parse_tower(io.StringIO((built / "tower.txt").read_text()))
     rows = residual_grid(tower, list(all_characters(tower.group)), cylinder_family(tower, 1))
     for line, row in zip(lines[1:], rows):
         parts = line.split(",")
@@ -256,13 +257,13 @@ def test_groups_without_out_writes_the_catalog_to_stdout(tmp_path, capsys):
 
 def test_build_config_takes_a_one_line_triple(tmp_path):
     from cfspectra.experiment import ExperimentConfig, build_tower
-    from cfspectra.tower import serialize_tower
+    from cut_scans import tower_text
 
     cfg, out = tmp_path / "triple.txt", tmp_path / "o"
     cfg.write_text(f"E = 2\ngroup = group = [3]; subgroup_gens = [[1]]; aut = [[2]]\ndepth = 5\nout = {out}\n")
     assert main(["build", "--config", str(cfg)]) == 0
     tower, _, _ = build_tower(ExperimentConfig(E={2}, group="group = [3]\nsubgroup_gens = [[1]]\naut = [[2]]", depth=5))
-    assert (out / "tower.txt").read_text() == serialize_tower(tower)
+    assert (out / "tower.txt").read_text() == tower_text(tower)
 
 
 def test_config_group_without_a_triple_is_a_config_error(tmp_path, capsys):
@@ -335,7 +336,7 @@ def test_embed_guard_is_a_one_line_limit_error(tmp_path, capsys):
     out_text, err = capsys.readouterr()
     assert out_text.splitlines()[-1] == "triple recurrence at depth 6: k = 3, mass = 1/6"
     assert err == ""
-    t = parse_tower((out / "tower.txt").read_text())
+    t = parse_tower(io.StringIO((out / "tower.txt").read_text()))
     with pytest.raises(LimitExceeded, match="guard 5,000,000"):
         embed(t, Cylinder(1, (0,)), 6)
     assert issubclass(LimitExceeded, RuntimeError)
@@ -480,6 +481,64 @@ def test_missing_tower_file_is_a_one_line_io_error(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1 and err.startswith("io error: "), err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"], ["recur"]])
+def test_a_directory_is_a_one_line_io_error(tmp_path, capsys, command):
+    capsys.readouterr()
+    assert main([command[0], "--tower", str(tmp_path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("io error: "), err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [["verify"], ["weaklimits", "--max-level", "1"], ["recur"]])
+@pytest.mark.parametrize("where", ["first-byte", "last-line"])
+def test_undecodable_bytes_are_a_one_line_config_error(built, tmp_path, capsys, command, where):
+    data = (built / "tower.txt").read_bytes()
+    at = 0 if where == "first-byte" else len(data) - 20   # the last labels line, past the first 8 KiB
+    assert len(data) > 8192 + 20
+    bad = tmp_path / "undecodable.txt"
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    capsys.readouterr()
+    assert main([command[0], "--tower", str(bad), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error: 'utf-8' codec can't decode"), err
+    assert out == ""
+
+
+_LINE_VARIANTS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone-cr": lambda t: t.replace("\n", "\r"),
+    "form-feed-in-a-level": lambda t: t.replace("level 4\n", "level 4\x0c").replace("z = 9222\n", "z = 9222\x0c"),
+    "line-separator-in-a-level": lambda t: t.replace("tag = even 1\nh = 21247488\n",
+                                                     "tag = even 1 h = 21247488 "),
+    "trailing-whitespace": lambda t: t.replace("\n", " \t\n"),
+    "comments": lambda t: "# a note\n" + t.replace("\nlevel ", "\n# level = 9\n   # depth = 2\n\nlevel "),
+    "repeated-key": lambda t: t.replace("group = [3]\n", "depth = 99\ngroup = [3]\n")
+                               .replace("level 5\n", "level 5\nh = 7\nlabels = 0=0\ncuts = 0:1:1\n"),
+}
+
+
+@pytest.mark.parametrize("variant", _LINE_VARIANTS.values(), ids=_LINE_VARIANTS.keys())
+def test_tower_file_line_variants_parse_to_the_same_tower(built, tmp_path, capsys, variant):
+    """Every ``str.splitlines`` break ends a line; blank, comment and trailing blanks are skipped; a later key wins."""
+    from cfspectra.tower import parse_tower
+    from cut_scans import tower_text
+
+    text = (built / "tower.txt").read_text()
+    bad = tmp_path / "variant.txt"
+    bad.write_bytes(variant(text).encode())
+    assert bad.read_bytes() != text.encode()
+    with bad.open() as f:   # the file's reader turns \r\n and \r into \n
+        assert tower_text(parse_tower(f)) == text
+    assert tower_text(parse_tower(io.StringIO(variant(text)))) == text   # no newline translation here
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
+    clean = capsys.readouterr().out
+    assert main(["verify", "--tower", str(bad)]) == 0
+    assert capsys.readouterr().out == clean
 
 
 @pytest.mark.parametrize("config,options", [
@@ -648,7 +707,7 @@ def test_permuted_labels_parse_to_the_same_tower(built, tmp_path, capsys, permut
     bad = tmp_path / "permuted.txt"
     bad.write_text(_edit_labels(text, lambda level, entries: permute(entries)))
     assert bad.read_text() != text
-    t, twin = parse_tower(text), parse_tower(bad.read_text())
+    t, twin = parse_tower(io.StringIO(text)), parse_tower(io.StringIO(bad.read_text()))
     for lvl, other in zip(t.levels, twin.levels, strict=True):
         assert other.cuts == lvl.cuts and other.cut_labels() == lvl.cut_labels()
         assert (other.block, other.reps) == (lvl.block, lvl.reps)
@@ -693,29 +752,29 @@ def test_labels_tampered_past_the_block_fail_the_in_place_check(built, edit):
     from cut_scans import rendered_level_calls
 
     text = (built / "tower.txt").read_text()
-    nb = len(parse_tower(text).level(6).block)
+    nb = len(parse_tower(io.StringIO(text)).level(6).block)
     bad = _edit_labels(text, lambda level, entries: edit(entries, nb) if level == "level 6" else entries)
     with rendered_level_calls() as accepted, pytest.raises(TowerParseError) as err:
-        parse_tower(bad)
+        parse_tower(io.StringIO(bad))
     assert accepted == [True, True, True, False]   # the largest level leaves the in-place check
     assert str(err.value) == "level 6: labels do not cover the cuts exactly"
 
 
 def test_labels_read_past_the_in_place_check_as_the_entry_reader_does(built, tmp_path, capsys):
-    from cfspectra.tower import parse_tower, serialize_tower
-    from cut_scans import rendered_level_calls
+    from cfspectra.tower import parse_tower
+    from cut_scans import rendered_level_calls, tower_text
 
     text = (built / "tower.txt").read_text()
     labels = text.rstrip("\n").rsplit("\n", 1)[1]   # the largest level's, last in the file
     spaced = text.replace(labels, labels + "  \t")
     with rendered_level_calls() as accepted:
-        assert serialize_tower(parse_tower(spaced)) == text
+        assert tower_text(parse_tower(io.StringIO(spaced))) == text
     assert accepted == [True] * 4   # the value is stripped before the check
     changed = text.replace(labels, labels[:-1] + str((int(labels[-1]) + 1) % 3))   # the last label
     with rendered_level_calls() as accepted:
-        t = parse_tower(changed)
+        t = parse_tower(io.StringIO(changed))
     assert accepted == [True, True, True, False]
-    assert t.level(6).reps == 1 and serialize_tower(t) == changed
+    assert t.level(6).reps == 1 and tower_text(t) == changed
     bad = tmp_path / "tampered.txt"
     bad.write_text(changed)
     capsys.readouterr()
@@ -745,20 +804,20 @@ def _split_first_block(blocks):
 
 
 def test_rechunked_cuts_parse_to_the_same_tower(built, tmp_path, capsys):
-    from cfspectra.tower import parse_tower, serialize_tower
-    from cut_scans import rendered_level_calls
+    from cfspectra.tower import parse_tower
+    from cut_scans import rendered_level_calls, tower_text
 
     text = (built / "tower.txt").read_text()
     bad = tmp_path / "rechunked.txt"
     bad.write_text(_edit_cuts(text, "level 4", _split_first_block))
     assert "cuts = 0:768:2,1536:768:4,4609:769:6," in bad.read_text()
-    t = parse_tower(text)
+    t = parse_tower(io.StringIO(text))
     with rendered_level_calls() as accepted:
-        twin = parse_tower(bad.read_text())
+        twin = parse_tower(io.StringIO(bad.read_text()))
     assert accepted == [True, False, True, True]   # level 4 goes through the per-entry reader
     for lvl, other in zip(t.levels, twin.levels, strict=True):
         assert (other.block, other.reps, other.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
-    assert serialize_tower(twin) == text
+    assert tower_text(twin) == text
     assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
     clean = capsys.readouterr().out
     assert main(["verify", "--tower", str(bad)]) == 0
@@ -776,7 +835,7 @@ def test_a_huge_cut_count_is_refused_before_it_is_expanded(tmp_path, capsys):
     tracemalloc.start()
     try:
         with pytest.raises(TowerParseError, match="^level 3: labels do not cover the cuts exactly$"):
-            parse_tower(text)
+            parse_tower(io.StringIO(text))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -801,16 +860,17 @@ def test_a_cut_block_counting_below_one_is_a_parse_error(tmp_path, capsys, block
 
 
 def test_moved_cut_fails_verify(built, tmp_path, capsys):
-    from cfspectra.tower import Level, parse_tower, serialize_tower
+    from cfspectra.tower import Level, parse_tower
+    from cut_scans import tower_text
 
-    t = parse_tower((built / "tower.txt").read_text())
+    t = parse_tower(io.StringIO((built / "tower.txt").read_text()))
     top = t.level(t.depth)
     # the last cut moves up one rung and keeps its label; the cut line stays sorted
     cuts = top.cuts[:-1] + (top.cuts[-1] + 1,)
     labels = top.cut_labels()
     t.levels = t.levels[:-1] + (Level(top.n, top.h, top.z, cuts, 1, labels, top.tag, t.elements, t.v_pow),)
     bad = tmp_path / "moved.txt"
-    bad.write_text(serialize_tower(t))
+    bad.write_text(tower_text(t))
     capsys.readouterr()
     assert main(["verify", "--tower", str(bad)]) == 1
     fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]

@@ -1,4 +1,5 @@
 import bisect
+import io
 import itertools
 import weakref
 from fractions import Fraction
@@ -13,10 +14,10 @@ from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
 from cfspectra.recurrence import _nth, label_transport_witness, return_cuts
 from cfspectra.tower import (Cylinder, Tag, Tower, defect_fraction, embed, measure,
-                             parse_tower, serialize_tower, validate_labels, validate_structure)
+                             parse_tower, validate_labels, validate_structure)
 
 from cut_scans import (aligned_cut_scan, aligned_cuts, count_ge_scan, defect_scan, find_cut_scan, one_copy_twin,
-                       reference_label_report, reference_structure_report, surviving_cuts)
+                       reference_label_report, reference_structure_report, surviving_cuts, tower_text)
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +284,7 @@ def brute_kernel(tower, n, lo, hi):
 @given(pairing_cases())
 def test_engine_matches_brute_force_on_random_towers(case):
     t, A, B, shifts, windows = case
-    parsed = parse_tower(serialize_tower(t))
+    parsed = parse_tower(io.StringIO(tower_text(t)))
     for lvl, twin in zip(t.levels, parsed.levels):
         assert (twin.block, twin.reps, twin.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
     # every level as one copy of its cuts (reps == 1), the shape of a file that breaks its recipe
@@ -369,7 +370,7 @@ def test_block_forms_match_cut_scans_on_random_towers(case):
 
 
 def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch):
-    t = parse_tower(serialize_tower(z3_tower))   # a fresh tower: nothing memoized yet
+    t = parse_tower(io.StringIO(tower_text(z3_tower)))   # a fresh tower: nothing memoized yet
     keys = []
     propagate = PairingEngine.propagate
 

@@ -3,14 +3,17 @@
 Every module-level function and class in ``src/cfspectra``, and every method
 and property in a class body (dunders excluded), must be referenced by name
 somewhere outside the tests: in ``src/`` outside its own definition (the
-exports of ``cfspectra/__init__.py`` included), in ``scripts/`` or in
-``perfbench/``.  A reference is a ``Name``, an ``Attribute`` or an import
-alias; docstrings and other string text do not count.  The only exceptions
+exports of ``cfspectra/__init__.py`` included) or in ``perfbench/``.  A
+reference is a ``Name``, an ``Attribute`` or an import alias; docstrings
+and other string text do not count.  The only exceptions
 are the names that only the acceptance suite calls, each listed with the
 criteria that call it.
 
 No field that nothing reads: every field a class stores must be read as an
 attribute somewhere, the tests included.
+
+No inexact arithmetic: no float or complex constant, no ``float``, ``complex``
+or ``round``, and no ``math`` function beyond the integer ones.
 """
 
 import ast
@@ -65,9 +68,8 @@ def _unreferenced(allowed) -> dict[str, str]:
     trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     refs = {stem: _references(tree) for stem, tree in trees.items()}
     outside = set()
-    for folder in ("scripts", "perfbench"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            outside.update(_references(_parse(path)))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside.update(_references(_parse(path)))
     missing = {}
     for stem, tree in trees.items():
         elsewhere = outside.union(*(r for other, r in refs.items() if other != stem))
@@ -107,12 +109,12 @@ def test_every_attribute_is_read():
     """Every field a ``src/cfspectra`` class stores is read as an attribute somewhere.
 
     A read is an ``ast.Attribute`` in ``Load`` context anywhere in ``src/``,
-    ``tests/``, ``scripts/`` or ``perfbench/``.  The scan goes by name alone,
+    ``tests/`` or ``perfbench/``.  The scan goes by name alone,
     so it cannot see a field whose name another class also reads: ``group``
     on a coset space or ``E`` on a system spec would pass it unread.
     """
     reads = set()
-    for folder in ("src", "tests", "scripts", "perfbench"):
+    for folder in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             reads |= _attribute_reads(_parse(path))
     unread = {}
@@ -136,3 +138,25 @@ def test_only_tower_touches_its_cache():
         outside += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "_cache" and id(node) not in inside]
     assert outside == []
+
+
+# the math functions that take and return integers (floor and ceil of a Fraction are exact)
+_EXACT_MATH = {"gcd", "lcm", "prod", "isqrt", "factorial", "floor", "ceil"}
+
+
+def test_no_inexact_arithmetic_in_the_package():
+    """A ratchet on exactness: nothing in ``src/cfspectra`` can make a float or a complex number."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            where = f"{path.stem}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{where} constant {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id in ("float", "complex", "round"):
+                found.append(f"{where} {node.id}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr not in _EXACT_MATH):
+                found.append(f"{where} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} math.{alias.name}" for alias in node.names if alias.name not in _EXACT_MATH]
+    assert found == []

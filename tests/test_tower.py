@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -30,7 +31,7 @@ from cfspectra.tower import (
     _compress_aps,
     _content_lines,
     _coords_str,
-    _cuts_text,
+    _cut_blocks,
     _gap_runs,
     _label_copies,
 )
@@ -44,6 +45,7 @@ from cut_scans import (
     reference_recipe,
     reference_structure_report,
     rendered_level_calls,
+    tower_text,
 )
 
 
@@ -409,7 +411,7 @@ def test_parsed_level_with_a_moved_cut_keeps_one_copy_and_todays_failures(z3_sys
     cuts[len(cuts) // 2] += 1   # the middle cut moves up one rung and keeps its label
     t.levels = (*t.levels[:4], Level(5, lvl.h, lvl.z, cuts, 1, lvl.cut_labels(), lvl.tag, t.elements, t.v_pow),
                 *t.levels[5:])
-    parsed = parse_tower(serialize_tower(t))
+    parsed = parse_tower(io.StringIO(tower_text(t)))
     assert parsed.level(5).reps == 1 and parsed.level(5).cuts == tuple(cuts)
     rep = validate_tower(parsed)
     want = reference_structure_report(parsed)
@@ -545,8 +547,8 @@ def test_decompose_round_trip_random_rungs(f):
 
 def test_serialization_round_trip(z3_system):
     t = build_desk_tower(z3_system, depth=5)
-    text = serialize_tower(t)
-    t2 = parse_tower(text)
+    text = tower_text(t)
+    t2 = parse_tower(io.StringIO(text))
     assert t2.depth == t.depth
     assert t2.group == t.group and t2.v.matrix == t.v.matrix
     for n in range(1, t.depth + 1):
@@ -558,9 +560,9 @@ def test_serialization_round_trip(z3_system):
 
 def test_parse_rejects_truncated_file(z3_system):
     t = build_desk_tower(z3_system, depth=4)
-    text = serialize_tower(t)
+    text = tower_text(t)
     with pytest.raises(TowerParseError):
-        parse_tower(text[: len(text) // 2])
+        parse_tower(io.StringIO(text[: len(text) // 2]))
 
 
 # every character str.splitlines breaks at, with whitespace that is not a break and the line syntax
@@ -572,18 +574,20 @@ _line_chars = st.sampled_from(list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 \t\
 @example(" # c\n\x85a = 1 \u2028\n")
 def test_content_lines_are_the_stripped_splitlines(text):
     want = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    assert [text[start:end] for start, end in _content_lines(text)] == want
+    for chunk in (1, 2, 8192):   # characters per readline call: a line may arrive in pieces
+        with patch.object(tower_module, "_READ_CHUNK", chunk):
+            assert list(_content_lines(io.StringIO(text))) == want, chunk
 
 
 def test_any_line_break_reads_like_a_newline(z3_system):
-    text = serialize_tower(build_desk_tower(z3_system, depth=6))
+    text = tower_text(build_desk_tower(z3_system, depth=6))
     for sep in ("\r\n", "\r", "\x0c", "\u2028", "\x85", " \t\n", "\n\n# note\n"):
-        assert serialize_tower(parse_tower(text.replace("\n", sep))) == text, repr(sep)
+        assert tower_text(parse_tower(io.StringIO(text.replace("\n", sep)))) == text, repr(sep)
     labels = text.rstrip("\n").rsplit("\n", 1)[1]
     for sep in ("\x0c", "\u2028", "\r"):   # a break inside the largest labels value cuts the value short
         cut = labels[:len(labels) // 2] + sep + labels[len(labels) // 2:]
         with pytest.raises(TowerParseError, match="^level 6: labels do not cover the cuts exactly$"):
-            parse_tower(text.replace(labels, cut))
+            parse_tower(io.StringIO(text.replace(labels, cut)))
 
 
 def test_parse_holds_no_copy_of_the_text():
@@ -591,15 +595,44 @@ def test_parse_holds_no_copy_of_the_text():
 
     from cfspectra.experiment import ExperimentConfig, build_tower
 
-    text = serialize_tower(build_tower(ExperimentConfig(E=frozenset({1, 2}), depth=16))[0])
+    text = tower_text(build_tower(ExperimentConfig(E=frozenset({1, 2}), depth=16))[0])
     assert len(text) == 2_031_277
+    stream = io.StringIO(text)
     tracemalloc.start()
     try:
-        parse_tower(text)
+        parse_tower(stream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * len(text), peak   # a list of lines alone would take about 1.1 times the text
+
+
+def test_a_tower_file_is_written_and_read_without_holding_its_text(tmp_path):
+    """``serialize_tower`` into a file and ``parse_tower`` from it each stay under half the file, and
+    within three times its longest line (the top level's labels)."""
+    import tracemalloc
+
+    from cfspectra.experiment import ExperimentConfig, build_tower
+
+    t = build_tower(ExperimentConfig(E=frozenset({1, 2}), depth=16))[0]
+    path = tmp_path / "tower.txt"
+    peaks = []
+    tracemalloc.start()
+    try:
+        with path.open("w") as f:
+            serialize_tower(t, f)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        with path.open() as f:
+            parsed = parse_tower(f)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    text = path.read_text()
+    longest = max(map(len, text.splitlines()))
+    assert (len(text), longest) == (2_031_277, 713_837)
+    assert all(peak < 0.5 * len(text) and peak <= 3 * longest for peak in peaks), peaks
+    assert tower_text(parsed) == text
 
 
 # -- format-1 lines rendered from the block ---------------------------------------
@@ -619,7 +652,7 @@ _gap_pieces = st.one_of(
 @example(0, [[2, 2, 1, 2, 2]])
 def test_run_compressor_matches_the_per_value_scan(start, pieces):
     values = list(itertools.accumulate(itertools.chain([start], *pieces)))
-    assert _compress_aps(values[0], _gap_runs(values, 0, 1)) == reference_compress_aps(values)
+    assert "".join(_compress_aps(values[0], _gap_runs(values, 0, 1))) == reference_compress_aps(values)
 
 
 @given(small_towers())
@@ -629,9 +662,9 @@ def test_rendered_lines_match_the_per_cut_references(case):
     twin = one_copy_twin(t)
     for tower in (t, twin):
         for lvl in tower.levels:
-            assert _cuts_text(lvl) == reference_compress_aps(lvl.cuts)
-            assert ";".join(_label_copies(lvl, texts)) == reference_labels_text(lvl)
-    assert serialize_tower(twin) == serialize_tower(t)
+            assert "".join(_cut_blocks(lvl)) == reference_compress_aps(lvl.cuts)
+            assert "".join(_label_copies(lvl, texts)) == reference_labels_text(lvl)
+    assert tower_text(twin) == tower_text(t)
 
 
 def _level_fields(t):
@@ -641,14 +674,14 @@ def _level_fields(t):
 @given(small_towers())
 def test_parse_accepts_the_rendering_and_reads_it_as_the_entry_reader_does(case):
     t, _ = case
-    text = serialize_tower(t)
+    text = tower_text(t)
     with rendered_level_calls() as accepted:
-        fast = parse_tower(text)
+        fast = parse_tower(io.StringIO(text))
     with patch.object(tower_module, "_rendered_level", lambda *args: None):
-        read = parse_tower(text)   # every level through the per-entry reader
+        read = parse_tower(io.StringIO(text))   # every level through the per-entry reader
     assert accepted == [True] * (t.depth - 2)
     assert _level_fields(fast) == _level_fields(read) == _level_fields(t)
-    assert serialize_tower(fast) == text
+    assert tower_text(fast) == text
 
 
 RAMP_SYSTEMS = [
