@@ -150,9 +150,19 @@ def cmd_build(args) -> int:
 
 
 def _read_tower(path: Path):
-    """The tower in the file at ``path``, parsed as it is read."""
+    """The tower in the file at ``path``, parsed as it is read.  Undecodable bytes are named by their
+    offset in the file, as decoding the whole file would name them."""
     with path.open() as f:
-        return parse_tower(f)
+        try:
+            return parse_tower(f)
+        except UnicodeDecodeError as exc:
+            if not f.seekable():   # a pipe has no offset to tell
+                raise
+            # exc counts from the start of the bytes being decoded, which end where the file is read to
+            start = f.buffer.tell() - len(exc.object) + exc.start
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if exc.end - exc.start == 1
+                     else f"bytes in position {start}-{start + exc.end - exc.start - 1}")
+            raise ConfigError(f"{exc.encoding!r} codec can't decode {where}: {exc.reason}") from None
 
 
 def cmd_verify(args) -> int:

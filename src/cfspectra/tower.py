@@ -25,13 +25,14 @@ step 2 (level 3).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .groups import (Automorphism, Element, FinAbGroup, LimitExceeded, _parse_int_list, addition_table,
                      least_period, negation_table)
@@ -296,9 +297,6 @@ class Tower:
 
     def steps_tagged(self, predicate) -> list[int]:
         return [lvl.step for lvl in self.levels if lvl.step is not None and predicate(lvl.tag)]
-
-    def even_steps(self, a: Element | None = None) -> list[int]:
-        return self.steps_tagged(lambda t: t.k == 0 and (a is None or t.el == a))
 
     def stagger_steps(self, b: Element | None = None, k: int | None = None) -> list[int]:
         return self.steps_tagged(lambda t: t.k >= 1 and (b is None or t.el == b) and (k is None or t.k == k))
@@ -614,8 +612,8 @@ def _compress_aps(start: int, runs):
         left = runs[i][1] - 1
 
 
-def _cut_blocks(lvl: Level):
-    """A level's ``cuts =`` value block by block, compressed from its block."""
+def _cut_blocks(lvl: Level | Recipe):
+    """A level's (or a recipe's) ``cuts =`` value block by block, compressed from its block."""
     return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.z, lvl.reps))
 
 
@@ -682,48 +680,71 @@ def parse_tower(stream) -> Tower:
 _READ_CHUNK = 8192   # the fewest characters a readline call asks for
 _READ_CAP = 1 << 16   # the most: larger pieces pass malloc's mmap threshold, which cost deep-build 5 MB of peak RSS
 _SPACE = re.compile(r"\s*")   # \s is str.isspace, what str.strip removes
+_VALUE_HEAD = re.compile(r"[ \t]*(cuts|labels)[ \t]*=[ \t]*")   # a line that may be checked as it is read
 
 
-def _physical_lines(stream):
-    """Each line of the stream without its closing newline.
+class _Rendered(NamedTuple):
+    """A ``cuts =`` or ``labels =`` value that was ``render()`` when it was read under the level's ``tag =``
+    entry ``tag``; its text is not held.  ``level`` is the level a ``labels`` value renders (None for cuts)."""
+
+    render: Callable
+    level: Level | None
+    tag: tuple
+
+
+def _rest_of_line(stream, line: str) -> str:
+    """``line``, the start of one of the stream's lines, with the rest of it, without its closing newline.
 
     A long line is read in pieces of a 32nd of what is already read, within ``_READ_CHUNK`` and
     ``_READ_CAP`` characters, and grown by ``+=``, which resizes a str that nothing else holds in place:
     iterating the stream would join each line from its pieces and hold the longest line twice.  Where the
     interpreter copies instead (under a tracer), the growing pieces keep the copying down.
     """
-    line = ""
+    if line[-1:] == "\n":
+        return line[:-1]
     while piece := stream.readline(min(_READ_CAP, max(_READ_CHUNK, len(line) >> 5))):
         if piece[-1] == "\n":
             line += piece[:-1]
-            yield line
-            line = ""
-        else:
-            line += piece
-    if line:
-        yield line
+            break
+        line += piece
+    return line
 
 
-def _content_lines(stream):
+def _content_lines(stream, read_line=_rest_of_line):
     """Each line of ``str.splitlines()`` over the stream's text, stripped, that is neither blank nor a comment.
 
+    Each physical line is ``read_line(stream, head)``, ``head`` being its first ``_READ_CHUNK``
+    characters: the line itself, or what is left of it once ``read_line`` has read a value off it.
     A line with no other break and no surrounding blanks is the physical line itself, not a copy.
     """
-    for physical in _physical_lines(stream):
-        for line in physical.splitlines():
+    while head := stream.readline(_READ_CHUNK):
+        for line in read_line(stream, head).splitlines():
             line = line.strip()
             if line and line[0] != "#":
                 yield line
 
 
-def _sections(stream):
-    """The content lines by level: (header line, {key: (line, start of its stripped value)}), the preamble
-    first with header None.  A value is ``line[start:]``, left unsliced so a long one is held once; a later
-    line with the same key wins.  A level's dict is emptied when the caller asks for the next level, so
-    no two levels' lines are held at once.
+def _sections(stream, streamed):
+    """The content lines by level: (header line, {key: value}), the preamble first with header None.
+
+    A value is a ``(line, start of its stripped value)`` pair, left unsliced so a long one is held once,
+    or a ``_Rendered`` value: a line of a level that opens with a ``cuts =`` or ``labels =`` value goes
+    to ``streamed(props, key, head, start)``, which returns the value checked as it was read and the rest
+    of the line, or None and the whole line.  A later line with the same key wins.  A level's dict is
+    emptied when the caller asks for the next level, so no two levels' lines are held at once.
     """
     header, props = None, {}
-    for line in _content_lines(stream):
+
+    def read_line(stream, head):
+        m = _VALUE_HEAD.match(head) if header is not None else None
+        if m is None:
+            return _rest_of_line(stream, head)
+        value, rest = streamed(props, m[1], head, m.end())
+        if value is not None:
+            props[m[1]] = value
+        return rest
+
+    for line in _content_lines(stream, read_line):
         if line.startswith("level"):
             yield header, props
             header = line
@@ -737,41 +758,67 @@ def _sections(stream):
     yield header, props
 
 
-def _rendered_level(tower: Tower, n: int, tag: Tag, rec: Recipe, cuts, labels, index_of: dict,
-                    texts) -> Level | None:
-    """The level ``Tower.extend`` builds from ``rec``, when the file's ``cuts =`` and ``labels =`` values,
-    each a ``(line, start)`` pair from ``_sections``, are its rendering.
+def _streamed(stream, text: str, start: int, render, level: Level | None, tag: tuple):
+    """``(_Rendered(render, level, tag), rest of the line)`` when the stream's line, of which ``text`` has
+    been read, goes on from ``text[start]`` with the pieces of ``render()`` and then ends its content line;
+    else ``(None, the whole line)``.
 
-    Only the block's label entries are decoded, and both values are compared in place, one block or copy
-    at a time, so no copy of a line is made.  A value equal to the writer's output reads back, entry by
-    entry, as exactly this level's cuts and labels, so the tower is the same one.  None when a value
-    differs; the caller then reads every entry.
+    Each piece is compared as it is read: ``stream.readline`` asked for as many characters as the piece
+    has returns exactly them when they are there, for a piece holds no line break and no blank.  Nothing
+    matched is kept; a line that differs is rebuilt by rendering its matched prefix again.
     """
-    line, pos = labels
-    end = len(line)
-    block_labels = []
-    for _ in rec.block:
-        stop = line.find(";", pos, end)
-        stop = end if stop < 0 else stop
-        eq = line.find("=", pos, stop)
-        g = index_of.get(line[eq + 1:stop]) if eq >= 0 else None
+    pos, matched = start, 0
+    for piece in render():
+        got = text[pos:pos + len(piece)]
+        pos += len(got)
+        if len(got) < len(piece) and text[-1:] != "\n":   # the line goes on past text
+            got += stream.readline(len(piece) - len(got))
+        if got != piece:
+            prefix = "".join(itertools.islice(render(), matched))
+            return None, _rest_of_line(stream, text[:start] + prefix + got + text[pos:])
+        matched += 1
+    rest = _rest_of_line(stream, text[pos:])
+    first = rest.splitlines()[:1]   # what follows the value on its content line
+    if first and first[0].strip():
+        return None, text[:start] + "".join(render()) + rest
+    return _Rendered(render, level, tag), rest
+
+
+def _block_labels(stream, text: str, start: int, count: int, index_of: dict):
+    """``(text, label indices)`` of the first ``count`` ``cut=coords`` entries of the value at
+    ``text[start:]``, reading on into ``text`` (as ``_rest_of_line`` reads, up to the line's end) until it
+    holds each closed by a ``;``, as a recipe level's are (it has at least four copies); else
+    ``(the whole line, None)``, when the line ends first or an entry names no element."""
+    closed = text.count(";", start)
+    while closed < count and text[-1:] != "\n":
+        more = stream.readline(min(_READ_CAP, max(_READ_CHUNK, len(text) >> 5)))
+        if not more:
+            break
+        text += more
+        closed += more.count(";")
+    labels = []
+    for _ in range(count):
+        stop = text.find(";", start)
+        eq = text.find("=", start, stop) if stop >= 0 else -1
+        g = index_of.get(text[eq + 1:stop]) if eq >= 0 else None
         if g is None:
-            return None
-        block_labels.append(g)
-        pos = stop + 1
-    lvl = Level(n, rec.h, rec.z, rec.block, rec.reps, block_labels, tag, tower.elements, tower.v_pow)
-    if _renders(*cuts, _cut_blocks(lvl)) and _renders(*labels, _label_copies(lvl, texts)):
-        return lvl
+            return _rest_of_line(stream, text), None
+        labels.append(g)
+        start = stop + 1
+    return text, labels
+
+
+def _rendered_level(cuts, labels, tag_entry: tuple) -> Level | None:
+    """The level ``Tower.extend`` builds for a tagged level, when its ``cuts =`` and ``labels =`` values from
+    ``_sections`` were both checked, as they were read under its last ``tag =`` entry ``tag_entry``, to be
+    that level's rendering; else None, and the caller reads every entry.
+
+    A value equal to the writer's output reads back, entry by entry, as exactly this level's cuts and
+    labels, so a held value or one checked under an earlier ``tag =`` line gives the same tower that way.
+    """
+    if isinstance(cuts, _Rendered) and isinstance(labels, _Rendered) and cuts.tag is labels.tag is tag_entry:
+        return labels.level
     return None
-
-
-def _renders(line: str, pos: int, pieces) -> bool:
-    """Whether ``line[pos:]`` is the concatenation of ``pieces``, compared in place one piece at a time."""
-    for piece in pieces:
-        if not line.startswith(piece, pos):
-            return False
-        pos += len(piece)
-    return pos == len(line)
 
 
 def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
@@ -808,12 +855,49 @@ def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
     return cuts, labels
 
 
+def _parse_tag(group: FinAbGroup, n: int, text: str) -> Tag | None:
+    """Level n's tag from its ``tag =`` value; None for ``seed``."""
+    if text == "seed":
+        return None
+    if text.startswith("even"):
+        return Tag(group.element(_coords_from_str(text.split()[1])), 0)
+    if text.startswith("stagger"):
+        parts = text.split()
+        k = int(parts[2].split("=")[1])
+        if k < 1:
+            raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
+        return Tag(group.element(_coords_from_str(parts[1])), k)
+    raise TowerParseError(f"unknown tag {text!r}")
+
+
 def _parse_tower_inner(stream) -> Tower:
     def value(props, key):
-        line, start = props[key]
+        entry = props[key]
+        if isinstance(entry, _Rendered):
+            return "".join(entry.render())
+        line, start = entry
         return line[start:]
 
-    sections = _sections(stream)
+    def streamed(props, key, head, start):
+        """The level's ``cuts`` or ``labels`` value checked, as it is read, against the rendering of the
+        recipe level its ``tag =`` entry so far names, for ``_sections``."""
+        try:
+            tag = _parse_tag(group, tower.depth + 1, value(props, "tag"))
+        except (KeyError, IndexError, ValueError, TowerParseError):   # the level's checks raise it in order
+            tag = None
+        if tag is None or tower.depth < 2:
+            return None, _rest_of_line(stream, head)
+        rec = recipe(tower, tower.depth, tag)
+        if key == "cuts":
+            return _streamed(stream, head, start, functools.partial(_cut_blocks, rec), None, props["tag"])
+        head, block_labels = _block_labels(stream, head, start, len(rec.block), index_of)
+        if block_labels is None:
+            return None, head
+        lvl = Level(tower.depth + 1, rec.h, rec.z, rec.block, rec.reps, block_labels, tag, tower.elements,
+                    tower.v_pow)
+        return _streamed(stream, head, start, functools.partial(_label_copies, lvl, texts), lvl, props["tag"])
+
+    sections = _sections(stream, streamed)
     _, fields = next(sections)
     group = FinAbGroup(tuple(_parse_int_list(value(fields, "group"))))
     v = Automorphism(group, _parse_int_list(value(fields, "aut")))
@@ -827,18 +911,7 @@ def _parse_tower_inner(stream) -> Tower:
         if n != tower.depth + 1:
             raise TowerParseError(f"level {n} out of order")
         tag_text = value(props, "tag")
-        if tag_text == "seed":
-            tag = None
-        elif tag_text.startswith("even"):
-            tag = Tag(group.element(_coords_from_str(tag_text.split()[1])), 0)
-        elif tag_text.startswith("stagger"):
-            parts = tag_text.split()
-            k = int(parts[2].split("=")[1])
-            if k < 1:
-                raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
-            tag = Tag(group.element(_coords_from_str(parts[1])), k)
-        else:
-            raise TowerParseError(f"unknown tag {tag_text!r}")
+        tag = _parse_tag(group, n, tag_text)
         if (tag is None) != (n <= 2):   # every tower grows by recipe from Tower.seeded
             raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
         h, z = int(value(props, "h")), int(value(props, "z"))
@@ -853,7 +926,7 @@ def _parse_tower_inner(stream) -> Tower:
             if (h, z) != (rec.h, rec.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
                                       f"(h = {rec.h}, z = {rec.z})")
-            lvl = _rendered_level(tower, n, tag, rec, props["cuts"], props["labels"], index_of, texts)
+            lvl = _rendered_level(props["cuts"], props["labels"], props["tag"])
             if lvl is None:
                 # any other valid file: keep the level Tower.extend builds when the file repeats
                 # its block by the v^q rule, else one copy (reps == 1) of its cuts

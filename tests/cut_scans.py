@@ -4,7 +4,8 @@ Every function here walks the full cut tuple of a level, as the library did
 before its levels went block-native, so each block-form result, and each
 format-1 line rendered from the block, can be checked against an independent
 scan on every level and on its one-copy (``reps == 1``) twin.  ``tower_text``
-gives a tower's format-1 text as a string.
+gives a tower's format-1 text as a string, and ``reference_parse_tower`` reads
+it back as the reader did that held each line whole.
 """
 
 import bisect
@@ -16,8 +17,10 @@ from unittest.mock import patch
 
 from cfspectra import tower as tower_module
 from cfspectra.cocycle import _aligned_classes
-from cfspectra.groups import least_period
-from cfspectra.tower import Cylinder, Level, Recipe, Report, Tower, embed, recipe, serialize_tower
+from cfspectra.groups import Automorphism, FinAbGroup, _parse_int_list, least_period
+from cfspectra.tower import (Cylinder, Level, Recipe, Report, Tag, Tower, TowerParseError, _coords_from_str,
+                             _coords_str, _cut_blocks, _label_copies, _read_entries, embed, recipe,
+                             serialize_tower)
 
 
 def one_copy_twin(t):
@@ -90,6 +93,109 @@ def rendered_level_calls():
 
     with patch.object(tower_module, "_rendered_level", spy):
         yield accepted
+
+
+def reference_parse_tower(text):
+    """The tower format-1 ``text`` describes, read as the reader that held each line whole read it: split at
+    ``\\n`` (what ``io.StringIO.readline`` does), then ``str.splitlines``, stripped, with blank and ``#``
+    lines dropped and a later key winning; a recipe level is kept as ``Tower.extend`` builds it when both
+    its values are the writer's rendering of it, else read entry by entry."""
+    try:
+        return _reference_parse(text)
+    except TowerParseError:
+        raise
+    except Exception as exc:
+        raise TowerParseError(f"malformed tower file: {exc}") from exc
+
+
+def _reference_sections(text):
+    header, props = None, {}
+    for physical in text.split("\n"):
+        for line in physical.splitlines():
+            line = line.strip()
+            if not line or line[0] == "#":
+                continue
+            if line.startswith("level"):
+                yield header, props
+                header, props = line, {}
+                continue
+            eq = line.find("=")
+            if eq < 0:
+                props[line] = ""
+            else:
+                props[line[:eq].strip()] = line[eq + 1:].lstrip()
+    yield header, props
+
+
+def _reference_rendered_level(tower, n, tag, rec, cuts, labels, index_of, texts):
+    block_labels = []
+    pos = 0
+    for _ in rec.block:
+        stop = labels.find(";", pos)
+        stop = len(labels) if stop < 0 else stop
+        eq = labels.find("=", pos, stop)
+        g = index_of.get(labels[eq + 1:stop]) if eq >= 0 else None
+        if g is None:
+            return None
+        block_labels.append(g)
+        pos = stop + 1
+    lvl = Level(n, rec.h, rec.z, rec.block, rec.reps, block_labels, tag, tower.elements, tower.v_pow)
+    if cuts == "".join(_cut_blocks(lvl)) and labels == "".join(_label_copies(lvl, texts)):
+        return lvl
+    return None
+
+
+def _reference_parse(text):
+    sections = _reference_sections(text)
+    _, fields = next(sections)
+    group = FinAbGroup(tuple(_parse_int_list(fields["group"])))
+    v = Automorphism(group, _parse_int_list(fields["aut"]))
+    depth = int(fields["depth"])
+    tower = Tower.seeded(group, v)
+    seeds, tower.levels = tower.levels, ()
+    texts = [_coords_str(el) for el in tower.elements]
+    index_of = {s: i for i, s in enumerate(texts)}
+    for header, props in sections:
+        n = int(header.split()[1])
+        if n != tower.depth + 1:
+            raise TowerParseError(f"level {n} out of order")
+        tag_text = props["tag"]
+        if tag_text == "seed":
+            tag = None
+        elif tag_text.startswith("even"):
+            tag = Tag(group.element(_coords_from_str(tag_text.split()[1])), 0)
+        elif tag_text.startswith("stagger"):
+            parts = tag_text.split()
+            k = int(parts[2].split("=")[1])
+            if k < 1:
+                raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
+            tag = Tag(group.element(_coords_from_str(parts[1])), k)
+        else:
+            raise TowerParseError(f"unknown tag {tag_text!r}")
+        if (tag is None) != (n <= 2):
+            raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
+        h, z = int(props["h"]), int(props["z"])
+        if tag is None:
+            cuts, labels = _read_entries(n, props["cuts"], props["labels"], group, index_of)
+            lvl = seeds[n - 1]
+            if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, lvl.cut_labels()):
+                raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
+                                      f"(h = {lvl.h}, z = {lvl.z}, cuts = {lvl.cuts}, zero labels)")
+        else:
+            rec = recipe(tower, n - 1, tag)
+            if (h, z) != (rec.h, rec.z):
+                raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
+                                      f"(h = {rec.h}, z = {rec.z})")
+            lvl = _reference_rendered_level(tower, n, tag, rec, props["cuts"], props["labels"], index_of, texts)
+            if lvl is None:
+                cuts, labels = _read_entries(n, props["cuts"], props["labels"], group, index_of)
+                lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
+                if lvl.cuts != cuts or lvl.cut_labels() != labels:
+                    lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)
+        tower.levels = (*tower.levels, lvl)
+    if tower.depth != depth:
+        raise TowerParseError(f"declared depth {depth} but parsed {tower.depth} levels")
+    return tower
 
 
 def reference_label_report(level, tower):

@@ -230,7 +230,7 @@ def test_criterion_6_weak_limits(tower_2):
     ok = True
     details = []
     for kind, steps in [
-        ("even", tower.even_steps()),
+        ("even", tower.steps_tagged(lambda tag: tag.k == 0)),
         ("stagger", tower.stagger_steps()),
         ("tail", list(range(2, tower.depth))),
     ]:
@@ -265,7 +265,7 @@ def test_criterion_7_separation(tower_2):
     ok = wit.found
     gap_exact = (wit.value_a - wit.value_b).abs_squared()
     ok &= gap_exact != 0
-    n = tower.even_steps(wit.witness)[-1]
+    n = tower.steps_tagged(lambda tag: tag.k == 0 and tag.el == wit.witness)[-1]
     res = separation_check(tower, chi, xi, wit.witness, Cylinder(1, (0,)), Cylinder(1, (0,)), n)
     ok &= res.certified
     report(7, ok, f"witness {wit.witness}, |gap|^2 = {gap_exact.as_fraction()}, "

@@ -505,6 +505,7 @@ def test_undecodable_bytes_are_a_one_line_config_error(built, tmp_path, capsys, 
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1, err
     assert err.startswith("config error: 'utf-8' codec can't decode"), err
+    assert err == f"config error: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
     assert out == ""
 
 

@@ -46,7 +46,7 @@ def test_even_residuals_decrease_and_certify(z3_tower):
     a = t.group.element((1,))
     for chi in chars(t):
         prev = None
-        for n in t.even_steps(a):
+        for n in t.steps_tagged(lambda tag: tag.k == 0 and tag.el == a):
             res = weak_limit_residual_even(t, chi, a, A0, B0, n)
             assert res >= 0
             if prev is not None:
@@ -60,7 +60,7 @@ def test_even_residual_trivial_character_identity_limit(z3_tower):
     t = z3_tower
     a = t.group.element((1,))
     chi0 = chars(t)[0]
-    n = t.even_steps(a)[-1]
+    n = t.steps_tagged(lambda tag: tag.k == 0 and tag.el == a)[-1]
     res = weak_limit_residual_even(t, chi0, a, A0, B0, n)
     p = pairing(t, chi0, 2 * t.h(n), A0, B0)
     inner = pairing(t, chi0, 0, A0, B0)
@@ -72,7 +72,7 @@ def test_even_residual_manual_target(z3_tower):
     t = z3_tower
     a = t.group.element((1,))
     chi = chars(t)[1]
-    n = t.even_steps(a)[0]
+    n = t.steps_tagged(lambda tag: tag.k == 0 and tag.el == a)[0]
     p = pairing(t, chi, 2 * t.h(n), A0, B0)
     inner = pairing(t, chi, 0, A0, B0)
     l = character_orbit_average(chi, a, t.v)
@@ -86,7 +86,7 @@ def test_wrong_tag_rejected(z3_tower):
     with pytest.raises(ValueError):
         weak_limit_residual_even(t, chars(t)[1], a, A0, B0, t.stagger_steps()[0])
     with pytest.raises(ValueError):
-        weak_limit_residual_stagger(t, chars(t)[1], a, 1, A0, B0, t.even_steps()[0])
+        weak_limit_residual_stagger(t, chars(t)[1], a, 1, A0, B0, t.steps_tagged(lambda tag: tag.k == 0)[0])
     with pytest.raises(ValueError):
         weak_limit_residual_stagger(t, chars(t)[1], a, 2, A0, B0, t.stagger_steps()[0])
 
@@ -150,7 +150,7 @@ def test_separation_certified(z3_tower):
     t = z3_tower
     a = t.group.element((1,))
     chi, xi = chars(t)[1], chars(t)[0]
-    n = t.even_steps(a)[-1]
+    n = t.steps_tagged(lambda tag: tag.k == 0 and tag.el == a)[-1]
     res = separation_check(t, chi, xi, a, A0, A0, n)
     assert isinstance(res, SeparationResult)
     # |l_chi(1) - 1| = 3/2 exactly for the order-3 system
@@ -163,7 +163,7 @@ def test_separation_same_orbit_rejected(z3_tower):
     chi = chars(t)[1]
     xi = chars(t)[2]  # chi o v: same dual orbit under negation
     with pytest.raises(ValueError):
-        separation_check(t, chi, xi, t.group.element((1,)), A0, A0, t.even_steps()[-1])
+        separation_check(t, chi, xi, t.group.element((1,)), A0, A0, t.steps_tagged(lambda tag: tag.k == 0)[-1])
 
 
 def test_level_operator_basics(z3_tower):

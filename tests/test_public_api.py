@@ -28,7 +28,6 @@ ACCEPTANCE_CERTIFICATES = {
     "ergodicity_sweep": (9,),
     "label_transport_witness": (9,),
     "recurrence_holds_at": (10,),
-    "even_steps": (6, 7),
 }
 
 

@@ -73,7 +73,7 @@ def test_return_cuts_densities(deep_tower):
 
 def test_return_cuts_rejects_even_levels(deep_tower):
     with pytest.raises(ValueError):
-        return_cuts(deep_tower, deep_tower.even_steps()[0])
+        return_cuts(deep_tower, deep_tower.steps_tagged(lambda tag: tag.k == 0)[0])
 
 
 def test_transport_witness_identity_pair(deep_tower):
