@@ -29,10 +29,9 @@ import functools
 import itertools
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .groups import (Automorphism, Element, FinAbGroup, LimitExceeded, _parse_int_list, addition_table,
                      least_period, negation_table)
@@ -667,8 +666,13 @@ class TowerParseError(Exception):
 
 
 def parse_tower(stream) -> Tower:
-    """The tower written in format 1 on the text stream ``stream`` (an open file, or ``io.StringIO``),
-    read one level at a time."""
+    """The tower written in format 1 on the text stream ``stream`` (an open file, or ``io.StringIO``), read
+    one level at a time in the layout ``serialize_tower`` writes: ``group``, ``aut`` and ``depth``, then per
+    level ``level n`` and ``tag``, ``h``, ``z``, ``cuts`` and ``labels``, in that order.
+
+    Lines end at a newline only; blank lines, ``#`` lines and blanks around a line or its ``=`` are
+    skipped.  Any other layout is a ``TowerParseError`` that names the level and what was expected.
+    """
     try:
         return _parse_tower_inner(stream)
     except (TowerParseError, OSError, UnicodeDecodeError):   # a failed read is not a malformed file
@@ -679,17 +683,6 @@ def parse_tower(stream) -> Tower:
 
 _READ_CHUNK = 8192   # the fewest characters a readline call asks for
 _READ_CAP = 1 << 16   # the most: larger pieces pass malloc's mmap threshold, which cost deep-build 5 MB of peak RSS
-_SPACE = re.compile(r"\s*")   # \s is str.isspace, what str.strip removes
-_VALUE_HEAD = re.compile(r"[ \t]*(cuts|labels)[ \t]*=[ \t]*")   # a line that may be checked as it is read
-
-
-class _Rendered(NamedTuple):
-    """A ``cuts =`` or ``labels =`` value that was ``render()`` when it was read under the level's ``tag =``
-    entry ``tag``; its text is not held.  ``level`` is the level a ``labels`` value renders (None for cuts)."""
-
-    render: Callable
-    level: Level | None
-    tag: tuple
 
 
 def _rest_of_line(stream, line: str) -> str:
@@ -710,58 +703,47 @@ def _rest_of_line(stream, line: str) -> str:
     return line
 
 
-def _content_lines(stream, read_line=_rest_of_line):
-    """Each line of ``str.splitlines()`` over the stream's text, stripped, that is neither blank nor a comment.
-
-    Each physical line is ``read_line(stream, head)``, ``head`` being its first ``_READ_CHUNK``
-    characters: the line itself, or what is left of it once ``read_line`` has read a value off it.
-    A line with no other break and no surrounding blanks is the physical line itself, not a copy.
-    """
-    while head := stream.readline(_READ_CHUNK):
-        for line in read_line(stream, head).splitlines():
-            line = line.strip()
-            if line and line[0] != "#":
-                yield line
-
-
-def _sections(stream, streamed):
-    """The content lines by level: (header line, {key: value}), the preamble first with header None.
-
-    A value is a ``(line, start of its stripped value)`` pair, left unsliced so a long one is held once,
-    or a ``_Rendered`` value: a line of a level that opens with a ``cuts =`` or ``labels =`` value goes
-    to ``streamed(props, key, head, start)``, which returns the value checked as it was read and the rest
-    of the line, or None and the whole line.  A later line with the same key wins.  A level's dict is
-    emptied when the caller asks for the next level, so no two levels' lines are held at once.
-    """
-    header, props = None, {}
-
-    def read_line(stream, head):
-        m = _VALUE_HEAD.match(head) if header is not None else None
-        if m is None:
-            return _rest_of_line(stream, head)
-        value, rest = streamed(props, m[1], head, m.end())
-        if value is not None:
-            props[m[1]] = value
-        return rest
-
-    for line in _content_lines(stream, read_line):
-        if line.startswith("level"):
-            yield header, props
-            header = line
-            props.clear()
-            continue
-        eq = line.find("=")
-        if eq < 0:
-            props[line] = ("", 0)
-        else:
-            props[line[:eq].strip()] = (line, _SPACE.match(line, eq + 1).end())
-    yield header, props
+def _next_head(stream) -> str:
+    """The start of the stream's next line that is neither blank nor a ``#`` comment, from its first
+    non-blank character, read on until it holds a non-blank character after its first ``=`` or its
+    newline; "" at the end of the text."""
+    head = ""
+    while piece := stream.readline(_READ_CHUNK):
+        head = (head + piece).lstrip()
+        if head[:1] == "#":
+            _rest_of_line(stream, head)
+            head = ""
+        elif head[-1:] == "\n" or head.partition("=")[2].strip():
+            break
+    return head
 
 
-def _streamed(stream, text: str, start: int, render, level: Level | None, tag: tuple):
-    """``(_Rendered(render, level, tag), rest of the line)`` when the stream's line, of which ``text`` has
-    been read, goes on from ``text[start]`` with the pieces of ``render()`` and then ends its content line;
-    else ``(None, the whole line)``.
+def _unexpected(where: str, want: str, head: str) -> TowerParseError:
+    """The refusal of the line ``head`` starts, shown by its key (the whole line when it has no ``=``) cut to
+    40 characters."""
+    found = repr(head.partition("=")[0].strip()[:40]) if head else "the end of the file"
+    return TowerParseError(f"{where}expected {want}, found {found}")
+
+
+def _expect(stream, where: str, key: str) -> tuple[str, int]:
+    """``(head, start)``: the next line's head as ``_next_head`` reads it, which must open with ``key =``,
+    and where its value starts."""
+    head = _next_head(stream)
+    name, eq, value = head.partition("=")
+    if not eq or name.rstrip() != key:
+        raise _unexpected(where, repr(f"{key} ="), head)
+    return head, len(head) - len(value.lstrip())
+
+
+def _value(stream, where: str, key: str) -> str:
+    """The stripped value of the next line, which must open with ``key =``."""
+    head, start = _expect(stream, where, key)
+    return _rest_of_line(stream, head)[start:].strip()
+
+
+def _streamed(stream, text: str, start: int, render) -> str | None:
+    """None when the stream's line, of which ``text`` has been read, goes on from ``text[start]`` with the
+    pieces of ``render()`` and then only blanks; else the line's value, from ``text[start]`` and stripped.
 
     Each piece is compared as it is read: ``stream.readline`` asked for as many characters as the piece
     has returns exactly them when they are there, for a piece holds no line break and no blank.  Nothing
@@ -775,20 +757,17 @@ def _streamed(stream, text: str, start: int, render, level: Level | None, tag: t
             got += stream.readline(len(piece) - len(got))
         if got != piece:
             prefix = "".join(itertools.islice(render(), matched))
-            return None, _rest_of_line(stream, text[:start] + prefix + got + text[pos:])
+            return _rest_of_line(stream, text[:start] + prefix + got + text[pos:])[start:].strip()
         matched += 1
     rest = _rest_of_line(stream, text[pos:])
-    first = rest.splitlines()[:1]   # what follows the value on its content line
-    if first and first[0].strip():
-        return None, text[:start] + "".join(render()) + rest
-    return _Rendered(render, level, tag), rest
+    return ("".join(render()) + rest).strip() if rest.strip() else None
 
 
 def _block_labels(stream, text: str, start: int, count: int, index_of: dict):
     """``(text, label indices)`` of the first ``count`` ``cut=coords`` entries of the value at
     ``text[start:]``, reading on into ``text`` (as ``_rest_of_line`` reads, up to the line's end) until it
-    holds each closed by a ``;``, as a recipe level's are (it has at least four copies); else
-    ``(the whole line, None)``, when the line ends first or an entry names no element."""
+    holds each closed by a ``;``, as a recipe level's are (it has at least four copies); the label indices
+    are None when the line ends first or an entry names no element."""
     closed = text.count(";", start)
     while closed < count and text[-1:] != "\n":
         more = stream.readline(min(_READ_CAP, max(_READ_CHUNK, len(text) >> 5)))
@@ -802,23 +781,10 @@ def _block_labels(stream, text: str, start: int, count: int, index_of: dict):
         eq = text.find("=", start, stop) if stop >= 0 else -1
         g = index_of.get(text[eq + 1:stop]) if eq >= 0 else None
         if g is None:
-            return _rest_of_line(stream, text), None
+            return text, None
         labels.append(g)
         start = stop + 1
     return text, labels
-
-
-def _rendered_level(cuts, labels, tag_entry: tuple) -> Level | None:
-    """The level ``Tower.extend`` builds for a tagged level, when its ``cuts =`` and ``labels =`` values from
-    ``_sections`` were both checked, as they were read under its last ``tag =`` entry ``tag_entry``, to be
-    that level's rendering; else None, and the caller reads every entry.
-
-    A value equal to the writer's output reads back, entry by entry, as exactly this level's cuts and
-    labels, so a held value or one checked under an earlier ``tag =`` line gives the same tower that way.
-    """
-    if isinstance(cuts, _Rendered) and isinstance(labels, _Rendered) and cuts.tag is labels.tag is tag_entry:
-        return labels.level
-    return None
 
 
 def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
@@ -856,67 +822,57 @@ def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
 
 
 def _parse_tag(group: FinAbGroup, n: int, text: str) -> Tag | None:
-    """Level n's tag from its ``tag =`` value; None for ``seed``."""
-    if text == "seed":
+    """Level n's tag from its ``tag =`` value: exactly ``seed`` (None), ``even <coords>`` or
+    ``stagger <coords> k=<k>``."""
+    words = text.split()
+    size = {"seed": 1, "even": 2, "stagger": 3}.get(words[0] if words else "")   # words in the value
+    if size is None:
+        raise TowerParseError(f"unknown tag {text!r}")
+    malformed = TowerParseError(f"level {n}: malformed tag {text!r}")
+    if len(words) != size or size == 3 and words[2][:2] != "k=":
+        raise malformed
+    if size == 1:
         return None
-    if text.startswith("even"):
-        return Tag(group.element(_coords_from_str(text.split()[1])), 0)
-    if text.startswith("stagger"):
-        parts = text.split()
-        k = int(parts[2].split("=")[1])
-        if k < 1:
-            raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
-        return Tag(group.element(_coords_from_str(parts[1])), k)
-    raise TowerParseError(f"unknown tag {text!r}")
+    try:
+        coords, k = _coords_from_str(words[1]), int(words[2][2:]) if size == 3 else 0
+    except ValueError:
+        raise malformed from None
+    if size == 3 and k < 1:
+        raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
+    return Tag(group.element(coords), k)
 
 
 def _parse_tower_inner(stream) -> Tower:
-    def value(props, key):
-        entry = props[key]
-        if isinstance(entry, _Rendered):
-            return "".join(entry.render())
-        line, start = entry
-        return line[start:]
-
-    def streamed(props, key, head, start):
-        """The level's ``cuts`` or ``labels`` value checked, as it is read, against the rendering of the
-        recipe level its ``tag =`` entry so far names, for ``_sections``."""
-        try:
-            tag = _parse_tag(group, tower.depth + 1, value(props, "tag"))
-        except (KeyError, IndexError, ValueError, TowerParseError):   # the level's checks raise it in order
-            tag = None
-        if tag is None or tower.depth < 2:
-            return None, _rest_of_line(stream, head)
-        rec = recipe(tower, tower.depth, tag)
-        if key == "cuts":
-            return _streamed(stream, head, start, functools.partial(_cut_blocks, rec), None, props["tag"])
-        head, block_labels = _block_labels(stream, head, start, len(rec.block), index_of)
-        if block_labels is None:
-            return None, head
-        lvl = Level(tower.depth + 1, rec.h, rec.z, rec.block, rec.reps, block_labels, tag, tower.elements,
-                    tower.v_pow)
-        return _streamed(stream, head, start, functools.partial(_label_copies, lvl, texts), lvl, props["tag"])
-
-    sections = _sections(stream, streamed)
-    _, fields = next(sections)
-    group = FinAbGroup(tuple(_parse_int_list(value(fields, "group"))))
-    v = Automorphism(group, _parse_int_list(value(fields, "aut")))
-    depth = int(value(fields, "depth"))
+    group = FinAbGroup(tuple(_parse_int_list(_value(stream, "", "group"))))
+    v = Automorphism(group, _parse_int_list(_value(stream, "", "aut")))
+    depth = int(_value(stream, "", "depth"))
     tower = Tower.seeded(group, v)
     seeds, tower.levels = tower.levels, ()   # the file's levels 1-2 must equal these
     texts = [_coords_str(el) for el in tower.elements]   # label index -> coordinate text
     index_of = {s: i for i, s in enumerate(texts)}   # coordinate text -> label index
-    for header, props in sections:
-        n = int(header.split()[1])
-        if n != tower.depth + 1:
-            raise TowerParseError(f"level {n} out of order")
-        tag_text = value(props, "tag")
+    where = ""
+    while head := _next_head(stream):
+        n = tower.depth + 1
+        if head.split(maxsplit=1)[:1] != ["level"]:
+            raise _unexpected(where, repr(f"level {n}") if n <= depth else "the end of the file", head)
+        header = _rest_of_line(stream, head).strip()
+        words = header.split()
+        if len(words) != 2 or not words[1].isdecimal():
+            raise TowerParseError(f"malformed level header {header!r}")
+        m = int(words[1])
+        if m > depth:   # refused before the level's values are read
+            raise TowerParseError(f"level {m} beyond declared depth {depth}")
+        if m != n:
+            raise TowerParseError(f"level {m} out of order")
+        where = f"level {n}: "
+        tag_text = _value(stream, where, "tag")
         tag = _parse_tag(group, n, tag_text)
         if (tag is None) != (n <= 2):   # every tower grows by recipe from Tower.seeded
             raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
-        h, z = int(value(props, "h")), int(value(props, "z"))
+        h, z = int(_value(stream, where, "h")), int(_value(stream, where, "z"))
         if tag is None:
-            cuts, labels = _read_entries(n, value(props, "cuts"), value(props, "labels"), group, index_of)
+            cuts, labels = _read_entries(n, _value(stream, where, "cuts"), _value(stream, where, "labels"),
+                                         group, index_of)
             lvl = seeds[n - 1]
             if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, lvl.cut_labels()):
                 raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
@@ -926,11 +882,21 @@ def _parse_tower_inner(stream) -> Tower:
             if (h, z) != (rec.h, rec.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
                                       f"(h = {rec.h}, z = {rec.z})")
-            lvl = _rendered_level(props["cuts"], props["labels"], props["tag"])
-            if lvl is None:
+            # each value is checked against the level Tower.extend builds as it streams in
+            cuts = _streamed(stream, *_expect(stream, where, "cuts"), functools.partial(_cut_blocks, rec))
+            head, start = _expect(stream, where, "labels")
+            lvl = None
+            if cuts is None:
+                head, block_labels = _block_labels(stream, head, start, len(rec.block), index_of)
+                if block_labels is not None:
+                    lvl = Level(n, h, z, rec.block, rec.reps, block_labels, tag, tower.elements, tower.v_pow)
+            labels = (_rest_of_line(stream, head)[start:].strip() if lvl is None
+                      else _streamed(stream, head, start, functools.partial(_label_copies, lvl, texts)))
+            if labels is not None:
                 # any other valid file: keep the level Tower.extend builds when the file repeats
                 # its block by the v^q rule, else one copy (reps == 1) of its cuts
-                cuts, labels = _read_entries(n, value(props, "cuts"), value(props, "labels"), group, index_of)
+                cuts, labels = _read_entries(n, "".join(_cut_blocks(rec)) if cuts is None else cuts, labels,
+                                             group, index_of)
                 lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
                 if lvl.cuts != cuts or lvl.cut_labels() != labels:
                     lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)

@@ -5,7 +5,7 @@ before its levels went block-native, so each block-form result, and each
 format-1 line rendered from the block, can be checked against an independent
 scan on every level and on its one-copy (``reps == 1``) twin.  ``tower_text``
 gives a tower's format-1 text as a string, and ``reference_parse_tower`` reads
-it back as the reader did that held each line whole.
+it back from the whole text, each line held whole.
 """
 
 import bisect
@@ -81,25 +81,26 @@ def reference_labels_text(level) -> str:
 
 
 @contextlib.contextmanager
-def rendered_level_calls():
-    """A list filled, per tagged level that ``parse_tower`` reads, with whether it kept the writer's rendering."""
-    accepted = []
-    rendered_level = tower_module._rendered_level
+def entry_read_levels():
+    """A list filled with the number of each level that ``parse_tower`` reads entry by entry (``_read_entries``):
+    the seed levels, and every tagged level whose values are not the writer's rendering of it."""
+    read = []
+    read_entries = tower_module._read_entries
 
-    def spy(*args):
-        lvl = rendered_level(*args)
-        accepted.append(lvl is not None)
-        return lvl
+    def spy(n, *args):
+        read.append(n)
+        return read_entries(n, *args)
 
-    with patch.object(tower_module, "_rendered_level", spy):
-        yield accepted
+    with patch.object(tower_module, "_read_entries", spy):
+        yield read
 
 
 def reference_parse_tower(text):
-    """The tower format-1 ``text`` describes, read as the reader that held each line whole read it: split at
-    ``\\n`` (what ``io.StringIO.readline`` does), then ``str.splitlines``, stripped, with blank and ``#``
-    lines dropped and a later key winning; a recipe level is kept as ``Tower.extend`` builds it when both
-    its values are the writer's rendering of it, else read entry by entry."""
+    """The tower format-1 ``text`` describes, read from the whole text: split at ``\\n``, stripped, with
+    blank and ``#`` lines dropped, then taken line by line in the writer's order (``group``, ``aut``,
+    ``depth``, then per level ``level n``, ``tag``, ``h``, ``z``, ``cuts``, ``labels``); a recipe level is
+    kept as ``Tower.extend`` builds it when both its values are the writer's rendering of it, else read
+    entry by entry."""
     try:
         return _reference_parse(text)
     except TowerParseError:
@@ -108,23 +109,8 @@ def reference_parse_tower(text):
         raise TowerParseError(f"malformed tower file: {exc}") from exc
 
 
-def _reference_sections(text):
-    header, props = None, {}
-    for physical in text.split("\n"):
-        for line in physical.splitlines():
-            line = line.strip()
-            if not line or line[0] == "#":
-                continue
-            if line.startswith("level"):
-                yield header, props
-                header, props = line, {}
-                continue
-            eq = line.find("=")
-            if eq < 0:
-                props[line] = ""
-            else:
-                props[line[:eq].strip()] = line[eq + 1:].lstrip()
-    yield header, props
+def _reference_found(line):
+    return repr(line.partition("=")[0].strip()[:40]) if line else "the end of the file"
 
 
 def _reference_rendered_level(tower, n, tag, rec, cuts, labels, index_of, texts):
@@ -145,38 +131,65 @@ def _reference_rendered_level(tower, n, tag, rec, cuts, labels, index_of, texts)
     return None
 
 
+def _reference_tag(group, n, text):
+    words = text.split()
+    if not words or words[0] not in ("seed", "even", "stagger"):
+        raise TowerParseError(f"unknown tag {text!r}")
+    shapes = {"seed": 1, "even": 2, "stagger": 3}
+    if len(words) != shapes[words[0]] or words[0] == "stagger" and not words[2].startswith("k="):
+        raise TowerParseError(f"level {n}: malformed tag {text!r}")
+    if words[0] == "seed":
+        return None
+    try:
+        coords = _coords_from_str(words[1])
+        k = int(words[2][2:]) if words[0] == "stagger" else 0
+    except ValueError:
+        raise TowerParseError(f"level {n}: malformed tag {text!r}") from None
+    if words[0] == "stagger" and k < 1:
+        raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
+    return Tag(group.element(coords), k)
+
+
 def _reference_parse(text):
-    sections = _reference_sections(text)
-    _, fields = next(sections)
-    group = FinAbGroup(tuple(_parse_int_list(fields["group"])))
-    v = Automorphism(group, _parse_int_list(fields["aut"]))
-    depth = int(fields["depth"])
+    lines = iter([ln.strip() for ln in text.split("\n") if ln.strip() and not ln.strip().startswith("#")])
+
+    def value(where, key):
+        line = next(lines, "")
+        name, eq, val = line.partition("=")
+        if not eq or name.strip() != key:
+            raise TowerParseError(f"{where}expected '{key} =', found {_reference_found(line)}")
+        return val.strip()
+
+    group = FinAbGroup(tuple(_parse_int_list(value("", "group"))))
+    v = Automorphism(group, _parse_int_list(value("", "aut")))
+    depth = int(value("", "depth"))
     tower = Tower.seeded(group, v)
     seeds, tower.levels = tower.levels, ()
     texts = [_coords_str(el) for el in tower.elements]
     index_of = {s: i for i, s in enumerate(texts)}
-    for header, props in sections:
-        n = int(header.split()[1])
-        if n != tower.depth + 1:
-            raise TowerParseError(f"level {n} out of order")
-        tag_text = props["tag"]
-        if tag_text == "seed":
-            tag = None
-        elif tag_text.startswith("even"):
-            tag = Tag(group.element(_coords_from_str(tag_text.split()[1])), 0)
-        elif tag_text.startswith("stagger"):
-            parts = tag_text.split()
-            k = int(parts[2].split("=")[1])
-            if k < 1:
-                raise TowerParseError(f"level {n}: stagger mix ratio k={k} is below 1 (k = 0 is written even)")
-            tag = Tag(group.element(_coords_from_str(parts[1])), k)
-        else:
-            raise TowerParseError(f"unknown tag {tag_text!r}")
+    for line in lines:
+        n = tower.depth + 1
+        words = line.split()
+        if words[0] != "level":
+            where = f"level {n - 1}: " if n > 1 else ""
+            want = f"'level {n}'" if n <= depth else "the end of the file"
+            raise TowerParseError(f"{where}expected {want}, found {_reference_found(line)}")
+        if len(words) != 2 or not words[1].isdecimal():
+            raise TowerParseError(f"malformed level header {line!r}")
+        if int(words[1]) > depth:
+            raise TowerParseError(f"level {int(words[1])} beyond declared depth {depth}")
+        if int(words[1]) != n:
+            raise TowerParseError(f"level {int(words[1])} out of order")
+        where = f"level {n}: "
+        tag_text = value(where, "tag")
+        tag = _reference_tag(group, n, tag_text)
         if (tag is None) != (n <= 2):
             raise TowerParseError(f"level {n}: levels 1-2 must be tagged seed and later levels even or stagger")
-        h, z = int(props["h"]), int(props["z"])
+        h = int(value(where, "h"))
+        z = int(value(where, "z"))
         if tag is None:
-            cuts, labels = _read_entries(n, props["cuts"], props["labels"], group, index_of)
+            cuts_text = value(where, "cuts")
+            cuts, labels = _read_entries(n, cuts_text, value(where, "labels"), group, index_of)
             lvl = seeds[n - 1]
             if (h, z, cuts, labels) != (lvl.h, lvl.z, lvl.cuts, lvl.cut_labels()):
                 raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
@@ -186,9 +199,11 @@ def _reference_parse(text):
             if (h, z) != (rec.h, rec.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
                                       f"(h = {rec.h}, z = {rec.z})")
-            lvl = _reference_rendered_level(tower, n, tag, rec, props["cuts"], props["labels"], index_of, texts)
+            cuts_text = value(where, "cuts")
+            labels_text = value(where, "labels")
+            lvl = _reference_rendered_level(tower, n, tag, rec, cuts_text, labels_text, index_of, texts)
             if lvl is None:
-                cuts, labels = _read_entries(n, props["cuts"], props["labels"], group, index_of)
+                cuts, labels = _read_entries(n, cuts_text, labels_text, group, index_of)
                 lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
                 if lvl.cuts != cuts or lvl.cut_labels() != labels:
                     lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)

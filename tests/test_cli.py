@@ -512,19 +512,14 @@ def test_undecodable_bytes_are_a_one_line_config_error(built, tmp_path, capsys, 
 _LINE_VARIANTS = {
     "crlf": lambda t: t.replace("\n", "\r\n"),
     "lone-cr": lambda t: t.replace("\n", "\r"),
-    "form-feed-in-a-level": lambda t: t.replace("level 4\n", "level 4\x0c").replace("z = 9222\n", "z = 9222\x0c"),
-    "line-separator-in-a-level": lambda t: t.replace("tag = even 1\nh = 21247488\n",
-                                                     "tag = even 1 h = 21247488 "),
     "trailing-whitespace": lambda t: t.replace("\n", " \t\n"),
     "comments": lambda t: "# a note\n" + t.replace("\nlevel ", "\n# level = 9\n   # depth = 2\n\nlevel "),
-    "repeated-key": lambda t: t.replace("group = [3]\n", "depth = 99\ngroup = [3]\n")
-                               .replace("level 5\n", "level 5\nh = 7\nlabels = 0=0\ncuts = 0:1:1\n"),
 }
 
 
 @pytest.mark.parametrize("variant", _LINE_VARIANTS.values(), ids=_LINE_VARIANTS.keys())
 def test_tower_file_line_variants_parse_to_the_same_tower(built, tmp_path, capsys, variant):
-    """Every ``str.splitlines`` break ends a line; blank, comment and trailing blanks are skipped; a later key wins."""
+    """A text-mode file turns \\r\\n and \\r into \\n; blank lines, comments and blanks around a line are skipped."""
     from cfspectra.tower import parse_tower
     from cut_scans import tower_text
 
@@ -532,14 +527,50 @@ def test_tower_file_line_variants_parse_to_the_same_tower(built, tmp_path, capsy
     bad = tmp_path / "variant.txt"
     bad.write_bytes(variant(text).encode())
     assert bad.read_bytes() != text.encode()
-    with bad.open() as f:   # the file's reader turns \r\n and \r into \n
+    with bad.open() as f:
         assert tower_text(parse_tower(f)) == text
-    assert tower_text(parse_tower(io.StringIO(variant(text)))) == text   # no newline translation here
     capsys.readouterr()
     assert main(["verify", "--tower", str(built / "tower.txt")]) == 0
     clean = capsys.readouterr().out
     assert main(["verify", "--tower", str(bad)]) == 0
     assert capsys.readouterr().out == clean
+
+
+_REFUSED_LAYOUTS = {
+    "form-feed-in-a-level": (lambda t: t.replace("level 4\n", "level 4\x0c"),
+                             "malformed level header 'level 4\\x0ctag = stagger 1 k=1'"),
+    "line-separator-in-a-level": (lambda t: t.replace("tag = even 1\nh = 21247488\n",
+                                                     "tag = even 1\u2028h = 21247488\u2028"),
+                                  "level 5: malformed tag 'even 1\\u2028h = 21247488\\u2028z = 1327968'"),
+    "repeated-key": (lambda t: t.replace("z = 9222\n", "z = 9222\nz = 9222\n"),
+                     "level 4: expected 'cuts =', found 'z'"),
+    "unknown-key": (lambda t: t.replace("h = 384\n", "h = 384\nw = 1\n"),
+                    "level 3: expected 'z =', found 'w'"),
+    "tag-after-the-values": (lambda t: t.replace("level 3\ntag = even 1\n", "level 3\n")
+                                        .replace("\nlevel 4\n", "\ntag = even 1\nlevel 4\n"),
+                             "level 3: expected 'tag =', found 'h'"),
+}
+
+
+@pytest.mark.parametrize("variant,message", _REFUSED_LAYOUTS.values(), ids=_REFUSED_LAYOUTS.keys())
+def test_tower_file_layouts_the_writer_does_not_write_are_a_parse_error(built, tmp_path, capsys, variant, message):
+    """Only a newline ends a line, and each level's keys come once each in the writer's order."""
+    bad = tmp_path / "variant.txt"
+    bad.write_bytes(variant((built / "tower.txt").read_text()).encode())
+    for command in (["verify"], ["weaklimits", "--max-level", "1"], ["recur"]):
+        capsys.readouterr()
+        assert main([command[0], "--tower", str(bad), *command[1:]]) == 2, command
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"parse error: {message}\n"), command
+
+
+def test_a_lone_cr_read_without_newline_translation_is_a_parse_error(built):
+    """Through ``io.StringIO`` a text whose lines end in \\r is one line: the opening comment."""
+    from cfspectra.tower import TowerParseError, parse_tower
+
+    text = (built / "tower.txt").read_text().replace("\n", "\r")
+    with pytest.raises(TowerParseError, match="^expected 'group =', found the end of the file$"):
+        parse_tower(io.StringIO(text))
 
 
 @pytest.mark.parametrize("config,options", [
@@ -577,6 +608,15 @@ def test_extra_coordinates_are_a_parse_error(tmp_path, capsys, old, new):
     assert out_text == ""
 
 
+def test_tag_coordinates_reduce_as_label_coordinates_do(built):
+    from cfspectra.tower import parse_tower
+    from cut_scans import tower_text
+
+    text = (built / "tower.txt").read_text()
+    assert "level 3\ntag = even 1\n" in text
+    assert tower_text(parse_tower(io.StringIO(text.replace("tag = even 1\n", "tag = even 7\n", 1)))) == text
+
+
 def test_stagger_tag_with_k_zero_is_a_parse_error(tmp_path, capsys):
     """k = 0 is the even level; a file that calls it stagger is refused, not read back as even."""
     out = tmp_path / "t5"
@@ -596,7 +636,14 @@ def test_stagger_tag_with_k_zero_is_a_parse_error(tmp_path, capsys):
     ("level 4\n", "level 5\n", "level 5 out of order"),
     ("level 4\ntag = stagger 1 k=1\n", "level 4\ntag = sideways\n", "unknown tag 'sideways'"),
     ("depth = 5\n", "depth = 7\n", "declared depth 7 but parsed 5 levels"),
-], ids=["level-order", "tag", "depth"])
+    ("depth = 5\n", "depth = 4\n", "level 5 beyond declared depth 4"),   # refused before level 5 is read
+    ("level 3\n", "level 3 4\n", "malformed level header 'level 3 4'"),
+    ("level 3\n", "level\n", "malformed level header 'level'"),
+    ("level 3\ntag = even 1\n", "level 3\ntag = even 1 2\n", "level 3: malformed tag 'even 1 2'"),
+    ("level 3\ntag = even 1\n", "level 3\ntag = even\n", "level 3: malformed tag 'even'"),
+    ("level 4\ntag = stagger 1 k=1\n", "level 4\ntag = stagger 1\n", "level 4: malformed tag 'stagger 1'"),
+], ids=["level-order", "tag", "depth", "beyond-depth", "header-extra-word", "header-no-number", "tag-extra-word",
+        "even-no-coordinates", "stagger-no-k"])
 def test_malformed_level_structure_is_a_parse_error(tmp_path, capsys, old, new, message):
     out = tmp_path / "t5"
     assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0
@@ -750,31 +797,31 @@ def _bumped_cut(entry: str) -> str:
 ], ids=["changed-digit", "missing-separator", "replaced-separator", "extra-after-last-copy"])
 def test_labels_tampered_past_the_block_fail_the_in_place_check(built, edit):
     from cfspectra.tower import TowerParseError, parse_tower
-    from cut_scans import rendered_level_calls
+    from cut_scans import entry_read_levels
 
     text = (built / "tower.txt").read_text()
     nb = len(parse_tower(io.StringIO(text)).level(6).block)
     bad = _edit_labels(text, lambda level, entries: edit(entries, nb) if level == "level 6" else entries)
-    with rendered_level_calls() as accepted, pytest.raises(TowerParseError) as err:
+    with entry_read_levels() as read, pytest.raises(TowerParseError) as err:
         parse_tower(io.StringIO(bad))
-    assert accepted == [True, True, True, False]   # the largest level leaves the in-place check
+    assert read == [1, 2, 6]   # the largest level leaves the in-place check
     assert str(err.value) == "level 6: labels do not cover the cuts exactly"
 
 
 def test_labels_read_past_the_in_place_check_as_the_entry_reader_does(built, tmp_path, capsys):
     from cfspectra.tower import parse_tower
-    from cut_scans import rendered_level_calls, tower_text
+    from cut_scans import entry_read_levels, tower_text
 
     text = (built / "tower.txt").read_text()
     labels = text.rstrip("\n").rsplit("\n", 1)[1]   # the largest level's, last in the file
     spaced = text.replace(labels, labels + "  \t")
-    with rendered_level_calls() as accepted:
+    with entry_read_levels() as read:
         assert tower_text(parse_tower(io.StringIO(spaced))) == text
-    assert accepted == [True] * 4   # the value is stripped before the check
+    assert read == [1, 2]   # the value is stripped before the check
     changed = text.replace(labels, labels[:-1] + str((int(labels[-1]) + 1) % 3))   # the last label
-    with rendered_level_calls() as accepted:
+    with entry_read_levels() as read:
         t = parse_tower(io.StringIO(changed))
-    assert accepted == [True, True, True, False]
+    assert read == [1, 2, 6]
     assert t.level(6).reps == 1 and tower_text(t) == changed
     bad = tmp_path / "tampered.txt"
     bad.write_text(changed)
@@ -806,16 +853,16 @@ def _split_first_block(blocks):
 
 def test_rechunked_cuts_parse_to_the_same_tower(built, tmp_path, capsys):
     from cfspectra.tower import parse_tower
-    from cut_scans import rendered_level_calls, tower_text
+    from cut_scans import entry_read_levels, tower_text
 
     text = (built / "tower.txt").read_text()
     bad = tmp_path / "rechunked.txt"
     bad.write_text(_edit_cuts(text, "level 4", _split_first_block))
     assert "cuts = 0:768:2,1536:768:4,4609:769:6," in bad.read_text()
     t = parse_tower(io.StringIO(text))
-    with rendered_level_calls() as accepted:
+    with entry_read_levels() as read:
         twin = parse_tower(io.StringIO(bad.read_text()))
-    assert accepted == [True, False, True, True]   # level 4 goes through the per-entry reader
+    assert read == [1, 2, 4]   # level 4 goes through the per-entry reader, the others took the streamed check
     for lvl, other in zip(t.levels, twin.levels, strict=True):
         assert (other.block, other.reps, other.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
     assert tower_text(twin) == text

@@ -29,14 +29,16 @@ from cfspectra.tower import (
     validate_tower,
     TowerParseError,
     _compress_aps,
-    _content_lines,
     _coords_str,
     _cut_blocks,
     _gap_runs,
     _label_copies,
+    _next_head,
+    _rest_of_line,
 )
 
 from cut_scans import (
+    entry_read_levels,
     find_cut_scan,
     one_copy_twin,
     reference_compress_aps,
@@ -45,7 +47,6 @@ from cut_scans import (
     reference_labels_text,
     reference_recipe,
     reference_structure_report,
-    rendered_level_calls,
     tower_text,
 )
 
@@ -570,25 +571,34 @@ def test_parse_rejects_truncated_file(z3_system):
 _line_chars = st.sampled_from(list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 \t\x1f\xa0\u3000#=;a1"))
 
 
+def _content_lines(stream):
+    while head := _next_head(stream):
+        yield _rest_of_line(stream, head).strip()
+
+
 @given(st.text(_line_chars, max_size=40))
 @example("a\r\nb\r\n")
 @example(" # c\n\x85a = 1 \u2028\n")
-def test_content_lines_are_the_stripped_splitlines(text):
-    want = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+@example("a\rb = \x0c\n  \n#\x85c\n")
+def test_content_lines_are_the_stripped_newline_lines(text):
+    """Only a newline ends a line: every other break is a blank inside it, stripped at its ends."""
+    want = [ln.strip() for ln in text.split("\n") if ln.strip() and not ln.strip().startswith("#")]
     for chunk in (1, 2, 8192):   # characters per readline call: a line may arrive in pieces
         with patch.object(tower_module, "_READ_CHUNK", chunk):
             assert list(_content_lines(io.StringIO(text))) == want, chunk
 
 
-def test_any_line_break_reads_like_a_newline(z3_system):
+def test_only_a_newline_ends_a_line(z3_system):
     text = tower_text(build_desk_tower(z3_system, depth=6))
-    for sep in ("\r\n", "\r", "\x0c", "\u2028", "\x85", " \t\n", "\n\n# note\n"):
+    for sep in ("\r\n", " \t\n", "\n\n# note\n"):   # a trailing \r is a blank, as are the others
         assert tower_text(parse_tower(io.StringIO(text.replace("\n", sep)))) == text, repr(sep)
+    for sep in ("\r", "\x0c", "\u2028", "\x85"):   # the text is one line, a comment
+        with pytest.raises(TowerParseError, match="^expected 'group =', found the end of the file$"):
+            parse_tower(io.StringIO(text.replace("\n", sep)))
     labels = text.rstrip("\n").rsplit("\n", 1)[1]
-    for sep in ("\x0c", "\u2028", "\r"):   # a break inside the largest labels value cuts the value short
-        cut = labels[:len(labels) // 2] + sep + labels[len(labels) // 2:]
-        with pytest.raises(TowerParseError, match="^level 6: labels do not cover the cuts exactly$"):
-            parse_tower(io.StringIO(text.replace(labels, cut)))
+    cut = labels[:len(labels) // 2] + "\n" + labels[len(labels) // 2:]   # a newline cuts the value short
+    with pytest.raises(TowerParseError, match="^level 6: labels do not cover the cuts exactly$"):
+        parse_tower(io.StringIO(text.replace(labels, cut)))
 
 
 def test_parse_holds_no_copy_of_the_text():
@@ -679,16 +689,22 @@ def _level_fields(t):
 def test_parse_accepts_the_rendering_and_reads_it_as_the_entry_reader_does(case):
     t, _ = case
     text = tower_text(t)
-    with rendered_level_calls() as accepted:
+    with entry_read_levels() as read_levels:
         fast = parse_tower(io.StringIO(text))
-    with patch.object(tower_module, "_rendered_level", lambda *args: None):
-        read = parse_tower(io.StringIO(text))   # every level through the per-entry reader
-    assert accepted == [True] * (t.depth - 2)
+    assert read_levels == [1, 2]   # every tagged level took the streamed check
+
+    def never_the_rendering(stream, text, start, render):   # every value read whole
+        return _rest_of_line(stream, text)[start:].strip()
+
+    with patch.object(tower_module, "_streamed", never_the_rendering), entry_read_levels() as read_levels:
+        read = parse_tower(io.StringIO(text))
+    assert read_levels == list(range(1, t.depth + 1))   # every level through the per-entry reader
     assert _level_fields(fast) == _level_fields(read) == _level_fields(t)
     assert tower_text(fast) == text
 
 
-# every break and blank a mutation puts in a value: str.splitlines breaks, and blanks that are not breaks
+# every break and blank a mutation puts in a value: the newline, and the other str.splitlines breaks and the
+# blanks, which end no line
 _VALUE_BREAKS = list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 \t\x1f\xa0")
 
 
@@ -697,7 +713,7 @@ def mutated_tower_texts(draw):
     """The text of a ``small_towers`` tower, perhaps with one ``cuts =`` or ``labels =`` line mutated: a break
     or blank put in or after its value or in place of its newline, a second line with that key (or
     ``tag =``) later in its level, the level's ``tag =`` line moved after its values, one digit changed, or
-    the value truncated; and perhaps with no newline at its end."""
+    the value truncated; and perhaps with no newline at its end.  Drawn as ``(mutation kind, text)``."""
     t, _ = draw(small_towers())
     lines = tower_text(t).split("\n")
     i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith(("cuts =", "labels ="))]))
@@ -723,13 +739,16 @@ def mutated_tower_texts(draw):
     elif kind == "truncate":
         lines[i] = line[:draw(st.integers(start, len(line) - 1))]
     text = "\n".join(lines)
-    return text.rstrip("\n") if draw(st.booleans()) else text
+    return kind, text.rstrip("\n") if draw(st.booleans()) else text
 
 
 @given(mutated_tower_texts())
-def test_the_streamed_reader_agrees_with_the_whole_line_reader(text):
-    """Whatever the piece a line is first read in, ``parse_tower`` reads each text as the reader that held
-    every line whole did: the same levels, or the same ``TowerParseError`` message."""
+def test_the_streamed_reader_agrees_with_the_whole_line_reader(case):
+    """Whatever the piece a line is first read in, ``parse_tower`` reads each text as the reference that holds
+    every line whole does: the same levels, or the same ``TowerParseError`` message.  A key out of the
+    writer's order is refused."""
+    kind, text = case
+
     def outcome(read):
         try:
             return _level_fields(read())
@@ -737,6 +756,8 @@ def test_the_streamed_reader_agrees_with_the_whole_line_reader(text):
             return str(exc)
 
     want = outcome(lambda: reference_parse_tower(text))
+    if kind in ("repeat", "tag-after"):
+        assert isinstance(want, str) and "expected" in want, want
     for chunk in (10, 16, 40, 8192):   # the smaller ones split each value across reads
         with patch.object(tower_module, "_READ_CHUNK", chunk):
             assert outcome(lambda: parse_tower(io.StringIO(text))) == want, chunk
