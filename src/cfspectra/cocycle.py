@@ -16,14 +16,21 @@ from .groups import Element, FinAbGroup, Subgroup, addition_table, negation_tabl
 from .tower import Point, Tower, apply_T
 
 
-def rung_label(tower: Tower, f: int, N: int) -> Element:
-    """Sum of cut labels along the depth-N canonical decomposition of rung f."""
-    n_min, _, coords = tower.decompose(f, N)
-    add = addition_table(tower.group)
-    total = 0
-    for j in range(1, N + 1):
-        total = add[total][tower.level(j).label_index(coords.get(j, 0))]
-    return tower.elements[total]
+def rung_label(tower: Tower, f: int, N: int) -> int:
+    """Element index of the sum of cut labels along the depth-N canonical decomposition of rung f, in one
+    walk down from level N that adds the label ``find_cut`` finds with each coordinate."""
+    if not 0 <= f < tower.h(N):
+        raise ValueError(f"rung {f} outside [0, h_{N})")
+    add, total = addition_table(tower.group), 0
+    for j in range(N, 0, -1):
+        hit = tower.find_cut(j, f)
+        if hit is None:   # levels 1..j, where the decomposition has no coordinate, add the label of cut 0
+            for lvl in tower.levels[:j]:
+                total = add[total][lvl.label_index(0)]
+            break
+        f -= hit[0]
+        total = add[total][hit[1]]
+    return total
 
 
 def rung_label_indices(tower: Tower, N: int) -> list[int]:
@@ -77,9 +84,9 @@ class Cocycle:
         t = self.tower
         if x.truncation != y.truncation:
             raise NotEquivalent("points have different truncation depths")
-        G, N = t.group, x.truncation
-        lx, ly = (G.element_index(rung_label(t, p.rung(t), N)) for p in (x, y))
-        return t.elements[addition_table(G)[lx][negation_table(G)[ly]]]
+        N = x.truncation
+        add, neg = addition_table(t.group), negation_table(t.group)
+        return t.elements[add[rung_label(t, x.rung(t), N)][neg[rung_label(t, y.rung(t), N)]]]
 
 
 # -- coset fibers of the skew product ----------------------------------------
@@ -129,24 +136,13 @@ class TailShift:
         """The shifted point, or None when no admissible level certifies p."""
         t = self.tower
         N = p.truncation
-        rung = p.rung(t)
-        n_min, f0, coords = t.decompose(rung, N)
-        level_rung = f0
+        n_min, level_rung, coords = t.decompose(p.rung(t), N)
         for n in range(n_min, N + 1):
-            if n > n_min:
-                level_rung += coords[n]
-            if level_rung + self.z_prefix(n) >= t.h(n):
-                continue
-            ok = True
-            for m in range(n + 1, N + 1):
-                c = coords[m]
-                if c + self.z[m] not in t.level(m):
-                    ok = False
-                    break
-            if ok:
-                new_rung = level_rung + self.z_prefix(n)
-                tail = tuple(coords[m] + self.z[m] for m in range(n + 1, N + 1))
-                return Point(n, new_rung, tail)
+            level_rung += coords.get(n, 0)   # n_min has no coordinate
+            if (level_rung + self.z_prefix(n) < t.h(n)
+                    and all(coords[m] + self.z[m] in t.level(m) for m in range(n + 1, N + 1))):
+                return Point(n, level_rung + self.z_prefix(n),
+                             tuple(coords[m] + self.z[m] for m in range(n + 1, N + 1)))
         return None
 
 def commutes_with_shift(ts: TailShift, p: Point) -> bool | None:

@@ -213,7 +213,6 @@ class PairingEngine:
                     shifts) -> dict[int, _Ring]:
         """Q_level(d) in Z[K] computed explicitly: sum over u in B with u + d in A."""
         t = self.tower
-        G = t.group
         store = _store(t)
         add, neg = store.add, store.neg
         a_set = set(A)
@@ -223,7 +222,7 @@ class PairingEngine:
         def lab(f: int) -> int:
             g = label_cache.get(f)
             if g is None:
-                g = label_cache[f] = G.element_index(rung_label(t, f, level))
+                g = label_cache[f] = rung_label(t, f, level)
             return g
 
         for d in shifts:

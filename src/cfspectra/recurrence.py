@@ -313,20 +313,14 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
     ratio = Fraction(size, lvl.r)
     bound = Fraction(1, 2 * m)
     N = lvl.n
-    checked = 0
-    ok = True
     stride = lvl.z * len(tower.v_pow)
     top_picks = sorted({_nth(cls, stride, i) for i in (0, size // 2, size - 1)})
     mid_levels = [tower.level(j) for j in range(base_level + 1, k + 1)]
-    for mid in _spread_product(mid_levels, limit=max(1, samples // (len(top_picks) * p))):
-        for c_top in top_picks:
-            for f in rungs:
-                g = f + sum(mid) + c_top
-                val = rung_label(tower, g, N) - rung_label(tower, g - 2 * h, N)
-                checked += 1
-                if val != a:
-                    ok = False
-    return LabelWitnessReport(k, -2 * h, ratio, ratio > bound, checked, ok)
+    limit = max(1, samples // (len(top_picks) * p))
+    sampled = [f + sum(mid) + c_top for mid in _spread_product(mid_levels, limit) for c_top in top_picks for f in rungs]
+    # a list, not a generator: every sampled rung is checked, past a miss too
+    ok = all([add[rung_label(tower, g, N)][neg[rung_label(tower, g - 2 * h, N)]] == e for g in sampled])
+    return LabelWitnessReport(k, -2 * h, ratio, ratio > bound, len(sampled), ok)
 
 
 def _nth(classes, stride: int, k: int) -> int:

@@ -70,7 +70,7 @@ class Level:
     by z and bisect on the block, and pair counts use ``shift_classes``.
     The format-1 lines are rendered from the block (``_cut_blocks``,
     ``_label_copies``); ``cuts`` is read only by ``embed`` and by the
-    parser's per-entry reader.
+    parser's seed-level check and per-entry fallback.
     A tagged level n was built at step ``n - 1``.
     ``elements`` and ``v_pow`` are the owning tower's index tables.
     """
@@ -256,23 +256,22 @@ class Tower:
 
     # -- decomposition ----------------------------------------------------
 
-    def find_cut(self, n: int, f: int) -> int | None:
-        """The unique cut c of level n with f - c in [0, h_{n-1}), or None."""
+    def find_cut(self, n: int, f: int) -> tuple[int, int] | None:
+        """``(c, label index of c)`` for the unique cut c of level n with f - c in [0, h_{n-1}), or None."""
         rows = self.cached("cut_rows", _cut_rows, self)
         if not 0 < n < len(rows):
             raise IndexError(f"level {n} not built (depth {self.depth})")
-        block, z, reps, h_prev = rows[n]
+        block, z, reps, h_prev, labels = rows[n]
         if f < 0:
             return None
         q = min(f // z, reps - 1) if reps > 1 else 0   # the copy holding the last cut <= f, or the one after it
         i = bisect.bisect_right(block, f - z * q) - 1
-        if i >= 0:
-            c = block[i] + z * q
-        elif q > 0:   # below the copy's first cut: the last cut of the copy before
-            c = block[-1] + z * (q - 1)
-        else:
-            return None
-        return c if f - c < h_prev else None
+        if i < 0:   # below the copy's first cut: the last cut (i = -1) of the copy before
+            if q == 0:
+                return None
+            q -= 1
+        c = block[i] + z * q
+        return (c, self.v_pow[q % len(self.v_pow)][labels[i]]) if f - c < h_prev else None
 
     def decompose(self, f: int, N: int) -> tuple[int, int, dict[int, int]]:
         """Unique decomposition of rung f at depth N.
@@ -285,11 +284,11 @@ class Tower:
             raise ValueError(f"rung {f} outside [0, h_{N})")
         coords: dict[int, int] = {}
         for j in range(N, 0, -1):
-            c = self.find_cut(j, f)
-            if c is None:
+            hit = self.find_cut(j, f)
+            if hit is None:
                 return j, f, coords
-            coords[j] = c
-            f -= c
+            coords[j] = hit[0]
+            f -= hit[0]
         return 0, f, coords
 
     # -- tag bookkeeping ---------------------------------------------------
@@ -307,8 +306,8 @@ def _cut_products(tower: Tower) -> list[int]:
 
 
 def _cut_rows(tower: Tower) -> list:
-    """A row (block, z, reps, h_{n-1}) per built level n, after a None for level 0."""
-    return [None] + [(lvl.block, lvl.z, lvl.reps, tower.h(lvl.n - 1)) for lvl in tower.levels]
+    """A row (block, z, reps, h_{n-1}, block_labels) per built level n, after a None for level 0."""
+    return [None] + [(lvl.block, lvl.z, lvl.reps, tower.h(lvl.n - 1), lvl.block_labels) for lvl in tower.levels]
 
 
 def _power_tables(v: Automorphism) -> tuple[tuple[int, ...], ...]:
@@ -635,8 +634,16 @@ def _coords_str(el: Element) -> str:
     return ",".join(map(str, el.coords)) if el.coords else "-"
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is plain decimal digits, as the writer writes every number."""
+    return text.isascii() and text.isdecimal()
+
+
 def _coords_from_str(text: str) -> tuple[int, ...]:
-    return () if text in ("", "-") else tuple(int(x) for x in text.split(","))
+    """The coordinates written ``a,b,...`` in plain decimal digits, or ``-`` for none."""
+    if text != "-" and not _plain(text.replace(",", "")):
+        raise ValueError(f"coordinates {text!r} are not plain decimal digits")
+    return () if text == "-" else tuple(map(int, text.split(",")))
 
 
 def serialize_tower(tower: Tower, out) -> None:
@@ -796,6 +803,8 @@ def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
         start, step, count = (int(x) for x in blk.split(":"))
         if count < 1:
             raise TowerParseError(f"level {n}: malformed cut block {blk!r} (count below 1)")
+        if not _plain(blk.replace(":", "")):
+            raise TowerParseError(f"level {n}: malformed cut block {blk!r}")
         aps.append((start, step, count))
     if sum(ap[2] for ap in aps) != entries.count(";") + 1:   # refused before any cut is expanded
         raise TowerParseError(f"level {n}: labels do not cover the cuts exactly")
@@ -809,6 +818,8 @@ def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
         g = index_of.get(coordpart)
         if g is None:
             g = index_of[coordpart] = group.element_index(group.element(_coords_from_str(coordpart)))
+        if not _plain(cpart):
+            raise TowerParseError(f"level {n}: malformed cut {cpart!r}")
         c = int(cpart)
         i += 1
         if i == len(cuts) or cuts[i] != c:   # not the next cut: look it up

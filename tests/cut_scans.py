@@ -17,7 +17,7 @@ from unittest.mock import patch
 
 from cfspectra import tower as tower_module
 from cfspectra.cocycle import _aligned_classes
-from cfspectra.groups import Automorphism, FinAbGroup, _parse_int_list, least_period
+from cfspectra.groups import Automorphism, FinAbGroup, _parse_int_list, addition_table, least_period
 from cfspectra.tower import (Cylinder, Level, Recipe, Report, Tag, Tower, TowerParseError, _coords_from_str,
                              _coords_str, _cut_blocks, _label_copies, _read_entries, embed, recipe,
                              serialize_tower)
@@ -315,6 +315,28 @@ def find_cut_scan(tower, n, f):
     cuts = tower.level(n).cuts
     i = bisect.bisect_right(cuts, f) - 1
     return cuts[i] if i >= 0 and f - cuts[i] < tower.h(n - 1) else None
+
+
+def found_cut(tower, n, f):
+    """The cut of ``tower.find_cut(n, f)``, or None, once the label index found with it is checked against
+    ``Level.label_index``."""
+    hit = tower.find_cut(n, f)
+    if hit is None:
+        return None
+    c, g = hit
+    assert g == tower.level(n).label_index(c), (n, f, c)
+    return c
+
+
+def reference_rung_label(tower, f, N):
+    """The rung label as an ``Element``, by the decomposition and a ``Level.label_index`` lookup per level:
+    each level j <= n_min, where the decomposition stops, adds the label of cut 0."""
+    _, _, coords = tower.decompose(f, N)
+    add = addition_table(tower.group)
+    total = 0
+    for j in range(1, N + 1):
+        total = add[total][tower.level(j).label_index(coords.get(j, 0))]
+    return tower.elements[total]
 
 
 def witness_block_rungs(tower, w, i):

@@ -642,8 +642,14 @@ def test_stagger_tag_with_k_zero_is_a_parse_error(tmp_path, capsys):
     ("level 3\ntag = even 1\n", "level 3\ntag = even 1 2\n", "level 3: malformed tag 'even 1 2'"),
     ("level 3\ntag = even 1\n", "level 3\ntag = even\n", "level 3: malformed tag 'even'"),
     ("level 4\ntag = stagger 1 k=1\n", "level 4\ntag = stagger 1\n", "level 4: malformed tag 'stagger 1'"),
+    # each number in a value is plain decimal digits, as the writer writes it
+    (";24=", " ;  24 = ", "malformed tower file: coordinates '0 ' are not plain decimal digits"),
+    (";24=", ";24=+", "malformed tower file: coordinates '+1' are not plain decimal digits"),
+    (";24=", ";\x0c24=", "level 3: malformed cut '\\x0c24'"),
+    ("cuts = 0:24:16\n", "cuts = 0 : 24 : 16\n", "level 3: malformed cut block '0 : 24 : 16'"),
 ], ids=["level-order", "tag", "depth", "beyond-depth", "header-extra-word", "header-no-number", "tag-extra-word",
-        "even-no-coordinates", "stagger-no-k"])
+        "even-no-coordinates", "stagger-no-k", "blanks-in-entries", "signed-coordinate", "form-feed-in-a-cut",
+        "blanks-in-a-cut-block"])
 def test_malformed_level_structure_is_a_parse_error(tmp_path, capsys, old, new, message):
     out = tmp_path / "t5"
     assert main(["build", "--target", "2", "--depth", "5", "--out", str(out)]) == 0

@@ -15,9 +15,11 @@ from cfspectra.cocycle import (
     rung_label,
     rung_label_indices,
 )
+from cfspectra.experiment import ExperimentConfig, build_tower
 from cfspectra.groups import Automorphism, FinAbGroup, Subgroup
 from cfspectra.tower import (
     Cylinder,
+    Level,
     Point,
     Tag,
     Tower,
@@ -25,7 +27,7 @@ from cfspectra.tower import (
     canonical_point,
 )
 
-from cut_scans import aligned_cuts
+from cut_scans import aligned_cuts, reference_rung_label
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +55,7 @@ def along_orbit(tower, p, m):
     r = p.rung(tower)
     if not 0 <= r + m < tower.h(N):
         return None
-    return rung_label(tower, r + m, N) - rung_label(tower, r, N)
+    return reference_rung_label(tower, r + m, N) - reference_rung_label(tower, r, N)
 
 
 def random_points(tower, N, count, seed=0):
@@ -71,7 +73,48 @@ def test_rung_label_array_matches_pointwise(z3_tower):
     arr = rung_label_indices(t, N)
     assert len(arr) == t.h(N)
     for f in range(0, t.h(N), 7):
-        assert t.group.element_from_index(arr[f]) == rung_label(t, f, N)
+        assert t.group.element_from_index(arr[f]) == reference_rung_label(t, f, N)
+
+
+def _depth5_tower(target):
+    """The depth-5 tower ``build`` makes for ``target``, or for {2} with level 3 tampered: one copy of its cuts
+    (reps == 1), its last cut moved to h_3 - 1 so that the cut's stack leaves the level, cut 0 labelled 1 and
+    the moved cut 2."""
+    t, _, _ = build_tower(ExperimentConfig(E={2} if target == "tampered" else set(target), depth=5))
+    if target == "tampered":
+        lvl = t.level(3)
+        cuts, labels = [*lvl.cuts[:-1], lvl.h - 1], [1, *lvl.cut_labels()[1:-1], 2]
+        t.levels = (*t.levels[:2], Level(3, lvl.h, lvl.z, cuts, 1, labels, lvl.tag, t.elements, t.v_pow),
+                    *t.levels[3:])
+    return t
+
+
+@pytest.mark.parametrize("target", [(2,), (8,), (1, 2), "tampered"], ids=["2", "8", "1,2", "tampered"])
+def test_rung_label_matches_the_decomposition_reference_and_the_table(target):
+    """``rung_label`` equals the decompose + ``Level.label_index`` reference and ``rung_label_indices`` at
+    every depth N <= 5.
+
+    The rungs compared are the 2,000 lowest, the 50 highest and 2,000 seeded ones: every rung where
+    h_N <= 2,000 (h_5 is 21,247,488 on {2}).  The table is compared where h_N <= 100,000.  On the tampered
+    tower a walk that stops at level 4 over the moved cut's stack must not go on down into it, and the
+    levels under the stop add the label of cut 0, which is not the identity there.
+    """
+    t = _depth5_tower(target)
+    rng = random.Random(5)
+    for N in range(t.depth + 1):
+        h = t.h(N)
+        refused = target == "tampered" and N >= 3   # the table refuses a stack that leaves its level
+        if refused:
+            with pytest.raises(IndexError, match="leaves"):
+                rung_label_indices(t, N)
+        table = rung_label_indices(t, N) if h <= 100_000 and not refused else None
+        for f in sorted({*range(min(h, 2_000)), *range(max(0, h - 50), h), *(rng.randrange(h) for _ in range(2_000))}):
+            got = rung_label(t, f, N)
+            assert got == t.group.element_index(reference_rung_label(t, f, N)), (N, f)
+            assert table is None or got == table[f], (N, f)
+        for f in (-1, h):
+            with pytest.raises(ValueError, match="outside"):
+                rung_label(t, f, N)
 
 
 def test_rung_label_leaves_nothing_in_the_tower_cache(z3_tower):
@@ -198,11 +241,8 @@ def test_tail_shift_undefined_case(z3_tower):
     # a top-region rung: beyond the deepest admissible window, with a broken coordinate
     bad_c = next(c for c in t.level(N).cuts if c + ts.z[N] not in t.level(N).cuts)
     p = Point(N - 1, t.h(N - 1) - 1, (bad_c,))
-    assert p.rung(t) + ts.z_prefix(N) >= t.h(N) or True
-    if ts.apply(p) is not None:
-        # force the rung window to fail at every admissible level
-        p = Point(N - 1, t.h(N - 1) - 1, (max(t.level(N).cuts),))
-    assert ts.apply(p) is None or p.rung(t) + ts.z_prefix(N) < t.h(N)
+    assert p.rung(t) + ts.z_prefix(N) >= t.h(N)
+    assert ts.apply(p) is None
 
 
 def test_tail_shift_graph_inside_orbit_relation(z3_tower):

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from cfspectra.cocycle import rung_label
 from cfspectra.cyclotomic import Cyclo, abs_upper
 from cfspectra.groups import Automorphism, Character, FinAbGroup, Subgroup, character_orbit_average
 from cfspectra.koopman import (
@@ -18,6 +17,8 @@ from cfspectra.koopman import (
     weak_limit_residual_stagger,
 )
 from cfspectra.tower import Cylinder, Tag, Tower
+
+from cut_scans import reference_rung_label
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +176,7 @@ def test_level_operator_basics(z3_tower):
     assert op.undefined_count == 5
     assert op.error_mass == Fraction(5, t.cut_product(N))
     for f in (0, 7, h - 6):
-        want = (chi.exponent(rung_label(t, f + 5, N)) - chi.exponent(rung_label(t, f, N))) % 3
+        want = (chi.exponent(reference_rung_label(t, f + 5, N)) - chi.exponent(reference_rung_label(t, f, N))) % 3
         assert op.phase_exponent[f] == want
     assert op.phase_exponent[h - 1] is None
     # zero shift: identity phases on every rung
@@ -189,7 +190,7 @@ def test_level_operator_matches_the_per_rung_formula_at_every_shift(z3_tower):
     t = z3_tower
     N = 3
     h = t.h(N)
-    labels = [rung_label(t, f, N) for f in range(h)]
+    labels = [reference_rung_label(t, f, N) for f in range(h)]
     for chi in chars(t):
         for m in (-h - 1, -h, -h + 1, -5, -1, 0, 1, 5, h - 1, h, h + 1):
             op = LevelOperator(t, chi, m, N)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfspectra import koopman
-from cfspectra.cocycle import check_coboundary_condition, rung_label
+from cfspectra.cocycle import check_coboundary_condition
 from cfspectra.cyclotomic import Cyclo, abs_upper
 from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
@@ -16,8 +16,9 @@ from cfspectra.recurrence import _nth, label_transport_witness, return_cuts
 from cfspectra.tower import (Cylinder, Tag, Tower, defect_fraction, embed, measure,
                              parse_tower, validate_labels, validate_structure)
 
-from cut_scans import (aligned_cut_scan, aligned_cuts, count_ge_scan, defect_scan, find_cut_scan, one_copy_twin,
-                       reference_label_report, reference_structure_report, surviving_cuts, tower_text)
+from cut_scans import (aligned_cut_scan, aligned_cuts, count_ge_scan, defect_scan, find_cut_scan, found_cut,
+                       one_copy_twin, reference_label_report, reference_rung_label, reference_structure_report,
+                       surviving_cuts, tower_text)
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +36,15 @@ def characters(tower):
     return [Character(tower.group, (c,)) for c in range(3)]
 
 
-_RUNG_LABELS = weakref.WeakKeyDictionary()   # tower -> {(N, f): rung_label(tower, f, N)}
+_RUNG_LABELS = weakref.WeakKeyDictionary()   # tower -> {(N, f): reference_rung_label(tower, f, N)}
 
 
 def memo_rung_label(tower, f, N):
-    """``rung_label`` remembered per tower across calls: a depth-N rung label never changes."""
+    """``reference_rung_label`` remembered per tower across calls: a depth-N rung label never changes."""
     memo = _RUNG_LABELS.setdefault(tower, {})
     el = memo.get((N, f))
     if el is None:
-        el = memo[(N, f)] = rung_label(tower, f, N)
+        el = memo[(N, f)] = reference_rung_label(tower, f, N)
     return el
 
 
@@ -341,7 +342,7 @@ def test_block_forms_match_cut_scans_on_random_towers(case):
             for x in probes + [c + d for c in cuts[:2] + cuts[-2:] for d in (-1, 0, 1)]:
                 assert (x in lvl) == (x in set(cuts))
                 assert lvl.rank(x) == bisect.bisect_left(cuts, x)
-                assert tower.find_cut(n, x) == find_cut_scan(tower, n, x)
+                assert found_cut(tower, n, x) == find_cut_scan(tower, n, x)
             for delta in (0, lvl.z, 2 * tower.h(n - 1), 2 * tower.h(n - 1) + 1, -lvl.z, 7):
                 classes, want = lvl.shift_classes(delta), surviving_cuts(lvl, delta)
                 assert lvl.class_cuts(classes) == list(want)

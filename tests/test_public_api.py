@@ -14,6 +14,9 @@ attribute somewhere, the tests included.
 
 No inexact arithmetic: no float or complex constant, no ``float``, ``complex``
 or ``round``, and no ``math`` function beyond the integer ones.
+
+Rung labels stay element indices: ``cocycle`` and ``pairings`` never call
+``element_index``.
 """
 
 import ast
@@ -158,4 +161,13 @@ def test_no_inexact_arithmetic_in_the_package():
                 found.append(f"{where} math.{node.attr}")
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [f"{where} math.{alias.name}" for alias in node.names if alias.name not in _EXACT_MATH]
+    assert found == []
+
+
+def test_rung_labels_stay_element_indices():
+    """A ratchet on the index representation: no ``element_index`` in ``cocycle`` or ``pairings``, where a rung
+    label is added and negated as an element index and never taken back from an ``Element``."""
+    found = [f"{stem}:{node.lineno}" for stem in ("cocycle", "pairings")
+             for node in ast.walk(_parse(PACKAGE / f"{stem}.py"))
+             if isinstance(node, ast.Attribute) and node.attr == "element_index"]
     assert found == []

@@ -40,6 +40,7 @@ from cfspectra.tower import (
 from cut_scans import (
     entry_read_levels,
     find_cut_scan,
+    found_cut,
     one_copy_twin,
     reference_compress_aps,
     reference_parse_tower,
@@ -170,19 +171,19 @@ def test_find_cut_row_table_follows_levels_and_keeps_its_contracts(z3_system):
     t = build_desk_tower(z3_system, depth=5)
     bare = Tower(*z3_system)
     bare.levels += t.levels[:3]
-    assert bare.find_cut(3, 0) == 0
+    assert found_cut(bare, 3, 0) == 0
     bare.levels += t.levels[3:]   # assigned outside extend, as parse_tower does
     for n in range(1, t.depth + 1):
         cuts = t.level(n).cuts
         above = [t.h(n) - 1, t.h(n), cuts[-1] + 2 * t.level(n).z + 1]   # past the last copy
         for f in [-5, -1] + above + [c + d for c in cuts[:3] + cuts[-3:] for d in (-1, 0, 1, t.h(n - 1))]:
-            assert bare.find_cut(n, f) == find_cut_scan(t, n, f)
+            assert found_cut(bare, n, f) == find_cut_scan(t, n, f)
         assert bare.find_cut(n, -1) is None
     lvl = t.level(3)   # a block that starts above 0: a rung below it may take the copy before's last cut
     shift = lvl.z - lvl.block[-1] - 4
     bare.levels = bare.levels[:2] + (Level(3, lvl.h, lvl.z, [d + shift for d in lvl.block], lvl.reps,
                                            lvl.block_labels, lvl.tag, t.elements, t.v_pow),)
-    assert [bare.find_cut(3, f) for f in range(-1, lvl.h + 1)] == [
+    assert [found_cut(bare, 3, f) for f in range(-1, lvl.h + 1)] == [
         find_cut_scan(bare, 3, f) for f in range(-1, lvl.h + 1)]
     for n in (0, -1, t.depth + 1):
         with pytest.raises(IndexError, match=f"^level {n} not built \\(depth 5\\)$"):
