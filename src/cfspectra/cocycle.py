@@ -11,26 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .groups import Element, FinAbGroup, Subgroup, addition_table, negation_table
 from .tower import Point, Tower, apply_T
 
 
 def rung_label(tower: Tower, f: int, N: int) -> int:
-    """Element index of the sum of cut labels along the depth-N canonical decomposition of rung f, in one
-    walk down from level N that adds the label ``find_cut`` finds with each coordinate."""
-    if not 0 <= f < tower.h(N):
-        raise ValueError(f"rung {f} outside [0, h_{N})")
-    add, total = addition_table(tower.group), 0
-    for j in range(N, 0, -1):
-        hit = tower.find_cut(j, f)
-        if hit is None:   # levels 1..j, where the decomposition has no coordinate, add the label of cut 0
-            for lvl in tower.levels[:j]:
-                total = add[total][lvl.label_index(0)]
-            break
-        f -= hit[0]
-        total = add[total][hit[1]]
-    return total
+    """Element index of the depth-N rung label of f: the label sum ``decompose`` returns plus the cut-0 labels
+    of the levels 1..n_min under its stop.  IndexError when one of those levels has no cut 0."""
+    n_min, _, _, label = tower.decompose(f, N)
+    return addition_table(tower.group)[label][tower.cached("zero_label_sums", _zero_label_sums, tower)[n_min]]
+
+
+def _zero_label_sums(tower: Tower) -> list[int]:
+    """Entry n indexes the sum of the cut-0 labels of levels 1..n, up to the first level without cut 0."""
+    add, sums = addition_table(tower.group), [0]   # level 0: the identity (index 0)
+    for lvl in takewhile(lambda lvl: 0 in lvl, tower.levels):
+        sums.append(add[sums[-1]][lvl.label_index(0)])
+    return sums
 
 
 def rung_label_indices(tower: Tower, N: int) -> list[int]:
@@ -40,14 +39,12 @@ def rung_label_indices(tower: Tower, N: int) -> list[int]:
 
 def _rung_label_table(tower: Tower, N: int) -> list[int]:
     """Rung labels for all of [0, h_N), as element indices; built level by level."""
-    add = addition_table(tower.group)
-    newmass = 0
-    arr = [newmass]  # level 0: the single rung carries the identity (index 0)
+    add, zero = addition_table(tower.group), tower.cached("zero_label_sums", _zero_label_sums, tower)
+    arr = [0]  # level 0: the single rung carries the identity (index 0)
     for n in range(1, N + 1):
         lvl = tower.level(n)
         # rungs outside the embedded region decompose with all-zero coordinates
-        newmass = add[newmass][lvl.label_index(0)]
-        new = [newmass] * lvl.h
+        new = [zero[n]] * lvl.h
         # the rungs over cut c are those of the level below plus the cut's label
         segments: dict[int, list[int]] = {}
         stride, width = lvl.z * len(tower.v_pow), len(arr)
@@ -136,7 +133,7 @@ class TailShift:
         """The shifted point, or None when no admissible level certifies p."""
         t = self.tower
         N = p.truncation
-        n_min, level_rung, coords = t.decompose(p.rung(t), N)
+        n_min, level_rung, coords, _ = t.decompose(p.rung(t), N)
         for n in range(n_min, N + 1):
             level_rung += coords.get(n, 0)   # n_min has no coordinate
             if (level_rung + self.z_prefix(n) < t.h(n)

@@ -273,23 +273,25 @@ class Tower:
         c = block[i] + z * q
         return (c, self.v_pow[q % len(self.v_pow)][labels[i]]) if f - c < h_prev else None
 
-    def decompose(self, f: int, N: int) -> tuple[int, int, dict[int, int]]:
-        """Unique decomposition of rung f at depth N.
+    def decompose(self, f: int, N: int) -> tuple[int, int, dict[int, int], int]:
+        """Unique decomposition of rung f at depth N, in one walk down from level N.
 
-        Returns (n_min, f0, coords) with f = f0 + sum(coords.values()),
-        coords[j] a cut of level j for n_min < j <= N, f0 in [0, h(n_min)),
-        and n_min minimal.
+        Returns (n_min, f0, coords, label) with f = f0 + sum(coords.values()), coords[j] a cut of
+        level j for n_min < j <= N, f0 in [0, h(n_min)), n_min minimal, and label the element index
+        of the sum of the labels ``find_cut`` returns with the coordinates.
         """
         if not 0 <= f < self.h(N):
             raise ValueError(f"rung {f} outside [0, h_{N})")
+        add, label = addition_table(self.group), 0
         coords: dict[int, int] = {}
         for j in range(N, 0, -1):
             hit = self.find_cut(j, f)
             if hit is None:
-                return j, f, coords
+                return j, f, coords, label
             coords[j] = hit[0]
             f -= hit[0]
-        return 0, f, coords
+            label = add[label][hit[1]]
+        return 0, f, coords, label
 
     # -- tag bookkeeping ---------------------------------------------------
 
@@ -540,7 +542,7 @@ class Point:
 
 def canonical_point(tower: Tower, rung: int, N: int) -> Point:
     """The point with the given depth-N rung, in minimal-level form."""
-    n_min, f0, coords = tower.decompose(rung, N)
+    n_min, f0, coords, _ = tower.decompose(rung, N)
     return Point(n_min, f0, tuple(coords[j] for j in range(n_min + 1, N + 1)))
 
 

@@ -331,7 +331,7 @@ def found_cut(tower, n, f):
 def reference_rung_label(tower, f, N):
     """The rung label as an ``Element``, by the decomposition and a ``Level.label_index`` lookup per level:
     each level j <= n_min, where the decomposition stops, adds the label of cut 0."""
-    _, _, coords = tower.decompose(f, N)
+    _, _, coords, _ = tower.decompose(f, N)
     add = addition_table(tower.group)
     total = 0
     for j in range(1, N + 1):

@@ -1,9 +1,11 @@
+import contextlib
 import io
 import os
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfspectra.cli import main
 from cfspectra.groups import LimitExceeded
@@ -941,3 +943,86 @@ def test_weaklimits_csv_matches_in_memory_tower(built, tmp_path):
     tower, _, _ = build_tower(ExperimentConfig(E=frozenset({2}), depth=6))
     rows = residual_grid(tower, list(all_characters(tower.group)), cylinder_family(tower, 1))
     assert residual_csv(rows) == csv.read_text()
+
+
+@pytest.mark.parametrize("cuts, old, new, structural, needs", [
+    (["0:24:15", "383:1:1"], "360=2", "383=2", "[FAIL] level 3: stack containment (max cut 383 + 12 vs height 384)",
+     "stack containment"),
+    (["5:19:1", "24:24:15"], "0=0", "5=0", "[FAIL] level 3: zero cut present", "zero cut present"),
+], ids=["stack-leaves-its-level", "no-cut-0"])
+def test_verify_reports_the_checks_that_need_a_failed_structural_check(built, tmp_path, capsys, cuts, old, new,
+                                                                       structural, needs):
+    """Rung labels rest on a cut 0 and on stacks inside their level at every level they read: where one
+    fails, each check that reads them is one [FAIL] line naming what it needs, and the report is printed."""
+    def recut(blocks):
+        assert blocks == ["0:24:16"]
+        return cuts
+
+    def relabel(level, entries):
+        if level != "level 3":
+            return entries
+        assert old in entries
+        return [new if e == old else e for e in entries]
+
+    bad = tmp_path / "broken.txt"
+    bad.write_text(_edit_labels(_edit_cuts((built / "tower.txt").read_text(), "level 3", recut), relabel))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert structural in lines
+    assert f"[FAIL] level 4: cocycle identity sampling (needs {needs} at levels 1..4)" in lines
+    assert f"[FAIL] level 3: skew decomposition (needs {needs} at levels 1..3)" in lines
+    assert err.splitlines() == ["4 checks failed"]
+    for argv in (["recur"], ["weaklimits", "--max-level", "1"]):
+        assert main([*argv, "--tower", str(bad)]) == 0
+
+
+@pytest.fixture(scope="module")
+def depth4_towers():
+    """The depth-4 towers ``build`` makes for {2} and for {8}, by target."""
+    from cfspectra.experiment import ExperimentConfig, build_tower
+
+    return {target: build_tower(ExperimentConfig(E=set(target), depth=4))[0] for target in ((2,), (8,))}
+
+
+def _mutated_tower_text(data, base) -> str:
+    """The depth-4 tower ``base`` with one tagged level rewritten as an explicit cut list (reps 1) in which one
+    cut is moved, dropped, added or relabelled, every choice drawn from ``data``."""
+    from cfspectra.tower import Level, Tower
+    from cut_scans import tower_text
+
+    lvl, order = base.level(data.draw(st.integers(3, 4), label="level")), base.group.order
+    labels = dict(zip(lvl.cuts, lvl.cut_labels()))
+    # moving or dropping cut 0, or moving a cut to the top rung, where its stack leaves the level, breaks the
+    # level's structure: those draws are favoured
+    c = lvl.cut(data.draw(st.sampled_from([0, -1]) | st.integers(0, lvl.r - 1), label="cut index"))
+    kind = data.draw(st.sampled_from(["moved", "dropped", "added", "relabelled"]), label="kind")
+    if kind == "dropped":
+        del labels[c]
+    elif kind == "relabelled":
+        labels[c] = (labels[c] + data.draw(st.integers(1, order - 1), label="label step")) % order
+    else:
+        x = data.draw((st.just(lvl.h - 1) | st.integers(0, lvl.h - 1)).filter(lambda x: x not in labels), label="rung")
+        labels[x] = labels.pop(c) if kind == "moved" else data.draw(st.integers(0, order - 1), label="label")
+    cuts = sorted(labels)
+    twin = Tower(base.group, base.v)
+    twin.levels = [Level(lvl.n, lvl.h, lvl.z, cuts, 1, [labels[x] for x in cuts], lvl.tag, base.elements, base.v_pow)
+                   if other is lvl else other for other in base.levels]
+    return tower_text(twin)
+
+
+@settings(max_examples=20)
+@given(target=st.sampled_from([(2,), (8,)]), data=st.data())
+def test_verify_recur_and_weaklimits_answer_a_mutated_tower_with_an_exit_code(tmp_path_factory, depth4_towers,
+                                                                              target, data):
+    """No exception escapes ``main`` on a tower with one cut moved, dropped, added or relabelled: every
+    command exits 0, 1 or 2 with at most one stderr line."""
+    path = tmp_path_factory.mktemp("mutated") / "tower.txt"
+    path.write_text(_mutated_tower_text(data, depth4_towers[target]))
+    for argv in (["verify"], ["recur"], ["weaklimits", "--max-level", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--tower", str(path)])
+        assert rc in (0, 1, 2), (argv, rc)
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

@@ -77,19 +77,23 @@ def test_rung_label_array_matches_pointwise(z3_tower):
 
 
 def _depth5_tower(target):
-    """The depth-5 tower ``build`` makes for ``target``, or for {2} with level 3 tampered: one copy of its cuts
-    (reps == 1), its last cut moved to h_3 - 1 so that the cut's stack leaves the level, cut 0 labelled 1 and
-    the moved cut 2."""
-    t, _, _ = build_tower(ExperimentConfig(E={2} if target == "tampered" else set(target), depth=5))
+    """The depth-5 tower ``build`` makes for ``target``, or for {2} with level 3 tampered as one copy of its
+    cuts (reps == 1): "tampered" moves its last cut to h_3 - 1, so that the cut's stack leaves the level, and
+    labels cut 0 with 1 and the moved cut with 2; "no cut 0" moves cut 0 to 5."""
+    t, _, _ = build_tower(ExperimentConfig(E={2} if target in ("tampered", "no cut 0") else set(target), depth=5))
+    lvl = t.level(3)
     if target == "tampered":
-        lvl = t.level(3)
         cuts, labels = [*lvl.cuts[:-1], lvl.h - 1], [1, *lvl.cut_labels()[1:-1], 2]
-        t.levels = (*t.levels[:2], Level(3, lvl.h, lvl.z, cuts, 1, labels, lvl.tag, t.elements, t.v_pow),
-                    *t.levels[3:])
+    elif target == "no cut 0":
+        cuts, labels = [5, *lvl.cuts[1:]], lvl.cut_labels()
+    else:
+        return t
+    t.levels = (*t.levels[:2], Level(3, lvl.h, lvl.z, cuts, 1, labels, lvl.tag, t.elements, t.v_pow), *t.levels[3:])
     return t
 
 
-@pytest.mark.parametrize("target", [(2,), (8,), (1, 2), "tampered"], ids=["2", "8", "1,2", "tampered"])
+@pytest.mark.parametrize("target", [(2,), (8,), (1, 2), "tampered", "no cut 0"],
+                         ids=["2", "8", "1,2", "tampered", "no cut 0"])
 def test_rung_label_matches_the_decomposition_reference_and_the_table(target):
     """``rung_label`` equals the decompose + ``Level.label_index`` reference and ``rung_label_indices`` at
     every depth N <= 5.
@@ -97,20 +101,28 @@ def test_rung_label_matches_the_decomposition_reference_and_the_table(target):
     The rungs compared are the 2,000 lowest, the 50 highest and 2,000 seeded ones: every rung where
     h_N <= 2,000 (h_5 is 21,247,488 on {2}).  The table is compared where h_N <= 100,000.  On the tampered
     tower a walk that stops at level 4 over the moved cut's stack must not go on down into it, and the
-    levels under the stop add the label of cut 0, which is not the identity there.
+    levels under the stop add the label of cut 0, which is not the identity there.  Without a level-3 cut 0,
+    ``rung_label`` raises for exactly the rungs whose walk stops at level 3 or above, where the reference
+    has no cut-0 label to add, and the table refuses every N >= 3.
     """
     t = _depth5_tower(target)
     rng = random.Random(5)
     for N in range(t.depth + 1):
         h = t.h(N)
-        refused = target == "tampered" and N >= 3   # the table refuses a stack that leaves its level
-        if refused:
-            with pytest.raises(IndexError, match="leaves"):
+        refused = target in ("tampered", "no cut 0") and N >= 3
+        if refused:   # the table refuses a stack that leaves its level, and a level without cut 0
+            with pytest.raises(IndexError, match="leaves" if target == "tampered" else "out of range"):
                 rung_label_indices(t, N)
         table = rung_label_indices(t, N) if h <= 100_000 and not refused else None
         for f in sorted({*range(min(h, 2_000)), *range(max(0, h - 50), h), *(rng.randrange(h) for _ in range(2_000))}):
+            try:
+                want = t.group.element_index(reference_rung_label(t, f, N))
+            except KeyError:   # a level under the walk's stop has no cut 0
+                with pytest.raises(IndexError):
+                    rung_label(t, f, N)
+                continue
             got = rung_label(t, f, N)
-            assert got == t.group.element_index(reference_rung_label(t, f, N)), (N, f)
+            assert got == want, (N, f)
             assert table is None or got == table[f], (N, f)
         for f in (-1, h):
             with pytest.raises(ValueError, match="outside"):

@@ -357,7 +357,7 @@ def test_block_forms_match_cut_scans_on_random_towers(case):
                 assert rc.density_odd == Fraction(len(surviving_cuts(lvl, 2 * h + 1)), len(cuts))
         for f in probes:
             if 0 <= f < tower.h(tower.depth):
-                n_min, f0, coords = tower.decompose(f, tower.depth)
+                n_min, f0, coords, _ = tower.decompose(f, tower.depth)
                 assert f0 + sum(coords.values()) == f and (n_min == 0 or find_cut_scan(tower, n_min, f0) is None)
                 assert all(find_cut_scan(tower, j, f - sum(coords[i] for i in coords if i > j)) == c
                            for j, c in coords.items())

@@ -485,7 +485,7 @@ def test_decompose_round_trip_exhaustive(z3_system):
     t = build_desk_tower(z3_system, depth=4)
     N = 3
     for f in range(t.h(N)):
-        n_min, f0, coords = t.decompose(f, N)
+        n_min, f0, coords, _ = t.decompose(f, N)
         assert f0 + sum(coords.values()) == f
         assert 0 <= f0 < t.h(n_min)
         assert all(c in t.level(j).cuts for j, c in coords.items())
@@ -504,7 +504,7 @@ def test_decompose_agrees_with_exhaustive_search(z3_system):
             for tail in itertools.product(*(t.level(j).cuts for j in range(n0 + 1, N + 1))):
                 reachable.setdefault(f0 + sum(tail), n0)
     for f in range(t.h(N)):
-        n_min, _, _ = t.decompose(f, N)
+        n_min, _, _, _ = t.decompose(f, N)
         assert reachable[f] == n_min
 
 
@@ -513,7 +513,7 @@ def test_full_decomposition_rungs(z3_system):
     # rungs that decompose all the way to level 0
     full = {sum(tpl) for tpl in itertools.product(*(t.level(j).cuts for j in (1, 2, 3)))}
     for f in full:
-        n_min, _, _ = t.decompose(f, 3)
+        n_min, _, _, _ = t.decompose(f, 3)
         assert n_min == 0
 
 
@@ -544,7 +544,7 @@ def test_decompose_round_trip_random_rungs(f):
         t.extend(tag)
     N = t.depth
     f = f % t.h(N)
-    n_min, f0, coords = t.decompose(f, N)
+    n_min, f0, coords, _ = t.decompose(f, N)
     assert f0 + sum(coords.values()) == f
 
 
