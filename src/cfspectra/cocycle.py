@@ -21,7 +21,16 @@ def rung_label(tower: Tower, f: int, N: int) -> int:
     """Element index of the depth-N rung label of f: the label sum ``decompose`` returns plus the cut-0 labels
     of the levels 1..n_min under its stop.  IndexError when one of those levels has no cut 0."""
     n_min, _, _, label = tower.decompose(f, N)
-    return addition_table(tower.group)[label][tower.cached("zero_label_sums", _zero_label_sums, tower)[n_min]]
+    return addition_table(tower.group)[label][_zero_label_sum(tower, n_min)]
+
+
+def _zero_label_sum(tower: Tower, n: int) -> int:
+    """Element index of the sum of the cut-0 labels of levels 1..n.  IndexError naming the first level
+    without cut 0 when one of them has none."""
+    sums = tower.cached("zero_label_sums", _zero_label_sums, tower)
+    if n >= len(sums):
+        raise IndexError(f"level {len(sums)}: no cut 0")
+    return sums[n]
 
 
 def _zero_label_sums(tower: Tower) -> list[int]:
@@ -39,12 +48,12 @@ def rung_label_indices(tower: Tower, N: int) -> list[int]:
 
 def _rung_label_table(tower: Tower, N: int) -> list[int]:
     """Rung labels for all of [0, h_N), as element indices; built level by level."""
-    add, zero = addition_table(tower.group), tower.cached("zero_label_sums", _zero_label_sums, tower)
+    add = addition_table(tower.group)
     arr = [0]  # level 0: the single rung carries the identity (index 0)
     for n in range(1, N + 1):
         lvl = tower.level(n)
         # rungs outside the embedded region decompose with all-zero coordinates
-        new = [zero[n]] * lvl.h
+        new = [_zero_label_sum(tower, n)] * lvl.h
         # the rungs over cut c are those of the level below plus the cut's label
         segments: dict[int, list[int]] = {}
         stride, width = lvl.z * len(tower.v_pow), len(arr)

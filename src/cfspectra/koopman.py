@@ -31,8 +31,9 @@ from .tower import Cylinder, Report, Tag, Tower
 _BITS = 128
 
 # The most residual cells (scheduled steps x characters x family^2) one grid
-# may certify.  A cell takes about half a millisecond on depth 8-12 towers,
-# so this is about a minute of work; larger grids are refused up front.
+# may certify.  A cell takes 40-100 microseconds on depth 7-12 towers
+# (CPython 3.11 on a 2-CPU x86-64 host), so this is 5-10 s of work; larger
+# grids are refused up front.
 _GRID_GUARD = 100_000
 
 
@@ -69,7 +70,7 @@ def weak_limit_residual_even(tower: Tower, chi: Character, a, A: Cylinder, B: Cy
     carry the k = 0 (even) recipe with that element.
     """
     _require_tag(tower, n, Tag(a, 0))
-    return _residual(tower, chi, a, 0, A, B, n, N)[0]
+    return _residual(tower, chi, a, 0, A, B, n, N)
 
 
 def weak_limit_residual_stagger(tower: Tower, chi: Character, b, k: int, A: Cylinder,
@@ -83,23 +84,29 @@ def weak_limit_residual_stagger(tower: Tower, chi: Character, b, k: int, A: Cyli
     if k < 1:
         raise ValueError(f"stagger mix ratio k = {k} is below 1")
     _require_tag(tower, n, Tag(b, k))
-    return _residual(tower, chi, b, k, A, B, n, N)[0]
+    return _residual(tower, chi, b, k, A, B, n, N)
 
 
-def _residual(tower, chi, el, k, A, B, n, N) -> tuple[Fraction, LevelPairing]:
-    """The step-n residual and the 2h_n-shift pairing it was taken from.
-
-    The target is (l * <1_A, 1_B> + k * <U^-1 1_A, 1_B>) / (k+1), l the orbit
-    average of chi at el; at k = 0 it has no adjoint term.
-    """
+def _residual(tower, chi, el, k, A, B, n, N) -> Fraction:
+    """The step-n residual of one cell."""
     p = pairing(tower, chi, 2 * tower.h(n), A, B, N)
-    target = _orbit_average(tower, chi, el) * pairing(tower, chi, 0, A, B, N).value
-    bound = p.error_bound
+    scaled = _orbit_average(tower, chi, el) * pairing(tower, chi, 0, A, B, N).value
+    back = pairing(tower, chi, -1, A, B, N) if k >= 1 else None
+    return _deviation(p, scaled, k, back)
+
+
+def _deviation(p: LevelPairing, scaled: Cyclo, k: int, back: LevelPairing | None) -> Fraction:
+    """Certified bound on |p - target|, target = (scaled + k * back) / (k+1).
+
+    Here scaled is l * <1_A, 1_B>, l the orbit average of chi at the step
+    element, and back the <U^-1 1_A, 1_B> pairing; at k = 0 the target is
+    scaled alone and back is not read.
+    """
+    target, bound = scaled, p.error_bound
     if k >= 1:
-        back = pairing(tower, chi, -1, A, B, N)
         target = target / (k + 1) + back.value * Fraction(k, k + 1)
         bound += Fraction(k, k + 1) * back.error_bound
-    return abs_upper(p.value - target, _BITS) + bound, p
+    return abs_upper(p.value - target, _BITS) + bound
 
 
 def tail_shift_residual(tower: Tower, A: Cylinder, B: Cylinder, n: int,
@@ -284,20 +291,43 @@ class ResidualRow:
 
 
 def residual_grid(tower: Tower, chars: list[Character], family=None) -> list[ResidualRow]:
-    """All weak-limit residuals over the scheduled steps and the cylinder family."""
+    """All weak-limit residuals over the scheduled steps and the cylinder family.
+
+    Each (chi, A, B) takes its <1_A, 1_B> and <U^-1 1_A, 1_B> pairings once
+    for all steps, and l * <1_A, 1_B> once per step element.  The pairs are
+    taken deepest base level first, so each propagation walk to a lower base
+    continues from the one above it.  The rows come out as per-cell
+    ``_residual`` calls in step, character, A, B order would give them.
+    """
     family = cylinder_family(tower) if family is None else family
-    rows: list[ResidualRow] = []
+    steps = []   # (n, tag, tag text, 2h_n) per scheduled step
     for lvl in tower.levels:
-        if lvl.tag is None:
-            continue
-        n, tg = lvl.step, lvl.tag
-        coords = "+".join(map(str, tg.el.coords))
-        tag = f"stagger:{coords}:k={tg.k}" if tg.k else f"even:{coords}"
-        for chi in chars:
-            for a_id, A in family:
-                for b_id, B in family:
-                    res, p = _residual(tower, chi, tg.el, tg.k, A, B, n, None)
-                    rows.append(ResidualRow(n, tag, chi.coords, a_id, b_id, res, p.error_bound))
+        if lvl.tag is not None:
+            tg = lvl.tag
+            coords = "+".join(map(str, tg.el.coords))
+            steps.append((lvl.step, tg, f"stagger:{coords}:k={tg.k}" if tg.k else f"even:{coords}",
+                          2 * tower.h(lvl.step)))
+    adjoint = any(tg.k for _, tg, _, _ in steps)
+    N = tower.depth
+    pairs = [(a, b) for a in family for b in family]
+    deepest_first = sorted(range(len(pairs)), key=lambda i: -max(pairs[i][0][1].level, pairs[i][1][1].level))
+    cells = []   # cells[c][i][s]: the row of character c, pair i and step s
+    for chi in chars:
+        eng = _engine(tower, chi)
+        averages = {tg.el: _orbit_average(tower, chi, tg.el) for _, tg, _, _ in steps}
+        per_pair = [None] * len(pairs)
+        for i in deepest_first:
+            (a_id, A), (b_id, B) = pairs[i]
+            p0 = eng.pairing(0, A, B, N).value
+            back = eng.pairing(-1, A, B, N) if adjoint else None
+            scaled = {el: l * p0 for el, l in averages.items()}   # l * <1_A, 1_B> per step element
+            out = per_pair[i] = []
+            for n, tg, tag, shift in steps:
+                p = eng.pairing(shift, A, B, N)
+                res = _deviation(p, scaled[tg.el], tg.k, back)
+                out.append(ResidualRow(n, tag, chi.coords, a_id, b_id, res, p.error_bound))
+        cells.append(per_pair)
+    rows = [per_pair[i][s] for s in range(len(steps)) for per_pair in cells for i in range(len(pairs))]
     rows.sort(key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))
     return rows
 

@@ -181,11 +181,21 @@ class PairingEngine:
         """Coefficients of the base-level shifts reached from shift m at depth N.
 
         Returns {base_shift: Z[K] coefficient}; the pairing vector is then
-        the sum over shifts of coefficient * Q_base(shift).
+        the sum over shifts of coefficient * Q_base(shift).  A walk to a
+        higher base b of the same (N, m) already crossed levels N..b+1, so
+        the walk continues from the least such b the store holds.
         """
-        add = _store(self.tower).add
-        states: dict[int, _Ring] = {m: {0: 1}}   # index 0 is the identity
-        for j in range(N, base_level, -1):
+        store = _store(self.tower)
+        add = store.add
+        top, states = N, {m: {0: 1}}   # index 0 is the identity
+        for b in range(base_level + 1, N):
+            cached = store.states.get((N, m, b))
+            if cached is not None:
+                top, states = b, cached
+                break
+        if not states:
+            return {}
+        for j in range(top, base_level, -1):
             h_prev = self.tower.h(j - 1)
             lo = min(states) - h_prev + 1
             hi = max(states) + h_prev - 1

@@ -5,12 +5,12 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cfspectra import koopman
+from cfspectra import koopman, pairings
 from cfspectra.cocycle import check_coboundary_condition
 from cfspectra.cyclotomic import Cyclo, abs_upper
-from cfspectra.groups import Automorphism, Character, FinAbGroup, all_characters
+from cfspectra.groups import Automorphism, Character, FinAbGroup, LimitExceeded, all_characters
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
 from cfspectra.recurrence import _nth, label_transport_witness, return_cuts
 from cfspectra.tower import (Cylinder, Tag, Tower, defect_fraction, embed, measure,
@@ -371,17 +371,146 @@ def test_block_forms_match_cut_scans_on_random_towers(case):
 
 
 def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch):
+    """One walk per (N, m, base), one kernel per (N, m, level), and per (chi, A, B) one pairing per step plus
+    the <1_A, 1_B> and, with a k >= 1 step, the <U^-1 1_A, 1_B> pairings shared by all steps."""
     t = parse_tower(io.StringIO(tower_text(z3_tower)))   # a fresh tower: nothing memoized yet
-    keys = []
-    propagate = PairingEngine.propagate
+    keys, kernels, calls = [], [], []
+    propagate, level_kernel, pairing = PairingEngine.propagate, PairingEngine.level_kernel, PairingEngine.pairing
 
     def counting(self, N, m, base_level):
         keys.append((N, m, base_level))
         return propagate(self, N, m, base_level)
 
+    def kernel_spy(self, n, lo, hi):
+        kernels.append((*keys[-1][:2], n))   # level_kernel runs only inside the latest propagate
+        return level_kernel(self, n, lo, hi)
+
+    def pairing_spy(self, m, A, B, N):
+        calls.append(m)
+        return pairing(self, m, A, B, N)
+
     monkeypatch.setattr(PairingEngine, "propagate", counting)
+    monkeypatch.setattr(PairingEngine, "level_kernel", kernel_spy)
+    monkeypatch.setattr(PairingEngine, "pairing", pairing_spy)
     chars = list(all_characters(t.group))
-    rows = koopman.residual_grid(t, chars, koopman.cylinder_family(t, 1))
-    steps = sum(1 for lvl in t.levels if lvl.tag is not None)
-    assert len(rows) == steps * len(chars) * 4 * 4
+    family = koopman.cylinder_family(t, 1)
+    rows = koopman.residual_grid(t, chars, family)
+    tags = [lvl.tag for lvl in t.levels if lvl.tag is not None]
+    assert len(rows) == len(tags) * len(chars) * 4 * 4
     assert keys and len(keys) == len(set(keys))
+    assert kernels and len(kernels) == len(set(kernels))
+    adjoint = any(tag.k >= 1 for tag in tags)
+    assert adjoint and len(calls) == len(chars) * len(family) ** 2 * (len(tags) + 1 + adjoint)
+
+
+@st.composite
+def grid_cases(draw):
+    """A depth 3-5 recipe over a small system and a family of X0, level-1 and level-2 rungs with one repeated id.
+
+    One step, or two or three that mix k = 0 with k >= 1.  The repeated id names a second cylinder, so rows that tie on
+    the sort key must keep the family order of A, then B.
+    """
+    factors, matrices = draw(st.sampled_from(SMALL_SYSTEMS))
+    G = FinAbGroup(factors)
+    matrix = draw(st.sampled_from(matrices))
+    elements = list(G.elements())
+    ks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda ks: len(ks) == 1 or 0 in ks and any(ks)))
+    tags = [Tag(draw(st.sampled_from(elements)), k) for k in ks]
+    heights = [Tower.seeded(G, Automorphism(G, matrix)).h(n) for n in range(3)]
+    f1, f2 = draw(st.integers(0, heights[1] - 1)), draw(st.integers(0, heights[2] - 1))
+    family = [("X0", Cylinder(0, (0,))), (f"1:{f1}", Cylinder.single(1, f1)), (f"2:{f2}", Cylinder.single(2, f2))]
+    level = draw(st.integers(1, 2))
+    rungs = draw(st.lists(st.integers(0, heights[level] - 1), min_size=1, max_size=2, unique=True))
+    twin_id, twin = draw(st.sampled_from(family))
+    again = Cylinder(level, tuple(sorted(rungs)))
+    assume(again != twin)
+    family.insert(draw(st.integers(1, 3)), (twin_id, again))
+    return G, matrix, tags, family
+
+
+def _grid_tower(G, matrix, tags):
+    t = Tower.seeded(G, Automorphism(G, matrix))
+    for tag in tags:
+        t.extend(tag)
+    return t
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(grid_cases())
+def test_residual_grid_equals_per_cell_residuals_on_random_towers(case):
+    """The grid equals ``_residual`` cell by cell, taken in step, character, A, B order and sorted as the grid
+    sorts; on a cold tower and on one whose store already holds the base-0 walks of every shift."""
+    G, matrix, tags, family = case
+    oracle = _grid_tower(G, matrix, tags)
+    chars = list(all_characters(G))
+    want = []
+    for lvl in oracle.levels:
+        if lvl.tag is None:
+            continue
+        tg, coords = lvl.tag, "+".join(map(str, lvl.tag.el.coords))
+        tag = f"stagger:{coords}:k={tg.k}" if tg.k else f"even:{coords}"
+        for chi in chars:
+            for a_id, A in family:
+                for b_id, B in family:
+                    res = koopman._residual(oracle, chi, tg.el, tg.k, A, B, lvl.step, None)
+                    err = koopman.pairing(oracle, chi, 2 * oracle.h(lvl.step), A, B).error_bound
+                    want.append(koopman.ResidualRow(lvl.step, tag, chi.coords, a_id, b_id, res, err))
+    want.sort(key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))
+    cold = _grid_tower(G, matrix, tags)
+    assert koopman.residual_grid(cold, chars, family) == want
+    warm = _grid_tower(G, matrix, tags)
+    X0 = family[0][1]
+    for m in (0, -1, *(2 * warm.h(lvl.step) for lvl in warm.levels if lvl.tag is not None)):
+        koopman.pairing(warm, chars[0], m, X0, X0)
+    assert koopman.residual_grid(warm, chars, family) == want
+
+
+def test_state_guard_trips_at_the_same_level_cold_and_continued(z3_tower, monkeypatch):
+    """The 2h_3 walk holds 1, 2, 2, 3 states after levels 5, 4, 3, 2: with a guard of 2 it trips at level 2.
+    A base at or above level 2 succeeds; every lower base raises the same message, whether its walk starts
+    at depth N or continues from the least cached higher base."""
+    N, m = z3_tower.depth, 2 * z3_tower.h(3)
+    chi = Character(z3_tower.group, (1,))
+    assert [len(PairingEngine(z3_tower, chi).propagate(N, m, b)) for b in (4, 3, 2, 1)] == [1, 2, 2, 3]
+    monkeypatch.setattr(pairings, "_STATE_GUARD", 2)
+    levels = []   # the level of every level_kernel call
+    level_kernel = PairingEngine.level_kernel
+
+    def spy(self, n, lo, hi):
+        levels.append(n)
+        return level_kernel(self, n, lo, hi)
+
+    monkeypatch.setattr(PairingEngine, "level_kernel", spy)
+    messages = []
+    for base in (0, 1):
+        for cached in ((), (2,), (3,), (3, 2)):
+            t = parse_tower(io.StringIO(tower_text(z3_tower)))
+            eng = PairingEngine(t, chi)
+            for b in cached:   # a pairing with base level b leaves its walk in the store
+                eng.pairing(m, Cylinder.single(b, 0), Cylinder(0, (0,)), N)
+                assert (N, m, b) in pairings._store(t).states
+            levels.clear()
+            with pytest.raises(LimitExceeded) as info:
+                eng.propagate(N, m, base)
+            messages.append(str(info.value))
+            # a continued walk builds the kernels of the levels under the least cached base only
+            assert levels == list(range(min(cached, default=N), 1, -1))
+        for b in (2, 3, 4):
+            assert eng.propagate(N, m, b)
+    assert messages == ["pairing propagation exceeded 2 states at level 2; "
+                        "this shift pattern is outside the supported desk workloads"] * len(messages)
+
+
+def test_vanished_walk_is_empty_for_every_lower_base_cold_and_continued(z3_tower):
+    """The shift 12 keeps one state through levels 5 and 4 and none past level 3: every base under level 3
+    gives an empty walk, cold, continued from a cached empty walk, and continued from a cached live one."""
+    N, m = z3_tower.depth, 12
+    chi = Character(z3_tower.group, (1,))
+    for cached in (None, 2, 3, 1):
+        t = parse_tower(io.StringIO(tower_text(z3_tower)))
+        eng = PairingEngine(t, chi)
+        if cached is not None:
+            eng.pairing(m, Cylinder.single(cached, 0), Cylinder(0, (0,)), N)
+            assert len(pairings._store(t).states[(N, m, cached)]) == (cached >= 3)
+        assert [eng.propagate(N, m, b) for b in (2, 1, 0)] == [{}, {}, {}]
+        assert len(eng.propagate(N, m, 3)) == 1 and len(eng.propagate(N, m, 4)) == 1
