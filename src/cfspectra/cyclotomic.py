@@ -238,7 +238,23 @@ class Cyclo:
         return _canonical(n, _reduce_mod_phi(v, n), self.den)
 
     def abs_squared(self) -> "Cyclo":
-        return self * self.conjugate()
+        """|z|^2 = z * conj(z), straight from the numerators over den ** 2.
+
+        x_i zeta^i times x_j zeta^-j lands on zeta^(i-j), so the product is one
+        symmetric convolution of the numerators, reduced once.
+        """
+        n, nums = self.order, self.nums
+        conv = [0] * n
+        for i, x in enumerate(nums):
+            if x:
+                conv[0] += x * x
+                for j in range(i + 1, len(nums)):
+                    y = nums[j]
+                    if y:
+                        xy = x * y
+                        conv[i - j] += xy   # the negative index is the exponent i - j + n
+                        conv[j - i] += xy
+        return _canonical(n, _reduce_mod_phi(conv, n), self.den * self.den)
 
     # -- predicates ----------------------------------------------------
 

@@ -8,12 +8,13 @@ against thresholds therefore never involve floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import ne
 
 from .cocycle import CosetSpace, TailShift, rung_label_indices
-from .cyclotomic import Cyclo, abs_lower, abs_upper
+from .cyclotomic import Cyclo, _canonical, abs_lower, abs_upper
 from .groups import (
     Character,
     LimitExceeded,
@@ -31,9 +32,9 @@ from .tower import Cylinder, Report, Tag, Tower
 _BITS = 128
 
 # The most residual cells (scheduled steps x characters x family^2) one grid
-# may certify.  A cell takes 40-100 microseconds on depth 7-12 towers
-# (CPython 3.11 on a 2-CPU x86-64 host), so this is 5-10 s of work; larger
-# grids are refused up front.
+# may certify.  A cell takes 25-40 microseconds on depth 7-12 towers at
+# --max-level 1 and 2 (best of three, CPython 3.11 on a 2-CPU x86-64 host),
+# so this is 2.5-4 s of work; larger grids are refused up front.
 _GRID_GUARD = 100_000
 
 
@@ -100,13 +101,23 @@ def _deviation(p: LevelPairing, scaled: Cyclo, k: int, back: LevelPairing | None
 
     Here scaled is l * <1_A, 1_B>, l the orbit average of chi at the step
     element, and back the <U^-1 1_A, 1_B> pairing; at k = 0 the target is
-    scaled alone and back is not read.
+    scaled alone and back is not read.  All three lie in chi's field, so
+    they share one order.
     """
-    target, bound = scaled, p.error_bound
-    if k >= 1:
-        target = target / (k + 1) + back.value * Fraction(k, k + 1)
-        bound += Fraction(k, k + 1) * back.error_bound
-    return abs_upper(p.value - target, _BITS) + bound
+    # p - target = ((k+1) p - scaled - k back) / (k+1), formed on integer numerators
+    # over one denominator; at k = 0 the back term has weight 0, and scaled stands in
+    # for the unread back pairing
+    x, y = p.value, scaled
+    b = back.value if k >= 1 else scaled
+    den = math.lcm(x.den, y.den, b.den)
+    sx, sy, sb = (k + 1) * (den // x.den), den // y.den, k * (den // b.den)
+    nums = [sx * u - sy * v - sb * w for u, v, w in zip(x.nums, y.nums, b.nums)]
+    bound = p.error_bound
+    if k >= 1:   # bound + k/(k+1) * back's error bound, as one fraction
+        f = back.error_bound
+        bound = Fraction((k + 1) * bound.numerator * f.denominator + k * f.numerator * bound.denominator,
+                         (k + 1) * bound.denominator * f.denominator)
+    return abs_upper(_canonical(x.order, nums, den * (k + 1)), _BITS) + bound
 
 
 def tail_shift_residual(tower: Tower, A: Cylinder, B: Cylinder, n: int,

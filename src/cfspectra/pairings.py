@@ -155,19 +155,26 @@ class PairingEngine:
         offsets = (range(max((lo - span) // z, 1 - reps), min((hi + span) // z, reps - 1) + 1)
                    if reps > 1 else (0,))
         left, right = bisect.bisect_left, bisect.bisect_right
+        size = len(block)
         out: dict[int, _Ring] = {}
         for t in offsets:
             rows = [add[x] for x in v_pow[t % len(v_pow)]]   # rows[i][j]: v^t(i) + j
             shift = z * t
             lo_t, hi_t = lo - shift, hi - shift
             tally: dict[int, _Ring] = {}   # block difference d2 - d1 -> increments
-            for d1, g1 in zip(block, lab):
-                first = left(block, lo_t + d1)
-                minus = neg[g1]
-                for j in range(first, right(block, hi_t + d1, first)):
+            # only the d1 whose partner window [lo_t + d1, hi_t + d1] meets
+            # [block[0], block[-1]] can pair; their windows start in increasing
+            # order, so each run is one bisect from the last start and a walk
+            first = 0
+            for i in range(left(block, block[0] - hi_t), right(block, block[-1] - lo_t)):
+                d1 = block[i]
+                j = first = left(block, lo_t + d1, first)
+                top, minus = hi_t + d1, neg[lab[i]]
+                while j < size and block[j] <= top:
                     slot = tally.setdefault(block[j] - d1, {})
                     g = rows[lab[j]][minus]
                     slot[g] = slot.get(g, 0) + 1
+                    j += 1
             start, count = max(0, -t), reps - abs(t)
             for diff, hist in tally.items():
                 slot = out.setdefault(diff + shift, {})

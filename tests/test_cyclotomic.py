@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cfspectra.cyclotomic import (
     Cyclo,
@@ -298,3 +298,47 @@ def test_equal_values_hash_alike(z, k):
     assert w == z and hash(w) == hash(z)
     if z.is_rational():
         assert hash(z) == hash(z.as_fraction())
+
+
+# -- |z|^2 from the numerators against the product route -----------------------------
+
+
+def _product_route_bounds(z: Cyclo, bits: int) -> tuple[Fraction, Fraction]:
+    """abs_lower and abs_upper through z * conj(z) as a Cyclo product, then its rational value or real_bounds."""
+    s = z * z.conjugate()
+    if s.is_rational():
+        q = s.as_fraction()
+        return sqrt_lower(q, bits), sqrt_upper(q, bits)
+    lo, hi = s.real_bounds(bits)
+    return sqrt_lower(max(lo, Fraction(0)), bits), sqrt_upper(max(hi, Fraction(0)), bits)
+
+
+@st.composite
+def enclosure_values(draw):
+    """Zero, a positive or negative rational, a signed root of unity or a general value, at an order 1-12."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("zero", "rational", "negative", "root", "general")))
+    if kind == "zero":
+        return Cyclo.zero(n)
+    if kind in ("rational", "negative"):
+        q = draw(st.fractions(0, 50, max_denominator=10**9).filter(bool))
+        return Cyclo.from_fraction(q if kind == "rational" else -q, n)
+    if kind == "root":
+        return draw(st.sampled_from((1, -1))) * zeta(n, draw(st.integers(0, n - 1)))
+    counts = draw(st.dictionaries(st.integers(0, n - 1), st.fractions(-10**6, 10**6, max_denominator=10**12),
+                                  min_size=1, max_size=n))
+    return Cyclo.from_exponent_counts(n, counts, draw(st.integers(1, 10**12)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(enclosure_values(), st.sampled_from((32, 96, 128)))
+def test_abs_bounds_equal_the_product_route(z, bits):
+    """abs_squared is z * conj(z) numerator for numerator, and both bounds are the product route's exact Fractions."""
+    s, want = z.abs_squared(), z * z.conjugate()
+    assert (s.order, s.nums, s.den) == (want.order, want.nums, want.den)
+    lo, hi = abs_lower(z, bits), abs_upper(z, bits)
+    assert type(lo) is Fraction and type(hi) is Fraction
+    assert (lo, hi) == _product_route_bounds(z, bits)
+    if z != z.conjugate():
+        with pytest.raises(ValueError, match="real_bounds requires a self-conjugate value"):
+            z.real_bounds(bits)

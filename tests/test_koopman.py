@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfspectra import koopman
 from cfspectra.cyclotomic import Cyclo, abs_upper
 from cfspectra.groups import Automorphism, Character, FinAbGroup, Subgroup, character_orbit_average
 from cfspectra.koopman import (
@@ -246,3 +247,35 @@ def test_residual_grid_rows_with_cold_and_warm_orbit_averages(z3_tower):
     assert len(cache) == len(chars(t))
     for chi in chars(t):
         assert cache[(chi.coords, a.coords)] == character_orbit_average(chi, a, t.v)
+
+
+def test_each_grid_row_bounds_one_value_formed_on_numerators(z3_tower, monkeypatch):
+    """Every row of a grid with k = 0 and k >= 1 steps calls abs_upper once, and _deviation (abs_upper included)
+    forms p - target with no Cyclo product, quotient, sum or difference."""
+    t = z3_tower
+    bounded, ops, inside = [], [], []
+    abs_upper_, deviation = koopman.abs_upper, koopman._deviation
+
+    def abs_spy(z, bits):
+        bounded.append(z)
+        return abs_upper_(z, bits)
+
+    def deviation_spy(*args):
+        inside.append(True)
+        try:
+            return deviation(*args)
+        finally:
+            inside.pop()
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "_plus"):
+        def spy(self, *args, _real=getattr(Cyclo, name), _name=name):
+            if inside:
+                ops.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(Cyclo, name, spy)
+    monkeypatch.setattr(koopman, "abs_upper", abs_spy)
+    monkeypatch.setattr(koopman, "_deviation", deviation_spy)
+    rows = residual_grid(t, chars(t), cylinder_family(t, max_level=1))
+    assert {r.tag.split(":")[0] for r in rows} == {"even", "stagger"}
+    assert len(bounded) == len(rows)
+    assert ops == []

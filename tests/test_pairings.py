@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from cfspectra import koopman, pairings
 from cfspectra.cocycle import check_coboundary_condition
 from cfspectra.cyclotomic import Cyclo, abs_upper
-from cfspectra.groups import Automorphism, Character, FinAbGroup, LimitExceeded, all_characters
+from cfspectra.groups import (Automorphism, Character, FinAbGroup, LimitExceeded, all_characters,
+                              character_orbit_average)
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
 from cfspectra.recurrence import _nth, label_transport_witness, return_cuts
 from cfspectra.tower import (Cylinder, Tag, Tower, defect_fraction, embed, measure,
@@ -281,6 +282,43 @@ def brute_kernel(tower, n, lo, hi):
     return dict(sorted(out.items()))
 
 
+def edge_windows(tower, n):
+    """Difference windows [lo, hi] of level n whose partner window, seen from a block cut at a copy offset,
+    lies wholly below the block, wholly above it, straddles its first or last cut, falls in a gap between two
+    cuts or covers the whole block; at the first, middle and last block cut and copy offsets -reps+1, -1, 0,
+    1, reps-1."""
+    lvl = tower.level(n)
+    block, z, reps = lvl.block, lvl.z, lvl.reps
+    first, last = block[0], block[-1]
+    spans = [(first - 5, first - 1), (last + 1, last + 5), (first - 2, first), (first - 2, (first + last) // 2),
+             (last, last + 2), ((first + last + 1) // 2, last + 2), (first - 1, last + 1)]
+    spans += [(a + 1, b - 1) for a, b in zip(block, block[1:]) if b - a > 1][:3]
+    windows = set()
+    for t in {1 - reps, -1, 0, 1, reps - 1}:
+        if abs(t) < reps:
+            for d1 in {first, block[len(block) // 2], last}:
+                windows.update((x - d1 + z * t, y - d1 + z * t) for x, y in spans)
+    return sorted(windows)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(small_towers())
+def test_level_kernel_matches_brute_force_at_edge_windows(t):
+    """Windows that miss the block, straddle one of its ends or sit in a gap give brute_kernel's dict in its
+    delta order, on the tower, its parsed twin and its one-copy twin, at each of their block geometries."""
+    twins = (t, parse_tower(io.StringIO(tower_text(t))), one_copy_twin(t))
+    trivial = Character(t.group, (0,) * t.group.rank)
+    for n in range(1, t.depth + 1):
+        top = t.level(n).cuts[-1]
+        full = brute_kernel(t, n, -top, top)   # every cut pair of the level
+        windows = sorted({w for twin in twins for w in edge_windows(twin, n)})
+        for lo, hi in windows:
+            want = {d: hist for d, hist in full.items() if lo <= d <= hi}
+            for twin in twins:
+                got = PairingEngine(twin, trivial).level_kernel(n, lo, hi)
+                assert got == want and list(got) == list(want), (n, lo, hi)
+
+
 @settings(max_examples=30)   # depth-4 brute enumeration costs up to seconds per example
 @given(pairing_cases())
 def test_engine_matches_brute_force_on_random_towers(case):
@@ -463,6 +501,36 @@ def test_residual_grid_equals_per_cell_residuals_on_random_towers(case):
     for m in (0, -1, *(2 * warm.h(lvl.step) for lvl in warm.levels if lvl.tag is not None)):
         koopman.pairing(warm, chars[0], m, X0, X0)
     assert koopman.residual_grid(warm, chars, family) == want
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(grid_cases(), st.data())
+def test_deviation_equals_the_cyclo_formula_on_random_towers(case, data):
+    """At k = 0 and k >= 1 steps, with <1_A, 1_B> and <U^-1 1_A, 1_B> taken at depths of their own so that the
+    three pairings' denominators differ, _deviation is |p - (scaled + k back) / (k+1)| bounded by abs_upper on
+    Cyclo operators, plus p's error and k/(k+1) of back's."""
+    G, matrix, tags, family = case
+    t = _grid_tower(G, matrix, tags)
+    N = t.depth
+    unequal = 0
+    for lvl in t.levels:
+        if lvl.tag is None:
+            continue
+        el, k = lvl.tag.el, lvl.tag.k
+        for chi in all_characters(G):
+            l = character_orbit_average(chi, el, t.v)
+            for (_, A), (_, B) in itertools.product(family, repeat=2):
+                p = koopman.pairing(t, chi, 2 * t.h(lvl.step), A, B, N)
+                scaled = l * koopman.pairing(t, chi, 0, A, B, data.draw(st.integers(2, N))).value
+                back = koopman.pairing(t, chi, -1, A, B, data.draw(st.integers(2, N)))
+                w = Fraction(k, k + 1)
+                want = (abs_upper(p.value - (scaled / (k + 1) + back.value * w), koopman._BITS)
+                        + p.error_bound + w * back.error_bound)
+                assert koopman._deviation(p, scaled, k, back) == want
+                if k == 0:
+                    assert koopman._deviation(p, scaled, 0, None) == want
+                unequal += len({p.value.den, scaled.den, back.value.den}) > 1
+    assert unequal
 
 
 def test_state_guard_trips_at_the_same_level_cold_and_continued(z3_tower, monkeypatch):
