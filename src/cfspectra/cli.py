@@ -15,10 +15,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from .cocycle import Cocycle, TailShift, check_coboundary_condition, commutes_with_shift
-from .experiment import (ConfigError, ExperimentConfig, build_tower, resolve_system, tag_schedule,
-                         write_artifacts)
-from .groups import (LimitExceeded, Subgroup, all_characters, catalog_search, format_triple,
-                     multiplicity_set_naive)
+from .experiment import ConfigError, ExperimentConfig, build_tower, write_artifacts
+from .groups import LimitExceeded, Subgroup, all_characters, catalog_search, format_triple
 from .koopman import check_grid_size, cylinder_family, residual_csv, residual_grid, skew_decomposition_check
 from .recurrence import multiple_recurrence_search, return_cuts
 from .spectra import (
@@ -30,19 +28,11 @@ from .spectra import (
     symmetric_generation_check,
     vandermonde_extraction_check,
 )
-from .tower import Cylinder, TowerParseError, canonical_point, parse_tower, recipe_cut_count, validate_tower
+from .tower import Cylinder, TowerParseError, canonical_point, parse_tower, validate_tower
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
-
-# The most recipe cuts one `build` may write.  A tower file takes about 110-140
-# bytes a cut: 962,949 cuts ({2} at depth 34) make a 107 MB file, which `build`
-# writes at an 18 MB peak RSS and `verify` reads at 47 MB (its longest line,
-# the top level's labels, is 20 MB), and 3,215,486 ({3} at depth 40) a 460 MB
-# file.  The count is summed from the recipe before any level past the seeds
-# is built.
-_BUILD_GUARD = 1_000_000
 
 
 @lru_cache(maxsize=1)
@@ -128,15 +118,7 @@ def cmd_build(args) -> int:
         config = ExperimentConfig(E=frozenset(int(x) for x in given.pop("target").split(",")), **given)
     else:
         raise ConfigError("build needs --config or --target")
-    spec = resolve_system(config)
-    schedule = tag_schedule(config, spec)
-    cuts = 0
-    for n in range(2, config.depth):   # level n + 1 is built at step n
-        cuts += recipe_cut_count(spec.label_aut, n, schedule[(n - 2) % len(schedule)])
-        if cuts > _BUILD_GUARD:
-            raise LimitExceeded(f"a depth-{config.depth} build would write more than {_BUILD_GUARD:,} "
-                                f"recipe cuts (passed at level {n + 1}); lower the depth")
-    tower, spec, schedule = build_tower(config, spec)
+    tower, spec, schedule = build_tower(config)
     report = validate_tower(tower)
     if not report.passed:
         print(report.render(), file=sys.stderr)
@@ -249,14 +231,13 @@ def cmd_groups(args) -> int:
             print(f"target {sorted(target)}: not found within order {args.bound}",
                   file=sys.stderr)
             return EXIT_VERIFY
-        recount = multiplicity_set_naive(rec.group, rec.subgroup, rec.automorphism)
-        records.append((target, rec, recount == target))
+        records.append(rec)
     lines = ["# cfspectra catalog format 1"]
-    for target, rec, verified in records:
+    for rec in records:
         lines.append("")
-        lines.append("E = " + ",".join(map(str, sorted(target))))
+        lines.append("E = " + ",".join(map(str, sorted(rec.target))))
         lines.append(format_triple(rec.group, rec.subgroup, rec.automorphism))
-        lines.append(f"verified = {str(verified).lower()}")
+        lines.append(f"verified = {str(rec.verified).lower()}")
     text = "\n".join(lines) + "\n"
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -264,7 +245,7 @@ def cmd_groups(args) -> int:
         print(f"wrote {len(records)} records to {args.out}")
     else:
         sys.stdout.write(text)
-    return EXIT_OK if all(v for *_, v in records) else EXIT_VERIFY
+    return EXIT_OK if all(rec.verified for rec in records) else EXIT_VERIFY
 
 
 def cmd_spectra(args) -> int:

@@ -56,7 +56,7 @@ def _rung_label_table(tower: Tower, N: int) -> list[int]:
         new = [_zero_label_sum(tower, n)] * lvl.h
         # the rungs over cut c are those of the level below plus the cut's label
         segments: dict[int, list[int]] = {}
-        stride, width = lvl.z * len(tower.v_pow), len(arr)
+        stride, width = lvl.class_stride, len(arr)
         for c, count, g, _ in lvl.shift_classes(0):
             if g not in segments:
                 segments[g] = [add[g][b] for b in arr]
@@ -131,9 +131,7 @@ class TailShift:
 
     def __init__(self, tower: Tower):
         self.tower = tower
-        self.z = [0] * (tower.depth + 1)
-        for n in range(1, tower.depth + 1):
-            self.z[n] = tower.level(n).z if tower.level(n).tag is not None else 0
+        self.z = [0] + [lvl.z for lvl in tower.levels]   # seed levels have z = 0
 
     def z_prefix(self, n: int) -> int:
         return sum(self.z[1:n + 1])

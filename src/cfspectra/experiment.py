@@ -17,6 +17,7 @@ from .groups import (
     Character,
     Element,
     FinAbGroup,
+    LimitExceeded,
     Subgroup,
     all_characters,
     annihilator,
@@ -30,7 +31,7 @@ from .groups import (
     same_dual_orbit,
     separation_witness,
 )
-from .tower import Tag, Tower, serialize_tower
+from .tower import Tag, Tower, recipe_cut_count, serialize_tower
 
 
 class ConfigError(Exception):
@@ -231,15 +232,32 @@ def tag_schedule(config: ExperimentConfig, spec: SystemSpec) -> list:
     return parse_schedule(config.schedule, spec.label_group)
 
 
-def build_tower(config: ExperimentConfig, spec: SystemSpec | None = None) -> tuple[Tower, SystemSpec, list]:
-    """Seed and extend the tower to the configured depth along the tag cycle."""
-    spec = resolve_system(config) if spec is None else spec
+# The most recipe cuts one build may write.  A tower file takes about 110-140
+# bytes a cut: 962,949 cuts ({2} at depth 34) make a 107 MB file, which `build`
+# writes at an 18 MB peak RSS and `verify` reads at 47 MB (its longest line,
+# the top level's labels, is 20 MB), and 3,215,486 ({3} at depth 40) a 460 MB
+# file.  The count is summed from the recipe before any level past the seeds
+# is built.
+_BUILD_GUARD = 1_000_000
+
+
+def build_tower(config: ExperimentConfig) -> tuple[Tower, SystemSpec, list]:
+    """Seed and extend the tower to the configured depth along the tag cycle.
+
+    Raises LimitExceeded, before any level past the seeds is built, when the
+    levels would hold more than ``_BUILD_GUARD`` recipe cuts.
+    """
+    spec = resolve_system(config)
     schedule = tag_schedule(config, spec)
+    cuts = 0
+    for n in range(2, config.depth):   # level n + 1 is built at step n
+        cuts += recipe_cut_count(spec.label_aut, n, schedule[(n - 2) % len(schedule)])
+        if cuts > _BUILD_GUARD:
+            raise LimitExceeded(f"a depth-{config.depth} build would write more than {_BUILD_GUARD:,} "
+                                f"recipe cuts (passed at level {n + 1}); lower the depth")
     tower = Tower.seeded(spec.label_group, spec.label_aut)
-    step = 0
-    while tower.depth < config.depth:
-        tower.extend(schedule[step % len(schedule)])
-        step += 1
+    for n in range(2, config.depth):
+        tower.extend(schedule[(n - 2) % len(schedule)])
     return tower, spec, schedule
 
 

@@ -539,7 +539,7 @@ class CatalogRecord:
     group: FinAbGroup
     subgroup: Subgroup
     automorphism: Automorphism
-    verified: bool = False
+    verified: bool
 
 
 # Most candidate matrices ``automorphisms`` may test for one group of the

@@ -44,11 +44,7 @@ def _engine(tower: Tower, chi: Character) -> PairingEngine:
 
 def _orbit_average(tower: Tower, chi: Character, a) -> Cyclo:
     """``character_orbit_average(chi, a, tower.v)``, kept per tower for each (chi, a)."""
-    averages = tower.cached("orbit_averages", dict)
-    key = (chi.coords, a.coords)
-    if key not in averages:
-        averages[key] = character_orbit_average(chi, a, tower.v)
-    return averages[key]
+    return tower.cached(("orbit_average", chi.coords, a.coords), character_orbit_average, chi, a, tower.v)
 
 
 def pairing(tower: Tower, chi: Character, m: int, A: Cylinder, B: Cylinder,
@@ -281,7 +277,7 @@ def check_grid_size(tower: Tower, n_chars: int, max_level: int) -> None:
             f"guard {_GRID_GUARD:,}); lower --max-level")
 
 
-def cylinder_family(tower: Tower, max_level: int = 2) -> list[tuple[str, Cylinder]]:
+def cylinder_family(tower: Tower, max_level: int) -> list[tuple[str, Cylinder]]:
     """The fixed dense family: the base stack plus all singleton rungs at low levels."""
     fam: list[tuple[str, Cylinder]] = [("X0", Cylinder(0, (0,)))]
     for n in range(1, max_level + 1):
@@ -301,7 +297,7 @@ class ResidualRow:
     error: Fraction
 
 
-def residual_grid(tower: Tower, chars: list[Character], family=None) -> list[ResidualRow]:
+def residual_grid(tower: Tower, chars: list[Character], family: list[tuple[str, Cylinder]]) -> list[ResidualRow]:
     """All weak-limit residuals over the scheduled steps and the cylinder family.
 
     Each (chi, A, B) takes its <1_A, 1_B> and <U^-1 1_A, 1_B> pairings once
@@ -310,7 +306,6 @@ def residual_grid(tower: Tower, chars: list[Character], family=None) -> list[Res
     continues from the one above it.  The rows come out as per-cell
     ``_residual`` calls in step, character, A, B order would give them.
     """
-    family = cylinder_family(tower) if family is None else family
     steps = []   # (n, tag, tag text, 2h_n) per scheduled step
     for lvl in tower.levels:
         if lvl.tag is not None:

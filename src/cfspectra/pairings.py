@@ -77,7 +77,6 @@ class _RingStore:
         self.states: dict[tuple[int, int, int], dict[int, _Ring]] = {}
         self.vectors: dict[tuple[int, Cylinder, Cylinder, int], _Ring] = {}
         self.errors: dict[tuple[int, int, Cylinder], Fraction] = {}
-        self._cut_tables: dict[int, tuple[list[int], list[int]]] = {}
 
     def add_orbit_range(self, slot: _Ring, g: int, count: int, start: int, mult: int) -> None:
         """Add mult * v^j(g) for j = start .. start+count-1 to slot."""
@@ -91,21 +90,19 @@ class _RingStore:
             x = orb[j % p]
             slot[x] = slot.get(x, 0) + mult
 
-    def cut_tables(self, tower: Tower, base_level: int) -> tuple[list[int], list[int]]:
-        """Running sums of top cuts and products of cut counts over the levels above base_level."""
-        tables = self._cut_tables.get(base_level)
-        if tables is None:
-            tops, prods = [0], [1]
-            for j in range(base_level + 1, tower.depth + 1):
-                lvl = tower.level(j)
-                tops.append(tops[-1] + lvl.cut(-1))
-                prods.append(prods[-1] * lvl.r)
-            tables = self._cut_tables[base_level] = (tops, prods)
-        return tables
-
 
 def _store(tower: Tower) -> _RingStore:
     return tower.cached("pairing_store", _RingStore, tower)
+
+
+def _cut_tables(tower: Tower, base_level: int) -> tuple[list[int], list[int]]:
+    """Running sums of top cuts and products of cut counts over the levels above base_level."""
+    tops, prods = [0], [1]
+    for j in range(base_level + 1, tower.depth + 1):
+        lvl = tower.level(j)
+        tops.append(tops[-1] + lvl.cut(-1))
+        prods.append(prods[-1] * lvl.r)
+    return tops, prods
 
 
 def _mul_into(acc: _Ring, x: _Ring, y: _Ring, add: tuple[tuple[int, ...], ...]) -> None:
@@ -145,21 +142,19 @@ class PairingEngine:
         store = _store(self.tower)
         add, neg, v_pow = store.add, store.neg, self.tower.v_pow
         lab = lvl.block_labels
-        # cuts = block + z*{0..reps-1}; the pairs (d1 + z*j, d2 + z*(j+t)) have
-        # increment v^j(v^t(label d2) - label d1), so one block pair at copy
-        # offset t stands for the reps - |t| increments along a v-orbit.  A
-        # single copy (seed levels and parsed levels that break their recipe,
-        # where z may be 0) has t = 0 only.
-        block, z, reps = lvl.block, lvl.z, lvl.reps
+        # cuts = block + stride*{0..reps-1}; the pairs (d1 + stride*j, d2 + stride*(j+t))
+        # have increment v^j(v^t(label d2) - label d1), so one block pair at copy
+        # offset t stands for the reps - |t| increments along a v-orbit.  A single
+        # copy (reps == 1) has t = 0 only, when the window can meet its one block.
+        block, stride, reps = lvl.block, lvl.stride, lvl.reps
         span = block[-1] - block[0]
-        offsets = (range(max((lo - span) // z, 1 - reps), min((hi + span) // z, reps - 1) + 1)
-                   if reps > 1 else (0,))
+        offsets = range(max((lo - span) // stride, 1 - reps), min((hi + span) // stride, reps - 1) + 1)
         left, right = bisect.bisect_left, bisect.bisect_right
         size = len(block)
         out: dict[int, _Ring] = {}
         for t in offsets:
             rows = [add[x] for x in v_pow[t % len(v_pow)]]   # rows[i][j]: v^t(i) + j
-            shift = z * t
+            shift = stride * t
             lo_t, hi_t = lo - shift, hi - shift
             tally: dict[int, _Ring] = {}   # block difference d2 - d1 -> increments
             # only the d1 whose partner window [lo_t + d1, hi_t + d1] meets
@@ -293,7 +288,7 @@ class PairingEngine:
 def count_ge(tower: Tower, base_rungs: tuple[int, ...], base_level: int, N: int,
              threshold: int) -> int:
     """#{f in E at depth N : f >= threshold} for E = sorted base_rungs + cut sums."""
-    tops, prods = _store(tower).cut_tables(tower, base_level)
+    tops, prods = tower.cached(("cut_tables", base_level), _cut_tables, tower, base_level)
     nb, top = len(base_rungs), base_rungs[-1]
 
     def rec(j: int, t: int) -> int:

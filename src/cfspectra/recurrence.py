@@ -211,12 +211,11 @@ def verify_witness(tower: Tower, w: TransportWitness) -> bool:
 
 def _inclusion_ok(tower: Tower, lvl: int, step: int) -> bool:
     """Whether the cuts c of level lvl with c + step a cut form a nonempty set that step maps into the cuts."""
-    # a class c + z*P*s, s < count, lands in the cuts when its two ends do:
+    # a class c + class_stride*s, s < count, lands in the cuts when its two ends do:
     # both ends then sit over one block cut, and so does every copy between
     level = tower.level(lvl)
-    stride = level.z * len(tower.v_pow)
     choice = _returning(tower, lvl, step)[0]
-    return bool(choice) and all(c + step in level and c + step + stride * (count - 1) in level
+    return bool(choice) and all(c + step in level and c + step + level.class_stride * (count - 1) in level
                                 for c, count, *_ in choice)
 
 
@@ -313,8 +312,7 @@ def label_transport_witness(tower: Tower, p: int, base_level: int, rungs,
     ratio = Fraction(size, lvl.r)
     bound = Fraction(1, 2 * m)
     N = lvl.n
-    stride = lvl.z * len(tower.v_pow)
-    top_picks = sorted({_nth(cls, stride, i) for i in (0, size // 2, size - 1)})
+    top_picks = sorted({_nth(cls, lvl.class_stride, i) for i in (0, size // 2, size - 1)})
     mid_levels = [tower.level(j) for j in range(base_level + 1, k + 1)]
     limit = max(1, samples // (len(top_picks) * p))
     sampled = [f + sum(mid) + c_top for mid in _spread_product(mid_levels, limit) for c_top in top_picks for f in rungs]
@@ -385,25 +383,25 @@ def _return_count(tower: Tower, A: Cylinder, p: int, k: int, N: int) -> int:
     f + d_i = y_i + c_i leave the residual shift y_i - y = d_i - (c_i - c),
     below h_{j-1} in modulus.  A state is the tuple of residual shifts with the
     number of cut tuples reaching it: the label-free p-shift form of
-    ``PairingEngine.propagate``.  The cut b + z*q of a level has the partners
-    b' + z*(q + t), so one block cut with one partner choice (b'_i, t_i) per
+    ``PairingEngine.propagate``.  The cut b + stride*q of a level has the partners
+    b' + stride*(q + t), so one block cut with one partner choice (b'_i, t_i) per
     coordinate stands for every copy q with q and each q + t_i in 0..reps-1.
     The states left at the cylinder's level are counted against its rungs.
     """
     states = {tuple(k * i for i in range(1, p + 1)): 1}
     for j in range(N, A.level, -1):
         lvl, h = tower.level(j), tower.h(j - 1)
-        block, z, reps = lvl.block, lvl.z, lvl.reps
+        block, stride, reps = lvl.block, lvl.stride, lvl.reps
         new: dict[tuple[int, ...], int] = {}
         for ds, mult in states.items():
             for b in block:
-                partners = []   # per coordinate: (t, c_i - c) for b' + z*t within h of b + d
+                partners = []   # per coordinate: (t, c_i - c) for b' + stride*t within h of b + d
                 for d in ds:
                     lo, hi = b + d - h + 1, b + d + h - 1
-                    ts = range(max(lo // z, 1 - reps), min(hi // z, reps - 1) + 1) if reps > 1 else (0,)
-                    partners.append([(t, e + z * t - b) for t in ts
-                                     for e in block[bisect_left(block, lo - z * t):
-                                                    bisect_right(block, hi - z * t)]])
+                    ts = range(max(lo // stride, 1 - reps), min(hi // stride, reps - 1) + 1)
+                    partners.append([(t, e + stride * t - b) for t in ts
+                                     for e in block[bisect_left(block, lo - stride * t):
+                                                    bisect_right(block, hi - stride * t)]])
                 for choice in itertools.product(*partners):
                     ts = [0] + [t for t, _ in choice]
                     copies = reps - max(ts) + min(ts)

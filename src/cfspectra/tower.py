@@ -58,16 +58,21 @@ class GeneratorExhausted(Exception):
 class Level:
     """One tower level: height, shift, and its cuts and labels in block form.
 
-    Every level has cuts ``block + z * {0..reps-1}`` over a sorted block, and
-    labels on the block as element indices in block order; the label of a
-    cut in the q-th copy follows the automorphism power rule
-    ``label(d + z*q) = v^q(label(d))``.  Recipe levels repeat a short block
-    lying in [0, z), so the copies come out in cut order; ``parse_tower``
+    Every level has cuts ``block + stride * {0..reps-1}`` over a sorted block
+    lying in ``[0, stride)``, so the copies come out in cut order, and labels
+    on the block as element indices in block order; the label of a cut in the
+    q-th copy follows the automorphism power rule
+    ``label(d + stride*q) = v^q(label(d))``.  A recipe level repeats a short
+    block ``z`` apart, so its stride is its shift ``z``; ``parse_tower``
     restores that block from the recipe when the file's cuts and labels
     repeat it.  Seed levels, and parsed levels that do not repeat their
-    recipe, are the plain case ``reps == 1``, whose cuts are the block
-    itself.  No cut is stored: membership, rank and the k-th cut use divmod
-    by z and bisect on the block, and pair counts use ``shift_classes``.
+    recipe, are one copy (``reps == 1``) whose stride is one past the last
+    cut: past the block, divmod by the stride gives copy 1 or more, which is
+    no copy, as it is for a recipe level past its last copy.  No cut
+    is stored: membership, rank and the k-th cut use divmod by the stride
+    and bisect on the block, and pair counts use ``shift_classes``, whose
+    classes repeat ``class_stride = stride * period of v`` apart.
+    ``z`` is the level's shift z_n alone (0 on seed levels).
     The format-1 lines are rendered from the block (``_cut_blocks``,
     ``_label_copies``); ``cuts`` is read only by ``embed`` and by the
     parser's seed-level check and per-entry fallback.
@@ -81,6 +86,8 @@ class Level:
         self.z = z
         self.block = tuple(block)
         self.reps = reps
+        self.stride = z if reps > 1 else self.block[-1] + 1
+        self.class_stride = self.stride * len(v_pow)
         self.block_labels = tuple(block_labels)
         self.tag = tag
         self.step = None if tag is None else n - 1
@@ -94,12 +101,11 @@ class Level:
     @property
     def cuts(self) -> tuple[int, ...]:
         """Every cut in increasing order, built on demand and not kept."""
-        # the block lies in [0, z), so the cuts run copy by copy
-        return tuple([d + self.z * q for q in range(self.reps) for d in self.block])
+        return tuple([d + self.stride * q for q in range(self.reps) for d in self.block])
 
     def _locate(self, c: int) -> tuple[int, int] | None:
         """(copy, block index) of cut c, or None when c is not a cut."""
-        q, d = divmod(c, self.z) if self.reps > 1 else (0, c)   # reps == 1 allows z == 0
+        q, d = divmod(c, self.stride)
         i = bisect.bisect_left(self.block, d)
         return (q, i) if 0 <= q < self.reps and i < len(self.block) and self.block[i] == d else None
 
@@ -108,7 +114,7 @@ class Level:
 
     def rank(self, x: int) -> int:
         """The number of cuts below x."""
-        q, d = divmod(x, self.z) if self.reps > 1 else (0, x)
+        q, d = divmod(x, self.stride)
         if q < 0 or q >= self.reps:
             return 0 if q < 0 else self.r
         return q * len(self.block) + bisect.bisect_left(self.block, d)
@@ -118,7 +124,7 @@ class Level:
         if not -self.r <= k < self.r:
             raise IndexError(k)
         q, i = divmod(k % self.r, len(self.block))
-        return self.block[i] + self.z * q
+        return self.block[i] + self.stride * q
 
     def label_index(self, c: int) -> int:
         """Element index of the label of cut c."""
@@ -138,28 +144,27 @@ class Level:
     def shift_classes(self, delta: int) -> list[tuple[int, int, int, int]]:
         """The cuts c with c + delta a cut, by block index and copy residue mod the period P of v.
 
-        The pair (block[i] + z*q, block[j] + z*(q + t)) has labels v^q(g_i), v^(q+t)(g_j), so
-        each entry (c, count, g, g2) stands for the cuts c + z*P*s, s < count, labelled g, whose
-        partners c + delta are labelled g2.  O(|block| * P) work instead of O(r).
+        The pair (block[i] + stride*q, block[j] + stride*(q + t)) has labels v^q(g_i), v^(q+t)(g_j),
+        so each entry (c, count, g, g2) stands for the cuts c + class_stride*s, s < count, labelled g,
+        whose partners c + delta are labelled g2.  O(|block| * P) work instead of O(r).
         """
-        block, z, reps, v_pow = self.block, self.z, self.reps, self._v_pow
+        block, stride, reps, v_pow = self.block, self.stride, self.reps, self._v_pow
         P = len(v_pow)
         out = []
         for d, g in zip(block, self.block_labels):
-            t, e = divmod(d + delta, z) if reps > 1 else (0, d + delta)
+            t, e = divmod(d + delta, stride)
             j = bisect.bisect_left(block, e)
             if j == len(block) or block[j] != e:
                 continue
             lo, hi = max(0, -t), min(reps, reps - t)
             for q in range(lo, min(hi, lo + P)):
-                out.append((d + z * q, (hi - 1 - q) // P + 1,
+                out.append((d + stride * q, (hi - 1 - q) // P + 1,
                             v_pow[q % P][g], v_pow[(q + t) % P][self.block_labels[j]]))
         return out
 
     def class_cuts(self, classes) -> list[int]:
         """The cuts a list of ``shift_classes`` entries stands for, in increasing order."""
-        stride = self.z * len(self._v_pow)
-        return sorted(c + stride * s for c, count, *_ in classes for s in range(count))
+        return sorted(c + self.class_stride * s for c, count, *_ in classes for s in range(count))
 
     def __repr__(self):
         return f"Level(n={self.n}, h={self.h}, r={self.r}, tag={self.tag})"
@@ -261,16 +266,16 @@ class Tower:
         rows = self.cached("cut_rows", _cut_rows, self)
         if not 0 < n < len(rows):
             raise IndexError(f"level {n} not built (depth {self.depth})")
-        block, z, reps, h_prev, labels = rows[n]
+        block, stride, reps, h_prev, labels = rows[n]
         if f < 0:
             return None
-        q = min(f // z, reps - 1) if reps > 1 else 0   # the copy holding the last cut <= f, or the one after it
-        i = bisect.bisect_right(block, f - z * q) - 1
+        q = min(f // stride, reps - 1)   # the copy holding the last cut <= f, or the one after it
+        i = bisect.bisect_right(block, f - stride * q) - 1
         if i < 0:   # below the copy's first cut: the last cut (i = -1) of the copy before
             if q == 0:
                 return None
             q -= 1
-        c = block[i] + z * q
+        c = block[i] + stride * q
         return (c, self.v_pow[q % len(self.v_pow)][labels[i]]) if f - c < h_prev else None
 
     def decompose(self, f: int, N: int) -> tuple[int, int, dict[int, int], int]:
@@ -308,8 +313,8 @@ def _cut_products(tower: Tower) -> list[int]:
 
 
 def _cut_rows(tower: Tower) -> list:
-    """A row (block, z, reps, h_{n-1}, block_labels) per built level n, after a None for level 0."""
-    return [None] + [(lvl.block, lvl.z, lvl.reps, tower.h(lvl.n - 1), lvl.block_labels) for lvl in tower.levels]
+    """A row (block, stride, reps, h_{n-1}, block_labels) per built level n, after a None for level 0."""
+    return [None] + [(lvl.block, lvl.stride, lvl.reps, tower.h(lvl.n - 1), lvl.block_labels) for lvl in tower.levels]
 
 
 def _power_tables(v: Automorphism) -> tuple[tuple[int, ...], ...]:
@@ -444,14 +449,14 @@ def validate_structure(tower: Tower) -> Report:
         h_prev = tower.h(n - 1)
         rep.add("zero cut present", n, 0 in lvl)
         rep.add("more than one cut", n, lvl.r > 1)
-        r_recipe = lvl.r if lvl.tag is None else recipe(tower, n - 1, lvl.tag).r
+        r_recipe = lvl.r if lvl.tag is None else recipe_cut_count(tower.v, n - 1, lvl.tag)
         rep.add("cut count matches recipe", n, lvl.r == r_recipe, f"{lvl.r} vs {r_recipe}")
         top, block = lvl.cut(-1), lvl.block
         rep.add("stack containment", n, top + h_prev <= lvl.h,
                 f"max cut {top} + {h_prev} vs height {lvl.h}")
         gaps = [b - a for a, b in itertools.pairwise(block)]   # and, between copies, one boundary gap
         if lvl.reps > 1:
-            gaps.append(lvl.z + block[0] - block[-1])
+            gaps.append(lvl.stride + block[0] - block[-1])
         rep.add("cut disjointness", n, all(gap >= h_prev for gap in gaps))
     mus = [tower.mu_level(n) for n in range(tower.depth + 1)]
     for n in range(1, tower.depth + 1):
@@ -559,8 +564,6 @@ def apply_T(tower: Tower, p: Point, m: int) -> Point | None:
 def defect_fraction(tower: Tower, n: int) -> Fraction:
     """Fraction of level-n cuts lost under the level's shift: |cuts ^ (cuts - z)| / |cuts|."""
     lvl = tower.level(n)
-    if lvl.z == 0:
-        return Fraction(0)
     kept = sum(cls[1] for cls in lvl.shift_classes(lvl.z))   # |cuts & (cuts - z)|
     return Fraction(2 * (lvl.r - kept), lvl.r)
 
@@ -568,16 +571,17 @@ def defect_fraction(tower: Tower, n: int) -> Fraction:
 # -- serialization -----------------------------------------------------------
 
 
-def _gap_runs(block, z: int, reps: int) -> list[list[int]]:
-    """The gaps between consecutive cuts of ``block + z*{0..reps-1}`` in copy order, as maximal [gap, count] runs.
+def _gap_runs(block, stride: int, reps: int) -> list[list[int]]:
+    """The gaps between consecutive cuts of ``block + stride*{0..reps-1}`` in copy order, as maximal [gap, count]
+    runs.
 
-    Copies are joined by the boundary gap ``z + block[0] - block[-1]``; O(reps * runs per block) steps.
+    Copies are joined by the boundary gap ``stride + block[0] - block[-1]``; O(reps * runs per block) steps.
     """
     block_runs = [(gap, len(list(same))) for gap, same in
                   itertools.groupby(b - a for a, b in itertools.pairwise(block))]
     runs = []
     for q in range(reps):
-        for gap, count in [(z + block[0] - block[-1], 1)] * (q > 0) + block_runs:
+        for gap, count in [(stride + block[0] - block[-1], 1)] * (q > 0) + block_runs:
             if runs and runs[-1][0] == gap:
                 runs[-1][1] += count
             else:
@@ -613,7 +617,10 @@ def _compress_aps(start: int, runs):
 
 
 def _cut_blocks(lvl: Level | Recipe):
-    """A level's (or a recipe's) ``cuts =`` value block by block, compressed from its block."""
+    """A level's (or a recipe's) ``cuts =`` value block by block, compressed from its block.
+
+    A recipe's copies are z apart, and a one-copy level has no boundary gap, so z serves as the stride of both.
+    """
     return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.z, lvl.reps))
 
 
@@ -624,10 +631,10 @@ def _label_copies(lvl: Level, texts):
     ``texts`` maps a label index to its coordinate text.  The copy q uses the template of the
     residue q mod P (the period of v), whose block labels are ``v^q`` of the block's.
     """
-    v_pow, block, z = lvl._v_pow, lvl.block, lvl.z
+    v_pow, block, stride = lvl._v_pow, lvl.block, lvl.stride
     P = len(v_pow)
     templates = [";" + ";".join([f"%d={texts[row[g]]}" for g in lvl.block_labels]) for row in v_pow[:lvl.reps]]
-    copies = (templates[q % P] % tuple(map((z * q).__add__, block)) for q in range(lvl.reps))
+    copies = (templates[q % P] % tuple(map((stride * q).__add__, block)) for q in range(lvl.reps))
     yield next(copies)[1:]
     yield from copies
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cfspectra.experiment import (
@@ -7,7 +9,7 @@ from cfspectra.experiment import (
     derive_schedule,
     resolve_system,
 )
-from cfspectra.groups import multiplicity_set
+from cfspectra.groups import LimitExceeded, multiplicity_set
 from cfspectra.tower import validate_tower
 
 
@@ -118,6 +120,14 @@ def test_build_explicit_group():
     bad = ExperimentConfig(E={1, 2}, group=triple, depth=5)
     with pytest.raises(ConfigError):
         build_tower(bad)
+
+
+def test_oversized_build_tower_is_refused_up_front():
+    """The library build sums the recipe cut counts before any level past the seeds is built."""
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match="1,000,000 recipe cuts"):
+        build_tower(ExperimentConfig(E={3}, depth=40))
+    assert time.perf_counter() - start < 1
 
 
 def test_deep_build_stays_small_in_memory():

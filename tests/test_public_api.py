@@ -17,6 +17,9 @@ or ``round``, and no ``math`` function beyond the integer ones.
 
 Rung labels stay element indices: ``cocycle`` and ``pairings`` never call
 ``element_index``.
+
+One copy rule: only ``Level.__init__`` forks on ``reps`` in a conditional
+expression, and nothing multiplies a ``.z`` by a ``len(...)``.
 """
 
 import ast
@@ -170,4 +173,35 @@ def test_rung_labels_stay_element_indices():
     found = [f"{stem}:{node.lineno}" for stem in ("cocycle", "pairings")
              for node in ast.walk(_parse(PACKAGE / f"{stem}.py"))
              if isinstance(node, ast.Attribute) and node.attr == "element_index"]
+    assert found == []
+
+
+
+def _is_reps(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "reps" or isinstance(node, ast.Attribute) and node.attr == "reps"
+
+
+def test_one_copy_rule_for_every_level():
+    """A ratchet on the block form: a level's copies are ``stride`` apart and its classes ``class_stride``
+    apart, both chosen once in ``Level.__init__``.  So outside it no conditional expression in
+    ``src/cfspectra`` forks on ``reps`` against a constant (as ``... if reps > 1 else ...`` did), and nothing
+    multiplies a ``.z`` by a ``len(...)`` call."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        init = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Level"
+                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            where = f"{path.stem}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare) and id(node) not in init:
+                operands = [node.test.left, *node.test.comparators]
+                if any(map(_is_reps, operands)) and all(_is_reps(x) or isinstance(x, ast.Constant) for x in operands):
+                    found.append(f"{where} reps fork")
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                sides = (node.left, node.right)
+                if (any(isinstance(x, ast.Attribute) and x.attr == "z" for x in sides)
+                        and any(isinstance(x, ast.Call) and isinstance(x.func, ast.Name) and x.func.id == "len"
+                                for x in sides)):
+                    found.append(f"{where} z * len")
     assert found == []
