@@ -13,8 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 
-from .groups import Element, FinAbGroup, Subgroup, addition_table, negation_table
+from .groups import Element, FinAbGroup, LimitExceeded, Subgroup, addition_table, negation_table
 from .tower import Point, Tower, apply_T
+
+# The most rungs a rung-indexed table may list.  A table takes about 8 bytes a
+# rung; the largest any caller builds is h_4 = 82,998 (the {2} and {1,2}
+# towers, the acceptance suite's skew check at N = 4): 0.7 MB in 3 ms
+# (tracemalloc peak, CPython 3.11 on a 2-CPU x86-64 host).  So a table stays
+# under about 8 MB; h_5 = 21,247,488 of those towers (183 MB) and h_4 =
+# 1,327,320 of {8} are refused up front.
+_LABEL_TABLE_GUARD = 1_000_000
 
 
 def rung_label(tower: Tower, f: int, N: int) -> int:
@@ -42,7 +50,14 @@ def _zero_label_sums(tower: Tower) -> list[int]:
 
 
 def rung_label_indices(tower: Tower, N: int) -> list[int]:
-    """Rung labels for all of [0, h_N), as element indices; kept by ``Tower.cached``."""
+    """Rung labels for all of [0, h_N), as element indices; kept by ``Tower.cached``.
+
+    Refused with LimitExceeded, before anything is built, past ``_LABEL_TABLE_GUARD`` rungs.
+    """
+    h = tower.h(N)
+    if h > _LABEL_TABLE_GUARD:
+        raise LimitExceeded(f"rung label table at depth {N} would list h_{N} = {h:,} rungs "
+                            f"(guard {_LABEL_TABLE_GUARD:,}); lower the depth")
     return tower.cached(("rung_label_indices", N), _rung_label_table, tower, N)
 
 
@@ -181,7 +196,7 @@ class AlignedCutsReport:
 def _aligned_classes(tower: Tower, n: int) -> list[tuple[int, int, int, int]]:
     """``shift_classes`` of the aligned cuts (every cut on a seed level, where z_n = 0)."""
     lvl = tower.level(n)
-    if lvl.tag is None or lvl.z == 0:
+    if lvl.z == 0:
         return lvl.shift_classes(0)
     v1 = tower.v.perm
     return [cls for cls in lvl.shift_classes(lvl.z) if cls[3] == v1[cls[2]]]

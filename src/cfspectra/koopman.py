@@ -38,8 +38,9 @@ _BITS = 128
 _GRID_GUARD = 100_000
 
 
-def _engine(tower: Tower, chi: Character) -> PairingEngine:
-    return tower.cached(("engine", chi.coords), PairingEngine, tower, chi)
+def _engine(tower: Tower) -> PairingEngine:
+    """The tower's one pairing engine, shared by all its characters."""
+    return tower.cached("pairing_engine", PairingEngine, tower)
 
 
 def _orbit_average(tower: Tower, chi: Character, a) -> Cyclo:
@@ -51,7 +52,7 @@ def pairing(tower: Tower, chi: Character, m: int, A: Cylinder, B: Cylinder,
             N: int | None = None) -> LevelPairing:
     """<U^m 1_A, 1_B> at depth N (default: the full built depth)."""
     N = tower.depth if N is None else N
-    return _engine(tower, chi).pairing(m, A, B, N)
+    return _engine(tower).pairing(chi, m, A, B, N)
 
 
 def _require_tag(tower: Tower, n: int, tag: Tag) -> None:
@@ -317,19 +318,19 @@ def residual_grid(tower: Tower, chars: list[Character], family: list[tuple[str, 
     N = tower.depth
     pairs = [(a, b) for a in family for b in family]
     deepest_first = sorted(range(len(pairs)), key=lambda i: -max(pairs[i][0][1].level, pairs[i][1][1].level))
+    eng = _engine(tower)
     cells = []   # cells[c][i][s]: the row of character c, pair i and step s
     for chi in chars:
-        eng = _engine(tower, chi)
         averages = {tg.el: _orbit_average(tower, chi, tg.el) for _, tg, _, _ in steps}
         per_pair = [None] * len(pairs)
         for i in deepest_first:
             (a_id, A), (b_id, B) = pairs[i]
-            p0 = eng.pairing(0, A, B, N).value
-            back = eng.pairing(-1, A, B, N) if adjoint else None
+            p0 = eng.pairing(chi, 0, A, B, N).value
+            back = eng.pairing(chi, -1, A, B, N) if adjoint else None
             scaled = {el: l * p0 for el, l in averages.items()}   # l * <1_A, 1_B> per step element
             out = per_pair[i] = []
             for n, tg, tag, shift in steps:
-                p = eng.pairing(shift, A, B, N)
+                p = eng.pairing(chi, shift, A, B, N)
                 res = _deviation(p, scaled[tg.el], tg.k, back)
                 out.append(ResidualRow(n, tag, chi.coords, a_id, b_id, res, p.error_bound))
         cells.append(per_pair)

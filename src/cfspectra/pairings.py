@@ -13,7 +13,9 @@ group K, so the sum is formed once in Z[K]: the pairing vector
 
 counts the label increments, and P(chi, ...) = chi(W) * mu(rung) is its
 character transform, the same fiber character transform that
-block-diagonalizes the skew product.
+block-diagonalizes the skew product.  So one ``PairingEngine`` serves a
+tower: it builds and keeps W, and a character enters only in that last
+transform.
 
 The rung sets are astronomically large at moderate depth, so W is never
 formed rung by rung.  Instead the levelwise product structure of the rung
@@ -63,38 +65,6 @@ class LevelPairing:
     shift: int
 
 
-class _RingStore:
-    """Everything a pairing computes that no character enters, for one tower.
-
-    Kept by ``Tower.cached`` until the tower's levels change, and shared by
-    the engines of all characters of the tower.
-    """
-
-    def __init__(self, tower: Tower):
-        self.add = addition_table(tower.group)
-        self.neg = negation_table(tower.group)
-        self.orbits = tower.v.orbits   # forward v-orbit of each element, one full period
-        self.states: dict[tuple[int, int, int], dict[int, _Ring]] = {}
-        self.vectors: dict[tuple[int, Cylinder, Cylinder, int], _Ring] = {}
-        self.errors: dict[tuple[int, int, Cylinder], Fraction] = {}
-
-    def add_orbit_range(self, slot: _Ring, g: int, count: int, start: int, mult: int) -> None:
-        """Add mult * v^j(g) for j = start .. start+count-1 to slot."""
-        orb = self.orbits[g]
-        p = len(orb)
-        full, rem = divmod(count, p)
-        if full:
-            for x in orb:
-                slot[x] = slot.get(x, 0) + full * mult
-        for j in range(start, start + rem):
-            x = orb[j % p]
-            slot[x] = slot.get(x, 0) + mult
-
-
-def _store(tower: Tower) -> _RingStore:
-    return tower.cached("pairing_store", _RingStore, tower)
-
-
 def _cut_tables(tower: Tower, base_level: int) -> tuple[list[int], list[int]]:
     """Running sums of top cuts and products of cut counts over the levels above base_level."""
     tops, prods = [0], [1]
@@ -115,19 +85,34 @@ def _mul_into(acc: _Ring, x: _Ring, y: _Ring, add: tuple[tuple[int, ...], ...]) 
 
 
 class PairingEngine:
-    """Evaluates weighted pairings over one tower for one character.
+    """Evaluates weighted pairings over one tower, for every character of its label group.
 
-    A cheap view: the character only enters in the final transform of the
-    tower's shared Z[K] pairing vectors.
+    Everything before the final transform is the same for every character:
+    the Z[K] kernels, walks, pairing vectors and error masses are memoized
+    here, and a character enters only in ``pairing``'s last step.  The memos
+    hold until a level of the tower is replaced; ``koopman`` keeps one engine
+    per tower through ``Tower.cached``, which drops it when the levels change.
     """
 
-    def __init__(self, tower: Tower, chi: Character):
-        if chi.group != tower.group:
-            raise ValueError("character must live on the tower's label group")
+    def __init__(self, tower: Tower):
         self.tower = tower
-        self.chi = chi
-        self.L = chi.root_order
-        self._exponent = exponent_table(chi)
+        self.add = addition_table(tower.group)
+        self.neg = negation_table(tower.group)
+        self.states: dict[tuple[int, int, int], dict[int, _Ring]] = {}
+        self.vectors: dict[tuple[int, Cylinder, Cylinder, int], _Ring] = {}
+        self.errors: dict[tuple[int, int, Cylinder], Fraction] = {}
+
+    def add_orbit_range(self, slot: _Ring, g: int, count: int, start: int, mult: int) -> None:
+        """Add mult * v^j(g) for j = start .. start+count-1 to slot."""
+        orb = self.tower.v.orbits[g]   # the forward v-orbit of g, one full period
+        p = len(orb)
+        full, rem = divmod(count, p)
+        if full:
+            for x in orb:
+                slot[x] = slot.get(x, 0) + full * mult
+        for j in range(start, start + rem):
+            x = orb[j % p]
+            slot[x] = slot.get(x, 0) + mult
 
     # -- kernels -----------------------------------------------------------
 
@@ -139,8 +124,7 @@ class PairingEngine:
         difference delta.
         """
         lvl = self.tower.level(n)
-        store = _store(self.tower)
-        add, neg, v_pow = store.add, store.neg, self.tower.v_pow
+        add, neg, v_pow = self.add, self.neg, self.tower.v_pow
         lab = lvl.block_labels
         # cuts = block + stride*{0..reps-1}; the pairs (d1 + stride*j, d2 + stride*(j+t))
         # have increment v^j(v^t(label d2) - label d1), so one block pair at copy
@@ -174,7 +158,7 @@ class PairingEngine:
             for diff, hist in tally.items():
                 slot = out.setdefault(diff + shift, {})
                 for g, mult in hist.items():
-                    store.add_orbit_range(slot, g, count, start, mult)
+                    self.add_orbit_range(slot, g, count, start, mult)
         return dict(sorted(out.items()))
 
     # -- propagation ---------------------------------------------------------
@@ -185,13 +169,12 @@ class PairingEngine:
         Returns {base_shift: Z[K] coefficient}; the pairing vector is then
         the sum over shifts of coefficient * Q_base(shift).  A walk to a
         higher base b of the same (N, m) already crossed levels N..b+1, so
-        the walk continues from the least such b the store holds.
+        the walk continues from the least such b the engine holds.
         """
-        store = _store(self.tower)
-        add = store.add
+        add = self.add
         top, states = N, {m: {0: 1}}   # index 0 is the identity
         for b in range(base_level + 1, N):
-            cached = store.states.get((N, m, b))
+            cached = self.states.get((N, m, b))
             if cached is not None:
                 top, states = b, cached
                 break
@@ -225,8 +208,7 @@ class PairingEngine:
                     shifts) -> dict[int, _Ring]:
         """Q_level(d) in Z[K] computed explicitly: sum over u in B with u + d in A."""
         t = self.tower
-        store = _store(t)
-        add, neg = store.add, store.neg
+        add, neg = self.add, self.neg
         a_set = set(A)
         out: dict[int, _Ring] = {}
         label_cache: dict[int, int] = {}
@@ -246,40 +228,42 @@ class PairingEngine:
             out[d] = counts
         return out
 
-    def pairing(self, m: int, A: Cylinder, B: Cylinder, N: int) -> LevelPairing:
-        """<U^m 1_A, 1_B> at depth N: exact value plus certified boundary error."""
+    def pairing(self, chi: Character, m: int, A: Cylinder, B: Cylinder, N: int) -> LevelPairing:
+        """<U^m 1_A, 1_B> weighted by chi at depth N: exact value plus certified boundary error."""
         t = self.tower
+        if chi.group != t.group:
+            raise ValueError("character must live on the tower's label group")
         if N > t.depth:
             raise ValueError("depth exceeds the built tower")
         if abs(m) >= t.h(N):
             raise ValueError("shift magnitude must stay below the depth height")
-        store = _store(t)
         key = (m, A, B, N)
-        vector = store.vectors.get(key)
+        vector = self.vectors.get(key)
         if vector is None:
             base = max(A.level, B.level)
             A_base = embed(t, A, base).rungs
             B_base = embed(t, B, base).rungs
             pkey = (N, m, base)
-            states = store.states.get(pkey)
+            states = self.states.get(pkey)
             if states is None:
-                states = store.states[pkey] = self.propagate(N, m, base)
+                states = self.states[pkey] = self.propagate(N, m, base)
             qvals = self.base_values(A_base, B_base, base, states.keys())
             vector = {}
             for d, hist in states.items():
-                _mul_into(vector, hist, qvals[d], store.add)
+                _mul_into(vector, hist, qvals[d], self.add)
             ekey = (N, m, B)
-            if ekey not in store.errors:
-                store.errors[ekey] = Fraction(out_of_range_count(t, B_base, base, N, m),
-                                              t.cut_product(N))
-            store.vectors[key] = vector
+            if ekey not in self.errors:
+                self.errors[ekey] = Fraction(out_of_range_count(t, B_base, base, N, m),
+                                             t.cut_product(N))
+            self.vectors[key] = vector
+        # the character's transform chi(W): the one step a character enters
         counts: dict[int, int] = {}
-        exponent = self._exponent
+        exponent = exponent_table(chi)
         for g, c in vector.items():
             e = exponent[g]
             counts[e] = counts.get(e, 0) + c
-        value = Cyclo.from_exponent_counts(self.L, counts, t.cut_product(N))
-        return LevelPairing(value, store.errors[(N, m, B)], N, m)
+        value = Cyclo.from_exponent_counts(chi.root_order, counts, t.cut_product(N))
+        return LevelPairing(value, self.errors[(N, m, B)], N, m)
 
 
 # -- structured rung-set counting -------------------------------------------

@@ -151,10 +151,6 @@ class PermGroup:
             gens.append(tuple(list(range(1, k)) + [0]))
         return PermGroup(k, gens)
 
-    @staticmethod
-    def trivial(k: int) -> "PermGroup":
-        return PermGroup(k, [])
-
     def __repr__(self):
         return f"PermGroup(k={self.k}, order={self.order})"
 

@@ -333,6 +333,11 @@ class Recipe(NamedTuple):
     reps: int
     ramp_len: int
 
+    @property
+    def stride(self) -> int:
+        """The spacing of the block's copies: a recipe level repeats its block z apart."""
+        return self.z
+
 
 def recipe(tower: Tower, n: int, tag: Tag) -> Recipe:
     """The recipe for level n + 1 of ``tower`` at step n, read from h_n and the tag.
@@ -495,10 +500,6 @@ class Cylinder:
     def single(level: int, f: int) -> "Cylinder":
         return Cylinder(level, (f,))
 
-    @staticmethod
-    def full(tower: Tower, level: int) -> "Cylinder":
-        return Cylinder(level, tuple(range(tower.h(level))))
-
 
 def measure(tower: Tower, cyl: Cylinder) -> Fraction:
     """Exact measure: rung count over the cut product at the cylinder's level."""
@@ -617,11 +618,8 @@ def _compress_aps(start: int, runs):
 
 
 def _cut_blocks(lvl: Level | Recipe):
-    """A level's (or a recipe's) ``cuts =`` value block by block, compressed from its block.
-
-    A recipe's copies are z apart, and a one-copy level has no boundary gap, so z serves as the stride of both.
-    """
-    return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.z, lvl.reps))
+    """A level's (or a recipe's) ``cuts =`` value block by block, compressed from its block."""
+    return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.stride, lvl.reps))
 
 
 def _label_copies(lvl: Level, texts):

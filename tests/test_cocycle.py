@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,11 +14,13 @@ from cfspectra.cocycle import (
     TailShift,
     check_coboundary_condition,
     commutes_with_shift,
+    _LABEL_TABLE_GUARD,
     rung_label,
     rung_label_indices,
 )
 from cfspectra.experiment import ExperimentConfig, build_tower
-from cfspectra.groups import Automorphism, FinAbGroup, Subgroup
+from cfspectra.groups import Automorphism, Character, FinAbGroup, LimitExceeded, Subgroup
+from cfspectra.koopman import LevelOperator, skew_decomposition_check
 from cfspectra.tower import (
     Cylinder,
     Level,
@@ -103,14 +107,18 @@ def test_rung_label_matches_the_decomposition_reference_and_the_table(target):
     tower a walk that stops at level 4 over the moved cut's stack must not go on down into it, and the
     levels under the stop add the label of cut 0, which is not the identity there.  Without a level-3 cut 0,
     ``rung_label`` raises for exactly the rungs whose walk stops at level 3 or above, where the reference
-    has no cut-0 label to add, and the table refuses every N >= 3.
+    has no cut-0 label to add, and the table refuses every N >= 3.  A table past ``_LABEL_TABLE_GUARD`` rungs
+    (N = 5) is refused before any level is read, on every tower.
     """
     t = _depth5_tower(target)
     rng = random.Random(5)
     for N in range(t.depth + 1):
         h = t.h(N)
         refused = target in ("tampered", "no cut 0") and N >= 3
-        if refused:   # the table refuses a stack that leaves its level, and a level without cut 0
+        if h > _LABEL_TABLE_GUARD:
+            with pytest.raises(LimitExceeded, match=f"h_{N} = {h:,} rungs"):
+                rung_label_indices(t, N)
+        elif refused:   # the table refuses a stack that leaves its level, and a level without cut 0
             with pytest.raises(IndexError, match="leaves" if target == "tampered" else "level 3: no cut 0"):
                 rung_label_indices(t, N)
         table = rung_label_indices(t, N) if h <= 100_000 and not refused else None
@@ -127,6 +135,23 @@ def test_rung_label_matches_the_decomposition_reference_and_the_table(target):
         for f in (-1, h):
             with pytest.raises(ValueError, match="outside"):
                 rung_label(t, f, N)
+
+
+def test_rung_indexed_tables_past_the_guard_are_refused_before_they_are_built():
+    """On the depth-6 {1,2} tower, h_5 = 21,247,488 rungs (a 183 MB table) is past the guard: the rung label
+    table, the weighted level operator and the skew check that read it refuse at once, and the tower's cache
+    holds no table."""
+    t, _, _ = build_tower(ExperimentConfig(E={1, 2}, depth=6))
+    assert t.h(4) <= _LABEL_TABLE_GUARD < t.h(5) == 21_247_488
+    message = re.escape(f"rung label table at depth 5 would list h_5 = 21,247,488 rungs (guard {_LABEL_TABLE_GUARD:,})")
+    chi = Character(t.group, (1,) * t.group.rank)
+    for refuse in (lambda: rung_label_indices(t, 5), lambda: LevelOperator(t, chi, 1, 5),
+                   lambda: skew_decomposition_check(t, Subgroup(t.group, []), 5, 1)):
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match=message):
+            refuse()
+        assert time.perf_counter() - start < 0.1
+    assert not [key for key in t._cache if isinstance(key, tuple) and key[0] == "rung_label_indices"]
 
 
 def test_rung_label_leaves_nothing_in_the_tower_cache(z3_tower):

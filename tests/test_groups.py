@@ -32,7 +32,6 @@ from cfspectra.groups import (
     parse_triple,
     separation_witness,
 )
-from cfspectra.pairings import _RingStore
 from cfspectra.tower import Tower
 
 
@@ -374,13 +373,12 @@ def test_automorphisms_match_element_oracle(factors):
     for v in auts:
         assert list(v.perm) == [G.element_index(v(g)) for g in els]
         tower = Tower(G, v)
-        store = _RingStore(tower)
         order = 1
         for g in els:
             walk = _element_walk(v, g)
             assert orbit(v, g) == walk
             assert least_period(v, g) == len(walk)
-            assert list(store.orbits[G.element_index(g)]) == [G.element_index(x) for x in walk]
+            assert list(tower.v.orbits[G.element_index(g)]) == [G.element_index(x) for x in walk]
             order = math.lcm(order, len(walk))
         assert len(tower.v_pow) == order
         x = els

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cfspectra import koopman, pairings
 from cfspectra.cocycle import check_coboundary_condition
 from cfspectra.cyclotomic import Cyclo, abs_upper
+from cfspectra.experiment import ExperimentConfig, build_tower
 from cfspectra.groups import (Automorphism, Character, FinAbGroup, LimitExceeded, all_characters,
                               character_orbit_average)
 from cfspectra.pairings import LevelPairing, PairingEngine, count_ge, out_of_range_count
@@ -99,12 +100,12 @@ CYLS = [
 def test_engine_matches_brute_force(z3_tower, depth):
     t = z3_tower
     shifts = [0, 1, -1, 7, -11, 2 * t.h(2), 2 * t.h(depth - 1), -2 * t.h(2)]
-    engines = [(chi, PairingEngine(t, chi)) for chi in characters(t)]
+    eng = PairingEngine(t)
     for A, B in itertools.product(CYLS, repeat=2):
         for m in shifts:
             brute = brute_histogram(t, m, A, B, depth)
-            for chi, eng in engines:
-                got = eng.pairing(m, A, B, depth)
+            for chi in characters(t):
+                got = eng.pairing(chi, m, A, B, depth)
                 want_value, want_err = brute_value(t, chi, brute, depth)
                 assert got.value == want_value, (chi, m, A, B)
                 assert got.error_bound == want_err
@@ -114,49 +115,49 @@ def test_adjoint_step_drags_neighbour_rungs(z3_tower):
     """The one-step-back pairing carries [{1}] fully onto [{0}] at depth."""
     t = z3_tower
     chi0 = characters(t)[0]
-    eng = PairingEngine(t, chi0)
+    eng = PairingEngine(t)
     lower, upper = Cylinder(1, (0,)), Cylinder(1, (1,))
-    p = eng.pairing(-1, lower, upper, t.depth)  # rungs of [{1}] stepping back into [{0}]
+    p = eng.pairing(chi0, -1, lower, upper, t.depth)  # rungs of [{1}] stepping back into [{0}]
     assert p.value == Cyclo.from_fraction(measure(t, lower))
     assert p.error_bound == 0
     # and the forward step the other way round, with the adjoint symmetry
-    q = eng.pairing(1, upper, lower, t.depth)
+    q = eng.pairing(chi0, 1, upper, lower, t.depth)
     assert q.value == p.value.conjugate()
 
 
 def test_zero_shift_gives_overlap_measure(z3_tower):
     t = z3_tower
     chi = characters(t)[1]
-    eng = PairingEngine(t, chi)
+    eng = PairingEngine(t)
     for A in CYLS:
-        p = eng.pairing(0, A, A, t.depth)
+        p = eng.pairing(chi, 0, A, A, t.depth)
         assert p.error_bound == 0
         assert p.value == Cyclo.from_fraction(measure(t, A))
     # disjoint cylinders at equal level pair to zero
-    p = eng.pairing(0, Cylinder(1, (0,)), Cylinder(1, (1,)), t.depth)
+    p = eng.pairing(chi, 0, Cylinder(1, (0,)), Cylinder(1, (1,)), t.depth)
     assert p.value == 0
 
 
 def test_conjugate_symmetry(z3_tower):
     t = z3_tower
+    eng = PairingEngine(t)
     for chi in characters(t):
-        eng = PairingEngine(t, chi)
         for A, B in [(CYLS[1], CYLS[3]), (CYLS[3], CYLS[4]), (CYLS[0], CYLS[2])]:
             for m in (1, 5, 24, 2 * t.h(2)):
-                ab = eng.pairing(m, A, B, t.depth)
-                ba = eng.pairing(-m, B, A, t.depth)
+                ab = eng.pairing(chi, m, A, B, t.depth)
+                ba = eng.pairing(chi, -m, B, A, t.depth)
                 assert ab.value == ba.value.conjugate()
 
 
 def test_deepening_consistency(z3_tower):
     t = z3_tower
     chi = characters(t)[1]
-    eng = PairingEngine(t, chi)
+    eng = PairingEngine(t)
     for A, B in [(CYLS[1], CYLS[1]), (CYLS[3], CYLS[4])]:
         for m in (1, 7, 2 * t.h(2)):
             prev = None
             for N in range(3, t.depth + 1):
-                cur = eng.pairing(m, A, B, N)
+                cur = eng.pairing(chi, m, A, B, N)
                 if prev is not None:
                     assert cur.error_bound <= prev.error_bound
                     gap = abs_upper(cur.value - prev.value, 64)
@@ -166,21 +167,21 @@ def test_deepening_consistency(z3_tower):
 
 def test_error_bound_vanishes_for_small_shift_at_depth(z3_tower):
     t = z3_tower
-    eng = PairingEngine(t, characters(t)[0])
-    p = eng.pairing(2 * t.h(2), CYLS[1], CYLS[1], t.depth)
+    eng = PairingEngine(t)
+    p = eng.pairing(characters(t)[0], 2 * t.h(2), CYLS[1], CYLS[1], t.depth)
     assert p.error_bound == 0  # the stack top absorbs the shift at deeper truncation
 
 
 def test_mass_conservation_partition(z3_tower):
     t = z3_tower
     chi = characters(t)[0]  # trivial
-    eng = PairingEngine(t, chi)
+    eng = PairingEngine(t)
     n, N, m = 1, 4, 5
-    full = Cylinder.full(t, n)
+    full = Cylinder(n, tuple(range(t.h(n))))
     total = Cyclo.zero(1)
     err_total = Fraction(0)
     for f in range(t.h(n)):
-        p = eng.pairing(m, full, Cylinder.single(n, f), N)
+        p = eng.pairing(chi, m, full, Cylinder.single(n, f), N)
         total = total + p.value
         err_total += p.error_bound
     want, werr = brute_pairing(t, chi, m, full, full, N)
@@ -216,9 +217,11 @@ def test_out_of_range_count_signs(z3_tower):
 
 def test_shift_beyond_height_rejected(z3_tower):
     t = z3_tower
-    eng = PairingEngine(t, characters(t)[0])
+    eng = PairingEngine(t)
     with pytest.raises(ValueError):
-        eng.pairing(t.h(3), CYLS[1], CYLS[1], 3)
+        eng.pairing(characters(t)[0], t.h(3), CYLS[1], CYLS[1], 3)
+    with pytest.raises(ValueError, match="character must live on the tower's label group"):
+        eng.pairing(Character(FinAbGroup((2,)), (1,)), 0, CYLS[1], CYLS[1], 3)
 
 
 # -- differential tests over random small towers ------------------------------
@@ -307,7 +310,6 @@ def test_level_kernel_matches_brute_force_at_edge_windows(t):
     """Windows that miss the block, straddle one of its ends or sit in a gap give brute_kernel's dict in its
     delta order, on the tower, its parsed twin and its one-copy twin, at each of their block geometries."""
     twins = (t, parse_tower(io.StringIO(tower_text(t))), one_copy_twin(t))
-    trivial = Character(t.group, (0,) * t.group.rank)
     for n in range(1, t.depth + 1):
         top = t.level(n).cuts[-1]
         full = brute_kernel(t, n, -top, top)   # every cut pair of the level
@@ -315,7 +317,7 @@ def test_level_kernel_matches_brute_force_at_edge_windows(t):
         for lo, hi in windows:
             want = {d: hist for d, hist in full.items() if lo <= d <= hi}
             for twin in twins:
-                got = PairingEngine(twin, trivial).level_kernel(n, lo, hi)
+                got = PairingEngine(twin).level_kernel(n, lo, hi)
                 assert got == want and list(got) == list(want), (n, lo, hi)
 
 
@@ -328,25 +330,24 @@ def test_engine_matches_brute_force_on_random_towers(case):
         assert (twin.block, twin.reps, twin.block_labels) == (lvl.block, lvl.reps, lvl.block_labels)
     # every level as one copy of its cuts (reps == 1), the shape of a file that breaks its recipe
     single = one_copy_twin(t)
-    trivial = Character(t.group, (0,) * t.group.rank)
     for n, lo, hi in windows:
         want = brute_kernel(t, n, lo, hi)
         # block copies on the in-memory tower and its parsed twin; one copy on the single twin
         for tower in (t, parsed, single):
-            got = PairingEngine(tower, trivial).level_kernel(n, lo, hi)
+            got = PairingEngine(tower).level_kernel(n, lo, hi)
             assert got == want and list(got) == list(want), (n, lo, hi)
     brutes = {m: brute_histogram(t, m, A, B, t.depth) for m in shifts}
+    eng = PairingEngine(t)
+    twin_engs = [PairingEngine(parsed), PairingEngine(single)]
     for chi in all_characters(t.group):
-        eng = PairingEngine(t, chi)
-        twin_engs = [PairingEngine(parsed, chi), PairingEngine(single, chi)]
         for m in shifts:
-            got = eng.pairing(m, A, B, t.depth)
+            got = eng.pairing(chi, m, A, B, t.depth)
             want_value, want_err = brute_value(t, chi, brutes[m], t.depth)
             assert got.value == want_value, (chi, m, A, B)
             assert got.error_bound == want_err
             # the parsed twin repeats the in-memory blocks; the single twin has reps == 1
             for twin_eng in twin_engs:
-                again = twin_eng.pairing(m, A, B, t.depth)
+                again = twin_eng.pairing(chi, m, A, B, t.depth)
                 assert again.value == got.value and again.error_bound == got.error_bound
 
 
@@ -423,9 +424,9 @@ def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch)
         kernels.append((*keys[-1][:2], n))   # level_kernel runs only inside the latest propagate
         return level_kernel(self, n, lo, hi)
 
-    def pairing_spy(self, m, A, B, N):
+    def pairing_spy(self, chi, m, A, B, N):
         calls.append(m)
-        return pairing(self, m, A, B, N)
+        return pairing(self, chi, m, A, B, N)
 
     monkeypatch.setattr(PairingEngine, "propagate", counting)
     monkeypatch.setattr(PairingEngine, "level_kernel", kernel_spy)
@@ -439,6 +440,25 @@ def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch)
     assert kernels and len(kernels) == len(set(kernels))
     adjoint = any(tag.k >= 1 for tag in tags)
     assert adjoint and len(calls) == len(chars) * len(family) ** 2 * (len(tags) + 1 + adjoint)
+
+
+def test_residual_grid_builds_one_engine_for_all_characters(monkeypatch):
+    """A grid over all nine characters of the Z3xZ3 ({8}) tower constructs one ``PairingEngine``, and the
+    tower's cache holds it as its one engine entry."""
+    t, _, _ = build_tower(ExperimentConfig(E={8}, depth=4))
+    built = []
+    init = PairingEngine.__init__
+
+    def counting(self, tower, *args):
+        built.append(tower)
+        init(self, tower, *args)
+
+    monkeypatch.setattr(PairingEngine, "__init__", counting)
+    chars = list(all_characters(t.group))
+    assert len(chars) == 9
+    koopman.residual_grid(t, chars, koopman.cylinder_family(t, 1))
+    assert built == [t]
+    assert [value for value in t._cache.values() if isinstance(value, PairingEngine)] == [koopman._engine(t)]
 
 
 @st.composite
@@ -539,7 +559,7 @@ def test_state_guard_trips_at_the_same_level_cold_and_continued(z3_tower, monkey
     at depth N or continues from the least cached higher base."""
     N, m = z3_tower.depth, 2 * z3_tower.h(3)
     chi = Character(z3_tower.group, (1,))
-    assert [len(PairingEngine(z3_tower, chi).propagate(N, m, b)) for b in (4, 3, 2, 1)] == [1, 2, 2, 3]
+    assert [len(PairingEngine(z3_tower).propagate(N, m, b)) for b in (4, 3, 2, 1)] == [1, 2, 2, 3]
     monkeypatch.setattr(pairings, "_STATE_GUARD", 2)
     levels = []   # the level of every level_kernel call
     level_kernel = PairingEngine.level_kernel
@@ -553,10 +573,10 @@ def test_state_guard_trips_at_the_same_level_cold_and_continued(z3_tower, monkey
     for base in (0, 1):
         for cached in ((), (2,), (3,), (3, 2)):
             t = parse_tower(io.StringIO(tower_text(z3_tower)))
-            eng = PairingEngine(t, chi)
-            for b in cached:   # a pairing with base level b leaves its walk in the store
-                eng.pairing(m, Cylinder.single(b, 0), Cylinder(0, (0,)), N)
-                assert (N, m, b) in pairings._store(t).states
+            eng = PairingEngine(t)
+            for b in cached:   # a pairing with base level b leaves its walk in the engine
+                eng.pairing(chi, m, Cylinder.single(b, 0), Cylinder(0, (0,)), N)
+                assert (N, m, b) in eng.states
             levels.clear()
             with pytest.raises(LimitExceeded) as info:
                 eng.propagate(N, m, base)
@@ -576,9 +596,9 @@ def test_vanished_walk_is_empty_for_every_lower_base_cold_and_continued(z3_tower
     chi = Character(z3_tower.group, (1,))
     for cached in (None, 2, 3, 1):
         t = parse_tower(io.StringIO(tower_text(z3_tower)))
-        eng = PairingEngine(t, chi)
+        eng = PairingEngine(t)
         if cached is not None:
-            eng.pairing(m, Cylinder.single(cached, 0), Cylinder(0, (0,)), N)
-            assert len(pairings._store(t).states[(N, m, cached)]) == (cached >= 3)
+            eng.pairing(chi, m, Cylinder.single(cached, 0), Cylinder(0, (0,)), N)
+            assert len(eng.states[(N, m, cached)]) == (cached >= 3)
         assert [eng.propagate(N, m, b) for b in (2, 1, 0)] == [{}, {}, {}]
         assert len(eng.propagate(N, m, 3)) == 1 and len(eng.propagate(N, m, 4)) == 1

@@ -4,10 +4,12 @@ Every module-level function and class in ``src/cfspectra``, and every method
 and property in a class body (dunders excluded), must be referenced by name
 somewhere outside the tests: in ``src/`` outside its own definition (the
 exports of ``cfspectra/__init__.py`` included) or in ``perfbench/``.  A
-reference is a ``Name``, an ``Attribute`` or an import alias; docstrings
-and other string text do not count.  The only exceptions
-are the names that only the acceptance suite calls, each listed with the
-criteria that call it.
+function or class is referenced by a ``Name``, an ``Attribute`` or an import
+alias.  A method is referenced only by an ``x.<name>`` attribute, since a
+local variable of the same name calls nothing, or by the benchmark tracer's
+target path for it.  Docstrings and other string text do not count.  The only
+exceptions are the names that only the acceptance suite calls, each listed
+with the criteria that call it.
 
 No field that nothing reads: every field a class stores must be read as an
 attribute somewhere, the tests included.
@@ -19,15 +21,18 @@ Rung labels stay element indices: ``cocycle`` and ``pairings`` never call
 ``element_index``.
 
 One copy rule: only ``Level.__init__`` forks on ``reps`` in a conditional
-expression, and nothing multiplies a ``.z`` by a ``len(...)``.
+expression, nothing multiplies a ``.z`` by a ``len(...)``, and no ``.z`` is
+passed to ``_gap_runs`` as the copy spacing.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cfspectra"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # name -> the acceptance criteria that call it
 ACCEPTANCE_CERTIFICATES = {
@@ -56,33 +61,55 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _attributes(tree: ast.AST) -> Counter:
+    """How often a tree names each attribute, as ``x.<name>``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
 def _definitions(tree: ast.Module) -> list:
-    """The module's functions and classes, and the non-dunder methods and properties in its class bodies."""
+    """The module's functions and classes, and the non-dunder methods and properties in its class bodies, as
+    (path, node, is a method) with path ``name`` or ``Class.name``."""
     defs = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defs.append(node)
+            defs.append((node.name, node, False))
         if isinstance(node, ast.ClassDef):
-            defs += [m for m in node.body if isinstance(m, ast.FunctionDef)
+            defs += [(f"{node.name}.{m.name}", m, True) for m in node.body if isinstance(m, ast.FunctionDef)
                      and not (m.name.startswith("__") and m.name.endswith("__"))]
     return defs
+
+
+def _traced_targets() -> set[tuple[str, str]]:
+    """The (module, path) of every function the benchmark tracer wraps, read from its target lists."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(m, p) for m, p, *_ in tracing.SPANNED + tracing.COUNTED + tracing.TIMED}
 
 
 def _unreferenced(allowed) -> dict[str, str]:
     """Definitions outside ``allowed`` with no reference outside the tests, as name -> module."""
     trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     refs = {stem: _references(tree) for stem, tree in trees.items()}
-    outside = set()
+    attrs = {stem: _attributes(tree) for stem, tree in trees.items()}
+    outside, outside_attrs = Counter(), Counter()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         outside.update(_references(_parse(path)))
+        outside_attrs.update(_attributes(_parse(path)))
+    traced = _traced_targets()
     missing = {}
     for stem, tree in trees.items():
-        elsewhere = outside.union(*(r for other, r in refs.items() if other != stem))
-        for node in _definitions(tree):
-            # a recursive call is no caller: references inside the definition itself do not count
-            in_module = refs[stem][node.name] - _references(node)[node.name]
-            if node.name not in elsewhere and not in_module and node.name not in allowed:
-                missing[node.name] = stem
+        for path, node, method in _definitions(tree):
+            name = node.name
+            # references inside the definition itself do not count: a recursive call is no caller
+            if method:
+                count = sum(a[name] for a in attrs.values()) + outside_attrs[name] - _attributes(node)[name]
+                called = count > 0 or (stem, path) in traced
+            else:
+                count = sum(r[name] for r in refs.values()) + outside[name] - _references(node)[name]
+                called = count > 0
+            if not called and name not in allowed:
+                missing[name] = stem
     return missing
 
 
@@ -184,8 +211,9 @@ def _is_reps(node: ast.AST) -> bool:
 def test_one_copy_rule_for_every_level():
     """A ratchet on the block form: a level's copies are ``stride`` apart and its classes ``class_stride``
     apart, both chosen once in ``Level.__init__``.  So outside it no conditional expression in
-    ``src/cfspectra`` forks on ``reps`` against a constant (as ``... if reps > 1 else ...`` did), and nothing
-    multiplies a ``.z`` by a ``len(...)`` call."""
+    ``src/cfspectra`` forks on ``reps`` against a constant (as ``... if reps > 1 else ...`` did), nothing
+    multiplies a ``.z`` by a ``len(...)`` call, and no ``_gap_runs`` call takes a ``.z`` as its stride: ``z`` is
+    only the shift."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parse(path)
@@ -204,4 +232,8 @@ def test_one_copy_rule_for_every_level():
                         and any(isinstance(x, ast.Call) and isinstance(x.func, ast.Name) and x.func.id == "len"
                                 for x in sides)):
                     found.append(f"{where} z * len")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_gap_runs":
+                stride = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "stride")]
+                if any(isinstance(x, ast.Attribute) and x.attr == "z" for x in stride):
+                    found.append(f"{where} z as stride")
     assert found == []

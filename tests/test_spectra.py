@@ -71,7 +71,7 @@ def test_invariant_restriction_dimensions():
     sym = symmetric_power(V, 3)
     assert sym.dim == math.comb(2 + 3 - 1, 3) == 4
     # trivial group: the full tensor power
-    triv = invariant_restriction(V, 3, PermGroup.trivial(3))
+    triv = invariant_restriction(V, 3, PermGroup(3, []))
     assert triv.dim == 2**3
     # cyclic group of order 3 on 2 symbols: (8 + 2 + 2)/3 = 4 orbits
     cyc = PermGroup(3, [(1, 2, 0)])
@@ -125,7 +125,7 @@ def test_homogeneous_multiplicity_known_values():
     # symmetric: k!/#Gamma = 1; trivial: 2
     rep1 = homogeneous_multiplicity_check(V, 2, PermGroup.symmetric(2))
     assert any("multiplicity 1" in it.name and it.ok for it in rep1.items)
-    rep2 = homogeneous_multiplicity_check(V, 2, PermGroup.trivial(2))
+    rep2 = homogeneous_multiplicity_check(V, 2, PermGroup(2, []))
     assert any("multiplicity 2" in it.name and it.ok for it in rep2.items)
     # k = 3 with the cyclic subgroup: 6/3 = 2
     V3 = generic_diagonal(4, 3)
@@ -356,7 +356,7 @@ def reference_restriction(V, k, gamma):
 def _restriction_cases(k):
     if k == 8:
         cyclic = PermGroup(k, [tuple(range(1, k)) + (0,)])
-        return [(generic_diagonal(2, k), gamma) for gamma in (PermGroup.trivial(k), cyclic)]
+        return [(generic_diagonal(2, k), gamma) for gamma in (PermGroup(k, []), cyclic)]
     mixed = FiniteUnitary(turns=[Fraction(1, 3), Fraction(3, 4), Fraction(5, 6), Fraction(7, 10)])
     assert mixed.q == 60 and mixed.nums == (20, 45, 50, 42)
     tied = FiniteUnitary(turns=[0, 0, Fraction(1, 2)])
@@ -390,7 +390,7 @@ def test_restriction_at_the_guard_edge():
         assert rest.eigen_nums == tuple(sum(V.nums[i] for i in r) % V.q for r in rest.orbit_reps)
         return rest
 
-    every = timed(PermGroup.trivial(k))
+    every = timed(PermGroup(k, []))
     assert every.orbit_reps == tuple(itertools.product(range(2), repeat=k))
     necklaces = timed(PermGroup(k, [tuple(range(1, k)) + (0,)]))
     assert necklaces.dim == 4116            # binary necklaces of length 16
@@ -451,7 +451,7 @@ def test_spectra_guard_refuses_before_enumerating(monkeypatch):
         relation_free_turns(6, 4)                       # 9^3 sums but 6^4 tuples
     with pytest.raises(LimitExceeded, match="3,125"):
         invariant_restriction(FiniteUnitary(turns=[Fraction(j, 11) for j in range(5)]), 5,
-                              PermGroup.trivial(5))
+                              PermGroup(5, []))
     for d, k in [(0, 2), (3, 0), (3, -1)]:
         with pytest.raises(ValueError):
             relation_free_turns(d, k)
