@@ -173,7 +173,7 @@ def derive_schedule(spec: SystemSpec, m: int) -> list:
                 witnesses.append(res.witness)
     mix_elements: list[Element] = []
     needed = list(spec.nontrivial_characters())
-    for b in sorted(K.elements(), key=lambda e: e.coords):
+    for b in K.elements():
         if not needed:
             break
         if b.is_identity():
@@ -188,8 +188,7 @@ def derive_schedule(spec: SystemSpec, m: int) -> list:
     if not mix_elements:
         mix_elements = [K.identity()]
     evens = [Tag(a, 0) for a in sorted(witnesses, key=lambda e: e.coords)]
-    staggers = [Tag(b, k) for k in range(1, max(1, m) + 1)
-                for b in sorted(mix_elements, key=lambda e: e.coords)]
+    staggers = [Tag(b, k) for k in range(1, max(1, m) + 1) for b in mix_elements]
     # interleave so both kinds recur at alternating steps
     cycle = []
     for i in range(max(len(evens), len(staggers))):

@@ -453,14 +453,14 @@ def same_dual_orbit(chi: Character, xi: Character, v: Automorphism) -> bool:
 
 
 def separation_witness(chi: Character, xi: Character, v: Automorphism) -> WitnessResult:
-    """An element b with exactly distinct orbit averages for chi and xi.
+    """The first element b, in coordinate order, with exactly distinct orbit averages for chi and xi.
 
     Raises SameOrbit when chi and xi lie on one dual orbit (no witness can
     exist there: the averages agree identically).
     """
     if same_dual_orbit(chi, xi, v):
         raise SameOrbit(f"{chi} and {xi} lie on the same dual orbit")
-    for b in sorted(v.group.elements(), key=lambda e: e.coords):
+    for b in v.group.elements():
         la = character_orbit_average(chi, b, v)
         lb = character_orbit_average(xi, b, v)
         if la != lb:
@@ -472,10 +472,10 @@ def separation_witness(chi: Character, xi: Character, v: Automorphism) -> Witnes
 
 
 def annihilator(K: FinAbGroup, H: Subgroup) -> list[Character]:
-    """All characters of K vanishing on H; exactly order(K)/order(H) of them."""
+    """All characters of K vanishing on H, in coordinate order; exactly order(K)/order(H) of them."""
     out = [chi for chi in all_characters(K) if all(chi.exponent(h) == 0 for h in H.members)]
     assert len(out) == K.order // H.order
-    return sorted(out, key=lambda c: c.coords)
+    return out
 
 
 def annihilator_subgroup(K: FinAbGroup, H: Subgroup) -> Subgroup:
@@ -520,10 +520,7 @@ def automorphisms(group: FinAbGroup):
     if r == 0:
         yield Automorphism(group, [], check=False)
         return
-    candidates = []
-    for j in range(r):
-        cands = [g for g in group.elements() if g.additive_order() == d[j]]
-        candidates.append(sorted(cands, key=lambda e: e.coords))
+    candidates = [[g for g in group.elements() if g.additive_order() == d[j]] for j in range(r)]
     for cols in itertools.product(*candidates):
         matrix = [[cols[j].coords[i] for j in range(r)] for i in range(r)]
         if not _is_homomorphism(d, matrix):

@@ -219,6 +219,12 @@ def _inclusion_ok(tower: Tower, lvl: int, step: int) -> bool:
                                 for c, count, *_ in choice)
 
 
+# The most transport witnesses, h_b^(2p) at base level b, one ergodicity sweep may build.  The largest any
+# caller makes, p = 2 at base level 2 (12^4 = 20,736), takes 0.38-0.55 s, 18-27 microseconds a witness (best of
+# three, CPython 3.11 on a 2-CPU x86-64 host), so this is 2-3 s; p = 2 at base level 3 (384^4) is refused.
+_SWEEP_GUARD = 100_000
+
+
 def ergodicity_sweep(tower: Tower, p: int, base_level: int) -> list[tuple[TransportWitness, Fraction, Fraction]]:
     """The ergodicity certificate for the p-th Cartesian power, one entry per witness.
 
@@ -229,12 +235,17 @@ def ergodicity_sweep(tower: Tower, p: int, base_level: int) -> list[tuple[Transp
     weight ``geometric_weight(p)`` of the rung differences.  The criterion
     needs ratio > bound for every entry: a transported block of product
     measure above the weight times the product cylinder's measure.
+    Refused with LimitExceeded, before any witness is built, past ``_SWEEP_GUARD`` witnesses.
     """
     total = geometric_weight_total(p)
     if total >= Fraction(1, 2):
         raise ValueError(f"the weight total {total} at p = {p} is not below 1/2")
     if p not in (1, 2):
         raise ValueError("desk-scale sweep supports p in {1, 2}")
+    count = tower.h(base_level) ** (2 * p)
+    if count > _SWEEP_GUARD:
+        raise LimitExceeded(f"ergodicity sweep at p = {p} over base level {base_level} would build "
+                            f"{count:,} transport witnesses (guard {_SWEEP_GUARD:,}); lower the base level")
     delta = geometric_weight(p)
     bounds = {}   # the weight depends only on the sum of the |differences|
     rung_tuples = itertools.product(range(tower.h(base_level)), repeat=p)

@@ -64,14 +64,15 @@ class Level:
     q-th copy follows the automorphism power rule
     ``label(d + stride*q) = v^q(label(d))``.  A recipe level repeats a short
     block ``z`` apart, so its stride is its shift ``z``; ``parse_tower``
-    restores that block from the recipe when the file's cuts and labels
-    repeat it.  Seed levels, and parsed levels that do not repeat their
-    recipe, are one copy (``reps == 1``) whose stride is one past the last
-    cut: past the block, divmod by the stride gives copy 1 or more, which is
-    no copy, as it is for a recipe level past its last copy.  No cut
-    is stored: membership, rank and the k-th cut use divmod by the stride
-    and bisect on the block, and pair counts use ``shift_classes``, whose
-    classes repeat ``class_stride = stride * period of v`` apart.
+    keeps the recipe's block (the ``Tower.extend`` level when the file is
+    its rendering) when the file's cuts and labels repeat it.  Seed levels,
+    and parsed levels that do not repeat their recipe, are one copy
+    (``reps == 1``) whose stride is one past the last cut: past the block,
+    divmod by the stride gives copy 1 or more, which is no copy, as it is
+    for a recipe level past its last copy.  No cut is stored: membership,
+    rank and the k-th cut use divmod by the stride and bisect on the block,
+    and pair counts use ``shift_classes``, whose classes repeat
+    ``class_stride = stride * period of v`` apart.
     ``z`` is the level's shift z_n alone (0 on seed levels).
     The format-1 lines are rendered from the block (``_cut_blocks``,
     ``_label_copies``); ``cuts`` is read only by ``embed`` and by the
@@ -236,28 +237,26 @@ class Tower:
 
     def extend(self, tag: Tag) -> Level:
         """Append the next level following the recipe for ``tag``."""
-        n = self.depth
-        if n < 2:
+        if self.depth < 2:
             raise ValueError("seed levels 1..2 must exist before extension")
-        rec = recipe(self, n, tag)
-        # one pattern: starting the ramp at v^o(el) relabels every cut by v^o,
-        # which leaves every count of validate_labels unchanged
-        labels = self._ramp_labels(len(rec.block), tag.el, rec.ramp_len)
-        lvl = Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag, self.elements, self.v_pow)
+        lvl = self._recipe_level(tag)
         if not validate_labels(lvl, self).passed:
-            raise GeneratorExhausted(f"no valid label pattern for {tag} at step {n}")
+            raise GeneratorExhausted(f"no valid label pattern for {tag} at step {lvl.step}")
         self.levels = (*self._levels, lvl)
         return lvl
 
-    def _ramp_labels(self, length: int, a: Element, ramp_len: int) -> list[int]:
-        """Label indices along the block chain: orbit-stepping ramp, then constant."""
+    def _recipe_level(self, tag: Tag) -> Level:
+        """The level ``extend`` appends for ``tag`` at this depth: the recipe's block on the ramp, which steps
+        through the orbit of ``tag.el`` for ``ramp_len`` cuts, then stays.  One pattern is enough: starting the
+        ramp at v^o(el) relabels every cut by v^o, which leaves every count of ``validate_labels`` unchanged."""
+        n = self.depth
+        rec = recipe(self, n, tag)
         add = addition_table(self.group)
-        steps = [row[self.group.element_index(a)] for row in self.v_pow]
+        steps = [row[self.group.element_index(tag.el)] for row in self.v_pow]
         labels = [0]
-        for t in range(1, length):
-            cur = labels[-1]
-            labels.append(add[cur][steps[(t - 1) % len(steps)]] if t < ramp_len else cur)
-        return labels
+        for t in range(1, len(rec.block)):
+            labels.append(add[labels[-1]][steps[(t - 1) % len(steps)]] if t < rec.ramp_len else labels[-1])
+        return Level(n + 1, rec.h, rec.z, rec.block, rec.reps, labels, tag, self.elements, self.v_pow)
 
     # -- decomposition ----------------------------------------------------
 
@@ -332,11 +331,6 @@ class Recipe(NamedTuple):
     block: tuple[int, ...]
     reps: int
     ramp_len: int
-
-    @property
-    def stride(self) -> int:
-        """The spacing of the block's copies: a recipe level repeats its block z apart."""
-        return self.z
 
 
 def recipe(tower: Tower, n: int, tag: Tag) -> Recipe:
@@ -617,8 +611,8 @@ def _compress_aps(start: int, runs):
         left = runs[i][1] - 1
 
 
-def _cut_blocks(lvl: Level | Recipe):
-    """A level's (or a recipe's) ``cuts =`` value block by block, compressed from its block."""
+def _cut_blocks(lvl: Level):
+    """A level's ``cuts =`` value block by block, compressed from its block."""
     return _compress_aps(lvl.block[0], _gap_runs(lvl.block, lvl.stride, lvl.reps))
 
 
@@ -686,6 +680,8 @@ def parse_tower(stream) -> Tower:
 
     Lines end at a newline only; blank lines, ``#`` lines and blanks around a line or its ``=`` are
     skipped.  Any other layout is a ``TowerParseError`` that names the level and what was expected.
+    A tagged level's ``cuts`` and ``labels`` are compared, as they stream in, with the rendering of the
+    level ``Tower.extend`` appends at that depth; any other text is read entry by entry.
     """
     try:
         return _parse_tower_inner(stream)
@@ -775,30 +771,6 @@ def _streamed(stream, text: str, start: int, render) -> str | None:
         matched += 1
     rest = _rest_of_line(stream, text[pos:])
     return ("".join(render()) + rest).strip() if rest.strip() else None
-
-
-def _block_labels(stream, text: str, start: int, count: int, index_of: dict):
-    """``(text, label indices)`` of the first ``count`` ``cut=coords`` entries of the value at
-    ``text[start:]``, reading on into ``text`` (as ``_rest_of_line`` reads, up to the line's end) until it
-    holds each closed by a ``;``, as a recipe level's are (it has at least four copies); the label indices
-    are None when the line ends first or an entry names no element."""
-    closed = text.count(";", start)
-    while closed < count and text[-1:] != "\n":
-        more = stream.readline(min(_READ_CAP, max(_READ_CHUNK, len(text) >> 5)))
-        if not more:
-            break
-        text += more
-        closed += more.count(";")
-    labels = []
-    for _ in range(count):
-        stop = text.find(";", start)
-        eq = text.find("=", start, stop) if stop >= 0 else -1
-        g = index_of.get(text[eq + 1:stop]) if eq >= 0 else None
-        if g is None:
-            return text, None
-        labels.append(g)
-        start = stop + 1
-    return text, labels
 
 
 def _read_entries(n: int, cuts_text: str, entries: str, group: FinAbGroup,
@@ -896,26 +868,19 @@ def _parse_tower_inner(stream) -> Tower:
                 raise TowerParseError(f"level {n}: seed level differs from Tower.seeded "
                                       f"(h = {lvl.h}, z = {lvl.z}, cuts = {lvl.cuts}, zero labels)")
         else:
-            rec = recipe(tower, n - 1, tag)
-            if (h, z) != (rec.h, rec.z):
+            lvl = tower._recipe_level(tag)
+            if (h, z) != (lvl.h, lvl.z):
                 raise TowerParseError(f"level {n}: h = {h}, z = {z} disagree with the {tag_text} recipe "
-                                      f"(h = {rec.h}, z = {rec.z})")
+                                      f"(h = {lvl.h}, z = {lvl.z})")
             # each value is checked against the level Tower.extend builds as it streams in
-            cuts = _streamed(stream, *_expect(stream, where, "cuts"), functools.partial(_cut_blocks, rec))
-            head, start = _expect(stream, where, "labels")
-            lvl = None
-            if cuts is None:
-                head, block_labels = _block_labels(stream, head, start, len(rec.block), index_of)
-                if block_labels is not None:
-                    lvl = Level(n, h, z, rec.block, rec.reps, block_labels, tag, tower.elements, tower.v_pow)
-            labels = (_rest_of_line(stream, head)[start:].strip() if lvl is None
-                      else _streamed(stream, head, start, functools.partial(_label_copies, lvl, texts)))
-            if labels is not None:
-                # any other valid file: keep the level Tower.extend builds when the file repeats
-                # its block by the v^q rule, else one copy (reps == 1) of its cuts
-                cuts, labels = _read_entries(n, "".join(_cut_blocks(rec)) if cuts is None else cuts, labels,
+            cuts = _streamed(stream, *_expect(stream, where, "cuts"), functools.partial(_cut_blocks, lvl))
+            labels = _streamed(stream, *_expect(stream, where, "labels"), functools.partial(_label_copies, lvl, texts))
+            if cuts is not None or labels is not None:
+                # any other valid file: the recipe's block if the file repeats its first copy by v^q, else one copy
+                cuts, labels = _read_entries(n, "".join(_cut_blocks(lvl)) if cuts is None else cuts,
+                                             "".join(_label_copies(lvl, texts)) if labels is None else labels,
                                              group, index_of)
-                lvl = Level(n, h, z, rec.block, rec.reps, labels[:len(rec.block)], tag, tower.elements, tower.v_pow)
+                lvl = Level(n, h, z, lvl.block, lvl.reps, labels[:len(lvl.block)], tag, tower.elements, tower.v_pow)
                 if lvl.cuts != cuts or lvl.cut_labels() != labels:
                     lvl = Level(n, h, z, cuts, 1, labels, tag, tower.elements, tower.v_pow)
         tower.levels = (*tower.levels, lvl)

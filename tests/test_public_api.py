@@ -23,6 +23,9 @@ Rung labels stay element indices: ``cocycle`` and ``pairings`` never call
 One copy rule: only ``Level.__init__`` forks on ``reps`` in a conditional
 expression, nothing multiplies a ``.z`` by a ``len(...)``, and no ``.z`` is
 passed to ``_gap_runs`` as the copy spacing.
+
+One recipe level: ``recipe(...)`` is called only by ``Tower._recipe_level``,
+which builds the level that ``Tower.extend`` appends and ``parse_tower`` checks.
 """
 
 import ast
@@ -236,4 +239,19 @@ def test_one_copy_rule_for_every_level():
                 stride = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "stride")]
                 if any(isinstance(x, ast.Attribute) and x.attr == "z" for x in stride):
                     found.append(f"{where} z as stride")
+    assert found == []
+
+
+def test_one_builder_makes_every_recipe_level():
+    """A ratchet on the recipe level: in ``src/cfspectra`` only ``Tower._recipe_level`` calls ``recipe``, so
+    ``Tower.extend`` and ``parse_tower`` build a tagged level one way."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        builder = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Tower"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "_recipe_level"
+                   for node in ast.walk(fn)}
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "recipe"
+                  and id(node) not in builder]
     assert found == []

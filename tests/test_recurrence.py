@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,17 @@ def test_transport_density_audit_refuses_the_default_weight_past_p_two(deep_towe
         ergodicity_sweep(deep_tower, 3, 2)
     with pytest.raises(ValueError, match="p in"):
         ergodicity_sweep(deep_tower, 0, 2)
+
+
+def test_sweep_refuses_too_many_witnesses_before_building_one(deep_tower, monkeypatch):
+    """p = 2 over base level 3 would build 384^4 witnesses: refused up front, after the checks on p."""
+    monkeypatch.setattr(recurrence, "transport_witness", None)   # building any witness would fail
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=f"{384**4:,} transport witnesses"):
+        ergodicity_sweep(deep_tower, 2, 3)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="below 1/2"):   # 384^6 witnesses, but p is checked first
+        ergodicity_sweep(deep_tower, 3, 3)
 
 
 def test_transport_density_audit(deep_tower):

@@ -807,3 +807,26 @@ def test_ramp_offsets_pass_or_fail_label_validation_together(system, data):
                 t.extend(tag)
             return
         assert list(t.extend(tag).block_labels) == ramps[0]
+
+
+def test_a_level_relabelled_by_a_power_of_v_round_trips_in_block_form(z3_system):
+    """A valid level ``build`` never writes: level 4 with its ramp started one orbit step on, which
+    relabels every cut by v.  It is read entry by entry and kept in block form with the file's labels."""
+    t = seeded(z3_system)
+    el = t.group.element((1,))
+    t.extend(Tag(el, 0))
+    tag = Tag(el, 1)
+    rec = recipe(t, 3, tag)
+    labels = offset_ramp_labels(t, len(rec.block), el, rec.ramp_len, 1)
+    lvl = Level(4, rec.h, rec.z, rec.block, rec.reps, labels, tag, t.elements, t.v_pow)
+    assert validate_labels(lvl, t).passed
+    assert list(t.extend(tag).block_labels) != labels   # the ramp, which build writes
+    t.levels = (*t.levels[:3], lvl)
+    text = tower_text(t)
+    with entry_read_levels() as read:
+        parsed = parse_tower(io.StringIO(text))
+    assert read == [1, 2, 4]
+    got = parsed.level(4)
+    assert (got.block, got.reps, list(got.block_labels)) == (rec.block, rec.reps, labels) and got.reps > 1
+    assert _level_fields(parsed) == _level_fields(t)
+    assert tower_text(parsed) == text
