@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import accumulate, takewhile
 
 from .groups import Element, FinAbGroup, LimitExceeded, Subgroup, addition_table, negation_table
-from .tower import Point, Tower, apply_T
+from .tower import Point, Tower, apply_T, canonical_point
 
 # The most rungs a rung-indexed table may list.  A table takes about 8 bytes a
 # rung; the largest any caller builds is h_4 = 82,998 (the {2} and {1,2}
@@ -92,6 +92,7 @@ class Cocycle:
 
     def __init__(self, tower: Tower):
         self.tower = tower
+        self._add, self._neg = addition_table(tower.group), negation_table(tower.group)
 
     def eval(self, x: Point, y: Point) -> Element:
         """Cocycle value between tail-equivalent points.
@@ -105,9 +106,16 @@ class Cocycle:
         t = self.tower
         if x.truncation != y.truncation:
             raise NotEquivalent("points have different truncation depths")
-        N = x.truncation
-        add, neg = addition_table(t.group), negation_table(t.group)
-        return t.elements[add[rung_label(t, x.rung(t), N)][neg[rung_label(t, y.rung(t), N)]]]
+        return t.elements[self._add[self._rung_label(x)][self._neg[self._rung_label(y)]]]
+
+    def _rung_label(self, p: Point) -> int:
+        """``rung_label`` of the point's rung at its truncation depth, read off the walk the point carries when
+        it holds for the tower; a hand-built point is checked and decomposed."""
+        t = self.tower
+        label = p.walk_label(t)
+        if label is None:
+            return rung_label(t, p.rung(t), p.truncation)
+        return self._add[label][_zero_label_sum(t, p.level)]
 
 
 # -- coset fibers of the skew product ----------------------------------------
@@ -147,17 +155,24 @@ class TailShift:
     def __init__(self, tower: Tower):
         self.tower = tower
         self.z = [0] + [lvl.z for lvl in tower.levels]   # seed levels have z = 0
+        self._z_sums = list(accumulate(self.z))
 
     def z_prefix(self, n: int) -> int:
-        return sum(self.z[1:n + 1])
+        """z_1 + ... + z_n, for n in 0..depth."""
+        return self._z_sums[n]
 
     def apply(self, p: Point) -> Point | None:
-        """The shifted point, or None when no admissible level certifies p."""
+        """The shifted point, or None when no admissible level certifies p.
+
+        It reads the canonical form of p's rung: p itself when p carries a walk that holds for the tower, else
+        the canonical point of p's checked rung.
+        """
         t = self.tower
-        N = p.truncation
-        n_min, level_rung, coords, _ = t.decompose(p.rung(t), N)
-        for n in range(n_min, N + 1):
-            level_rung += coords.get(n, 0)   # n_min has no coordinate
+        if p.walk_label(t) is None:
+            p = canonical_point(t, p.rung(t), p.truncation)
+        N, level_rung, coords = p.truncation, p.f, dict(enumerate(p.tail, p.level + 1))
+        for n in range(p.level, N + 1):
+            level_rung += coords.get(n, 0)   # p.level has no coordinate
             if (level_rung + self.z_prefix(n) < t.h(n)
                     and all(coords[m] + self.z[m] in t.level(m) for m in range(n + 1, N + 1))):
                 return Point(n, level_rung + self.z_prefix(n),

@@ -268,14 +268,19 @@ def check_grid_size(tower: Tower, n_chars: int, max_level: int) -> None:
     """
     if not 0 <= max_level <= tower.depth:
         raise ValueError(f"max level {max_level} outside 0..{tower.depth} (the tower depth)")
-    steps = sum(1 for lvl in tower.levels if lvl.tag is not None)
     family = 1 + sum(tower.h(n) for n in range(1, max_level + 1))
+    _refuse_grid(tower, n_chars, family, f"to max level {max_level}", "lower --max-level")
+
+
+def _refuse_grid(tower: Tower, n_chars: int, family: int, grid: str, remedy: str) -> None:
+    """LimitExceeded when scheduled steps x ``n_chars`` x ``family``^2 passes ``_GRID_GUARD`` cells."""
+    steps = sum(1 for lvl in tower.levels if lvl.tag is not None)
     cells = steps * n_chars * family**2
     if cells > _GRID_GUARD:
         raise LimitExceeded(
-            f"residual grid to max level {max_level} would certify {cells:,} cells "
+            f"residual grid {grid} would certify {cells:,} cells "
             f"({steps} steps x {n_chars} characters x {family:,}^2 cylinder pairs; "
-            f"guard {_GRID_GUARD:,}); lower --max-level")
+            f"guard {_GRID_GUARD:,}); {remedy}")
 
 
 def cylinder_family(tower: Tower, max_level: int) -> list[tuple[str, Cylinder]]:
@@ -306,7 +311,10 @@ def residual_grid(tower: Tower, chars: list[Character], family: list[tuple[str, 
     taken deepest base level first, so each propagation walk to a lower base
     continues from the one above it.  The rows come out as per-cell
     ``_residual`` calls in step, character, A, B order would give them.
+
+    Refused with LimitExceeded, before any pairing, past ``_GRID_GUARD`` cells.
     """
+    _refuse_grid(tower, len(chars), len(family), f"over {len(family):,} cylinders", "use a smaller family")
     steps = []   # (n, tag, tag text, 2h_n) per scheduled step
     for lvl in tower.levels:
         if lvl.tag is not None:

@@ -521,29 +521,42 @@ def embed(tower: Tower, cyl: Cylinder, target_level: int) -> Cylinder:
 
 @dataclass(frozen=True)
 class Point:
-    """A truncated point: level rung plus explicit cut coordinates above it."""
+    """A truncated point: level rung plus explicit cut coordinates above it.
+
+    ``walk`` is set only by ``canonical_point``: the ``cut_rows`` table its ``decompose`` read, and the label sum
+    that walk returned.  It holds only while ``tower.cached`` still returns that table, so on another tower, or
+    once the levels change, the point is checked as a hand-built one is.
+    """
 
     level: int
     f: int
     tail: tuple[int, ...]
+    walk: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def truncation(self) -> int:
         return self.level + len(self.tail)
 
+    def walk_label(self, tower: Tower) -> int | None:
+        """The label sum of the ``decompose`` walk that made the point, or None when none holds for ``tower``."""
+        w = self.walk
+        return w[1] if w is not None and w[0] is tower.cached("cut_rows", _cut_rows, tower) else None
+
     def rung(self, tower: Tower) -> int:
-        if not 0 <= self.f < tower.h(self.level):
-            raise ValueError("rung out of range at the point's level")
-        for offset, c in enumerate(self.tail):
-            if c not in tower.level(self.level + 1 + offset):
-                raise ValueError(f"tail coordinate {c} is not a cut of level {self.level + 1 + offset}")
+        if self.walk_label(tower) is None:   # a carried walk's coordinates came from find_cut
+            if not 0 <= self.f < tower.h(self.level):
+                raise ValueError("rung out of range at the point's level")
+            for offset, c in enumerate(self.tail):
+                if c not in tower.level(self.level + 1 + offset):
+                    raise ValueError(f"tail coordinate {c} is not a cut of level {self.level + 1 + offset}")
         return self.f + sum(self.tail)
 
 
 def canonical_point(tower: Tower, rung: int, N: int) -> Point:
-    """The point with the given depth-N rung, in minimal-level form."""
-    n_min, f0, coords, _ = tower.decompose(rung, N)
-    return Point(n_min, f0, tuple(coords[j] for j in range(n_min + 1, N + 1)))
+    """The point with the given depth-N rung, in minimal-level form, carrying its ``decompose`` walk."""
+    n_min, f0, coords, label = tower.decompose(rung, N)
+    # decompose fills coords from level N down, so reversed they run n_min + 1, ..., N
+    return Point(n_min, f0, tuple(reversed(coords.values())), (tower.cached("cut_rows", _cut_rows, tower), label))
 
 
 def apply_T(tower: Tower, p: Point, m: int) -> Point | None:

@@ -279,7 +279,7 @@ def surviving_cuts(level, step):
 def aligned_cut_scan(tower, n):
     """Cuts c with c + z_n a cut and label(c + z_n) = v(label(c)); every cut on a seed level."""
     lvl = tower.level(n)
-    if lvl.tag is None or lvl.z == 0:
+    if lvl.z == 0:
         return frozenset(lvl.cuts)
     lab = dict(zip(lvl.cuts, lvl.cut_labels()))
     v1 = tower.v.perm

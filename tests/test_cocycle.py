@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfspectra.cocycle import (
     AlignedCutsReport,
@@ -19,7 +20,7 @@ from cfspectra.cocycle import (
     rung_label_indices,
 )
 from cfspectra.experiment import ExperimentConfig, build_tower
-from cfspectra.groups import Automorphism, Character, FinAbGroup, LimitExceeded, Subgroup
+from cfspectra.groups import Automorphism, Character, FinAbGroup, LimitExceeded, Subgroup, addition_table
 from cfspectra.koopman import LevelOperator, skew_decomposition_check
 from cfspectra.tower import (
     Cylinder,
@@ -32,6 +33,7 @@ from cfspectra.tower import (
 )
 
 from cut_scans import aligned_cuts, reference_rung_label
+from test_pairings import small_towers
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +359,81 @@ def test_undefined_mass_bounded(z3_tower):
     mass = Fraction(undef, t.cut_product(N))
     bound = 2 * sum(Fraction(ts.z[m], t.level(m).r) for m in range(1, N + 1))
     assert mass <= bound
+
+
+# -- points that carry their decomposition -------------------------------------
+
+
+def hand_built(p):
+    """The point with p's coordinates and no carried walk: it takes every check."""
+    return Point(p.level, p.f, p.tail)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_towers(), st.data())
+def test_carried_walks_answer_as_hand_built_points(t, data):
+    """``eval``, ``TailShift.apply``, ``apply_T`` and ``Point.rung`` give a canonical point, which reuses its
+    walk, the same results as the hand-built point of the same coordinates, which is checked and decomposed;
+    each ``eval`` is the difference of the reference rung labels."""
+    N = t.depth
+    h = t.h(N)
+    rungs = data.draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=6))
+    coc, ts = Cocycle(t), TailShift(t)
+    points = [canonical_point(t, f, N) for f in rungs]
+    for f, p in zip(rungs, points):
+        q = hand_built(p)
+        assert p.walk_label(t) is not None and q.walk_label(t) is None and p == q
+        assert p.rung(t) == q.rung(t) == f
+        assert ts.apply(p) == ts.apply(q)
+        for m in (-h, -f - 1, -1, 0, 1, 2, 7, ts.z_prefix(N), h - 1 - f, h - f):
+            assert apply_T(t, p, m) == apply_T(t, q, m)
+    for (f, x), (g, y) in itertools.product(zip(rungs, points), repeat=2):
+        want = reference_rung_label(t, f, N) - reference_rung_label(t, g, N)
+        assert coc.eval(x, y) == coc.eval(hand_built(x), hand_built(y)) == coc.eval(x, hand_built(y)) == want
+
+
+def relabelled(t, n, cut):
+    """The levels of t with the label of one cut of level n, as a one-copy level, stepped by the first
+    non-identity element: the same cuts and heights, another cocycle."""
+    lvl = t.level(n)
+    labels = list(lvl.cut_labels())
+    i = lvl.cuts.index(cut)
+    labels[i] = addition_table(t.group)[labels[i]][1]
+    return (*t.levels[:n - 1], Level(n, lvl.h, lvl.z, lvl.cuts, 1, labels, lvl.tag, t.elements, t.v_pow),
+            *t.levels[n:])
+
+
+def test_a_carried_walk_holds_only_for_its_tower_and_levels(z3_tower):
+    """A canonical point evaluated on another tower with the same rungs but other labels, or on its own tower
+    after a level was replaced, gives that tower's cocycle value: its walk no longer holds, so it is checked
+    and decomposed as a hand-built point is."""
+    t, N = z3_tower, 4
+    points = random_points(t, N, 40, seed=5)
+    cut = next(p.tail[2 - p.level] for p in points if p.level < 3)   # a sampled point's level-3 coordinate
+    other = Tower(t.group, t.v)
+    other.levels = relabelled(t, 3, cut)
+    assert [other.h(n) for n in range(N + 1)] == [t.h(n) for n in range(N + 1)]
+    later = Tower(t.group, t.v)
+    later.levels = t.levels
+    made_before = [canonical_point(later, p.rung(t), N) for p in points]
+    assert all(p.walk_label(later) is not None for p in made_before)
+    later.levels = other.levels
+    moved = 0
+    for tower, pts in ((other, points), (later, made_before)):
+        coc = Cocycle(tower)
+        for x, y in itertools.combinations(pts, 2):
+            assert x.walk_label(tower) is None
+            want = reference_rung_label(tower, x.rung(tower), N) - reference_rung_label(tower, y.rung(tower), N)
+            assert coc.eval(x, y) == want
+            moved += want != Cocycle(t).eval(x, y)
+    assert moved > 0   # the relabelled cut changes some values, so a stale walk would show
+
+
+def test_a_hand_built_point_off_the_cuts_is_refused(z3_tower):
+    t = z3_tower
+    p = next(p for p in random_points(t, 4, 40, seed=6) if p.level < 4)
+    bad = t.h(4)   # every cut lies below the level's height
+    with pytest.raises(ValueError, match="is not a cut of level 4"):
+        Point(p.level, p.f, (*p.tail[:-1], bad)).rung(t)
+    with pytest.raises(ValueError, match="rung out of range"):
+        Point(p.level, t.h(p.level), p.tail).rung(t)

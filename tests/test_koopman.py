@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from cfspectra import koopman
 from cfspectra.cyclotomic import Cyclo, abs_upper
-from cfspectra.groups import Automorphism, Character, FinAbGroup, Subgroup, character_orbit_average
+from cfspectra.experiment import ExperimentConfig, build_tower
+from cfspectra.groups import (Automorphism, Character, FinAbGroup, LimitExceeded, Subgroup, all_characters,
+                              character_orbit_average)
 from cfspectra.koopman import (
     LevelOperator,
     SeparationResult,
@@ -229,6 +232,20 @@ def test_residual_grid_deterministic(z3_tower):
         (r.n, r.tag, r.chi, r.a_id, r.b_id, r.residual) for r in rows2
     ]
     assert len(rows1) == len(t.levels[2:]) * 2 * len(fam) ** 2
+
+
+def test_residual_grid_refuses_a_family_past_the_grid_guard():
+    """A library caller's grid is counted from its own arguments, steps x characters x family^2, and refused
+    before any pairing: the level-4 family of a {2} tower lists 83,398 cylinders."""
+    t, _, _ = build_tower(ExperimentConfig(E={2}, depth=5))
+    fam = cylinder_family(t, max_level=4)
+    assert len(fam) == 83_398
+    characters = list(all_characters(t.group))
+    t0 = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=r"over 83,398 cylinders .* x 83,398\^2 cylinder pairs; guard 100,000"):
+        residual_grid(t, characters, fam)
+    assert time.perf_counter() - t0 < 1
+    assert "pairing_engine" not in t._cache
 
 
 def test_residual_grid_rows_with_cold_and_warm_orbit_averages(z3_tower):

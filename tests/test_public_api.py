@@ -26,6 +26,10 @@ passed to ``_gap_runs`` as the copy spacing.
 
 One recipe level: ``recipe(...)`` is called only by ``Tower._recipe_level``,
 which builds the level that ``Tower.extend`` appends and ``parse_tower`` checks.
+
+One maker of carried walks: only ``canonical_point`` builds a ``Point`` with a
+``walk``, and nothing calls ``dataclasses.replace``, which would copy a walk
+onto other coordinates.
 """
 
 import ast
@@ -254,4 +258,28 @@ def test_one_builder_makes_every_recipe_level():
         found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "recipe"
                   and id(node) not in builder]
+    assert found == []
+
+
+def test_only_canonical_point_builds_a_point_with_a_walk():
+    """A ratchet on carried walks: a ``Point`` that carries a walk skips the checks of ``Point.rung`` and the
+    ``decompose`` of ``Cocycle.eval`` and ``TailShift.apply``, so in ``src/cfspectra`` only ``canonical_point``,
+    whose walk made its coordinates, passes ``Point`` a fourth argument or a ``walk`` keyword.  Every other
+    ``Point(...)``, the shifted point of ``TailShift.apply`` among them, is hand-built and checked."""
+    found, makers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id == "Point" and (len(node.args) > 3 or node.keywords):
+                        makers.add(f"{path.stem}.{fn.name}")
+                    elif node.func.id == "replace":
+                        found.append(f"{path.stem}:{node.lineno} replace")
+        found += [f"{path.stem}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "replace"
+                  and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"]
+    assert makers == {"tower.canonical_point"}
     assert found == []
