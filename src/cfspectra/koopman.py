@@ -312,7 +312,17 @@ def residual_grid(tower: Tower, chars: list[Character], family: list[tuple[str, 
     continues from the one above it.  The rows come out as per-cell
     ``_residual`` calls in step, character, A, B order would give them.
 
-    Refused with LimitExceeded, before any pairing, past ``_GRID_GUARD`` cells.
+    Each pair {chi, conj chi} is certified once: a character whose conjugate
+    was computed earlier in ``chars`` takes copies of the conjugate's rows.
+    The copies are exact.  Conjugation sends chi(W) to conj chi(W) for the
+    integer Z[K] vector W of every pairing, and l to its conjugate, so
+    conj chi's p - target is the conjugate of chi's; ``abs_upper`` reads only
+    z * conj(z), and the error masses do not depend on the character.  The
+    twin is looked up as a ``Character``, group included, so a character of
+    another group still reaches ``PairingEngine.pairing`` and is refused.
+
+    Refused with LimitExceeded, before any pairing, past ``_GRID_GUARD`` cells,
+    counted over every character, copied or not.
     """
     _refuse_grid(tower, len(chars), len(family), f"over {len(family):,} cylinders", "use a smaller family")
     steps = []   # (n, tag, tag text, 2h_n) per scheduled step
@@ -328,7 +338,13 @@ def residual_grid(tower: Tower, chars: list[Character], family: list[tuple[str, 
     deepest_first = sorted(range(len(pairs)), key=lambda i: -max(pairs[i][0][1].level, pairs[i][1][1].level))
     eng = _engine(tower)
     cells = []   # cells[c][i][s]: the row of character c, pair i and step s
+    computed = {}   # character -> its per_pair rows, for each character certified here
     for chi in chars:
+        twin = computed.get(Character(chi.group, tuple(-c for c in chi.coords)))
+        if twin is not None:
+            cells.append([[ResidualRow(r.n, r.tag, chi.coords, r.a_id, r.b_id, r.residual, r.error) for r in out]
+                          for out in twin])
+            continue
         averages = {tg.el: _orbit_average(tower, chi, tg.el) for _, tg, _, _ in steps}
         per_pair = [None] * len(pairs)
         for i in deepest_first:
@@ -341,6 +357,7 @@ def residual_grid(tower: Tower, chars: list[Character], family: list[tuple[str, 
                 p = eng.pairing(chi, shift, A, B, N)
                 res = _deviation(p, scaled[tg.el], tg.k, back)
                 out.append(ResidualRow(n, tag, chi.coords, a_id, b_id, res, p.error_bound))
+        computed[chi] = per_pair
         cells.append(per_pair)
     rows = [per_pair[i][s] for s in range(len(steps)) for per_pair in cells for i in range(len(pairs))]
     rows.sort(key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))

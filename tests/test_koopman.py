@@ -248,27 +248,41 @@ def test_residual_grid_refuses_a_family_past_the_grid_guard():
     assert "pairing_engine" not in t._cache
 
 
+@pytest.mark.parametrize("factors, coords", [((6,), (5,)), ((5,), (4,)), ((2,), (0,)), ((2,), (1,))],
+                         ids=["Z6:5", "Z5:4", "Z2:0", "Z2:1"])
+def test_residual_grid_refuses_a_character_of_another_group(z3_tower, factors, coords):
+    """A character of another label group is refused by the pairing engine even when its conjugate's coordinates
+    match a character of the tower's group computed before it: the twin is looked up as a Character."""
+    foreign = Character(FinAbGroup(factors), coords)
+    with pytest.raises(ValueError, match="character must live on the tower's label group"):
+        residual_grid(z3_tower, [*chars(z3_tower), foreign], cylinder_family(z3_tower, max_level=1))
+
+
 def test_residual_grid_rows_with_cold_and_warm_orbit_averages(z3_tower):
-    """Orbit averages are cached per tower for each (chi, step element); a warm
-    cache shared by every character gives the rows of one cold grid per character."""
+    """Orbit averages are cached per tower for each (chi, step element); one grid over every character gives
+    the rows of one cold grid per character, and caches the averages of the computed characters alone: chi(2)
+    copies the rows of its conjugate chi(1)."""
     t = z3_tower
     fam = cylinder_family(t, max_level=1)
     cold = []
     for chi in chars(t):
         t._cache.clear()
         cold += residual_grid(t, [chi], fam)
+    t._cache.clear()
     warm = residual_grid(t, chars(t), fam)
     assert warm == sorted(cold, key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))
     cache = {key[1:]: value for key, value in t._cache.items() if key[0] == "orbit_average"}
     a = t.group.element((1,))   # the only step element
-    assert len(cache) == len(chars(t))
-    for chi in chars(t):
+    computed = chars(t)[:2]
+    assert sorted(cache) == [(chi.coords, a.coords) for chi in computed]
+    for chi in computed:
         assert cache[(chi.coords, a.coords)] == character_orbit_average(chi, a, t.v)
 
 
 def test_each_grid_row_bounds_one_value_formed_on_numerators(z3_tower, monkeypatch):
-    """Every row of a grid with k = 0 and k >= 1 steps calls abs_upper once, and _deviation (abs_upper included)
-    forms p - target with no Cyclo product, quotient, sum or difference."""
+    """Every computed row of a grid with k = 0 and k >= 1 steps calls abs_upper once and a row copied from the
+    conjugate character none, and _deviation (abs_upper included) forms p - target with no Cyclo product,
+    quotient, sum or difference."""
     t = z3_tower
     bounded, ops, inside = [], [], []
     abs_upper_, deviation = koopman.abs_upper, koopman._deviation
@@ -294,5 +308,6 @@ def test_each_grid_row_bounds_one_value_formed_on_numerators(z3_tower, monkeypat
     monkeypatch.setattr(koopman, "_deviation", deviation_spy)
     rows = residual_grid(t, chars(t), cylinder_family(t, max_level=1))
     assert {r.tag.split(":")[0] for r in rows} == {"even", "stagger"}
-    assert len(bounded) == len(rows)
+    copied = [r for r in rows if r.chi == (2,)]   # chi(2) is the conjugate of chi(1)
+    assert copied and len(bounded) == len(rows) - len(copied) == 2 * len(rows) // 3
     assert ops == []

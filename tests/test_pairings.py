@@ -410,9 +410,10 @@ def test_block_forms_match_cut_scans_on_random_towers(case):
 
 
 def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch):
-    """One walk per (N, m, base), one kernel per (N, m, level), and per (chi, A, B) one pairing per step plus
-    the <1_A, 1_B> and, with a k >= 1 step, the <U^-1 1_A, 1_B> pairings shared by all steps."""
-    t = parse_tower(io.StringIO(tower_text(z3_tower)))   # a fresh tower: nothing memoized yet
+    """One walk per (N, m, base), one kernel per (N, m, level), and per computed (chi, A, B) one pairing per step
+    plus the <1_A, 1_B> and, with a k >= 1 step, the <U^-1 1_A, 1_B> pairings shared by all steps.  A character
+    whose conjugate came first takes no pairing: 2 of the 3 characters of Z3 are computed, and 5 of the 9 of
+    Z3xZ3 ({8})."""
     keys, kernels, calls = [], [], []
     propagate, level_kernel, pairing = PairingEngine.propagate, PairingEngine.level_kernel, PairingEngine.pairing
 
@@ -425,21 +426,27 @@ def test_residual_grid_propagates_once_for_all_characters(z3_tower, monkeypatch)
         return level_kernel(self, n, lo, hi)
 
     def pairing_spy(self, chi, m, A, B, N):
-        calls.append(m)
+        calls.append(chi.coords)
         return pairing(self, chi, m, A, B, N)
 
     monkeypatch.setattr(PairingEngine, "propagate", counting)
     monkeypatch.setattr(PairingEngine, "level_kernel", kernel_spy)
     monkeypatch.setattr(PairingEngine, "pairing", pairing_spy)
-    chars = list(all_characters(t.group))
-    family = koopman.cylinder_family(t, 1)
-    rows = koopman.residual_grid(t, chars, family)
-    tags = [lvl.tag for lvl in t.levels if lvl.tag is not None]
-    assert len(rows) == len(tags) * len(chars) * 4 * 4
-    assert keys and len(keys) == len(set(keys))
-    assert kernels and len(kernels) == len(set(kernels))
-    adjoint = any(tag.k >= 1 for tag in tags)
-    assert adjoint and len(calls) == len(chars) * len(family) ** 2 * (len(tags) + 1 + adjoint)
+    z3 = parse_tower(io.StringIO(tower_text(z3_tower)))   # a fresh tower: nothing memoized yet
+    e8, _, _ = build_tower(ExperimentConfig(E={8}, depth=4))
+    computed = {z3: [(0,), (1,)], e8: [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]}
+    for t, want in computed.items():
+        del keys[:], kernels[:], calls[:]
+        chars = list(all_characters(t.group))
+        family = koopman.cylinder_family(t, 1)
+        rows = koopman.residual_grid(t, chars, family)
+        tags = [lvl.tag for lvl in t.levels if lvl.tag is not None]
+        assert len(rows) == len(tags) * len(chars) * len(family) ** 2
+        assert keys and len(keys) == len(set(keys))
+        assert kernels and len(kernels) == len(set(kernels))
+        adjoint = any(tag.k >= 1 for tag in tags)
+        assert adjoint and sorted(set(calls)) == want
+        assert len(calls) == len(want) * len(family) ** 2 * (len(tags) + 1 + adjoint)
 
 
 def test_residual_grid_builds_one_engine_for_all_characters(monkeypatch):
@@ -461,14 +468,22 @@ def test_residual_grid_builds_one_engine_for_all_characters(monkeypatch):
     assert [value for value in t._cache.values() if isinstance(value, PairingEngine)] == [koopman._engine(t)]
 
 
+# the small systems plus Z4, Z7 and Z3xZ3, whose non-real characters form one, three and four conjugate pairs
+GRID_SYSTEMS = SMALL_SYSTEMS + [
+    ((4,), [[[1]], [[3]]]),
+    ((7,), [[[1]], [[2]], [[3]]]),
+    ((3, 3), [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [1, 1]]]),
+]
+
+
 @st.composite
-def grid_cases(draw):
+def grid_cases(draw, systems=SMALL_SYSTEMS):
     """A depth 3-5 recipe over a small system and a family of X0, level-1 and level-2 rungs with one repeated id.
 
     One step, or two or three that mix k = 0 with k >= 1.  The repeated id names a second cylinder, so rows that tie on
     the sort key must keep the family order of A, then B.
     """
-    factors, matrices = draw(st.sampled_from(SMALL_SYSTEMS))
+    factors, matrices = draw(st.sampled_from(systems))
     G = FinAbGroup(factors)
     matrix = draw(st.sampled_from(matrices))
     elements = list(G.elements())
@@ -521,6 +536,31 @@ def test_residual_grid_equals_per_cell_residuals_on_random_towers(case):
     for m in (0, -1, *(2 * warm.h(lvl.step) for lvl in warm.levels if lvl.tag is not None)):
         koopman.pairing(warm, chars[0], m, X0, X0)
     assert koopman.residual_grid(warm, chars, family) == want
+
+
+def _conjugate(chi):
+    return Character(chi.group, tuple(-c for c in chi.coords))
+
+
+@pytest.mark.parametrize("system", GRID_SYSTEMS, ids=lambda system: "Z" + "xZ".join(map(str, system[0])))
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_residual_grid_with_conjugate_twins_equals_single_character_grids(system, data):
+    """Every character but the conjugate of one that is not real (when the group has one), with one character
+    twice, shuffled, gives the grids of its characters taken one by one, each on a fresh tower, concatenated and
+    sorted as the grid sorts: the rows copied from a conjugate are the rows computed for it."""
+    G, matrix, tags, family = data.draw(grid_cases([system]))
+    every = list(all_characters(G))
+    complex_ = [chi for chi in every if _conjugate(chi) != chi]
+    partner = _conjugate(data.draw(st.sampled_from(complex_))) if complex_ else None
+    kept = [chi for chi in every if chi != partner]
+    kept.append(data.draw(st.sampled_from(kept)))
+    chars = data.draw(st.permutations(kept))
+    want = []
+    for chi in chars:
+        want += koopman.residual_grid(_grid_tower(G, matrix, tags), [chi], family)
+    want.sort(key=lambda r: (r.n, r.tag, r.chi, r.a_id, r.b_id))
+    assert koopman.residual_grid(_grid_tower(G, matrix, tags), chars, family) == want
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
