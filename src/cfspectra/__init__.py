@@ -1,6 +1,6 @@
 """cfspectra: exact desk-scale lab for rank-one towers, cocycles and Koopman spectra."""
 
-from .cyclotomic import Cyclo, abs_lower, abs_upper, zeta
+from .cyclotomic import Cyclo, abs_lower, abs_upper
 from .groups import (
     Automorphism,
     Character,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate, takewhile
 
 from .groups import Element, FinAbGroup, LimitExceeded, Subgroup, addition_table, negation_table
-from .tower import Point, Tower, apply_T, canonical_point
+from .tower import Point, Tower, apply_T
 
 # The most rungs a rung-indexed table may list.  A table takes about 8 bytes a
 # rung; the largest any caller builds is h_4 = 82,998 (the {2} and {1,2}
@@ -145,11 +145,9 @@ class CosetSpace:
 class TailShift:
     """The map shifting the rung by z_1+...+z_n and every higher cut by z_m.
 
-    Domain certification at truncation depth N checks, for some admissible
-    level n: the rung bound at n, and that every known coordinate above n
-    survives the z-shift.  Conditions beyond the truncation are out of
-    sight by construction; the per-level descriptions are exactly the
-    pieces that are checkable from the stored data.
+    At truncation depth N it is the rung shift by Z_N = z_1 + ... + z_N, and its certified domain is the
+    rung bound at N: the rungs f with f + Z_N < h_N.  Conditions beyond the truncation are out of sight by
+    construction.
     """
 
     def __init__(self, tower: Tower):
@@ -162,22 +160,9 @@ class TailShift:
         return self._z_sums[n]
 
     def apply(self, p: Point) -> Point | None:
-        """The shifted point, or None when no admissible level certifies p.
+        """The canonical point Z_N rungs above p at its truncation depth N, or None when that leaves the stack."""
+        return apply_T(self.tower, p, self.z_prefix(p.truncation))
 
-        It reads the canonical form of p's rung: p itself when p carries a walk that holds for the tower, else
-        the canonical point of p's checked rung.
-        """
-        t = self.tower
-        if p.walk_label(t) is None:
-            p = canonical_point(t, p.rung(t), p.truncation)
-        N, level_rung, coords = p.truncation, p.f, dict(enumerate(p.tail, p.level + 1))
-        for n in range(p.level, N + 1):
-            level_rung += coords.get(n, 0)   # p.level has no coordinate
-            if (level_rung + self.z_prefix(n) < t.h(n)
-                    and all(coords[m] + self.z[m] in t.level(m) for m in range(n + 1, N + 1))):
-                return Point(n, level_rung + self.z_prefix(n),
-                             tuple(coords[m] + self.z[m] for m in range(n + 1, N + 1)))
-        return None
 
 def commutes_with_shift(ts: TailShift, p: Point) -> bool | None:
     """Exact check of T(S(p)) == S(T(p)) where both sides are defined."""
@@ -190,7 +175,7 @@ def commutes_with_shift(ts: TailShift, p: Point) -> bool | None:
     right = apply_T(t, sp, 1)
     if left is None or right is None:
         return None
-    return left.rung(t) == right.rung(t) and left.truncation == right.truncation
+    return left == right
 
 
 # -- coboundary-condition bookkeeping ------------------------------------------

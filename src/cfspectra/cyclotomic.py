@@ -313,10 +313,6 @@ def _as_cyclo(x) -> Cyclo:
     raise TypeError(f"cannot coerce {type(x)} to Cyclo")
 
 
-def zeta(order: int, k: int = 1) -> Cyclo:
-    return Cyclo.root_of_unity(order, k)
-
-
 # -- certified enclosures ---------------------------------------------
 
 
@@ -354,7 +350,6 @@ def _cos_taylor_enclosure(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
             raise ArithmeticError("cosine series failed to converge")
 
 
-@lru_cache(maxsize=None)
 def _cos_two_pi_enclosure(j: int, n: int, bits: int) -> tuple[Fraction, Fraction]:
     """Certified enclosure of cos(2*pi*j/n)."""
     j %= n

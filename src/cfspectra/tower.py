@@ -260,41 +260,33 @@ class Tower:
 
     # -- decomposition ----------------------------------------------------
 
-    def find_cut(self, n: int, f: int) -> tuple[int, int] | None:
-        """``(c, label index of c)`` for the unique cut c of level n with f - c in [0, h_{n-1}), or None."""
-        rows = self.cached("cut_rows", _cut_rows, self)
-        if not 0 < n < len(rows):
-            raise IndexError(f"level {n} not built (depth {self.depth})")
-        block, stride, reps, h_prev, labels = rows[n]
-        if f < 0:
-            return None
-        q = min(f // stride, reps - 1)   # the copy holding the last cut <= f, or the one after it
-        i = bisect.bisect_right(block, f - stride * q) - 1
-        if i < 0:   # below the copy's first cut: the last cut (i = -1) of the copy before
-            if q == 0:
-                return None
-            q -= 1
-        c = block[i] + stride * q
-        return (c, self.v_pow[q % len(self.v_pow)][labels[i]]) if f - c < h_prev else None
-
     def decompose(self, f: int, N: int) -> tuple[int, int, dict[int, int], int]:
         """Unique decomposition of rung f at depth N, in one walk down from level N.
 
         Returns (n_min, f0, coords, label) with f = f0 + sum(coords.values()), coords[j] a cut of
         level j for n_min < j <= N, f0 in [0, h(n_min)), n_min minimal, and label the element index
-        of the sum of the labels ``find_cut`` returns with the coordinates.
+        of the sum of the coordinates' labels.  At each level j the coordinate is the unique cut c
+        with f - c in [0, h_{j-1}), read off the level's ``cut_rows`` row; the walk stops at the
+        first level without one.
         """
         if not 0 <= f < self.h(N):
             raise ValueError(f"rung {f} outside [0, h_{N})")
-        add, label = addition_table(self.group), 0
+        rows, add, label = self.cached("cut_rows", _cut_rows, self), addition_table(self.group), 0
         coords: dict[int, int] = {}
         for j in range(N, 0, -1):
-            hit = self.find_cut(j, f)
-            if hit is None:
+            block, stride, reps, h_prev, labels = rows[j]
+            q = min(f // stride, reps - 1)   # the copy holding the last cut <= f, or the one after it
+            i = bisect.bisect_right(block, f - stride * q) - 1
+            if i < 0:   # below the copy's first cut: the last cut (i = -1) of the copy before
+                if q == 0:
+                    return j, f, coords, label
+                q -= 1
+            c = block[i] + stride * q
+            if f - c >= h_prev:
                 return j, f, coords, label
-            coords[j] = hit[0]
-            f -= hit[0]
-            label = add[label][hit[1]]
+            coords[j] = c
+            f -= c
+            label = add[label][self.v_pow[q % len(self.v_pow)][labels[i]]]
         return 0, f, coords, label
 
     # -- tag bookkeeping ---------------------------------------------------
@@ -312,7 +304,8 @@ def _cut_products(tower: Tower) -> list[int]:
 
 
 def _cut_rows(tower: Tower) -> list:
-    """A row (block, stride, reps, h_{n-1}, block_labels) per built level n, after a None for level 0."""
+    """The rows ``Tower.decompose`` walks: (block, stride, reps, h_{n-1}, block_labels) per built level n, after
+    a None for level 0."""
     return [None] + [(lvl.block, lvl.stride, lvl.reps, tower.h(lvl.n - 1), lvl.block_labels) for lvl in tower.levels]
 
 
@@ -543,7 +536,7 @@ class Point:
         return w[1] if w is not None and w[0] is tower.cached("cut_rows", _cut_rows, tower) else None
 
     def rung(self, tower: Tower) -> int:
-        if self.walk_label(tower) is None:   # a carried walk's coordinates came from find_cut
+        if self.walk_label(tower) is None:   # a carried walk's coordinates came from decompose
             if not 0 <= self.f < tower.h(self.level):
                 raise ValueError("rung out of range at the point's level")
             for offset, c in enumerate(self.tail):

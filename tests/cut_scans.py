@@ -5,7 +5,9 @@ before its levels went block-native, so each block-form result, and each
 format-1 line rendered from the block, can be checked against an independent
 scan on every level and on its one-copy (``reps == 1``) twin.  ``tower_text``
 gives a tower's format-1 text as a string, and ``reference_parse_tower`` reads
-it back from the whole text, each line held whole.
+it back from the whole text, each line held whole.  ``admissible_level_shift`` is
+the tail shift as a search for an admissible level, the reference for the
+rung shift ``TailShift.apply`` makes.
 """
 
 import bisect
@@ -18,8 +20,8 @@ from unittest.mock import patch
 from cfspectra import tower as tower_module
 from cfspectra.cocycle import _aligned_classes
 from cfspectra.groups import Automorphism, FinAbGroup, _parse_int_list, addition_table, least_period
-from cfspectra.tower import (Cylinder, Level, Recipe, Report, Tag, Tower, TowerParseError, _coords_from_str,
-                             _coords_str, _cut_blocks, _label_copies, _read_entries, embed, recipe,
+from cfspectra.tower import (Cylinder, Level, Point, Recipe, Report, Tag, Tower, TowerParseError, _coords_from_str,
+                             _coords_str, _cut_blocks, _label_copies, _read_entries, canonical_point, embed, recipe,
                              serialize_tower)
 
 
@@ -318,14 +320,31 @@ def find_cut_scan(tower, n, f):
 
 
 def found_cut(tower, n, f):
-    """The cut of ``tower.find_cut(n, f)``, or None, once the label index found with it is checked against
-    ``Level.label_index``."""
-    hit = tower.find_cut(n, f)
-    if hit is None:
-        return None
-    c, g = hit
-    assert g == tower.level(n).label_index(c), (n, f, c)
-    return c
+    """The level-n coordinate of ``tower.decompose(f, n)`` for f in [0, h_n), or None where the walk stops at
+    level n, once the walk's label sum is checked against the ``Level.label_index`` of every coordinate."""
+    n_min, _, coords, label = tower.decompose(f, n)
+    add, want = addition_table(tower.group), 0
+    for j, c in coords.items():
+        want = add[want][tower.level(j).label_index(c)]
+    assert label == want, (n, f, coords)
+    return None if n_min == n else coords[n]
+
+
+def admissible_level_shift(tower, p):
+    """The tail shift of p by a search for an admissible level: the hand-built point at the least level n,
+    from the level of p's canonical form up to its truncation N, where the rung bound at n holds
+    (level rung + z_1 + ... + z_n < h_n) and every coordinate above n survives its z-shift; None when no
+    level is admissible.  On a tower whose stacks stay in their levels its rung, where it has one, is
+    ``p.rung + z_1 + ... + z_N`` and lies below h_N."""
+    p = canonical_point(tower, p.rung(tower), p.truncation)
+    z = [0] + [lvl.z for lvl in tower.levels]
+    N, level_rung, coords = p.truncation, p.f, dict(enumerate(p.tail, p.level + 1))
+    for n in range(p.level, N + 1):
+        level_rung += coords.get(n, 0)   # p.level has no coordinate
+        if (level_rung + sum(z[:n + 1]) < tower.h(n)
+                and all(coords[m] + z[m] in tower.level(m) for m in range(n + 1, N + 1))):
+            return Point(n, level_rung + sum(z[:n + 1]), tuple(coords[m] + z[m] for m in range(n + 1, N + 1)))
+    return None
 
 
 def reference_rung_label(tower, f, N):

@@ -32,8 +32,8 @@ from cfspectra.tower import (
     canonical_point,
 )
 
-from cut_scans import aligned_cuts, reference_rung_label
-from test_pairings import small_towers
+from cut_scans import admissible_level_shift, aligned_cuts, reference_rung_label
+from test_pairings import SMALL_SYSTEMS, small_towers
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +85,21 @@ def test_rung_label_array_matches_pointwise(z3_tower):
 def _depth5_tower(target):
     """The depth-5 tower ``build`` makes for ``target``, or for {2} with level 3 tampered as one copy of its
     cuts (reps == 1): "tampered" moves its last cut to h_3 - 1, so that the cut's stack leaves the level, and
-    labels cut 0 with 1 and the moved cut with 2; "no cut 0" moves cut 0 to 5."""
-    t, _, _ = build_tower(ExperimentConfig(E={2} if target in ("tampered", "no cut 0") else set(target), depth=5))
+    labels cut 0 with 1 and the moved cut with 2; "no cut 0" moves cut 0 to 5; "off stack" also moves its
+    last cut to h_3 - 1, and the least cut above h_3 - 1 - z_3 down to it, so a point over that cut stays on
+    the level when z_3 shifts its coordinate and leaves it when z_3 shifts its rung."""
+    tampered = ("tampered", "no cut 0", "off stack")
+    t, _, _ = build_tower(ExperimentConfig(E={2} if target in tampered else set(target), depth=5))
     lvl = t.level(3)
     if target == "tampered":
         cuts, labels = [*lvl.cuts[:-1], lvl.h - 1], [1, *lvl.cut_labels()[1:-1], 2]
     elif target == "no cut 0":
         cuts, labels = [5, *lvl.cuts[1:]], lvl.cut_labels()
+    elif target == "off stack":
+        below = lvl.h - 1 - lvl.z
+        above = min(c for c in lvl.cuts if c > below)
+        cuts = sorted({*lvl.cuts[:-1], below, lvl.h - 1} - {above})
+        labels = [lvl.label_index(c) if c in lvl else 0 for c in cuts]
     else:
         return t
     t.levels = (*t.levels[:2], Level(3, lvl.h, lvl.z, cuts, 1, labels, lvl.tag, t.elements, t.v_pow), *t.levels[3:])
@@ -299,6 +307,45 @@ def test_tail_shift_graph_inside_orbit_relation(z3_tower):
         assert shifted is not None and q.rung(t) == shifted.rung(t)
         moved += 1
     assert moved > 100
+
+
+def _seeded_tower(seed):
+    """A depth 3-4 tower over one of ``SMALL_SYSTEMS``, its automorphism and steps drawn by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    factors, matrices = rng.choice(SMALL_SYSTEMS)
+    G = FinAbGroup(factors)
+    t = Tower.seeded(G, Automorphism(G, rng.choice(matrices)))
+    elements = list(G.elements())
+    for _ in range(rng.randint(1, 2)):
+        t.extend(Tag(rng.choice(elements), rng.randint(0, 1)))
+    return t
+
+
+@pytest.mark.parametrize("tower", [*range(12), "tampered", "no cut 0", "off stack"],
+                         ids=[*(f"seed {s}" for s in range(12)), "tampered", "no cut 0", "off stack"])
+def test_tail_shift_is_the_admissible_level_search_where_it_stays_on_the_stack(tower):
+    """At every depth N, ``TailShift.apply`` is None exactly where the admissible-level search finds no level or
+    finds one whose shifted point lies at rung h_N or above, which only a tower with a stack that leaves its
+    level allows ("off stack").  Elsewhere it is the canonical point of the search's rung, p's rung + Z_N.
+
+    The rungs compared are the 150 lowest, the 150 on each side of h_N - Z_N, where the rung bound flips, the
+    50 highest and 150 seeded ones; the depth-5 towers are the {2} towers of ``_depth5_tower``."""
+    t = _seeded_tower(tower) if isinstance(tower, int) else _depth5_tower(tower)
+    ts, rng, seen = TailShift(t), random.Random(17), set()
+    for N in range(t.depth + 1):
+        h, zN = t.h(N), ts.z_prefix(N)
+        edge, top = range(max(0, h - zN - 150), max(0, min(h, h - zN + 150))), range(max(0, h - 50), h)
+        for f in sorted({*range(min(h, 150)), *edge, *top, *(rng.randrange(h) for _ in range(150))}):
+            p = canonical_point(t, f, N)
+            want, got = admissible_level_shift(t, p), ts.apply(p)
+            if want is None or want.rung(t) >= h:
+                assert got is None, (N, f)
+                seen.add("none" if want is None else "off the stack")
+            else:
+                assert want.rung(t) == f + zN and got == canonical_point(t, f + zN, N), (N, f)
+                assert got.rung(t) == want.rung(t)
+                seen.add("shifted")
+    assert seen == ({"none", "shifted", "off the stack"} if tower == "off stack" else {"none", "shifted"})
 
 
 def test_tail_shift_commutes_with_T(z3_tower):

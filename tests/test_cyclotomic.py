@@ -13,7 +13,6 @@ from cfspectra.cyclotomic import (
     cyclotomic_polynomial,
     sqrt_lower,
     sqrt_upper,
-    zeta,
 )
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12]
@@ -37,7 +36,7 @@ def test_cyclotomic_polynomials_known():
 
 @pytest.mark.parametrize("n", ORDERS)
 def test_root_of_unity_has_order_n(n):
-    z = zeta(n)
+    z = Cyclo.root_of_unity(n)
     p = Cyclo.from_fraction(1)
     for k in range(1, n):
         p = p * z
@@ -47,19 +46,19 @@ def test_root_of_unity_has_order_n(n):
 
 
 def test_known_identities():
-    w = zeta(3)
+    w = Cyclo.root_of_unity(3)
     assert w * w + w + 1 == 0
-    assert zeta(4) * zeta(4) == -1
-    assert zeta(6) == 1 + zeta(3)
+    assert Cyclo.root_of_unity(4) * Cyclo.root_of_unity(4) == -1
+    assert Cyclo.root_of_unity(6) == 1 + Cyclo.root_of_unity(3)
     # (z + z^4) for z = zeta_5 is the golden-ratio conjugate root of x^2+x-1
-    t = zeta(5) + zeta(5, 4)
+    t = Cyclo.root_of_unity(5) + Cyclo.root_of_unity(5, 4)
     assert t * t + t - 1 == 0
 
 
 def test_mixed_order_equality():
-    assert zeta(6, 3) == Cyclo.from_fraction(-1)
-    assert zeta(12, 4) == zeta(3)
-    assert zeta(8, 2) == zeta(4)
+    assert Cyclo.root_of_unity(6, 3) == Cyclo.from_fraction(-1)
+    assert Cyclo.root_of_unity(12, 4) == Cyclo.root_of_unity(3)
+    assert Cyclo.root_of_unity(8, 2) == Cyclo.root_of_unity(4)
 
 
 coeff_st = st.integers(min_value=-4, max_value=4)
@@ -105,7 +104,7 @@ def test_sqrt_bounds_bracket(q):
 
 
 def test_abs_bounds_match_float():
-    z = 3 * zeta(5) - 2 * zeta(5, 3) + Fraction(1, 7)
+    z = 3 * Cyclo.root_of_unity(5) - 2 * Cyclo.root_of_unity(5, 3) + Fraction(1, 7)
     lo, hi = abs_lower(z, 80), abs_upper(z, 80)
     ref = abs(to_complex(z))
     assert float(lo) <= ref <= float(hi)
@@ -115,7 +114,7 @@ def test_abs_bounds_match_float():
 def test_abs_of_pure_root_is_exactly_one():
     for n in ORDERS:
         for k in range(n):
-            z = zeta(n, k)
+            z = Cyclo.root_of_unity(n, k)
             assert z.abs_squared() == 1
             assert abs_upper(z) == 1 == abs_lower(z)
 
@@ -123,7 +122,7 @@ def test_abs_of_pure_root_is_exactly_one():
 def test_real_enclosure_agrees_with_cos():
     for n in ORDERS:
         for j in range(n):
-            v = zeta(n, j) + zeta(n, -j)
+            v = Cyclo.root_of_unity(n, j) + Cyclo.root_of_unity(n, -j)
             lo, hi = v.real_bounds(64)
             ref = 2 * math.cos(2 * math.pi * j / n)
             assert float(lo) - 1e-10 <= ref <= float(hi) + 1e-10
@@ -131,7 +130,7 @@ def test_real_enclosure_agrees_with_cos():
 
 
 def test_rationality_detection():
-    z = zeta(3)
+    z = Cyclo.root_of_unity(3)
     assert not z.is_rational()
     assert (z + z.conjugate()).as_fraction() == -1
     assert (z * z.conjugate()).as_fraction() == 1
@@ -267,7 +266,7 @@ def test_integer_counts_build_no_fraction(monkeypatch):
     monkeypatch.setattr(cyclotomic, "Fraction", refuse)
     z = Cyclo.from_exponent_counts(12, {0: 3, 5: -2, 17: 4, 6: 0})
     monkeypatch.undo()
-    assert z == 3 - 2 * zeta(12, 5) + 4 * zeta(12, 17)
+    assert z == 3 - 2 * Cyclo.root_of_unity(12, 5) + 4 * Cyclo.root_of_unity(12, 17)
 
 
 @given(st.sampled_from(ORDERS), st.dictionaries(st.integers(0, 40), st.one_of(coeff_st, frac_coeff_st),
@@ -285,10 +284,10 @@ def test_divided_counts_equal_counts_then_division(n, counts, den):
 
 
 def test_promoted_values_hash_alike():
-    assert zeta(3) == zeta(3).promoted(6)
-    assert len({zeta(3), zeta(3).promoted(6)}) == 1
-    assert len({zeta(4), zeta(8, 2)}) == 1
-    assert len({zeta(6, 3), Cyclo.from_fraction(-1), -1}) == 1
+    assert Cyclo.root_of_unity(3) == Cyclo.root_of_unity(3).promoted(6)
+    assert len({Cyclo.root_of_unity(3), Cyclo.root_of_unity(3).promoted(6)}) == 1
+    assert len({Cyclo.root_of_unity(4), Cyclo.root_of_unity(8, 2)}) == 1
+    assert len({Cyclo.root_of_unity(6, 3), Cyclo.from_fraction(-1), -1}) == 1
     assert hash(Cyclo.from_fraction(Fraction(3, 7), 12)) == hash(Fraction(3, 7))
 
 
@@ -324,7 +323,7 @@ def enclosure_values(draw):
         q = draw(st.fractions(0, 50, max_denominator=10**9).filter(bool))
         return Cyclo.from_fraction(q if kind == "rational" else -q, n)
     if kind == "root":
-        return draw(st.sampled_from((1, -1))) * zeta(n, draw(st.integers(0, n - 1)))
+        return draw(st.sampled_from((1, -1))) * Cyclo.root_of_unity(n, draw(st.integers(0, n - 1)))
     counts = draw(st.dictionaries(st.integers(0, n - 1), st.fractions(-10**6, 10**6, max_denominator=10**12),
                                   min_size=1, max_size=n))
     return Cyclo.from_exponent_counts(n, counts, draw(st.integers(1, 10**12)))

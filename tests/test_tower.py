@@ -167,7 +167,7 @@ def test_cut_product_prefix_table_follows_extend(z3_system):
         t.cut_product(n) for n in range(t.depth + 1)]
 
 
-def test_find_cut_row_table_follows_levels_and_keeps_its_contracts(z3_system):
+def test_decompose_row_table_follows_levels_and_keeps_its_contracts(z3_system):
     t = build_desk_tower(z3_system, depth=5)
     bare = Tower(*z3_system)
     bare.levels += t.levels[:3]
@@ -175,19 +175,18 @@ def test_find_cut_row_table_follows_levels_and_keeps_its_contracts(z3_system):
     bare.levels += t.levels[3:]   # assigned outside extend, as parse_tower does
     for n in range(1, t.depth + 1):
         cuts = t.level(n).cuts
-        above = [t.h(n) - 1, t.h(n), cuts[-1] + 2 * t.level(n).z + 1]   # past the last copy
-        for f in [-5, -1] + above + [c + d for c in cuts[:3] + cuts[-3:] for d in (-1, 0, 1, t.h(n - 1))]:
-            assert found_cut(bare, n, f) == find_cut_scan(t, n, f)
-        assert bare.find_cut(n, -1) is None
+        for f in [0, t.h(n) - 1] + [c + d for c in cuts[:3] + cuts[-3:] for d in (-1, 0, 1, t.h(n - 1))]:
+            if 0 <= f < t.h(n):
+                assert found_cut(bare, n, f) == find_cut_scan(t, n, f)
     lvl = t.level(3)   # a block that starts above 0: a rung below it may take the copy before's last cut
     shift = lvl.z - lvl.block[-1] - 4
     bare.levels = bare.levels[:2] + (Level(3, lvl.h, lvl.z, [d + shift for d in lvl.block], lvl.reps,
                                            lvl.block_labels, lvl.tag, t.elements, t.v_pow),)
-    assert [found_cut(bare, 3, f) for f in range(-1, lvl.h + 1)] == [
-        find_cut_scan(bare, 3, f) for f in range(-1, lvl.h + 1)]
-    for n in (0, -1, t.depth + 1):
+    assert [found_cut(bare, 3, f) for f in range(lvl.h)] == [find_cut_scan(bare, 3, f) for f in range(lvl.h)]
+    assert t.decompose(0, 0) == (0, 0, {}, 0)
+    for n in (-1, t.depth + 1):
         with pytest.raises(IndexError, match=f"^level {n} not built \\(depth 5\\)$"):
-            t.find_cut(n, 0)
+            t.decompose(0, n)
     with pytest.raises(ValueError, match="outside"):
         t.decompose(t.h(4), 4)
     with pytest.raises(ValueError, match="outside"):
@@ -216,7 +215,7 @@ def test_replacing_a_level_renews_every_cached_table():
     fs = [cuts[1], cuts[i] - 1, cuts[i], cuts[i] + 1, cuts[i + 1] - 1, cuts[-1]]
 
     def values(tower):
-        return (tower.cut_product(4), [tower.find_cut(4, f) for f in fs], rung_label_indices(tower, 4),
+        return (tower.cut_product(4), [tower.decompose(f, 4) for f in fs], rung_label_indices(tower, 4),
                 pairing(tower, chi, 2 * tower.h(3), A, A, 4), return_cuts(tower, 3))
 
     before = values(t)
@@ -491,7 +490,7 @@ def test_decompose_round_trip_exhaustive(z3_system):
         assert all(c in t.level(j).cuts for j, c in coords.items())
         # minimality: no decomposition into a strictly lower level exists
         if n_min > 0:
-            assert t.find_cut(n_min, f0) is None
+            assert find_cut_scan(t, n_min, f0) is None
 
 
 def test_decompose_agrees_with_exhaustive_search(z3_system):
